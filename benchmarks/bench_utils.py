@@ -38,15 +38,30 @@ BENCH_CACHE = os.environ.get("REPRO_BENCH_CACHE") or None
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
 
-def print_figure(title: str, rows: Sequence[Dict[str, object]], columns: Sequence[str]) -> None:
-    """Print one reproduced figure as an aligned table and save it to disk."""
-    table = format_table(rows, columns=columns, title=title)
-    print()
-    print(table)
+def print_figure(
+    title: str,
+    rows: Sequence[Dict[str, object]],
+    columns: Sequence[str],
+    timing: Sequence[str] = ("elapsed_seconds",),
+) -> None:
+    """Print one reproduced figure as an aligned table and save it to disk.
+
+    Every column is printed.  The ``timing`` columns — wall-clock readings
+    and other values that change from run to run — are left out of the
+    saved table, so re-running the benches leaves the files unchanged.
+    """
+    print_timings(title, rows, columns)
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     slug = re.sub(r"[^a-z0-9]+", "-", title.lower()).strip("-")[:60]
     scale = "full" if FULL_SCALE else "quick"
-    (RESULTS_DIR / f"{slug}.{scale}.txt").write_text(table)
+    kept = [column for column in columns if column not in timing]
+    (RESULTS_DIR / f"{slug}.{scale}.txt").write_text(format_table(rows, columns=kept, title=title))
+
+
+def print_timings(title: str, rows: Sequence[Dict[str, object]], columns: Sequence[str]) -> None:
+    """Print a table of run-to-run measurements (printed only, never saved)."""
+    print()
+    print(format_table(rows, columns=columns, title=title))
 
 
 def series_of(result, value_key: str) -> Dict[str, Dict[object, object]]:

@@ -148,6 +148,7 @@ def test_decomposed_opt_beats_monolithic_with_identical_objectives():
             "speedup",
             "seeded_speedup",
         ],
+        timing=["monolithic_s", "decomposed_s", "seeded_s", "speedup", "seeded_speedup"],
     )
 
     _record_trajectory(

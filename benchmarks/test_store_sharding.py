@@ -34,7 +34,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Tuple
 
-from bench_utils import print_figure
+from bench_utils import print_timings
 
 from repro.scenarios import ScenarioGenerator
 from repro.server.client import ServiceClient
@@ -190,7 +190,7 @@ def test_sharded_fleet_vs_single_store(tmp_path):
                 "vs_single_pct": round(100.0 * (single_seconds / seconds - 1.0), 1),
             }
         )
-    print_figure(
+    print_timings(
         f"Store sharding — {SHARDS}-shard fleet vs single file "
         f"({len(requests)} ISP requests, {WORKERS} workers)",
         rows,

@@ -30,7 +30,8 @@ not run (unreadable artefact, mismatched kinds, nothing to gate).
 
 Server artefacts may additionally carry a ``tracing_benchmark`` section
 (merged by ``benchmarks/test_server_throughput.py``): its
-``overhead_pct`` is checked against its own ``budget_pct`` — an
+``overhead_pct`` — spans per solve times the cost of one span over the
+untraced solve time — is checked against its own ``budget_pct``, an
 **absolute** budget, not baseline-relative, because tracing is supposed
 to be invisible no matter what the trajectory did.
 

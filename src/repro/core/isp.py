@@ -21,19 +21,22 @@ iteration of the main loop performs, in this order:
 The algorithm returns a :class:`~repro.network.plan.RecoveryPlan` containing
 both the repair list and the routing produced by prune actions and by the
 final routability test, as the paper requires.
+
+A run keeps one :class:`~repro.network.index.GraphIndex` of its supply copy,
+updated by every repair and prune; the graph primitives of steps 2-4 read it
+instead of rebuilding networkx graphs (see ``docs/isp-kernel.md``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Literal, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Hashable, List, Literal, Optional, Set, Tuple
 
 import networkx as nx
 
-from repro.core.centrality import CentralityResult, demand_based_centrality
+from repro.core.centrality import demand_based_centrality
 from repro.core.prune import PruneAction, find_prunable_routing
 from repro.core.split import select_demand_to_split
-from repro.flows.maxflow import max_flow_value
 from repro.flows.routability import routability_test
 from repro.flows.splitting_lp import maximum_splittable_amount
 from repro.flows.decomposition import decompose_flows
@@ -41,10 +44,12 @@ from repro.flows.solver.incremental import SolverContext
 from repro.flows.solver.stats import collect_solver_stats
 from repro.flows.solver.tolerances import EPSILON
 from repro.network.demand import DemandGraph
+from repro.network.index import GraphIndex
 from repro.network.paths import (
     DEFAULT_LENGTH_CONSTANT,
     attach_dynamic_lengths,
     path_broken_elements,
+    path_edges,
     shortest_path_cover,
 )
 from repro.network.plan import RecoveryPlan
@@ -112,6 +117,8 @@ class _ISPState:
         self.unsatisfiable_pairs: List[Pair] = []
         #: Warm-start store shared by the run's routability and split solves.
         self.solver_context = SolverContext()
+        #: Indexed snapshot of ``supply``, kept current by the methods below.
+        self.index = GraphIndex(self.supply)
 
     # ------------------------------------------------------------------ #
     def working_graph(self) -> nx.Graph:
@@ -125,12 +132,14 @@ class _ISPState:
         if self.supply.is_broken_node(node) and node not in self.repaired_nodes:
             self.repaired_nodes.add(node)
             self.plan.add_node_repair(node)
+            self.index.list_node(node)
 
     def repair_edge(self, u: Node, v: Node) -> None:
         key = canonical_edge(u, v)
         if self.supply.is_broken_edge(u, v) and key not in self.repaired_edges:
             self.repaired_edges.add(key)
             self.plan.add_edge_repair(u, v)
+            self.index.list_edge(u, v)
         # Using an edge requires working endpoints (constraint 1(c)).
         self.repair_node(u)
         self.repair_node(v)
@@ -140,8 +149,9 @@ class _ISPState:
         self.demand.reduce(source, target, action.amount)
         for path, flow in action.routes:
             self.plan.add_route(action.pair, path, flow)
-            for i in range(len(path) - 1):
-                self.supply.consume_capacity(path[i], path[i + 1], flow)
+            for u, v in path_edges(path):
+                self.supply.consume_capacity(u, v, flow)
+                self.index.set_residual(u, v, self.supply.residual(u, v))
         self.prunes += 1
 
 
@@ -203,13 +213,8 @@ def _initialise(state: _ISPState) -> None:
     Pairs whose endpoints are disconnected even in the full supply graph can
     never be satisfied and are removed so the LPs stay feasible.
     """
-    full = state.supply.full_graph(use_residual=False)
     for pair in state.demand.pairs():
-        if (
-            pair.source not in full
-            or pair.target not in full
-            or not nx.has_path(full, pair.source, pair.target)
-        ):
+        if not state.index.connected(pair.source, pair.target):
             state.unsatisfiable_pairs.append(pair.pair)
             state.demand.remove_pair(pair.source, pair.target)
             continue
@@ -262,6 +267,7 @@ def _prune_phase(state: _ISPState, working: nx.Graph) -> bool:
                 state.demand,
                 pair.pair,
                 require_bubble=state.config.require_bubble,
+                index=state.index,
             )
             if action is None:
                 continue
@@ -276,7 +282,6 @@ def _prune_phase(state: _ISPState, working: nx.Graph) -> bool:
 def _direct_repair_phase(state: _ISPState) -> bool:
     """Repair broken edges that directly connect unsatisfiable demand pairs."""
     repaired_any = False
-    working = state.working_graph()
     for pair in state.demand.pairs():
         source, target = pair.source, pair.target
         if not state.supply.has_edge(source, target):
@@ -285,13 +290,12 @@ def _direct_repair_phase(state: _ISPState) -> bool:
             continue
         if canonical_edge(source, target) in state.repaired_edges:
             continue
-        satisfiable = max_flow_value(working, source, target)
+        satisfiable = state.index.max_flow(source, target, working=True)
         if satisfiable + EPSILON >= pair.demand:
             continue
         state.repair_edge(source, target)
         state.direct_repairs += 1
         repaired_any = True
-        working = state.working_graph()
     return repaired_any
 
 
@@ -301,54 +305,41 @@ def _split_phase(state: _ISPState) -> bool:
     centrality = demand_based_centrality(
         state.supply,
         state.demand,
-        repaired_nodes=state.repaired_nodes,
-        repaired_edges=state.repaired_edges,
         length_const=config.length_const,
         metric=config.metric,
+        index=state.index,
     )
-    full_graph = centrality.graph
-    if full_graph is None:
-        return False
+    mode = config.split_amount_mode
+    if mode == "auto":
+        mode = "lp" if state.supply.number_of_edges <= config.lp_edge_threshold else "bottleneck"
+    # The split LP runs on the complete graph; build it once, when first needed.
+    full_graph: Optional[nx.Graph] = None
 
     for candidate in centrality.ranked_nodes():
         if centrality.scores.get(candidate, 0.0) <= 0:
             break
-        choice = select_demand_to_split(centrality, state.demand, candidate, full_graph)
+        choice = select_demand_to_split(centrality, state.demand, candidate)
         if choice is None:
             continue
-        amount = _split_amount(state, full_graph, choice.pair, candidate, choice)
+        source, target = choice.pair
+        if mode == "lp":
+            if full_graph is None:
+                full_graph = state.supply.full_graph(use_residual=True)
+            amount = maximum_splittable_amount(
+                full_graph, state.demand, choice.pair, candidate, context=state.solver_context
+            )
+        else:
+            # Bottleneck approximation: what the covering paths through the
+            # node can carry, capped by the pair's residual demand.
+            amount = min(state.demand.demand(source, target), choice.routable_through_node)
         if amount <= EPSILON:
             continue
 
         state.repair_node(candidate)
-        source, target = choice.pair
         state.demand.split(source, target, candidate, amount)
         state.splits += 1
         return True
     return False
-
-
-def _split_amount(
-    state: _ISPState,
-    full_graph: nx.Graph,
-    pair: Pair,
-    via: Node,
-    choice,
-) -> float:
-    """Compute the split amount ``dx`` according to the configured mode."""
-    config = state.config
-    mode = config.split_amount_mode
-    if mode == "auto":
-        mode = "lp" if state.supply.number_of_edges <= config.lp_edge_threshold else "bottleneck"
-    if mode == "lp":
-        return maximum_splittable_amount(
-            full_graph, state.demand, pair, via, context=state.solver_context
-        )
-    # Bottleneck approximation: what the covering paths through the node can
-    # carry, capped by the pair's residual demand.
-    source, target = pair
-    requested = state.demand.demand(source, target)
-    return min(requested, choice.routable_through_node)
 
 
 def _fallback(state: _ISPState) -> None:

@@ -10,7 +10,10 @@ routability and never increases the number of repairs of the final solution.
 The bubble is found with the modified breadth-first search the paper
 describes: explore the working graph from the demand endpoints while
 discarding every vertex reachable from another demand endpoint without
-passing through ``s_h`` / ``t_h``.
+passing through ``s_h`` / ``t_h``.  ISP passes its
+:class:`~repro.network.index.GraphIndex`, which decides the pairs that have
+nothing to prune from component labels alone; only the others build a
+networkx flow, whose routes become the prune action.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ import networkx as nx
 
 from repro.flows.decomposition import decompose_flows
 from repro.flows.solver.tolerances import PRUNE_EPSILON
-from repro.network.demand import DemandGraph, DemandPair
+from repro.network.demand import DemandGraph
+from repro.network.index import GraphIndex
 from repro.network.supply import canonical_edge
 
 Node = Hashable
@@ -65,19 +69,16 @@ def find_bubble(
     if source not in working_graph or target not in working_graph:
         return bubble
 
-    other_endpoints = {
-        node for node in demand.endpoints if node not in (source, target)
-    }
-
     # Vertices reachable from another demand endpoint without crossing s_h/t_h.
-    stripped = working_graph.copy()
-    stripped.remove_nodes_from([source, target])
-    contaminated: Set[Node] = set()
-    for endpoint in other_endpoints:
-        if endpoint in stripped:
-            contaminated |= nx.node_connected_component(stripped, endpoint)
-        else:
-            contaminated.add(endpoint)
+    contaminated: Set[Node] = {
+        node for node in demand.endpoints if node not in bubble and node in working_graph
+    }
+    frontier = list(contaminated)
+    while frontier:
+        for neighbour in working_graph.adj[frontier.pop()]:
+            if neighbour not in contaminated and neighbour not in bubble:
+                contaminated.add(neighbour)
+                frontier.append(neighbour)
 
     for node in working_graph.nodes:
         if node in (source, target):
@@ -92,6 +93,7 @@ def find_prunable_routing(
     demand: DemandGraph,
     pair: Pair,
     require_bubble: bool = True,
+    index: Optional[GraphIndex] = None,
 ) -> Optional[PruneAction]:
     """Compute the largest prune action available for ``pair``.
 
@@ -108,6 +110,10 @@ def find_prunable_routing(
         to the pair's bubble so that Theorem 3 guarantees the prune is safe.
         When false the whole working graph is used — a more aggressive
         variant exercised by the ablation benches.
+    index:
+        Optional :class:`GraphIndex` describing the same working graph.
+        Pairs with no positive-residual path inside their region are then
+        rejected from component labels, without touching ``working_graph``.
 
     Returns
     -------
@@ -122,14 +128,20 @@ def find_prunable_routing(
     if source not in working_graph or target not in working_graph:
         return None
 
+    # Without a positive-residual path the max-flow is 0: nothing to prune.
+    if index is not None and not index.spare_path(source, target):
+        return None
     if require_bubble:
-        region = find_bubble(working_graph, demand, pair)
+        if index is None:
+            region = find_bubble(working_graph, demand, pair)
+        else:
+            region = index.bubble(source, target, demand.endpoints)
+            if region is None:
+                return None
         candidate_graph = working_graph.subgraph(region)
     else:
         candidate_graph = working_graph
 
-    if source not in candidate_graph or target not in candidate_graph:
-        return None
     if not nx.has_path(candidate_graph, source, target):
         return None
 

@@ -16,12 +16,9 @@ graph with the current residual capacities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Optional, Tuple
-
-import networkx as nx
+from typing import Hashable, Optional, Tuple
 
 from repro.core.centrality import CentralityResult
-from repro.flows.maxflow import max_flow_value
 from repro.flows.solver.tolerances import EPSILON
 from repro.network.demand import DemandGraph
 
@@ -43,7 +40,6 @@ def select_demand_to_split(
     centrality: CentralityResult,
     demand: DemandGraph,
     node: Node,
-    full_graph: Optional[nx.Graph] = None,
 ) -> Optional[SplitChoice]:
     """Pick the demand pair to split through ``node`` (Decision 1).
 
@@ -55,18 +51,16 @@ def select_demand_to_split(
     ----------
     centrality:
         Result of the centrality computation of the current iteration; its
-        covers provide ``P*_ij | v`` and its annotated graph is reused for
-        the max-flow computation unless ``full_graph`` is supplied.
+        covers provide ``P*_ij | v`` and its graph index, the complete
+        supply graph with residual capacities, gives ``f*(i, j)``.
     demand:
         Current demand graph.
     node:
         The split candidate ``v_BC``.
-    full_graph:
-        Complete supply graph with residual capacities, used for ``f*(i, j)``.
     """
-    graph = full_graph if full_graph is not None else centrality.graph
-    if graph is None:
-        raise ValueError("a supply graph is required to evaluate split candidates")
+    index = centrality.index
+    if index is None:
+        raise ValueError("a graph index is required to evaluate split candidates")
 
     best: Optional[SplitChoice] = None
     for pair in centrality.contributions.get(node, set()):
@@ -79,7 +73,7 @@ def select_demand_to_split(
         through_node = centrality.cover_capacity_through(pair, node)
         if through_node <= EPSILON:
             continue
-        flow_limit = max_flow_value(graph, source, target)
+        flow_limit = index.max_flow(source, target)
         if flow_limit <= EPSILON:
             continue
         routable = min(current_demand, through_node)

@@ -10,34 +10,111 @@ examples.
 
 from __future__ import annotations
 
-import itertools
 from typing import Hashable, List, Optional, Set, Tuple
 
-import networkx as nx
+import numpy as np
+from scipy.sparse import csgraph
 
 from repro.network.demand import DemandGraph
+from repro.network.index import ArcLayout
 from repro.network.supply import SupplyGraph
 from repro.utils.rng import RandomState, ensure_rng
 from repro.utils.validation import check_positive
 
 Node = Hashable
 Pair = Tuple[Node, Node]
+#: Eligible pairs as ``(nodes, first, second)``: pair ``k`` is
+#: ``(nodes[first[k]], nodes[second[k]])``.
+EligiblePairs = Tuple[List[Node], np.ndarray, np.ndarray]
 
 
-def _eligible_far_pairs(supply: SupplyGraph, min_fraction_of_diameter: float) -> List[Pair]:
-    """All node pairs whose hop distance is >= the given fraction of the diameter."""
-    graph = supply.full_graph(use_residual=False)
-    if not nx.is_connected(graph):
-        largest = max(nx.connected_components(graph), key=len)
-        graph = graph.subgraph(largest)
-    lengths = dict(nx.all_pairs_shortest_path_length(graph))
-    diameter = max(max(row.values()) for row in lengths.values())
-    threshold = min_fraction_of_diameter * diameter
-    eligible: List[Pair] = []
-    for u, v in itertools.combinations(sorted(graph.nodes, key=repr), 2):
-        if lengths[u].get(v, 0) >= threshold:
-            eligible.append((u, v))
-    return eligible
+def _eligible_far_pairs(supply: SupplyGraph, min_fraction_of_diameter: float) -> EligiblePairs:
+    """Node pairs whose hop distance is >= the given fraction of the diameter.
+
+    Only the largest connected component is considered (the first one in
+    node order on ties).  Pairs come in ``itertools.combinations`` order
+    over its nodes sorted by ``repr``.  The hop table is one
+    :func:`scipy.sparse.csgraph.shortest_path` call over the graph without
+    its leaves, the degree-one nodes hanging off a node of higher degree:
+    no shortest path passes through a leaf, and a leaf is one hop further
+    from everything than its neighbour.
+    """
+    graph = supply.graph
+    nodes = list(graph)
+    position = {node: i for i, node in enumerate(nodes)}
+    ends = np.array([(position[u], position[v]) for u, v in graph.edges], dtype=np.int64)
+    tail, head = ends.reshape(-1, 2).T
+    degree = np.bincount(ends.ravel(), minlength=len(nodes))
+    neighbour = np.arange(len(nodes))  # a leaf's only neighbour
+    neighbour[tail], neighbour[head] = head, tail
+    leaf = (degree == 1) & (degree[neighbour] > 1)
+    slot = np.cumsum(~leaf) - 1  # position of a core node among the core nodes
+    inner = ~leaf[tail] & ~leaf[head]
+    core_arcs = ArcLayout(len(nodes) - int(leaf.sum()), slot[tail[inner]], slot[head[inner]])
+    hops = csgraph.shortest_path(
+        core_arcs.matrix(np.ones(int(inner.sum()))), unweighted=True, directed=True
+    )
+    anchor = slot[np.where(leaf, neighbour, np.arange(len(nodes)))]
+    # a component is named by its first core node; the first node of a
+    # largest component names the one kept
+    labels = np.isfinite(hops).argmax(axis=1)[anchor]
+    largest = labels[np.argmax(np.bincount(labels)[labels])]
+    members = np.array(
+        sorted(np.flatnonzero(labels == largest).tolist(), key=lambda i: repr(nodes[i])),
+        dtype=np.int64,
+    )
+    offset = leaf[members].astype(float)
+    anchor = anchor[members]
+    distance = hops[np.ix_(anchor, anchor)] + offset[:, None] + offset[None, :]
+    np.fill_diagonal(distance, 0.0)
+    far = distance >= min_fraction_of_diameter * distance.max()
+    # row-major order of the upper triangle is itertools.combinations order
+    first, second = np.nonzero(np.triu(far, k=1))
+    return [nodes[i] for i in members], first, second
+
+
+def _check_request(num_pairs: int, flow_per_pair: float) -> None:
+    check_positive(flow_per_pair, "flow_per_pair")
+    if num_pairs < 1:
+        raise ValueError("num_pairs must be at least 1")
+
+
+def _draw_far_apart(
+    eligible: EligiblePairs,
+    num_pairs: int,
+    flow_per_pair: float,
+    rng: np.random.Generator,
+    distinct_endpoints: bool,
+) -> DemandGraph:
+    """One random draw of ``num_pairs`` pairs from ``eligible``."""
+    nodes, first, second = eligible
+    if not len(first):
+        raise ValueError("no node pair satisfies the distance requirement")
+
+    order = rng.permutation(len(first))
+    demand = DemandGraph()
+    used_endpoints: Set[Node] = set()
+
+    # First pass: endpoint-disjoint pairs; second pass: anything still needed.
+    for enforce_disjoint in (distinct_endpoints, False):
+        for index in order:
+            if len(demand) >= num_pairs:
+                break
+            u, v = nodes[first[index]], nodes[second[index]]
+            if demand.has_pair(u, v):
+                continue
+            if enforce_disjoint and (u in used_endpoints or v in used_endpoints):
+                continue
+            demand.add(u, v, flow_per_pair)
+            used_endpoints.update((u, v))
+        if len(demand) >= num_pairs:
+            break
+
+    if len(demand) < num_pairs:
+        raise ValueError(
+            f"only {len(demand)} eligible demand pairs exist, {num_pairs} requested"
+        )
+    return demand
 
 
 def far_apart_demand(
@@ -75,39 +152,9 @@ def far_apart_demand(
     ValueError
         If the supply graph has no eligible pair at all.
     """
-    check_positive(flow_per_pair, "flow_per_pair")
-    if num_pairs < 1:
-        raise ValueError("num_pairs must be at least 1")
-    rng = ensure_rng(seed)
-
+    _check_request(num_pairs, flow_per_pair)
     eligible = _eligible_far_pairs(supply, min_fraction_of_diameter)
-    if not eligible:
-        raise ValueError("no node pair satisfies the distance requirement")
-
-    order = list(rng.permutation(len(eligible)))
-    demand = DemandGraph()
-    used_endpoints: Set[Node] = set()
-
-    # First pass: endpoint-disjoint pairs; second pass: anything still needed.
-    for enforce_disjoint in (distinct_endpoints, False):
-        for index in order:
-            if len(demand) >= num_pairs:
-                break
-            u, v = eligible[index]
-            if demand.has_pair(u, v):
-                continue
-            if enforce_disjoint and (u in used_endpoints or v in used_endpoints):
-                continue
-            demand.add(u, v, flow_per_pair)
-            used_endpoints.update((u, v))
-        if len(demand) >= num_pairs:
-            break
-
-    if len(demand) < num_pairs:
-        raise ValueError(
-            f"only {len(demand)} eligible demand pairs exist, {num_pairs} requested"
-        )
-    return demand
+    return _draw_far_apart(eligible, num_pairs, flow_per_pair, ensure_rng(seed), distinct_endpoints)
 
 
 def routable_far_apart_demand(
@@ -132,17 +179,13 @@ def routable_far_apart_demand(
     """
     from repro.flows.routability import is_routable  # local import to avoid a cycle
 
+    _check_request(num_pairs, flow_per_pair)
     rng = ensure_rng(seed)
+    eligible = _eligible_far_pairs(supply, min_fraction_of_diameter)
     graph = supply.full_graph(use_residual=False)
     demand: Optional[DemandGraph] = None
     for _ in range(max(1, attempts)):
-        demand = far_apart_demand(
-            supply,
-            num_pairs,
-            flow_per_pair,
-            min_fraction_of_diameter=min_fraction_of_diameter,
-            seed=rng,
-        )
+        demand = _draw_far_apart(eligible, num_pairs, flow_per_pair, rng, True)
         if is_routable(graph, demand):
             return demand
     return demand

@@ -8,7 +8,8 @@ paper relies on:
   matrices shared by all LPs and the MILP;
 * :mod:`~repro.flows.routability` — the routability test of Section IV-A
   (LP feasibility of the routability conditions, Eq. 2);
-* :mod:`~repro.flows.maxflow` — maximum-flow helpers;
+* maximum-flow helpers (:func:`max_flow_value`,
+  :func:`max_flow_over_path_set`), served by :mod:`repro.network.index`;
 * :mod:`~repro.flows.decomposition` — flow decomposition of LP edge flows
   into explicit path assignments;
 * :mod:`~repro.flows.multicommodity` — the multi-commodity relaxation of
@@ -24,12 +25,12 @@ paper relies on:
 """
 
 from repro.flows.lp_backend import Commodity, FlowProblem
-from repro.flows.maxflow import max_flow_value, max_flow_over_path_set
 from repro.flows.milp import MinRSolution, solve_minimum_recovery
 from repro.flows.multicommodity import MultiCommodityResult, solve_multicommodity_recovery
 from repro.flows.routability import RoutabilityResult, is_routable, routability_test
 from repro.flows.splitting_lp import maximum_splittable_amount
 from repro.flows.decomposition import decompose_flows
+from repro.network.index import max_flow_over_path_set, max_flow_value
 from repro.flows.solver import (
     IncrementalFlowProblem,
     SolverContext,

@@ -15,8 +15,8 @@ from typing import Hashable, List, Tuple
 
 import networkx as nx
 
-from repro.flows.maxflow import max_flow_over_path_set
 from repro.network.demand import DemandGraph
+from repro.network.index import max_flow_over_path_set
 from repro.network.paths import path_broken_elements, path_capacity
 from repro.network.plan import RecoveryPlan
 from repro.network.supply import SupplyGraph

@@ -10,11 +10,14 @@ Section III of the paper:
   ``H = (V_H, E_H)`` listing the mission-critical flows ``d_h``.
 * :mod:`~repro.network.paths` — path length / capacity helpers including the
   dynamic path metric of Section IV-D.
+* :class:`~repro.network.index.GraphIndex` — the array-backed snapshot of a
+  supply graph behind ISP's max-flow, shortest-path and prune primitives.
 * :class:`~repro.network.plan.RecoveryPlan` — the output of every recovery
   algorithm: which elements to repair and how the demand is routed.
 """
 
 from repro.network.demand import DemandGraph, DemandPair, canonical_pair
+from repro.network.index import GraphIndex
 from repro.network.paths import (
     dynamic_edge_length,
     path_capacity,
@@ -29,6 +32,7 @@ __all__ = [
     "SupplyGraph",
     "DemandGraph",
     "DemandPair",
+    "GraphIndex",
     "RecoveryPlan",
     "RouteAssignment",
     "canonical_edge",

@@ -19,10 +19,11 @@ supply graph (for centrality) and to the working graph (for pruning).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Collection, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
+from repro.network.index import GraphIndex, path_cover
 from repro.network.supply import SupplyGraph, canonical_edge
 
 Node = Hashable
@@ -30,8 +31,6 @@ Path = Tuple[Node, ...]
 
 #: Constant term of the dynamic edge length (accounts for working links).
 DEFAULT_LENGTH_CONSTANT = 1.0
-#: Capacities below this threshold are treated as saturated edges.
-CAPACITY_EPSILON = 1e-9
 
 
 def path_edges(path: Sequence[Node]) -> List[Tuple[Node, Node]]:
@@ -82,8 +81,8 @@ def dynamic_edge_length(
     supply: SupplyGraph,
     u: Node,
     v: Node,
-    repaired_nodes: Optional[Iterable[Node]] = None,
-    repaired_edges: Optional[Iterable[Tuple[Node, Node]]] = None,
+    repaired_nodes: Collection[Node] = (),
+    repaired_edges: Collection[Tuple[Node, Node]] = (),
     const: float = DEFAULT_LENGTH_CONSTANT,
 ) -> float:
     """Dynamic length of the edge ``(u, v)`` (Section IV-D).
@@ -92,14 +91,19 @@ def dynamic_edge_length(
     repair-cost terms only contribute while the corresponding element is
     broken *and not yet listed for repair*.  Once ISP has decided to repair
     an element, traversing it becomes cheap, which concentrates subsequent
-    routing decisions on already-repaired components.
+    routing decisions on already-repaired components.  ``repaired_edges``
+    may list an edge in either orientation.
     """
-    repaired_nodes = set(repaired_nodes or ())
-    repaired_edges = {canonical_edge(*e) for e in (repaired_edges or ())}
+    repaired_nodes = repaired_nodes or ()
+    repaired_edges = repaired_edges or ()
     capacity = supply.capacity(u, v)
 
     edge_cost = 0.0
-    if supply.is_broken_edge(u, v) and canonical_edge(u, v) not in repaired_edges:
+    if (
+        supply.is_broken_edge(u, v)
+        and (u, v) not in repaired_edges
+        and (v, u) not in repaired_edges
+    ):
         edge_cost = supply.edge_repair_cost(u, v)
 
     node_cost = 0.0
@@ -113,21 +117,23 @@ def dynamic_edge_length(
 def attach_dynamic_lengths(
     supply: SupplyGraph,
     graph: nx.Graph,
-    repaired_nodes: Optional[Iterable[Node]] = None,
-    repaired_edges: Optional[Iterable[Tuple[Node, Node]]] = None,
+    repaired_nodes: Iterable[Node] = (),
+    repaired_edges: Iterable[Tuple[Node, Node]] = (),
     const: float = DEFAULT_LENGTH_CONSTANT,
     attribute: str = "length",
 ) -> nx.Graph:
     """Annotate every edge of ``graph`` with its dynamic length.
 
     ``graph`` must be a (sub)graph of ``supply`` — typically the full graph
-    returned by :meth:`SupplyGraph.full_graph`.  The graph is modified in
+    returned by :meth:`SupplyGraph.full_graph`.  The lengths are
+    :meth:`GraphIndex.dynamic_lengths`, equal to
+    :func:`dynamic_edge_length` edge by edge.  The graph is modified in
     place and also returned for convenience.
     """
-    for u, v in graph.edges:
-        graph.edges[u, v][attribute] = dynamic_edge_length(
-            supply, u, v, repaired_nodes, repaired_edges, const=const
-        )
+    index = GraphIndex(supply, repaired_nodes or (), repaired_edges or ())
+    lengths = index.dynamic_lengths(const).tolist()
+    for u, v, data in graph.edges(data=True):
+        data[attribute] = lengths[index.edge_of(u, v)]
     return graph
 
 
@@ -146,6 +152,8 @@ def shortest_path_cover(
     shortest path together with its bottleneck capacity, subtract that
     capacity from the path's edges, and continue until the accumulated
     capacity reaches ``demand`` or the endpoints become disconnected.
+    Dijkstra breaks ties as :func:`networkx.dijkstra_path` does on the
+    graph's adjacency order (see :mod:`repro.network.index`).
 
     Parameters
     ----------
@@ -173,35 +181,23 @@ def shortest_path_cover(
         return []
     if source not in graph or target not in graph:
         return []
-
-    residual: Dict[Tuple[Node, Node], float] = {
-        canonical_edge(u, v): float(data.get("capacity", 0.0))
-        for u, v, data in graph.edges(data=True)
-    }
-    cover: List[Tuple[Path, float]] = []
-    covered = 0.0
-
-    def edge_weight(u: Node, v: Node, data: dict) -> Optional[float]:
-        if residual[canonical_edge(u, v)] <= CAPACITY_EPSILON:
-            return None  # saturated edges are invisible to Dijkstra
-        return float(data.get(weight, 1.0))
-
-    while covered < demand - CAPACITY_EPSILON:
-        if max_paths is not None and len(cover) >= max_paths:
-            break
-        try:
-            path = nx.dijkstra_path(graph, source, target, weight=edge_weight)
-        except nx.NetworkXNoPath:
-            break
-        bottleneck = min(residual[canonical_edge(u, v)] for u, v in path_edges(path))
-        if bottleneck <= CAPACITY_EPSILON:
-            break
-        contribution = min(bottleneck, demand - covered) if demand != float("inf") else bottleneck
-        cover.append((tuple(path), bottleneck))
-        covered += bottleneck
-        for u, v in path_edges(path):
-            residual[canonical_edge(u, v)] -= bottleneck
-    return cover
+    nodes = list(graph)
+    position = {node: i for i, node in enumerate(nodes)}
+    edge_ids = {}
+    residual: List[float] = []
+    weights: List[float] = []
+    for u, v, data in graph.edges(data=True):
+        edge_ids[(u, v)] = edge_ids[(v, u)] = len(residual)
+        residual.append(float(data.get("capacity", 0.0)))
+        weights.append(float(data.get(weight, 1.0)))
+    adjacency = [
+        [(position[v], edge_ids[(u, v)]) for v in neighbours]
+        for u, neighbours in graph.adjacency()
+    ]
+    cover = path_cover(
+        adjacency, weights, residual, position[source], position[target], demand, max_paths
+    )
+    return [(tuple(nodes[i] for i in path), capacity) for path, capacity in cover]
 
 
 def max_flow_over_paths(paths: Iterable[Tuple[Path, float]]) -> float:

@@ -8,7 +8,7 @@ from repro.core.centrality import demand_based_centrality
 from repro.core.isp import iterative_split_prune
 from repro.evaluation.metrics import evaluate_plan
 from repro.failures.geographic import GaussianDisruption
-from repro.flows.maxflow import max_flow_value
+from repro.network.index import max_flow_value
 from repro.heuristics.srt import shortest_path_repair
 from repro.network.demand import DemandGraph
 from repro.topologies.grids import grid_topology

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.flows.decomposition import decompose_flows, total_decomposed_flow
 from repro.flows.demand_satisfaction import max_satisfiable_flow
-from repro.flows.maxflow import max_flow_value
+from repro.network.index import max_flow_value
 from repro.flows.routability import is_routable
 from repro.network.demand import DemandGraph
 from repro.network.paths import path_edges, shortest_path_cover

@@ -1,0 +1,217 @@
+"""Exactness properties of the array-backed graph kernel (``repro.network.index``).
+
+Each property compares a kernel primitive with the networkx computation it
+replaced; those reference implementations live only in this module.
+"""
+
+import itertools
+
+import hypothesis.strategies as st
+import networkx as nx
+import pytest
+from hypothesis import HealthCheck, given, settings
+
+from repro.core.prune import find_prunable_routing
+from repro.evaluation.demand_builder import _eligible_far_pairs
+from repro.network.demand import DemandGraph
+from repro.network.index import CAPACITY_EPSILON, GraphIndex, max_flow_value
+from repro.network.paths import dynamic_edge_length, shortest_path_cover
+from repro.network.supply import SupplyGraph, canonical_edge
+
+SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+# ---------------------------------------------------------------------- #
+# networkx references
+# ---------------------------------------------------------------------- #
+def reference_max_flow(graph, source, target):
+    if source not in graph or target not in graph or not nx.has_path(graph, source, target):
+        return 0.0
+    value, _ = nx.maximum_flow(graph, source, target, capacity="capacity")
+    return float(value)
+
+
+def reference_cover(graph, source, target, demand, weight):
+    """The networkx path cover the index kernel replaced."""
+    residual = {
+        canonical_edge(u, v): float(data.get("capacity", 0.0))
+        for u, v, data in graph.edges(data=True)
+    }
+
+    def edge_weight(u, v, data):
+        if residual[canonical_edge(u, v)] <= CAPACITY_EPSILON:
+            return None
+        return float(data.get(weight, 1.0))
+
+    cover, covered = [], 0.0
+    while covered < demand - CAPACITY_EPSILON:
+        try:
+            path = nx.dijkstra_path(graph, source, target, weight=edge_weight)
+        except nx.NetworkXNoPath:
+            break
+        edges = list(zip(path, path[1:]))
+        bottleneck = min(residual[canonical_edge(u, v)] for u, v in edges)
+        cover.append((tuple(path), bottleneck))
+        covered += bottleneck
+        for u, v in edges:
+            residual[canonical_edge(u, v)] -= bottleneck
+    return cover
+
+
+def reference_far_pairs(supply, fraction):
+    graph = supply.full_graph(use_residual=False)
+    if not nx.is_connected(graph):
+        graph = graph.subgraph(max(nx.connected_components(graph), key=len))
+    lengths = dict(nx.all_pairs_shortest_path_length(graph))
+    threshold = fraction * max(max(row.values()) for row in lengths.values())
+    return [
+        (u, v)
+        for u, v in itertools.combinations(sorted(graph.nodes, key=repr), 2)
+        if lengths[u].get(v, 0) >= threshold
+    ]
+
+
+# ---------------------------------------------------------------------- #
+# strategies
+# ---------------------------------------------------------------------- #
+INTEGER = st.integers(min_value=1, max_value=40).map(float)
+FRACTIONAL = st.floats(min_value=0.1, max_value=40.0, allow_nan=False)
+HUGE = st.integers(min_value=2**31, max_value=2**40).map(float)
+COSTS = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
+
+
+@st.composite
+def supplies(draw, capacities=INTEGER, max_nodes=9):
+    """A random supply graph (possibly disconnected, with leaves)."""
+    size = draw(st.integers(min_value=2, max_value=max_nodes))
+    supply = SupplyGraph()
+    for node in range(size):
+        supply.add_node(node, repair_cost=draw(COSTS))
+    pairs = list(itertools.combinations(range(size), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=2 * size, unique=True))
+    for u, v in chosen:
+        supply.add_edge(u, v, capacity=draw(capacities), repair_cost=draw(COSTS))
+    return supply
+
+
+@st.composite
+def damaged(draw, capacities=INTEGER):
+    """A supply graph with broken, listed and partly consumed elements."""
+    supply = draw(supplies(capacities))
+    for node in supply.nodes:
+        if draw(st.booleans()):
+            supply.break_node(node)
+    for u, v in supply.edges:
+        if draw(st.booleans()):
+            supply.break_edge(u, v)
+        if draw(st.booleans()):
+            supply.consume_capacity(u, v, supply.capacity(u, v) * draw(st.sampled_from((0.5, 1.0))))
+    listed_nodes = {node for node in supply.broken_nodes if draw(st.booleans())}
+    listed_edges = {edge for edge in supply.broken_edges if draw(st.booleans())}
+    return supply, listed_nodes, listed_edges
+
+
+@st.composite
+def tied_grids(draw):
+    """A unit-cost grid (many equal-length paths) with saturated edges."""
+    rows, cols = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    graph = nx.grid_2d_graph(rows, cols)
+    for u, v in graph.edges:
+        graph.edges[u, v]["capacity"] = draw(st.sampled_from((0.0, 1.0, 1.0, 2.0, 3.0)))
+    return graph, (0, 0), (rows - 1, cols - 1)
+
+
+# ---------------------------------------------------------------------- #
+# properties
+# ---------------------------------------------------------------------- #
+class TestMaxFlow:
+    @pytest.mark.parametrize("capacities", [INTEGER, FRACTIONAL, HUGE], ids=["int", "frac", "huge"])
+    def test_value_equals_networkx(self, capacities):
+        @given(supplies(capacities), st.data())
+        @SETTINGS
+        def check(supply, data):
+            graph = supply.full_graph()
+            source, target = data.draw(st.sampled_from(list(itertools.permutations(supply.nodes, 2))))
+            assert max_flow_value(graph, source, target) == reference_max_flow(graph, source, target)
+
+        check()
+
+    @pytest.mark.parametrize("capacities", [INTEGER, FRACTIONAL, HUGE], ids=["int", "frac", "huge"])
+    def test_index_values_equal_networkx_on_both_graphs(self, capacities):
+        @given(damaged(capacities), st.data())
+        @SETTINGS
+        def check(instance, data):
+            supply, listed_nodes, listed_edges = instance
+            index = GraphIndex(supply, listed_nodes, listed_edges)
+            source, target = data.draw(st.sampled_from(list(itertools.permutations(supply.nodes, 2))))
+            full = supply.full_graph(use_residual=True)
+            working = supply.working_graph(listed_nodes, listed_edges, use_residual=True)
+            assert index.max_flow(source, target) == reference_max_flow(full, source, target)
+            assert index.max_flow(source, target, working=True) == reference_max_flow(
+                working, source, target
+            )
+
+        check()
+
+
+class TestPathCover:
+    @given(tied_grids(), st.sampled_from((1.0, 3.0, float("inf"))))
+    @SETTINGS
+    def test_cover_equals_networkx_dijkstra_on_ties(self, grid, demand):
+        graph, source, target = grid
+        assert shortest_path_cover(graph, source, target, demand, weight="missing") == (
+            reference_cover(graph, source, target, demand, "missing")
+        )
+
+    @given(damaged(), st.data())
+    @SETTINGS
+    def test_index_cover_equals_networkx_on_dynamic_lengths(self, instance, data):
+        supply, listed_nodes, listed_edges = instance
+        index = GraphIndex(supply, listed_nodes, listed_edges)
+        graph = supply.full_graph(use_residual=True)
+        for u, v in graph.edges:
+            graph.edges[u, v]["length"] = dynamic_edge_length(
+                supply, u, v, listed_nodes, listed_edges, const=1.0
+            )
+        source, target = data.draw(st.sampled_from(list(itertools.permutations(supply.nodes, 2))))
+        demand = data.draw(st.sampled_from((5.0, 30.0, float("inf"))))
+        lengths = index.dynamic_lengths(1.0).tolist()
+        assert index.path_cover(source, target, demand, lengths) == (
+            reference_cover(graph, source, target, demand, "length")
+        )
+
+    @given(damaged(FRACTIONAL), st.floats(min_value=0.0, max_value=5.0, allow_nan=False))
+    @SETTINGS
+    def test_vectorised_lengths_equal_scalar_formula(self, instance, const):
+        supply, listed_nodes, listed_edges = instance
+        index = GraphIndex(supply, listed_nodes, listed_edges)
+        lengths = index.dynamic_lengths(const).tolist()
+        for u, v in supply.graph.edges:
+            expected = dynamic_edge_length(supply, u, v, listed_nodes, listed_edges, const=const)
+            assert lengths[index.edge_of(u, v)] == expected
+
+
+class TestPrune:
+    @given(damaged(FRACTIONAL), st.booleans(), st.data())
+    @SETTINGS
+    def test_index_prune_equals_networkx_prune(self, instance, require_bubble, data):
+        supply, listed_nodes, listed_edges = instance
+        index = GraphIndex(supply, listed_nodes, listed_edges)
+        working = supply.working_graph(listed_nodes, listed_edges, use_residual=True)
+        pairs = list(itertools.combinations(supply.nodes, 2))
+        demand = DemandGraph()
+        for u, v in data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3, unique=True)):
+            demand.add(u, v, data.draw(st.sampled_from((1.0, 5.0, 30.0))))
+        for pair in demand.pairs():
+            expected = find_prunable_routing(working, demand, pair.pair, require_bubble)
+            actual = find_prunable_routing(working, demand, pair.pair, require_bubble, index=index)
+            assert actual == expected
+
+
+class TestFarApartPairs:
+    @given(supplies(max_nodes=12), st.sampled_from((0.0, 0.5, 0.7, 1.0)))
+    @SETTINGS
+    def test_eligible_arrays_equal_all_pairs_bfs(self, supply, fraction):
+        nodes, first, second = _eligible_far_pairs(supply, fraction)
+        pairs = [(nodes[i], nodes[j]) for i, j in zip(first, second)]
+        assert pairs == reference_far_pairs(supply, fraction)

@@ -4,7 +4,7 @@ import networkx as nx
 import pytest
 
 from repro.flows.decomposition import decompose_flows, total_decomposed_flow
-from repro.flows.maxflow import bottleneck_capacity, max_flow_over_path_set, max_flow_value
+from repro.network.index import bottleneck_capacity, max_flow_over_path_set, max_flow_value
 
 
 class TestMaxFlowValue:

@@ -56,7 +56,7 @@ class TestSelectDemandToSplit:
         demand = DemandGraph()
         demand.add("a", "e", 5.0)
         centrality = demand_based_centrality(line_supply, demand)
-        centrality.graph = None
+        centrality.index = None
         with pytest.raises(ValueError):
             select_demand_to_split(centrality, demand, "c")
 
