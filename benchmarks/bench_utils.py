@@ -9,17 +9,26 @@ full parameters (expect hours, dominated by the exact MILP).
 
 The benches both *print* the reproduced rows (the same series the paper's
 figures plot) and *assert* the qualitative claims, so a green benchmark run
-doubles as a reproduction check.
+doubles as a reproduction check.  Each printed table is also compared with
+its tracked golden copy under ``results/``.
 """
 
 from __future__ import annotations
 
+import difflib
 import os
 import re
 from pathlib import Path
-from typing import Dict, Sequence
+from typing import Dict, List, Sequence
 
+import numpy as np
+
+from repro.evaluation.demand_builder import far_apart_demand
+from repro.evaluation.metrics import PlanEvaluation, evaluate_plan
 from repro.evaluation.reporting import format_table
+from repro.failures.complete import CompleteDestruction
+from repro.heuristics.base import RecoveryAlgorithm
+from repro.topologies.bellcanada import bell_canada
 
 #: Set REPRO_BENCH_SCALE=full to run the paper-scale parameters.
 FULL_SCALE = os.environ.get("REPRO_BENCH_SCALE", "quick").lower() == "full"
@@ -33,8 +42,8 @@ BENCH_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
 #: interrupted/repeated bench runs resume from completed cells.
 BENCH_CACHE = os.environ.get("REPRO_BENCH_CACHE") or None
 
-#: Reproduced figure tables are also written here so they survive pytest's
-#: output capturing and can be diffed across runs / quoted in EXPERIMENTS.md.
+#: Golden copies of the reproduced figure tables, one file per figure and
+#: scale; they also survive pytest's output capturing.
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
 
@@ -44,18 +53,36 @@ def print_figure(
     columns: Sequence[str],
     timing: Sequence[str] = ("elapsed_seconds",),
 ) -> None:
-    """Print one reproduced figure as an aligned table and save it to disk.
+    """Print one reproduced figure and check it against its golden table.
 
     Every column is printed.  The ``timing`` columns — wall-clock readings
     and other values that change from run to run — are left out of the
-    saved table, so re-running the benches leaves the files unchanged.
+    golden table ``results/<slug>.<scale>.txt``.  A table that differs from
+    the golden one fails with a unified diff.  The file is written only when
+    it is absent: to re-record a table, delete it and re-run the bench.
     """
     print_timings(title, rows, columns)
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     slug = re.sub(r"[^a-z0-9]+", "-", title.lower()).strip("-")[:60]
     scale = "full" if FULL_SCALE else "quick"
+    path = RESULTS_DIR / f"{slug}.{scale}.txt"
     kept = [column for column in columns if column not in timing]
-    (RESULTS_DIR / f"{slug}.{scale}.txt").write_text(format_table(rows, columns=kept, title=title))
+    table = format_table(rows, columns=kept, title=title)
+    if not path.exists():
+        RESULTS_DIR.mkdir(parents=True, exist_ok=True)
+        path.write_text(table, encoding="utf-8")
+        return
+    golden = path.read_text(encoding="utf-8")
+    if table != golden:
+        diff = difflib.unified_diff(
+            golden.splitlines(keepends=True),
+            table.splitlines(keepends=True),
+            fromfile=f"results/{path.name}",
+            tofile="this run",
+        )
+        raise AssertionError(
+            f"the table differs from results/{path.name} (delete the file to re-record):\n"
+            + "".join(diff)
+        )
 
 
 def print_timings(title: str, rows: Sequence[Dict[str, object]], columns: Sequence[str]) -> None:
@@ -64,6 +91,31 @@ def print_timings(title: str, rows: Sequence[Dict[str, object]], columns: Sequen
     print(format_table(rows, columns=columns, title=title))
 
 
-def series_of(result, value_key: str) -> Dict[str, Dict[object, object]]:
-    """Shortcut for ScenarioResult.series used by assertions."""
-    return result.series(value_key)
+def ablation_rows(
+    algorithms: Sequence[RecoveryAlgorithm], runs: int, seed: int
+) -> List[Dict[str, object]]:
+    """Average every algorithm over the same ``runs`` Bell-Canada instances.
+
+    Run ``k`` destroys Bell-Canada completely and draws 4 far-apart pairs of
+    10 units from the ``k``-th child of ``SeedSequence(seed).spawn(runs)``.
+    One row per algorithm, keyed by ``algorithm.name``.
+    """
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
+    evaluations: Dict[str, List[PlanEvaluation]] = {a.name: [] for a in algorithms}
+    for child in np.random.SeedSequence(seed).spawn(runs):
+        supply = bell_canada()
+        CompleteDestruction().apply(supply)
+        demand = far_apart_demand(supply, 4, 10.0, seed=np.random.default_rng(child))
+        for algorithm in algorithms:
+            plan = algorithm.solve(supply, demand)
+            evaluations[algorithm.name].append(evaluate_plan(supply, demand, plan))
+    return [
+        {
+            "algorithm": name,
+            "total_repairs": float(np.mean([e.total_repairs for e in runs_of])),
+            "satisfied_pct": float(np.mean([e.satisfied_percentage for e in runs_of])),
+            "elapsed_seconds": float(np.mean([e.elapsed_seconds for e in runs_of])),
+        }
+        for name, runs_of in evaluations.items()
+    ]

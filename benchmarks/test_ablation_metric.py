@@ -10,28 +10,14 @@ so the contribution of the metric is measurable.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from bench_utils import FULL_SCALE, print_figure
+from bench_utils import FULL_SCALE, ablation_rows, print_figure
 from repro.core.isp import ISPConfig
-from repro.evaluation.demand_builder import far_apart_demand
-from repro.evaluation.runner import run_repetitions
-from repro.failures.complete import CompleteDestruction
 from repro.heuristics.registry import get_algorithm
-from repro.topologies.bellcanada import bell_canada
 
 
 def run_ablation():
-    pair_count = 4
-    runs = 5 if FULL_SCALE else 1
-
-    def factory(rng: np.random.Generator):
-        supply = bell_canada()
-        CompleteDestruction().apply(supply)
-        demand = far_apart_demand(supply, pair_count, 10.0, seed=rng)
-        return supply, demand
-
     algorithms = [
         get_algorithm("ISP", config=ISPConfig(metric="dynamic")),
         get_algorithm("ISP", config=ISPConfig(metric="hop")),
@@ -39,27 +25,27 @@ def run_ablation():
     ]
     algorithms[0].name = "ISP(dynamic)"
     algorithms[1].name = "ISP(hop)"
-    return run_repetitions(factory, algorithms, runs=runs, seed=31)
+    return ablation_rows(algorithms, runs=5 if FULL_SCALE else 1, seed=31)
 
 
 def test_ablation_dynamic_vs_hop_metric(benchmark):
     rows = benchmark.pedantic(run_ablation, rounds=1, iterations=1)
-    flat = [row.as_dict() for row in rows]
     print_figure(
         "Ablation — ISP path metric (Bell-Canada, 4 pairs, 10 units, complete destruction)",
-        flat,
+        rows,
         ["algorithm", "total_repairs", "satisfied_pct", "elapsed_seconds"],
     )
-    by_name = {row.algorithm: row for row in rows}
+    repairs = {row["algorithm"]: row["total_repairs"] for row in rows}
+    satisfied = {row["algorithm"]: row["satisfied_pct"] for row in rows}
 
     # Both variants must remain lossless and bounded by the trivial solution.
-    assert by_name["ISP(dynamic)"].satisfied_pct == pytest.approx(100.0, abs=1e-3)
-    assert by_name["ISP(hop)"].satisfied_pct == pytest.approx(100.0, abs=1e-3)
-    assert by_name["ISP(dynamic)"].total_repairs <= 112
-    assert by_name["ISP(hop)"].total_repairs <= 112
+    assert satisfied["ISP(dynamic)"] == pytest.approx(100.0, abs=1e-3)
+    assert satisfied["ISP(hop)"] == pytest.approx(100.0, abs=1e-3)
+    assert repairs["ISP(dynamic)"] <= 112
+    assert repairs["ISP(hop)"] <= 112
 
     # The claim under test: the dynamic metric does not repair more than the
     # hop metric (it concentrates flow on already-repaired corridors), and it
     # stays within a small factor of the optimum.
-    assert by_name["ISP(dynamic)"].total_repairs <= by_name["ISP(hop)"].total_repairs + 2.0
-    assert by_name["ISP(dynamic)"].total_repairs <= 1.5 * by_name["OPT"].total_repairs
+    assert repairs["ISP(dynamic)"] <= repairs["ISP(hop)"] + 2.0
+    assert repairs["ISP(dynamic)"] <= 1.5 * repairs["OPT"]

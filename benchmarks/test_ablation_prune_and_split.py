@@ -13,27 +13,14 @@ Two design choices of ISP are ablated here, as listed in DESIGN.md:
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from bench_utils import FULL_SCALE, print_figure
+from bench_utils import FULL_SCALE, ablation_rows, print_figure
 from repro.core.isp import ISPConfig
-from repro.evaluation.demand_builder import far_apart_demand
-from repro.evaluation.runner import run_repetitions
-from repro.failures.complete import CompleteDestruction
 from repro.heuristics.registry import get_algorithm
-from repro.topologies.bellcanada import bell_canada
 
 
 def run_ablation():
-    runs = 5 if FULL_SCALE else 1
-
-    def factory(rng: np.random.Generator):
-        supply = bell_canada()
-        CompleteDestruction().apply(supply)
-        demand = far_apart_demand(supply, 4, 10.0, seed=rng)
-        return supply, demand
-
     variants = {
         "ISP(paper)": ISPConfig(),
         "ISP(no-bubble)": ISPConfig(require_bubble=False),
@@ -44,28 +31,27 @@ def run_ablation():
         algorithm = get_algorithm("ISP", config=config)
         algorithm.name = name
         algorithms.append(algorithm)
-    return run_repetitions(factory, algorithms, runs=runs, seed=37)
+    return ablation_rows(algorithms, runs=5 if FULL_SCALE else 1, seed=37)
 
 
 def test_ablation_prune_and_split_variants(benchmark):
     rows = benchmark.pedantic(run_ablation, rounds=1, iterations=1)
-    flat = [row.as_dict() for row in rows]
     print_figure(
         "Ablation — pruning safety and split-amount computation (Bell-Canada)",
-        flat,
+        rows,
         ["algorithm", "total_repairs", "satisfied_pct", "elapsed_seconds"],
     )
-    by_name = {row.algorithm: row for row in rows}
+    by_name = {row["algorithm"]: row for row in rows}
 
     # The paper configuration is lossless by construction.
-    assert by_name["ISP(paper)"].satisfied_pct == pytest.approx(100.0, abs=1e-3)
+    assert by_name["ISP(paper)"]["satisfied_pct"] == pytest.approx(100.0, abs=1e-3)
     # The variants still terminate and produce plans within the trivial bound.
     for name, row in by_name.items():
-        assert row.total_repairs <= 112, name
-        assert row.satisfied_pct >= 95.0, name
+        assert row["total_repairs"] <= 112, name
+        assert row["satisfied_pct"] >= 95.0, name
 
     # The bottleneck approximation may repair a little more but stays close.
     assert (
-        by_name["ISP(bottleneck-dx)"].total_repairs
-        <= by_name["ISP(paper)"].total_repairs + 15.0
+        by_name["ISP(bottleneck-dx)"]["total_repairs"]
+        <= by_name["ISP(paper)"]["total_repairs"] + 15.0
     )

@@ -15,7 +15,7 @@ from __future__ import annotations
 import pytest
 
 from bench_utils import BENCH_CACHE, BENCH_JOBS, FULL_SCALE, print_figure
-from repro.evaluation.scenarios import figure4_demand_pairs
+from repro.api.service import RecoveryService
 
 COLUMNS = [
     "num_pairs",
@@ -30,13 +30,11 @@ COLUMNS = [
 
 def run_figure4():
     if FULL_SCALE:
-        return figure4_demand_pairs(
-            pair_counts=(1, 2, 3, 4, 5, 6, 7), runs=20, opt_time_limit=None,
-            jobs=BENCH_JOBS, cache_dir=BENCH_CACHE,
-        )
-    return figure4_demand_pairs(
-        pair_counts=(1, 3, 5), runs=1, opt_time_limit=90.0,
-        jobs=BENCH_JOBS, cache_dir=BENCH_CACHE,
+        scale = dict(sweep_values=(1, 2, 3, 4, 5, 6, 7), runs=20, opt_time_limit=None)
+    else:
+        scale = dict(sweep_values=(1, 3, 5), runs=1, opt_time_limit=90.0)
+    return RecoveryService().sweep(
+        "figure4", seed=11, jobs=BENCH_JOBS, cache_dir=BENCH_CACHE, **scale
     )
 
 

@@ -15,20 +15,18 @@ from __future__ import annotations
 import pytest
 
 from bench_utils import BENCH_CACHE, BENCH_JOBS, FULL_SCALE, print_figure
-from repro.evaluation.scenarios import figure5_demand_intensity
+from repro.api.service import RecoveryService
 
 COLUMNS = ["demand_per_pair", "algorithm", "total_repairs", "satisfied_pct", "elapsed_seconds"]
 
 
 def run_figure5():
     if FULL_SCALE:
-        return figure5_demand_intensity(
-            demand_values=(2, 4, 6, 8, 10, 12, 14, 16, 18), runs=20, opt_time_limit=None,
-            jobs=BENCH_JOBS, cache_dir=BENCH_CACHE,
-        )
-    return figure5_demand_intensity(
-        demand_values=(2, 10, 18), runs=1, opt_time_limit=90.0,
-        jobs=BENCH_JOBS, cache_dir=BENCH_CACHE,
+        scale = dict(sweep_values=(2, 4, 6, 8, 10, 12, 14, 16, 18), runs=20, opt_time_limit=None)
+    else:
+        scale = dict(sweep_values=(2, 10, 18), runs=1, opt_time_limit=90.0)
+    return RecoveryService().sweep(
+        "figure5", seed=13, jobs=BENCH_JOBS, cache_dir=BENCH_CACHE, **scale
     )
 
 

@@ -15,20 +15,18 @@ from __future__ import annotations
 import pytest
 
 from bench_utils import BENCH_CACHE, BENCH_JOBS, FULL_SCALE, print_figure
-from repro.evaluation.scenarios import figure6_disruption_extent
+from repro.api.service import RecoveryService
 
 COLUMNS = ["variance", "algorithm", "total_repairs", "satisfied_pct", "broken_elements"]
 
 
 def run_figure6():
     if FULL_SCALE:
-        return figure6_disruption_extent(
-            variances=(10, 25, 50, 80, 120, 160), runs=20, opt_time_limit=None,
-            jobs=BENCH_JOBS, cache_dir=BENCH_CACHE,
-        )
-    return figure6_disruption_extent(
-        variances=(10, 80, 160), runs=2, opt_time_limit=90.0,
-        jobs=BENCH_JOBS, cache_dir=BENCH_CACHE,
+        scale = dict(sweep_values=(10, 25, 50, 80, 120, 160), runs=20, opt_time_limit=None)
+    else:
+        scale = dict(sweep_values=(10, 80, 160), runs=2, opt_time_limit=90.0)
+    return RecoveryService().sweep(
+        "figure6", seed=17, jobs=BENCH_JOBS, cache_dir=BENCH_CACHE, **scale
     )
 
 

@@ -13,33 +13,32 @@ elements than SRT on average and matches the trivial optimum at p = 1.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from bench_utils import BENCH_CACHE, BENCH_JOBS, FULL_SCALE, print_figure
-from repro.evaluation.scenarios import figure7_scalability
+from repro.api.service import RecoveryService
+from repro.engine.registry import get_spec
 
 COLUMNS = ["edge_probability", "algorithm", "total_repairs", "elapsed_seconds", "satisfied_pct"]
 
 
 def run_figure7():
     if FULL_SCALE:
-        return figure7_scalability(
-            edge_probabilities=(0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 0.9),
-            num_nodes=100,
-            runs=5,
-            opt_time_limit=3600.0,
-            jobs=BENCH_JOBS,
-            cache_dir=BENCH_CACHE,
-        )
-    # Reduced scale: smaller graphs and a tight MILP time limit so the bench
-    # finishes quickly while still showing the widening OPT/ISP time gap.
-    return figure7_scalability(
-        edge_probabilities=(0.08, 0.25),
-        num_nodes=40,
-        runs=1,
-        opt_time_limit=60.0,
-        jobs=BENCH_JOBS,
-        cache_dir=BENCH_CACHE,
+        num_nodes = 100
+        scale = dict(sweep_values=(0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 0.9), runs=5, opt_time_limit=3600.0)
+    else:
+        # Reduced scale: smaller graphs and a tight MILP time limit so the bench
+        # finishes quickly while still showing the widening OPT/ISP time gap.
+        num_nodes = 40
+        scale = dict(sweep_values=(0.08, 0.25), runs=1, opt_time_limit=60.0)
+    spec = get_spec("figure7")
+    topology = dataclasses.replace(
+        spec.topology, kwargs={**dict(spec.topology.kwargs), "num_nodes": num_nodes}
+    )
+    return RecoveryService().sweep(
+        spec, seed=19, topology=topology, jobs=BENCH_JOBS, cache_dir=BENCH_CACHE, **scale
     )
 
 

@@ -11,11 +11,17 @@ from __future__ import annotations
 import pytest
 
 from bench_utils import print_figure
-from repro.evaluation.scenarios import figure8_topology_report
+from repro.topologies.caida_like import caida_like
 
 
 def run_figure8():
-    return figure8_topology_report(num_nodes=825, num_edges=1018, seed=23)
+    """Node/edge counts, degree profile and connectivity of the generated graph."""
+    supply = caida_like(num_nodes=825, num_edges=1018, seed=23)
+    stats = supply.stats()
+    degrees = sorted((supply.degree(node) for node in supply.nodes), reverse=True)
+    stats["top_degrees"] = degrees[:10]
+    stats["degree_one_fraction"] = sum(1 for d in degrees if d == 1) / len(degrees)
+    return stats
 
 
 def test_figure8_topology_statistics(benchmark):

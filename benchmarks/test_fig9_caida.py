@@ -15,37 +15,30 @@ for the full-size run.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from bench_utils import BENCH_CACHE, BENCH_JOBS, FULL_SCALE, print_figure
-from repro.evaluation.scenarios import figure9_caida
+from repro.api.service import RecoveryService
+from repro.engine.registry import get_spec
 
 COLUMNS = ["num_pairs", "algorithm", "total_repairs", "satisfied_pct", "elapsed_seconds"]
 
 
 def run_figure9():
     if FULL_SCALE:
-        return figure9_caida(
-            pair_counts=(1, 2, 3, 4, 5, 6, 7),
-            num_nodes=825,
-            num_edges=1018,
-            runs=5,
-            opt_time_limit=1800.0,
-            jobs=BENCH_JOBS,
-            cache_dir=BENCH_CACHE,
-        )
-    # With a single run on the scaled-down topology the ISP/OPT gap is seed
-    # sensitive; seed 31 draws instances showing the paper's typical shape.
-    return figure9_caida(
-        pair_counts=(2, 4),
-        num_nodes=200,
-        num_edges=246,
-        runs=1,
-        seed=31,
-        opt_time_limit=120.0,
-        algorithm_names=("ISP", "OPT", "SRT"),
-        jobs=BENCH_JOBS,
-        cache_dir=BENCH_CACHE,
+        seed, size = 29, {"num_nodes": 825, "num_edges": 1018}
+        scale = dict(sweep_values=(1, 2, 3, 4, 5, 6, 7), runs=5, opt_time_limit=1800.0)
+    else:
+        # With a single run on the scaled-down topology the ISP/OPT gap is seed
+        # sensitive; seed 31 draws instances showing the paper's typical shape.
+        seed, size = 31, {"num_nodes": 200, "num_edges": 246}
+        scale = dict(sweep_values=(2, 4), runs=1, opt_time_limit=120.0)
+    spec = get_spec("figure9")
+    topology = dataclasses.replace(spec.topology, kwargs={**dict(spec.topology.kwargs), **size})
+    return RecoveryService().sweep(
+        spec, seed=seed, topology=topology, jobs=BENCH_JOBS, cache_dir=BENCH_CACHE, **scale
     )
 
 

@@ -17,7 +17,7 @@ The assertions pin the properties the substrate is for:
 from __future__ import annotations
 
 from bench_utils import BENCH_CACHE, BENCH_JOBS, FULL_SCALE, print_figure
-from repro.evaluation.scenarios import figure4_demand_pairs
+from repro.api.service import RecoveryService
 
 COLUMNS = [
     "num_pairs",
@@ -33,10 +33,12 @@ COLUMNS = [
 
 def run_sweep():
     pair_counts = (1, 2, 3, 4, 5, 6, 7) if FULL_SCALE else (2, 4, 6)
-    return figure4_demand_pairs(
-        pair_counts=pair_counts,
+    return RecoveryService().sweep(
+        "figure4",
+        seed=11,
+        sweep_values=pair_counts,
         runs=3 if FULL_SCALE else 1,
-        algorithm_names=("ISP", "GRD-NC", "SRT"),
+        algorithms=("ISP", "GRD-NC", "SRT"),
         jobs=BENCH_JOBS,
         cache_dir=BENCH_CACHE,
     )

@@ -4,11 +4,14 @@ The library implements the paper's MINIMUM RECOVERY (MinR) problem, the
 Iterative Split and Prune (ISP) heuristic built on demand-based centrality,
 the exact MILP optimum, the baseline heuristics (SRT, GRD-COM, GRD-NC, the
 multi-commodity relaxation extremes MCB/MCW, ALL), the evaluation substrate
-(topologies, disruption models, demand builders) and an experiment harness
+(topologies, disruption models, demand builders) and an experiment engine
 that regenerates every figure of the paper's evaluation section.
 
-The public entry point is :mod:`repro.api`: declarative, JSON-serialisable
-requests answered by a :class:`RecoveryService` session.
+The package root re-exports only the service facade of :mod:`repro.api`
+— the request types and their section specs, :class:`RecoveryService` and
+its result envelopes — plus :class:`ExperimentSpec` and :func:`get_spec`
+for the registered sweeps.  Everything else is imported from its home
+module, e.g. ``from repro.core.isp import iterative_split_prune``.
 
 Quick start
 -----------
@@ -29,7 +32,6 @@ for the per-figure reproduction harness.
 """
 
 from repro.api import (
-    SCHEMA_VERSION,
     AlgorithmRun,
     AssessmentRequest,
     AssessmentResult,
@@ -39,145 +41,26 @@ from repro.api import (
     RecoveryResult,
     RecoveryService,
     TopologySpec,
-    config_digest,
-    request_from_dict,
 )
-from repro.core.centrality import CentralityResult, demand_based_centrality
-from repro.core.isp import ISPConfig, iterative_split_prune
-from repro.engine import (
-    ExperimentSpec,
-    ResultCache,
-    ScenarioResult,
-    SweepAxis,
-    available_specs,
-    get_spec,
-    register_spec,
-    run_experiment,
-)
-from repro.evaluation.demand_builder import (
-    explicit_demand,
-    far_apart_demand,
-    random_demand,
-    routable_far_apart_demand,
-)
-from repro.evaluation.metrics import PlanEvaluation, evaluate_plan
-from repro.evaluation.runner import compare_algorithms, run_repetitions
-from repro.failures.cascading import CascadingFailure
-from repro.failures.complete import CompleteDestruction
-from repro.failures.geographic import GaussianDisruption, MultiEpicenterDisruption
-from repro.failures.random_failures import UniformRandomFailure
-from repro.failures.targeted import TargetedAttack
-from repro.flows.milp import solve_minimum_recovery
-from repro.flows.multicommodity import solve_multicommodity_recovery
-from repro.flows.routability import is_routable, routability_test
-from repro.flows.solver import (
-    SolverStats,
-    available_backends,
-    collect_solver_stats,
-    default_backend_name,
-    get_backend,
-    set_default_backend,
-)
-from repro.heuristics.registry import available_algorithms, get_algorithm
-from repro.network.demand import DemandGraph, DemandPair
-from repro.network.plan import RecoveryPlan, RouteAssignment
-from repro.network.supply import SupplyGraph
-from repro.scenarios import FuzzReport, ScenarioGenerator, ScenarioSpace, run_fuzz
-from repro.topologies.bellcanada import bell_canada
-from repro.topologies.caida_like import caida_like
-from repro.topologies.grids import grid_topology, ring_topology, star_topology
-from repro.topologies.io import topology_from_file
-from repro.topologies.random_graphs import erdos_renyi, geometric_graph
-from repro.topologies.zoo import barabasi_albert, fat_tree, watts_strogatz
-from repro.verification import InvariantReport, Violation, audit_result, check_plan_invariants
+from repro.engine.registry import get_spec
+from repro.engine.spec import ExperimentSpec
 
 __version__ = "1.2.0"
 
 __all__ = [
     "__version__",
-    # service facade (repro.api)
-    "SCHEMA_VERSION",
-    "RecoveryService",
+    # requests and their section specs
     "RecoveryRequest",
     "AssessmentRequest",
-    "RecoveryResult",
-    "AssessmentResult",
-    "AlgorithmRun",
-    "request_from_dict",
-    "config_digest",
-    # network substrate
-    "SupplyGraph",
-    "DemandGraph",
-    "DemandPair",
-    "RecoveryPlan",
-    "RouteAssignment",
-    # core algorithm
-    "ISPConfig",
-    "iterative_split_prune",
-    "CentralityResult",
-    "demand_based_centrality",
-    # optimisation substrate
-    "solve_minimum_recovery",
-    "solve_multicommodity_recovery",
-    "is_routable",
-    "routability_test",
-    # solver substrate
-    "SolverStats",
-    "available_backends",
-    "collect_solver_stats",
-    "default_backend_name",
-    "get_backend",
-    "set_default_backend",
-    # heuristics
-    "available_algorithms",
-    "get_algorithm",
-    # topologies
-    "bell_canada",
-    "caida_like",
-    "erdos_renyi",
-    "geometric_graph",
-    "grid_topology",
-    "ring_topology",
-    "star_topology",
-    "barabasi_albert",
-    "watts_strogatz",
-    "fat_tree",
-    "topology_from_file",
-    # failures
-    "CascadingFailure",
-    "CompleteDestruction",
-    "GaussianDisruption",
-    "MultiEpicenterDisruption",
-    "TargetedAttack",
-    "UniformRandomFailure",
-    # scenario zoo + verification harness
-    "ScenarioSpace",
-    "ScenarioGenerator",
-    "FuzzReport",
-    "run_fuzz",
-    "InvariantReport",
-    "Violation",
-    "audit_result",
-    "check_plan_invariants",
-    # experiment engine
-    "ExperimentSpec",
     "TopologySpec",
     "DisruptionSpec",
     "DemandSpec",
-    "SweepAxis",
-    "ScenarioResult",
-    "ResultCache",
-    "run_experiment",
-    "available_specs",
+    # the service session and its result envelopes
+    "RecoveryService",
+    "RecoveryResult",
+    "AssessmentResult",
+    "AlgorithmRun",
+    # registered sweeps
+    "ExperimentSpec",
     "get_spec",
-    "register_spec",
-    # evaluation
-    "explicit_demand",
-    "far_apart_demand",
-    "random_demand",
-    "routable_far_apart_demand",
-    "PlanEvaluation",
-    "evaluate_plan",
-    "compare_algorithms",
-    "run_repetitions",
 ]

@@ -14,8 +14,8 @@ One schema, one construction path, one session object:
   with solver warm-start memory, a pristine-topology cache and engine-pool
   batch execution.
 
-The CLI, the experiment engine, ``evaluation/scenarios`` and every script
-under ``examples/`` are thin clients of this package.
+The CLI, the experiment engine, the figure benches and every script under
+``examples/`` are thin clients of this package.
 """
 
 from repro.api.requests import (

@@ -3,9 +3,8 @@
 This module is the canonical home of the instance schema: *which* topology
 to build, *which* disruption to apply, *how* to draw the demand.  The three
 section specs (:class:`TopologySpec`, :class:`DisruptionSpec`,
-:class:`DemandSpec`) were promoted out of ``repro.engine.spec`` so the
-experiment engine, the CLI, the examples and the service layer all share one
-schema; the engine re-exports them for backwards compatibility.
+:class:`DemandSpec`) live here so the experiment engine, the CLI, the
+examples and the service layer all share one schema.
 
 On top of the sections sit the two request types a recovery service accepts:
 
@@ -214,12 +213,12 @@ class DisruptionSpec:
         self._validate_kwargs()
 
     def _validate_kwargs(self) -> None:
-        """Reject keyword arguments the kind's model cannot accept.
+        """Reject keyword arguments the kind's model cannot be built from.
 
-        Catching an unknown name here — instead of as a ``TypeError`` deep
-        inside a later solve — gives CLI/service clients a clean error, and
-        prevents silently-ignored kwargs from changing request digests
-        (``complete`` and ``none`` take no parameters at all).
+        Catching an unknown or missing name here — instead of as a
+        ``TypeError`` deep inside a later solve — gives CLI/service clients
+        a clean error, and prevents silently-ignored kwargs from changing
+        request digests (``complete`` and ``none`` take no parameters at all).
         """
         keys = [key for key, _ in self.kwargs]
         model_cls = _DISRUPTION_MODELS.get(self.kind)
@@ -229,22 +228,25 @@ class DisruptionSpec:
                     f"disruption {self.kind!r} takes no parameters, got: {', '.join(keys)}"
                 )
             return
-        accepted = inspect.signature(model_cls.__init__).parameters
-        unknown = [key for key in keys if key not in accepted]
+        signature = inspect.signature(model_cls)
+        unknown = [key for key in keys if key not in signature.parameters]
         if unknown:
-            valid = [name for name in accepted if name != "self"]
             raise ValueError(
                 f"unknown {self.kind} disruption parameter(s) {', '.join(unknown)}; "
-                f"valid: {', '.join(valid)}"
+                f"valid: {', '.join(signature.parameters)}"
             )
+        try:
+            signature.bind(**dict(self.kwargs))
+        except TypeError as error:
+            raise ValueError(f"invalid {self.kind} disruption parameters: {error}") from None
 
     def model(self, overrides: Optional[Mapping[str, Any]] = None) -> Optional[FailureModel]:
         """The failure model this spec describes (``None`` for kind "none").
 
-        A parameter set the model rejects (a *missing* required argument —
-        unknown names are already rejected at spec construction) surfaces
-        as a ``ValueError``, the error type callers of the request schema
-        already handle, not a raw ``TypeError``.
+        A parameter set the model rejects (an override that leaves a
+        required argument out — the spec's own kwargs are already bound at
+        construction) surfaces as a ``ValueError``, the error type callers
+        of the request schema already handle, not a raw ``TypeError``.
         """
         kwargs = dict(self.kwargs)
         kwargs.update(overrides or {})

@@ -29,6 +29,7 @@ instead of rebuilding networkx graphs (see ``docs/isp-kernel.md``).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Hashable, List, Literal, Optional, Set, Tuple
 
@@ -54,7 +55,6 @@ from repro.network.paths import (
 )
 from repro.network.plan import RecoveryPlan
 from repro.network.supply import SupplyGraph, canonical_edge
-from repro.utils.timing import Timer
 
 Node = Hashable
 Pair = Tuple[Node, Node]
@@ -181,14 +181,15 @@ def iterative_split_prune(
     config = config or ISPConfig()
     state = _ISPState(supply, demand, config)
 
-    with Timer() as timer, collect_solver_stats() as solver_stats:
+    started = time.perf_counter()
+    with collect_solver_stats() as solver_stats:
         _initialise(state)
         iterations = _main_loop(state)
         _finalise_routing(state)
 
     plan = state.plan
     plan.iterations = iterations
-    plan.elapsed_seconds = timer.elapsed
+    plan.elapsed_seconds = time.perf_counter() - started
     plan.metadata.update(
         {
             "splits": state.splits,

@@ -15,7 +15,6 @@ figure rows the paper plots:
 * :mod:`~repro.engine.registry` — the paper's figures as registered specs.
 """
 
-from repro.api.requests import DemandSpec, DisruptionSpec, TopologySpec
 from repro.engine.cache import ResultCache
 from repro.engine.executor import resolve_jobs, run_tasks
 from repro.engine.experiment import ScenarioResult, aggregate_results, run_experiment
@@ -24,15 +23,12 @@ from repro.engine.spec import ExperimentSpec, SweepAxis, build_instance
 from repro.engine.tasks import Task, TaskResult, execute_task, expand_tasks
 
 __all__ = [
-    "DemandSpec",
-    "DisruptionSpec",
     "ExperimentSpec",
     "ResultCache",
     "ScenarioResult",
     "SweepAxis",
     "Task",
     "TaskResult",
-    "TopologySpec",
     "aggregate_results",
     "available_specs",
     "build_instance",

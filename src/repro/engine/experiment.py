@@ -3,10 +3,9 @@
 :func:`run_experiment` expands an :class:`~repro.engine.spec.ExperimentSpec`
 into task cells, executes them (serially, in parallel, and/or from cache)
 and aggregates the per-cell metrics back into the per-(sweep value,
-algorithm) averaged rows the paper's figures plot.  The returned
-:class:`ScenarioResult` is the same row structure the imperative scenario
-functions always produced, so reporting, benchmarks and assertions carry
-over unchanged.
+algorithm) averaged rows the paper's figures plot.  Rows hold raw metric
+values; display rounding is the job of
+:func:`repro.evaluation.reporting.format_table`.
 """
 
 from __future__ import annotations
@@ -17,11 +16,11 @@ from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
 
+from repro.api.results import METRIC_KEYS
 from repro.engine.cache import ResultCache
 from repro.engine.executor import ProgressCallback, run_tasks
 from repro.engine.spec import ExperimentSpec
 from repro.engine.tasks import TaskResult, expand_tasks
-from repro.evaluation.runner import ComparisonRow
 from repro.utils.rng import SeedLike
 
 
@@ -62,36 +61,21 @@ def aggregate_results(
                 continue
             cell.sort(key=lambda result: result.run_index)
 
-            def mean(key: str) -> float:
-                return float(np.mean([result.metrics[key] for result in cell]))
-
-            extras: Dict[str, float] = {
-                "broken_elements": float(
-                    np.mean([result.broken_elements for result in cell])
-                )
+            row: Dict[str, object] = {
+                spec.sweep.parameter: sweep_value,
+                "algorithm": name.upper(),
+                "runs": len(cell),
             }
+            for key in METRIC_KEYS:
+                row[key] = float(np.mean([result.metrics[key] for result in cell]))
+            row["broken_elements"] = float(np.mean([result.broken_elements for result in cell]))
             # Average whatever per-cell extras the tasks reported (solver
             # effort counters etc.); cached cells from older runs may lack
             # some keys, so average over the cells that have each key.
-            extra_keys = sorted({key for result in cell for key in result.extras})
-            for key in extra_keys:
+            for key in sorted({key for result in cell for key in result.extras}):
                 values = [result.extras[key] for result in cell if key in result.extras]
-                extras[key] = float(np.mean(values))
-
-            row = ComparisonRow(
-                algorithm=name.upper(),
-                runs=len(cell),
-                node_repairs=mean("node_repairs"),
-                edge_repairs=mean("edge_repairs"),
-                total_repairs=mean("total_repairs"),
-                repair_cost=mean("repair_cost"),
-                satisfied_pct=mean("satisfied_pct"),
-                elapsed_seconds=mean("elapsed_seconds"),
-                extras=extras,
-            )
-            flat: Dict[str, object] = {spec.sweep.parameter: sweep_value}
-            flat.update(row.as_dict())
-            scenario.rows.append(flat)
+                row[key] = float(np.mean(values))
+            scenario.rows.append(row)
     return scenario
 
 

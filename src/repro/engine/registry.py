@@ -51,8 +51,8 @@ def get_spec(name: str) -> ExperimentSpec:
 
 # --------------------------------------------------------------------- #
 # The paper's sweep experiments (Section VII), registered as defaults.
-# Figure 8 is a topology report, not a sweep, and stays a plain function
-# (repro.evaluation.scenarios.figure8_topology_report).
+# Figure 8 is a topology report, not a sweep; its bench
+# (benchmarks/test_fig8_topology_stats.py) computes it directly.
 # --------------------------------------------------------------------- #
 
 register_spec(

@@ -1,15 +1,15 @@
-"""Evaluation harness: metrics, experiment runner and the paper's scenarios.
+"""Evaluation harness: demand builders, plan metrics and reporting.
 
 * :mod:`~repro.evaluation.demand_builder` — construction of demand graphs
   the way the paper does (random far-apart pairs with a given flow);
 * :mod:`~repro.evaluation.metrics` — per-plan metrics (repairs, repair cost,
   percentage of satisfied demand, feasibility checks);
-* :mod:`~repro.evaluation.runner` — run a set of algorithms on a scenario
-  instance and average over repetitions;
-* :mod:`~repro.evaluation.scenarios` — one function per paper figure,
-  producing the rows/series of that figure;
 * :mod:`~repro.evaluation.reporting` — plain-text tables for the benchmark
   output and EXPERIMENTS.md.
+
+The paper's figures run as registered sweeps of the experiment engine
+(:mod:`repro.engine.registry`), through
+:meth:`repro.api.service.RecoveryService.sweep`.
 """
 
 from repro.evaluation.demand_builder import (
@@ -20,7 +20,6 @@ from repro.evaluation.demand_builder import (
 )
 from repro.evaluation.metrics import PlanEvaluation, evaluate_plan
 from repro.evaluation.reporting import format_table, rows_to_csv
-from repro.evaluation.runner import ComparisonRow, compare_algorithms, run_repetitions
 
 __all__ = [
     "explicit_demand",
@@ -29,9 +28,6 @@ __all__ = [
     "routable_far_apart_demand",
     "PlanEvaluation",
     "evaluate_plan",
-    "ComparisonRow",
-    "compare_algorithms",
-    "run_repetitions",
     "format_table",
     "rows_to_csv",
 ]

@@ -68,7 +68,7 @@ def pivot_series(
 ) -> Dict[object, Dict[object, object]]:
     """Pivot flat rows into ``{series: {x: value}}`` for figure-style output.
 
-    Useful to turn the runner's flat result rows into one series per
+    Useful to turn the engine's flat result rows into one series per
     algorithm, mirroring the lines of the paper's figures.
     """
     series: Dict[object, Dict[object, object]] = {}

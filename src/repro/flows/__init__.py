@@ -8,8 +8,6 @@ paper relies on:
   matrices shared by all LPs and the MILP;
 * :mod:`~repro.flows.routability` — the routability test of Section IV-A
   (LP feasibility of the routability conditions, Eq. 2);
-* maximum-flow helpers (:func:`max_flow_value`,
-  :func:`max_flow_over_path_set`), served by :mod:`repro.network.index`;
 * :mod:`~repro.flows.decomposition` — flow decomposition of LP edge flows
   into explicit path assignments;
 * :mod:`~repro.flows.multicommodity` — the multi-commodity relaxation of
@@ -30,7 +28,6 @@ from repro.flows.multicommodity import MultiCommodityResult, solve_multicommodit
 from repro.flows.routability import RoutabilityResult, is_routable, routability_test
 from repro.flows.splitting_lp import maximum_splittable_amount
 from repro.flows.decomposition import decompose_flows
-from repro.network.index import max_flow_over_path_set, max_flow_value
 from repro.flows.solver import (
     IncrementalFlowProblem,
     SolverContext,
@@ -49,8 +46,6 @@ __all__ = [
     "RoutabilityResult",
     "is_routable",
     "routability_test",
-    "max_flow_value",
-    "max_flow_over_path_set",
     "decompose_flows",
     "MultiCommodityResult",
     "solve_multicommodity_recovery",

@@ -32,6 +32,7 @@ Two accelerations sit on top of the plain model (see ``docs/solver.md``):
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
@@ -48,7 +49,6 @@ from repro.flows.solver.tolerances import BINARY_THRESHOLD, FLOW_THRESHOLD
 from repro.network.demand import DemandGraph
 from repro.network.plan import RecoveryPlan
 from repro.network.supply import SupplyGraph, canonical_edge
-from repro.utils.timing import Timer
 
 Node = Hashable
 Edge = Tuple[Node, Node]
@@ -457,14 +457,15 @@ def solve_minimum_recovery(
     )
 
     warm_start = incumbent.x if incumbent is not None else None
-    with Timer() as timer:
-        result = get_backend(backend).solve_milp(program, warm_start=warm_start)
+    started = time.perf_counter()
+    result = get_backend(backend).solve_milp(program, warm_start=warm_start)
+    elapsed = time.perf_counter() - started
 
     if not result.feasible or result.x is None:
         status = result.status if result.status in ("infeasible", "error") else "error"
         return MinRSolution(
             status=status,
-            elapsed_seconds=timer.elapsed,
+            elapsed_seconds=elapsed,
             strategy="monolithic",
             seeded=incumbent is not None,
         )
@@ -472,7 +473,7 @@ def solve_minimum_recovery(
     solution = solution_from_result(
         model, result, strategy="monolithic", seeded=incumbent is not None
     )
-    solution.elapsed_seconds = timer.elapsed
+    solution.elapsed_seconds = elapsed
     return solution
 
 

@@ -28,6 +28,7 @@ illustrates.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Set, Tuple, Union
 
@@ -46,7 +47,6 @@ from repro.flows.solver.tolerances import USAGE_THRESHOLD
 from repro.network.demand import DemandGraph
 from repro.network.plan import RecoveryPlan
 from repro.network.supply import SupplyGraph, canonical_edge
-from repro.utils.timing import Timer
 
 Node = Hashable
 Edge = Tuple[Node, Node]
@@ -163,10 +163,9 @@ def solve_multicommodity_recovery(
     base_objective = _broken_edge_costs(supply, problem)
 
     # MCW: interior-point solution of the plain relaxation (spreads flow).
-    with Timer() as worst_timer:
-        worst_result = _solve(
-            problem, base_objective, solver, method_hint="interior-point"
-        )
+    started = time.perf_counter()
+    worst_result = _solve(problem, base_objective, solver, method_hint="interior-point")
+    worst_elapsed = time.perf_counter() - started
     if not worst_result.success:
         infeasible = RecoveryPlan(algorithm="MCB", metadata={"status": "infeasible"})
         infeasible_w = RecoveryPlan(algorithm="MCW", metadata={"status": "infeasible"})
@@ -174,41 +173,42 @@ def solve_multicommodity_recovery(
             best=infeasible, worst=infeasible_w, objective=None, feasible=False
         )
     worst_plan = _plan_from_solution(
-        supply, problem, worst_result.x, algorithm="MCW", elapsed=worst_timer.elapsed
+        supply, problem, worst_result.x, algorithm="MCW", elapsed=worst_elapsed
     )
 
     # MCB: iteratively reweighted LP that concentrates flow on few broken
     # edges.  The rounds share the constraint system and differ only in the
     # objective, so each one warm-starts from the previous optimum.
-    with Timer() as best_timer:
-        best_solution = worst_result.x
-        context.remember(_WARM_START_TAG, problem, best_solution)
+    started = time.perf_counter()
+    best_solution = worst_result.x
+    context.remember(_WARM_START_TAG, problem, best_solution)
+    weights = base_objective.copy()
+    for _ in range(max(1, reweighting_rounds)):
+        loads = problem.edge_loads(best_solution)
         weights = base_objective.copy()
-        for _ in range(max(1, reweighting_rounds)):
-            loads = problem.edge_loads(best_solution)
-            weights = base_objective.copy()
-            for edge_index, (u, v) in enumerate(problem.edges):
-                if not supply.is_broken_edge(u, v):
-                    continue
-                load = loads.get(canonical_edge(u, v), 0.0)
-                # Broken edges already carrying flow become cheap, unused
-                # broken edges stay expensive: flow concentrates.
-                scale = 1.0 / (load + 0.1)
-                for commodity_index in range(problem.num_commodities):
-                    for a, b in ((u, v), (v, u)):
-                        column = problem.flow_index(commodity_index, a, b)
-                        weights[column] = base_objective[column] * scale
-            refined = _solve(
-                problem,
-                weights,
-                solver,
-                warm_start=context.warm_start_for(_WARM_START_TAG, problem),
-            )
-            if refined.success:
-                best_solution = refined.x
-                context.remember(_WARM_START_TAG, problem, best_solution)
+        for edge_index, (u, v) in enumerate(problem.edges):
+            if not supply.is_broken_edge(u, v):
+                continue
+            load = loads.get(canonical_edge(u, v), 0.0)
+            # Broken edges already carrying flow become cheap, unused
+            # broken edges stay expensive: flow concentrates.
+            scale = 1.0 / (load + 0.1)
+            for commodity_index in range(problem.num_commodities):
+                for a, b in ((u, v), (v, u)):
+                    column = problem.flow_index(commodity_index, a, b)
+                    weights[column] = base_objective[column] * scale
+        refined = _solve(
+            problem,
+            weights,
+            solver,
+            warm_start=context.warm_start_for(_WARM_START_TAG, problem),
+        )
+        if refined.success:
+            best_solution = refined.x
+            context.remember(_WARM_START_TAG, problem, best_solution)
+    best_elapsed = time.perf_counter() - started
     best_plan = _plan_from_solution(
-        supply, problem, best_solution, algorithm="MCB", elapsed=best_timer.elapsed
+        supply, problem, best_solution, algorithm="MCB", elapsed=best_elapsed
     )
 
     return MultiCommodityResult(

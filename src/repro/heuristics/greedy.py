@@ -23,6 +23,7 @@ low-weight paths the greedy order favours are found first anyway).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
@@ -36,7 +37,6 @@ from repro.network.demand import DemandGraph
 from repro.network.paths import path_broken_elements, path_capacity, path_edges, path_repair_cost
 from repro.network.plan import RecoveryPlan
 from repro.network.supply import SupplyGraph, canonical_edge
-from repro.utils.timing import Timer
 
 Node = Hashable
 Pair = Tuple[Node, Node]
@@ -113,89 +113,89 @@ def greedy_commitment(
 ) -> RecoveryPlan:
     """Run GRD-COM: greedy path repair with immediate routing commitment."""
     plan = RecoveryPlan(algorithm="GRD-COM")
-    with Timer() as timer:
-        candidates = enumerate_candidate_paths(supply, demand, max_paths_per_pair)
-        residual_demand = demand.copy()
-        # Residual capacity per edge, shared by all routing commitments.
-        residual_capacity: Dict[Tuple[Node, Node], float] = {
-            canonical_edge(u, v): supply.capacity(u, v) for u, v in supply.edges
-        }
+    started = time.perf_counter()
+    candidates = enumerate_candidate_paths(supply, demand, max_paths_per_pair)
+    residual_demand = demand.copy()
+    # Residual capacity per edge, shared by all routing commitments.
+    residual_capacity: Dict[Tuple[Node, Node], float] = {
+        canonical_edge(u, v): supply.capacity(u, v) for u, v in supply.edges
+    }
 
-        def usable(u: Node, v: Node) -> bool:
-            """An edge is usable when working or already listed for repair."""
-            if supply.is_broken_node(u) and u not in plan.repaired_nodes:
-                return False
-            if supply.is_broken_node(v) and v not in plan.repaired_nodes:
-                return False
-            if supply.is_broken_edge(u, v) and canonical_edge(u, v) not in plan.repaired_edges:
-                return False
-            return True
+    def usable(u: Node, v: Node) -> bool:
+        """An edge is usable when working or already listed for repair."""
+        if supply.is_broken_node(u) and u not in plan.repaired_nodes:
+            return False
+        if supply.is_broken_node(v) and v not in plan.repaired_nodes:
+            return False
+        if supply.is_broken_edge(u, v) and canonical_edge(u, v) not in plan.repaired_edges:
+            return False
+        return True
 
-        def working_residual_graph() -> nx.Graph:
-            graph = nx.Graph()
-            for node in supply.nodes:
-                if not supply.is_broken_node(node) or node in plan.repaired_nodes:
-                    graph.add_node(node)
-            for u, v in supply.edges:
-                if usable(u, v) and u in graph and v in graph:
-                    graph.add_edge(u, v, capacity=residual_capacity[canonical_edge(u, v)])
-            return graph
+    def working_residual_graph() -> nx.Graph:
+        graph = nx.Graph()
+        for node in supply.nodes:
+            if not supply.is_broken_node(node) or node in plan.repaired_nodes:
+                graph.add_node(node)
+        for u, v in supply.edges:
+            if usable(u, v) and u in graph and v in graph:
+                graph.add_edge(u, v, capacity=residual_capacity[canonical_edge(u, v)])
+        return graph
 
-        def assign(pair: Pair, path: Path, amount: float) -> None:
-            plan.add_route(pair, path, amount)
-            residual_demand.reduce(pair[0], pair[1], amount)
-            for u, v in path_edges(list(path)):
-                residual_capacity[canonical_edge(u, v)] -= amount
+    def assign(pair: Pair, path: Path, amount: float) -> None:
+        plan.add_route(pair, path, amount)
+        residual_demand.reduce(pair[0], pair[1], amount)
+        for u, v in path_edges(list(path)):
+            residual_capacity[canonical_edge(u, v)] -= amount
 
-        def route_opportunistically() -> None:
-            """Route any other demand the repaired subgraph can now carry."""
-            graph = working_residual_graph()
-            for other in residual_demand.pairs():
-                if other.source not in graph or other.target not in graph:
-                    continue
-                if not nx.has_path(graph, other.source, other.target):
-                    continue
-                flow_value, flow_dict = nx.maximum_flow(
-                    graph, other.source, other.target, capacity="capacity"
-                )
-                deliverable = min(flow_value, other.demand)
-                if deliverable <= EPSILON:
-                    continue
-                arc_flows: Dict[Tuple[Node, Node], float] = {}
-                for u, neighbours in flow_dict.items():
-                    for v, value in neighbours.items():
-                        if value > EPSILON:
-                            arc_flows[(u, v)] = arc_flows.get((u, v), 0.0) + value
-                remaining = deliverable
-                for path, flow in decompose_flows(arc_flows, other.source, other.target):
-                    if remaining <= EPSILON:
-                        break
-                    used = min(flow, remaining)
-                    assign(other.pair, path, used)
-                    remaining -= used
-                graph = working_residual_graph()
-
-        for candidate in candidates:
-            if residual_demand.is_empty:
-                break
-            source, target = candidate.pair
-            pending = residual_demand.demand(source, target)
-            if pending <= EPSILON:
+    def route_opportunistically() -> None:
+        """Route any other demand the repaired subgraph can now carry."""
+        graph = working_residual_graph()
+        for other in residual_demand.pairs():
+            if other.source not in graph or other.target not in graph:
                 continue
-            _repair_path(supply, plan, candidate.path)
-            graph = working_residual_graph()
-            available = min(
-                residual_capacity[canonical_edge(u, v)]
-                for u, v in path_edges(list(candidate.path))
+            if not nx.has_path(graph, other.source, other.target):
+                continue
+            flow_value, flow_dict = nx.maximum_flow(
+                graph, other.source, other.target, capacity="capacity"
             )
-            amount = min(pending, available)
-            if amount > EPSILON:
-                assign(candidate.pair, candidate.path, amount)
-            route_opportunistically()
+            deliverable = min(flow_value, other.demand)
+            if deliverable <= EPSILON:
+                continue
+            arc_flows: Dict[Tuple[Node, Node], float] = {}
+            for u, neighbours in flow_dict.items():
+                for v, value in neighbours.items():
+                    if value > EPSILON:
+                        arc_flows[(u, v)] = arc_flows.get((u, v), 0.0) + value
+            remaining = deliverable
+            for path, flow in decompose_flows(arc_flows, other.source, other.target):
+                if remaining <= EPSILON:
+                    break
+                used = min(flow, remaining)
+                assign(other.pair, path, used)
+                remaining -= used
+            graph = working_residual_graph()
 
-        plan.metadata["unsatisfied_pairs"] = len(residual_demand)
-        plan.metadata["candidate_paths"] = len(candidates)
-    plan.elapsed_seconds = timer.elapsed
+    for candidate in candidates:
+        if residual_demand.is_empty:
+            break
+        source, target = candidate.pair
+        pending = residual_demand.demand(source, target)
+        if pending <= EPSILON:
+            continue
+        _repair_path(supply, plan, candidate.path)
+        graph = working_residual_graph()
+        available = min(
+            residual_capacity[canonical_edge(u, v)]
+            for u, v in path_edges(list(candidate.path))
+        )
+        amount = min(pending, available)
+        if amount > EPSILON:
+            assign(candidate.pair, candidate.path, amount)
+        route_opportunistically()
+
+    plan.metadata["unsatisfied_pairs"] = len(residual_demand)
+    plan.metadata["candidate_paths"] = len(candidates)
+    plan.elapsed_seconds = time.perf_counter() - started
     return plan
 
 
@@ -209,7 +209,8 @@ def greedy_no_commitment(
     # No warm-start context here: every repaired path changes the working
     # graph's topology, so remembered solutions would never be reusable
     # (unlike ISP, whose split/prune iterations keep the topology fixed).
-    with Timer() as timer, collect_solver_stats() as solver_stats:
+    started = time.perf_counter()
+    with collect_solver_stats() as solver_stats:
         candidates = enumerate_candidate_paths(supply, demand, max_paths_per_pair)
 
         def repaired_working_graph() -> nx.Graph:
@@ -232,5 +233,5 @@ def greedy_no_commitment(
         plan.metadata["paths_repaired"] = used_paths
         plan.metadata["candidate_paths"] = len(candidates)
         plan.metadata["solver"] = solver_stats.as_dict()
-    plan.elapsed_seconds = timer.elapsed
+    plan.elapsed_seconds = time.perf_counter() - started
     return plan

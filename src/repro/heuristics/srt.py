@@ -11,6 +11,7 @@ as soon as shortest paths saturate (Figures 4(d), 5(b), 6(b), 9(b)).
 
 from __future__ import annotations
 
+import time
 from typing import Hashable, List, Tuple
 
 import networkx as nx
@@ -20,7 +21,6 @@ from repro.network.index import max_flow_over_path_set
 from repro.network.paths import path_broken_elements, path_capacity
 from repro.network.plan import RecoveryPlan
 from repro.network.supply import SupplyGraph
-from repro.utils.timing import Timer
 
 Node = Hashable
 Path = Tuple[Node, ...]
@@ -42,29 +42,29 @@ def shortest_path_repair(
     currently working.
     """
     plan = RecoveryPlan(algorithm="SRT")
-    with Timer() as timer:
-        graph = supply.full_graph(use_residual=False)
-        pairs = sorted(demand.pairs(), key=lambda p: (-p.demand, repr(p.pair)))
-        for pair in pairs:
-            if pair.source not in graph or pair.target not in graph:
-                continue
-            if not nx.has_path(graph, pair.source, pair.target):
-                continue
-            selected: List[Path] = []
-            generator = nx.shortest_simple_paths(graph, pair.source, pair.target)
-            for count, path in enumerate(generator):
-                if count >= max_paths_per_pair:
-                    break
-                selected.append(tuple(path))
-                achievable = max_flow_over_path_set(graph, selected, pair.source, pair.target)
-                if achievable >= pair.demand:
-                    break
-            for path in selected:
-                nodes, edges = path_broken_elements(supply, path)
-                for node in nodes:
-                    plan.add_node_repair(node)
-                for u, v in edges:
-                    plan.add_edge_repair(u, v)
-            plan.metadata.setdefault("paths_per_pair", {})[pair.pair] = len(selected)
-    plan.elapsed_seconds = timer.elapsed
+    started = time.perf_counter()
+    graph = supply.full_graph(use_residual=False)
+    pairs = sorted(demand.pairs(), key=lambda p: (-p.demand, repr(p.pair)))
+    for pair in pairs:
+        if pair.source not in graph or pair.target not in graph:
+            continue
+        if not nx.has_path(graph, pair.source, pair.target):
+            continue
+        selected: List[Path] = []
+        generator = nx.shortest_simple_paths(graph, pair.source, pair.target)
+        for count, path in enumerate(generator):
+            if count >= max_paths_per_pair:
+                break
+            selected.append(tuple(path))
+            achievable = max_flow_over_path_set(graph, selected, pair.source, pair.target)
+            if achievable >= pair.demand:
+                break
+        for path in selected:
+            nodes, edges = path_broken_elements(supply, path)
+            for node in nodes:
+                plan.add_node_repair(node)
+            for u, v in edges:
+                plan.add_edge_repair(u, v)
+        plan.metadata.setdefault("paths_per_pair", {})[pair.pair] = len(selected)
+    plan.elapsed_seconds = time.perf_counter() - started
     return plan

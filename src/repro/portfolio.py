@@ -14,8 +14,8 @@ instead:
    plans* (see :func:`repro.flows.milp.solve_minimum_recovery` — a verified
    incumbent frequently lets the decomposed strategy prove optimality
    without a MILP) and upgrades the stored envelope in place
-   (:meth:`~repro.server.store.JobStore.upgrade_result`), now annotated
-   ``{"stage": "exact", "pending": [], "upgraded": True, ...}``.
+   (:meth:`~repro.server.stores.base.JobStoreBackend.upgrade_result`), now
+   annotated ``{"stage": "exact", "pending": [], "upgraded": True, ...}``.
 
 A stage-2 failure never takes back the stage-1 answer: the exception is
 folded into the annotation (``"error"``) and the heuristic envelope stands,

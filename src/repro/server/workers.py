@@ -13,7 +13,7 @@ Claims are atomic store operations (``UPDATE ... RETURNING``) taking up to
 share one database with no coordinator: a duplicate submission is a single
 row, and a single row is executed exactly once.  A worker crashing mid-batch
 leaves every claimed row ``running`` for
-:meth:`~repro.server.store.JobStore.requeue_orphans` to recover.
+:meth:`~repro.server.stores.base.JobStoreBackend.requeue_orphans` to recover.
 
 Idle workers do **not** poll-sleep: the daemon passes each fleet worker one
 end of a wakeup pipe and writes a byte on every enqueue, so an idle worker

@@ -1,12 +1,10 @@
 """Utility helpers shared across the :mod:`repro` package.
 
 The utilities are deliberately small and dependency free: deterministic
-random-number handling, input validation helpers and a light-weight timing
-context manager used by the evaluation harness.
+random-number handling and input validation helpers.
 """
 
 from repro.utils.rng import ensure_rng, spawn_rng
-from repro.utils.timing import Timer, timed
 from repro.utils.validation import (
     check_non_negative,
     check_positive,
@@ -17,8 +15,6 @@ from repro.utils.validation import (
 __all__ = [
     "ensure_rng",
     "spawn_rng",
-    "Timer",
-    "timed",
     "check_non_negative",
     "check_positive",
     "check_probability",

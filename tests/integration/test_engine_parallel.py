@@ -14,9 +14,9 @@ are deterministic and stay in the comparison.
 import pytest
 
 from repro.api.requests import DemandSpec, DisruptionSpec, TopologySpec
+from repro.api.service import RecoveryService
 from repro.engine.experiment import run_experiment
 from repro.engine.spec import ExperimentSpec, SweepAxis
-from repro.evaluation.scenarios import figure4_demand_pairs
 
 #: Row keys that legitimately differ between runs of the same cells:
 #: wall-clock measurements and process-environment cache counters.
@@ -63,14 +63,9 @@ class TestParallelDeterminism:
         assert strip_timing(serial.rows) == strip_timing(parallel.rows)
 
     def test_scenario_function_parallel_matches_serial(self):
-        kwargs = dict(
-            pair_counts=(1, 2),
-            runs=2,
-            seed=11,
-            algorithm_names=("SRT", "ALL"),
-        )
-        serial = figure4_demand_pairs(jobs=1, **kwargs)
-        parallel = figure4_demand_pairs(jobs=4, **kwargs)
+        kwargs = dict(sweep_values=(1, 2), runs=2, seed=11, algorithms=("SRT", "ALL"))
+        serial = RecoveryService().sweep("figure4", jobs=1, **kwargs)
+        parallel = RecoveryService().sweep("figure4", jobs=4, **kwargs)
         assert strip_timing(serial.rows) == strip_timing(parallel.rows)
 
     def test_different_seeds_differ(self):

@@ -32,7 +32,7 @@ from repro.api.requests import (
 from repro.api.service import RecoveryService
 from repro.server.client import ServiceClient
 from repro.server.loadtest import run_loadtest
-from repro.server.store import JobStore
+from repro.server.stores import JobStore
 from repro.server.workers import HOLD_ENV_VAR, worker_loop
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")

@@ -47,9 +47,11 @@ topology_specs = st.builds(
     kwargs=kwargs_dicts,
 )
 
-# Disruption kwargs are validated eagerly against the model's signature,
-# so each kind draws from its own (possibly empty) parameter-name pool;
-# values stay arbitrary scalars — only names are validated.
+# Disruption kwargs are bound eagerly to the model's signature, so each kind
+# draws from its own (possibly empty) parameter-name pool and always draws
+# the names its model requires; values stay arbitrary scalars — only names
+# are validated.
+_REQUIRED_DISRUPTION_KWARGS = {"gaussian": ("variance",), "multi-gaussian": ("variance",)}
 _DISRUPTION_KWARG_NAMES = {
     "complete": (),
     "none": (),
@@ -62,11 +64,10 @@ _DISRUPTION_KWARG_NAMES = {
 
 
 def _disruption_spec_strategy(kind):
-    names = _DISRUPTION_KWARG_NAMES[kind]
-    kwargs = (
-        st.dictionaries(st.sampled_from(names), scalars, max_size=len(names))
-        if names
-        else st.just({})
+    required = _REQUIRED_DISRUPTION_KWARGS.get(kind, ())
+    kwargs = st.fixed_dictionaries(
+        {name: scalars for name in required},
+        optional={name: scalars for name in _DISRUPTION_KWARG_NAMES[kind] if name not in required},
     )
     return st.builds(DisruptionSpec, kind=st.just(kind), kwargs=kwargs)
 

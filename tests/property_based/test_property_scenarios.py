@@ -214,9 +214,12 @@ class TestScenarioGenerator:
 
     def test_sampled_disruptions_are_valid_specs(self):
         generator = ScenarioGenerator(seed=123)
-        kinds = {request.disruption.kind for request in generator.requests(12)}
+        disruptions = [request.disruption for request in generator.requests(12)]
+        kinds = {disruption.kind for disruption in disruptions}
         # The default space mixes paper-era and zoo disruptions.
         assert kinds <= set(
             ("complete", "gaussian", "random", "cascading", "multi-gaussian", "targeted")
         )
-        assert all(isinstance(DisruptionSpec(kind), DisruptionSpec) for kind in kinds)
+        # Each sampled spec carries every required parameter of its model.
+        for disruption in disruptions:
+            assert DisruptionSpec(disruption.kind, kwargs=dict(disruption.kwargs)) == disruption

@@ -274,6 +274,13 @@ class TestDisruptionKwargsValidation:
         with pytest.raises(ValueError, match="spread"):
             DisruptionSpec("gaussian", kwargs={"spread": 3.0})
 
+    @pytest.mark.parametrize("kind", ["gaussian", "multi-gaussian"])
+    def test_missing_required_kwarg_rejected_eagerly(self, kind):
+        with pytest.raises(ValueError, match="variance"):
+            DisruptionSpec(kind)
+        with pytest.raises(ValueError, match="variance"):
+            DisruptionSpec.from_dict({"kind": kind, "kwargs": {"intensity": 0.5}})
+
     def test_parameterless_kinds_reject_kwargs(self):
         with pytest.raises(ValueError, match="takes no parameters"):
             DisruptionSpec("complete", kwargs={"variance": 3.0})

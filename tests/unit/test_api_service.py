@@ -213,3 +213,59 @@ class TestSolveBatch:
         cached = service.solve_batch([request], cache_dir=tmp_path)[0]
         assert cached.results[0].cached
         assert cached.results[0].plan == fresh.results[0].plan
+
+
+class TestSweep:
+    """``sweep(name, **changes)``: a registered figure, scaled by the caller."""
+
+    def test_changes_reach_the_registered_spec(self, monkeypatch):
+        import repro.api.service as service_module
+        from repro.engine.registry import get_spec
+
+        seen = []
+        monkeypatch.setattr(
+            service_module, "run_experiment", lambda spec, **kwargs: seen.append((spec, kwargs))
+        )
+        RecoveryService().sweep(
+            "figure4", seed=2, sweep_values=[1, 2], runs=3, algorithms=("ISP", "ALL")
+        )
+        (spec, kwargs), = seen
+        assert spec == get_spec("bellcanada-demand-pairs").replace(
+            sweep_values=(1, 2), runs=3, algorithms=("ISP", "ALL")
+        )
+        assert kwargs["seed"] == 2
+
+    def test_alias_sweep_rows_and_series(self):
+        result = RecoveryService().sweep(
+            "figure4", seed=2, sweep_values=(1, 2), runs=2, algorithms=("SRT", "ALL")
+        )
+        assert (result.name, result.figure) == ("bellcanada-demand-pairs", "Figure 4")
+        # one row per (sweep value, algorithm), in sweep then algorithm order
+        assert [(row["num_pairs"], row["algorithm"]) for row in result.rows] == [
+            (1, "SRT"), (1, "ALL"), (2, "SRT"), (2, "ALL"),
+        ]
+        assert all(row["runs"] == 2 for row in result.rows)
+        series = result.series("total_repairs")
+        assert set(series) == {"SRT", "ALL"}
+        assert set(series["ALL"]) == {1, 2}
+        assert series["SRT"][2] <= series["ALL"][2]
+
+    def test_rows_are_flat_with_fixed_leading_keys(self):
+        result = RecoveryService().sweep(
+            "figure4", seed=2, sweep_values=(1,), runs=1, algorithms=("ALL",)
+        )
+        (row,) = result.rows
+        assert list(row)[:10] == [
+            "num_pairs",
+            "algorithm",
+            "runs",
+            "node_repairs",
+            "edge_repairs",
+            "total_repairs",
+            "repair_cost",
+            "satisfied_pct",
+            "elapsed_seconds",
+            "broken_elements",
+        ]
+        assert row["algorithm"] == "ALL"
+        assert row["total_repairs"] == row["broken_elements"]

@@ -1,15 +1,11 @@
-"""Tests for the evaluation harness (metrics, runner, reporting, demand builder)."""
+"""Tests for the evaluation harness (metrics, reporting, demand builder)."""
 
-import numpy as np
 import pytest
 
 from repro.evaluation.demand_builder import far_apart_demand, random_demand
 from repro.evaluation.metrics import evaluate_plan, recovered_graph
 from repro.evaluation.reporting import format_table, pivot_series, rows_to_csv
-from repro.evaluation.runner import compare_algorithms, run_repetitions
-from repro.failures.complete import CompleteDestruction
 from repro.heuristics.registry import get_algorithm
-from repro.network.demand import DemandGraph
 from repro.network.plan import RecoveryPlan
 from repro.topologies.bellcanada import bell_canada
 from repro.topologies.grids import grid_topology
@@ -68,59 +64,6 @@ class TestEvaluatePlan:
             "satisfied_pct",
             "elapsed_seconds",
         }
-
-
-class TestRunner:
-    def test_compare_algorithms(self, grid3_supply):
-        CompleteDestruction().apply(grid3_supply)
-        demand = DemandGraph()
-        demand.add((0, 0), (2, 2), 5.0)
-        evaluations = compare_algorithms(
-            grid3_supply, demand, [get_algorithm("SRT"), get_algorithm("ALL")]
-        )
-        assert [e.algorithm for e in evaluations] == ["SRT", "ALL"]
-        assert evaluations[1].total_repairs == 9 + 12
-
-    def test_run_repetitions_averages(self):
-        def factory(rng: np.random.Generator):
-            supply = grid_topology(3, 3, capacity=10.0)
-            CompleteDestruction().apply(supply)
-            demand = random_demand(supply, 1, 5.0, seed=rng)
-            return supply, demand
-
-        rows = run_repetitions(factory, [get_algorithm("ALL")], runs=3, seed=5)
-        assert len(rows) == 1
-        assert rows[0].runs == 3
-        assert rows[0].total_repairs == pytest.approx(21.0)
-        assert rows[0].extras["broken_elements"] == pytest.approx(21.0)
-
-    def test_run_repetitions_deterministic_with_seed(self):
-        def factory(rng: np.random.Generator):
-            supply = grid_topology(3, 3, capacity=10.0)
-            CompleteDestruction().apply(supply)
-            demand = random_demand(supply, 2, 5.0, seed=rng)
-            return supply, demand
-
-        a = run_repetitions(factory, [get_algorithm("SRT")], runs=2, seed=9)
-        b = run_repetitions(factory, [get_algorithm("SRT")], runs=2, seed=9)
-        assert a[0].total_repairs == b[0].total_repairs
-
-    def test_zero_runs_rejected(self):
-        with pytest.raises(ValueError):
-            run_repetitions(lambda rng: None, [], runs=0)
-
-    def test_row_as_dict(self):
-        def factory(rng: np.random.Generator):
-            supply = grid_topology(2, 2, capacity=10.0)
-            CompleteDestruction().apply(supply)
-            demand = DemandGraph()
-            demand.add((0, 0), (1, 1), 2.0)
-            return supply, demand
-
-        rows = run_repetitions(factory, [get_algorithm("ALL")], runs=1, seed=1)
-        row = rows[0].as_dict()
-        assert row["algorithm"] == "ALL"
-        assert "satisfied_pct" in row
 
 
 class TestReporting:

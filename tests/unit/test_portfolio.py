@@ -119,7 +119,7 @@ class TestSolveTwoStage:
         assert report.opt_gaps == [0.0]
 
     def test_published_bytes_round_trip_the_store_unchanged(self, tmp_path):
-        from repro.server.store import JobStore
+        from repro.server.stores import JobStore
 
         service = RecoveryService()
         request = staged_request(seed=5)

@@ -1,29 +1,29 @@
-"""Tests for the per-figure scenario functions (reduced-scale runs)."""
+"""Tests for the registered per-figure sweeps (reduced-scale runs).
 
-import pytest
+Each figure of the paper's evaluation is a registered ``ExperimentSpec``;
+the tests scale it down through ``RecoveryService().sweep(name, **changes)``.
+"""
 
-from repro.evaluation.scenarios import (
-    figure3_multicommodity,
-    figure4_demand_pairs,
-    figure5_demand_intensity,
-    figure6_disruption_extent,
-    figure7_scalability,
-    figure8_topology_report,
-    figure9_caida,
-)
+import dataclasses
+
+from repro.api.service import RecoveryService
+from repro.engine.registry import get_spec
+from repro.topologies.caida_like import caida_like
 
 
 class TestFigure3:
     def test_rows_and_algorithms(self):
-        result = figure3_multicommodity(demand_values=(2,), runs=1, seed=1, opt_time_limit=30.0)
+        result = RecoveryService().sweep(
+            "figure3", seed=1, sweep_values=(2,), runs=1, opt_time_limit=30.0
+        )
         assert result.figure == "Figure 3"
         algorithms = {row["algorithm"] for row in result.rows}
         assert algorithms == {"OPT", "MCW", "MCB", "ALL"}
 
     def test_series_pivot(self):
-        result = figure3_multicommodity(
-            demand_values=(2,), runs=1, seed=1, opt_time_limit=30.0,
-            algorithm_names=("MCB", "ALL"),
+        result = RecoveryService().sweep(
+            "figure3", seed=1, sweep_values=(2,), runs=1, opt_time_limit=30.0,
+            algorithms=("MCB", "ALL"),
         )
         series = result.series("total_repairs")
         assert set(series) == {"MCB", "ALL"}
@@ -31,20 +31,21 @@ class TestFigure3:
 
 class TestFigure4:
     def test_sweep_structure(self):
-        result = figure4_demand_pairs(
-            pair_counts=(1, 2),
-            runs=1,
+        result = RecoveryService().sweep(
+            "figure4",
             seed=2,
+            sweep_values=(1, 2),
+            runs=1,
             opt_time_limit=30.0,
-            algorithm_names=("ISP", "SRT", "ALL"),
+            algorithms=("ISP", "SRT", "ALL"),
         )
         sweep_values = {row["num_pairs"] for row in result.rows}
         assert sweep_values == {1, 2}
         assert len(result.rows) == 2 * 3
 
     def test_isp_never_exceeds_all(self):
-        result = figure4_demand_pairs(
-            pair_counts=(2,), runs=1, seed=3, algorithm_names=("ISP", "ALL")
+        result = RecoveryService().sweep(
+            "figure4", seed=3, sweep_values=(2,), runs=1, algorithms=("ISP", "ALL")
         )
         series = result.series("total_repairs")
         assert series["ISP"][2] <= series["ALL"][2]
@@ -52,8 +53,14 @@ class TestFigure4:
 
 class TestFigure5:
     def test_reduced_run(self):
-        result = figure5_demand_intensity(
-            demand_values=(4,), num_pairs=2, runs=1, seed=4, algorithm_names=("ISP", "SRT")
+        spec = get_spec("figure5")
+        result = RecoveryService().sweep(
+            spec,
+            seed=4,
+            sweep_values=(4,),
+            demand=dataclasses.replace(spec.demand, num_pairs=2),
+            runs=1,
+            algorithms=("ISP", "SRT"),
         )
         assert {row["algorithm"] for row in result.rows} == {"ISP", "SRT"}
         assert all(row["satisfied_pct"] <= 100.0 for row in result.rows)
@@ -61,12 +68,14 @@ class TestFigure5:
 
 class TestFigure6:
     def test_geographic_sweep(self):
-        result = figure6_disruption_extent(
-            variances=(5.0, 200.0),
-            num_pairs=2,
-            runs=1,
+        spec = get_spec("figure6")
+        result = RecoveryService().sweep(
+            spec,
             seed=5,
-            algorithm_names=("ISP", "ALL"),
+            sweep_values=(5.0, 200.0),
+            demand=dataclasses.replace(spec.demand, num_pairs=2),
+            runs=1,
+            algorithms=("ISP", "ALL"),
         )
         series = result.series("total_repairs")
         # A wider disruption destroys (and therefore repairs) at least as much.
@@ -75,13 +84,17 @@ class TestFigure6:
 
 class TestFigure7:
     def test_scalability_rows(self):
-        result = figure7_scalability(
-            edge_probabilities=(0.08,),
-            num_nodes=25,
-            num_pairs=2,
-            runs=1,
+        spec = get_spec("figure7")
+        result = RecoveryService().sweep(
+            spec,
             seed=6,
-            algorithm_names=("ISP", "SRT"),
+            sweep_values=(0.08,),
+            topology=dataclasses.replace(
+                spec.topology, kwargs={**dict(spec.topology.kwargs), "num_nodes": 25}
+            ),
+            demand=dataclasses.replace(spec.demand, num_pairs=2),
+            runs=1,
+            algorithms=("ISP", "SRT"),
         )
         assert {row["algorithm"] for row in result.rows} == {"ISP", "SRT"}
         assert all(row["elapsed_seconds"] >= 0 for row in result.rows)
@@ -89,25 +102,32 @@ class TestFigure7:
 
 class TestFigure8:
     def test_topology_report(self):
-        stats = figure8_topology_report(num_nodes=200, num_edges=246, seed=7)
+        supply = caida_like(num_nodes=200, num_edges=246, seed=7)
+        stats = supply.stats()
+        degrees = sorted((supply.degree(node) for node in supply.nodes), reverse=True)
         assert stats["nodes"] == 200
         assert stats["edges"] == 246
         assert stats["connected"]
-        assert len(stats["top_degrees"]) == 10
-        assert 0.0 <= stats["degree_one_fraction"] <= 1.0
+        assert sum(degrees) == 2 * 246
+        assert stats["max_degree"] == degrees[0]
+        assert 0.0 < sum(1 for d in degrees if d == 1) / len(degrees) < 1.0
 
 
 class TestFigure9:
     def test_reduced_caida_run(self):
-        result = figure9_caida(
-            pair_counts=(1,),
-            flow_per_pair=10.0,
-            num_nodes=60,
-            num_edges=75,
-            runs=1,
+        spec = get_spec("figure9")
+        result = RecoveryService().sweep(
+            spec,
             seed=8,
+            sweep_values=(1,),
+            topology=dataclasses.replace(
+                spec.topology,
+                kwargs={**dict(spec.topology.kwargs), "num_nodes": 60, "num_edges": 75},
+            ),
+            demand=dataclasses.replace(spec.demand, flow_per_pair=10.0),
+            runs=1,
             opt_time_limit=20.0,
-            algorithm_names=("ISP", "SRT"),
+            algorithms=("ISP", "SRT"),
         )
         assert {row["algorithm"] for row in result.rows} == {"ISP", "SRT"}
         for row in result.rows:

@@ -15,7 +15,7 @@ from repro.api.requests import (
 from repro.cli import main
 from repro.server.client import ServiceClient
 from repro.server.daemon import ServerConfig, serve
-from repro.server.store import JobStore
+from repro.server.stores import JobStore
 from repro.server.workers import worker_loop
 
 

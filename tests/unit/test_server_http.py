@@ -22,8 +22,7 @@ from repro.api.requests import (
 from repro.obs.trace import TRACE_HEADER, normalize_trace_id, render_trace
 from repro.server.client import ServiceClient, ServiceError
 from repro.server.http import RecoveryServer
-from repro.server.store import JobStore
-from repro.server.stores import open_store
+from repro.server.stores import JobStore, open_store
 
 
 def grid_request(seed: int = 1) -> RecoveryRequest:
@@ -154,6 +153,15 @@ class TestValidation:
             harness.client.solve(payload)
         assert excinfo.value.status == 400
         assert "unknown topology" in str(excinfo.value)
+
+    def test_missing_required_disruption_parameter_is_a_400(self, harness, store):
+        payload = grid_request().to_dict()
+        payload["disruption"] = {"kind": "gaussian", "kwargs": {}}
+        with pytest.raises(ServiceError) as excinfo:
+            harness.client.solve(payload)
+        assert excinfo.value.status == 400
+        assert "variance" in str(excinfo.value)
+        assert store.jobs() == []
 
     def test_invalid_json_body_is_a_400(self, harness):
         url = f"{harness.client.base_url}/v1/solve"

@@ -13,7 +13,7 @@ from repro.api.requests import (
     RecoveryRequest,
     TopologySpec,
 )
-from repro.server.store import (
+from repro.server.stores import (
     DEFAULT_MAX_ATTEMPTS,
     JobStore,
     SCHEMA_VERSION,

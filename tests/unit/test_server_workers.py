@@ -19,7 +19,7 @@ from repro.api.service import (
     TOPOLOGY_CACHE_ENV_VAR,
     default_topology_cache_size,
 )
-from repro.server.store import JobStore
+from repro.server.stores import JobStore
 from repro.server.workers import WorkerFleet, worker_loop
 
 
