@@ -45,7 +45,7 @@ from repro.failures.complete import CompleteDestruction
 from repro.failures.geographic import GaussianDisruption, MultiEpicenterDisruption
 from repro.failures.random_failures import UniformRandomFailure
 from repro.failures.targeted import TargetedAttack
-from repro.heuristics.registry import available_algorithms
+from repro.heuristics.registry import available_algorithms, check_algorithm_kwargs
 from repro.network.demand import DemandGraph
 from repro.network.supply import SupplyGraph
 from repro.topologies.registry import build_topology, get_topology_builder
@@ -346,12 +346,20 @@ class DemandSpec:
 def _frozen_algorithm_kwargs(
     value: Any,
 ) -> Tuple[Tuple[str, Tuple[Tuple[str, Any], ...]], ...]:
-    """Normalise per-algorithm kwargs (mapping or pair tuple) to frozen form."""
+    """Normalise per-algorithm kwargs (mapping or pair tuple) to frozen form.
+
+    Each algorithm's options are bound to its solver: an invalid one fails here.
+    """
     if isinstance(value, Mapping):
         items = value.items()
     else:
         items = [(name, dict(kwargs)) for name, kwargs in (value or ())]
-    return tuple(sorted((str(name).upper(), _frozen_kwargs(dict(kwargs))) for name, kwargs in items))
+    frozen = tuple(
+        sorted((str(name).upper(), _frozen_kwargs(dict(kwargs))) for name, kwargs in items)
+    )
+    for name, kwargs in frozen:
+        check_algorithm_kwargs(name, dict(kwargs))
+    return frozen
 
 
 def check_schema(payload: Mapping[str, Any], kind: str) -> None:
@@ -416,9 +424,11 @@ class RecoveryRequest:
 
     The request is pure data — registry names plus keyword arguments — so it
     pickles to worker processes, hashes stably for result caches, and
-    round-trips through JSON for a wire protocol.  ``algorithm_kwargs``
-    optionally binds extra keyword arguments per algorithm name (e.g. ISP's
-    ``split_amount_mode``); the OPT time limit has its own field because it
+    round-trips through JSON for a wire protocol.  Algorithm names are
+    upper-cased and deduplicated in first-occurrence order.
+    ``algorithm_kwargs`` optionally binds extra keyword arguments per
+    algorithm name (e.g. ISP's ``split_amount_mode``), checked against the
+    solver at construction; the OPT time limit has its own field because it
     is the one option every figure of the paper tunes.
     """
 
@@ -434,7 +444,7 @@ class RecoveryRequest:
     kind = "recovery"
 
     def __post_init__(self) -> None:
-        algorithms = tuple(str(name).upper() for name in self.algorithms)
+        algorithms = tuple(dict.fromkeys(str(name).upper() for name in self.algorithms))
         if not algorithms:
             raise ValueError("a recovery request needs at least one algorithm")
         known = set(available_algorithms())

@@ -13,7 +13,10 @@ Three entry points:
 * :meth:`RecoveryService.solve` — run the request's algorithms in-process
   and return a :class:`~repro.api.results.RecoveryResult` envelope whose
   per-run solver stats expose the session reuse (structure-cache hits,
-  warm-start offers);
+  warm-start offers).  It is the only code that runs a request's
+  algorithms: heuristics first, then the exact algorithms seeded with the
+  heuristic plans; the portfolio racer (:mod:`repro.portfolio`) is a
+  callback on it, not a second runner;
 * :meth:`RecoveryService.assess` — the damage picture without recovery;
 * :meth:`RecoveryService.solve_batch` — fan a list of requests out through
   the experiment engine's process pool, sharing its resumable on-disk cache
@@ -33,7 +36,7 @@ import time
 from collections import OrderedDict
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -67,8 +70,10 @@ from repro.flows.solver.backends import (
 )
 from repro.flows.solver.incremental import SolverContext
 from repro.flows.solver.stats import collect_solver_stats
+from repro.network.plan import RecoveryPlan
 from repro.network.supply import SupplyGraph
-from repro.portfolio import execution_order, is_exact
+from repro.obs.trace import span
+from repro.portfolio import split_algorithms
 
 #: Pristine topologies retained per service session.
 DEFAULT_TOPOLOGY_CACHE_SIZE = 8
@@ -240,8 +245,21 @@ class RecoveryService:
     # ------------------------------------------------------------------ #
     # Entry points
     # ------------------------------------------------------------------ #
-    def solve(self, request: RecoveryRequest) -> RecoveryResult:
+    def solve(
+        self,
+        request: RecoveryRequest,
+        on_heuristics: Optional[Callable[[RecoveryResult], None]] = None,
+    ) -> RecoveryResult:
         """Run the request's algorithms in-process and return the envelope.
+
+        Heuristics run first, in the requested order, then the exact
+        algorithms, seeded with every heuristic plan (a verified incumbent
+        lets the decomposed strategy prove optimality without a MILP).  The
+        envelope lists the runs in the requested order.  When the request
+        mixes the two classes, ``on_heuristics`` (if given) is called once
+        with the envelope of the heuristic runs before the first exact
+        solve starts: the portfolio racer's stage 1
+        (:func:`repro.portfolio.solve_two_stage`).
 
         The session's :class:`SolverContext` is threaded into the audit LP,
         so a repeated solve on the same topology shows structure-cache hits
@@ -249,43 +267,39 @@ class RecoveryService:
         """
         started = time.perf_counter()
         spec = request.to_experiment_spec()
+        heuristics, exacts = split_algorithms(request.algorithms)
+        runs: Dict[str, AlgorithmRun] = {}
         with self._request_backend(request):
             supply, demand, _ = self.build_instance(request)
             broken = len(supply.broken_nodes) + len(supply.broken_edges)
-            # Heuristics run before exact algorithms (whatever order the
-            # client listed them in) so their plans can seed the exact
-            # solve: a verified incumbent lets the decomposed strategy
-            # prove optimality without a MILP.  The envelope keeps the
-            # requested order.
-            seed_plans: List = []
-            runs_by_name: Dict[str, AlgorithmRun] = {}
-            for name in execution_order(dict.fromkeys(request.algorithms)):
+
+            def run(name: str, **extra) -> RecoveryPlan:
                 algorithm = spec.resolve_algorithm(name)
-                extra = {}
-                if (
-                    is_exact(algorithm.name)
-                    and seed_plans
-                    and "seed_plans" not in algorithm.kwargs
-                ):
-                    extra["seed_plans"] = list(seed_plans)
-                with collect_solver_stats() as stats:
+                with collect_solver_stats() as stats, span("service.run", algorithm=name):
                     plan = algorithm.solve(supply, demand, **extra)
                     evaluation = evaluate_plan(supply, demand, plan, context=self.context)
-                if not is_exact(algorithm.name):
-                    seed_plans.append(plan)
-                runs_by_name[name] = AlgorithmRun(
+                runs[name] = AlgorithmRun(
                     algorithm=algorithm.name,
                     metrics=evaluation_metrics(evaluation),
                     plan=plan_payload(plan),
                     solver=stats.as_dict(),
                 )
-        runs = [runs_by_name[name] for name in request.algorithms]
-        return RecoveryResult(
-            request=request.to_dict(),
-            results=runs,
-            broken_elements=broken,
-            wall_seconds=time.perf_counter() - started,
-        )
+                return plan
+
+            def envelope() -> RecoveryResult:
+                return RecoveryResult(
+                    request=request.to_dict(),
+                    results=[runs[name] for name in request.algorithms if name in runs],
+                    broken_elements=broken,
+                    wall_seconds=time.perf_counter() - started,
+                )
+
+            seed_plans = [run(name) for name in heuristics]
+            if on_heuristics is not None and heuristics and exacts:
+                on_heuristics(envelope())
+            for name in exacts:
+                run(name, seed_plans=seed_plans)
+        return envelope()
 
     def assess(self, request: Request) -> AssessmentResult:
         """The damage picture of the request's instance, without recovery."""
@@ -317,8 +331,11 @@ class RecoveryService:
 
         The service's process-wide backend selection applies to all workers;
         per-request ``lp_backend`` fields are ignored here (one pool, one
-        backend).  Plans are captured, so batch envelopes carry the same
-        repair lists as :meth:`solve` — only the solver stats differ (each
+        backend).  Plans are captured.  Batch envelopes report the same
+        metrics as :meth:`solve` and the same heuristic repair lists, but
+        each engine cell runs alone: OPT self-seeds with SRT instead of the
+        request's heuristic plans, so it may return a different optimal
+        repair set of the same cost.  The solver stats differ too (each
         worker has its own fresh context).
         """
         tasks = []

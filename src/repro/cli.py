@@ -104,11 +104,6 @@ from repro.api.requests import (
 from repro.api.service import RecoveryService
 from repro.engine.registry import available_specs, get_spec
 from repro.evaluation.reporting import format_table
-from repro.flows.milp import (
-    OPT_STRATEGIES,
-    OPT_STRATEGY_ENV_VAR,
-    set_default_opt_strategy,
-)
 from repro.flows.solver.backends import BACKEND_ENV_VAR, available_backends
 from repro.heuristics.registry import available_algorithms
 from repro.topologies.registry import available_topologies
@@ -168,14 +163,7 @@ def _instance_sections(args: argparse.Namespace):
 
 
 def _service(args: argparse.Namespace) -> RecoveryService:
-    """A service session with the CLI's backend/strategy selection applied."""
-    if getattr(args, "opt_strategy", None):
-        # Process-level knob (never a request field): the choice applies to
-        # every OPT solve this command runs without changing job digests.
-        # Exported to the environment too, so --jobs worker processes
-        # spawned by sweep/fuzz inherit it.
-        os.environ[OPT_STRATEGY_ENV_VAR] = args.opt_strategy
-        set_default_opt_strategy(args.opt_strategy)
+    """A service session with the CLI's backend selection applied."""
     try:
         return RecoveryService(lp_backend=getattr(args, "lp_backend", None))
     except KeyError as error:
@@ -436,7 +424,7 @@ def _command_online(args: argparse.Namespace) -> int:
         raise SystemExit("--jobs must be a positive integer, or 0 for one per CPU")
     jobs = args.jobs or (os.cpu_count() or 1)
     topology, disruption, demand = _instance_sections(args)
-    _service(args)  # apply the process-level backend / OPT-strategy knobs
+    _service(args)  # apply the process-level backend selection
     try:
         spec = OnlineScenarioSpec(
             topology=topology,
@@ -536,7 +524,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         lp_backend=args.lp_backend,
         claim_batch=args.claim_batch,
         portfolio=args.portfolio,
-        opt_strategy=args.opt_strategy,
         shards=args.shards,
         log_level=args.log_level,
         log_format=args.log_format,
@@ -657,18 +644,6 @@ def _add_lp_backend_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_opt_strategy_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--opt-strategy",
-        choices=list(OPT_STRATEGIES),
-        default=None,
-        help=(
-            "exact-solve strategy for OPT "
-            f"(default: ${OPT_STRATEGY_ENV_VAR} or 'auto')"
-        ),
-    )
-
-
 def _add_instance_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--topology", default="bell-canada", help="registered topology name")
     parser.add_argument(
@@ -742,7 +717,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="time limit in seconds for the exact MILP (OPT)",
     )
     _add_lp_backend_argument(solve)
-    _add_opt_strategy_argument(solve)
     _add_json_argument(solve)
     solve.set_defaults(handler=_command_solve)
 
@@ -790,7 +764,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quiet", action="store_true", help="suppress per-cell progress on stderr"
     )
     _add_lp_backend_argument(sweep)
-    _add_opt_strategy_argument(sweep)
     sweep.set_defaults(handler=_command_sweep)
 
     assess = subparsers.add_parser("assess", help="print a damage assessment report")
@@ -837,7 +810,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quiet", action="store_true", help="suppress per-cell progress on stderr"
     )
     _add_lp_backend_argument(fuzz)
-    _add_opt_strategy_argument(fuzz)
     _add_json_argument(fuzz)
     fuzz.set_defaults(handler=_command_fuzz)
 
@@ -922,7 +894,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quiet", action="store_true", help="suppress per-episode progress on stderr"
     )
     _add_lp_backend_argument(online)
-    _add_opt_strategy_argument(online)
     _add_json_argument(online)
     online.set_defaults(handler=_command_online)
 
@@ -966,7 +937,6 @@ def build_parser() -> argparse.ArgumentParser:
         "shards)",
     )
     _add_lp_backend_argument(serve)
-    _add_opt_strategy_argument(serve)
     serve.add_argument(
         "--portfolio",
         action="store_true",

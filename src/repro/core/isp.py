@@ -98,6 +98,15 @@ class ISPConfig:
     lp_edge_threshold: int = 400
     max_iterations: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        if self.metric not in ("dynamic", "hop"):
+            raise ValueError(f"metric must be 'dynamic' or 'hop', got {self.metric!r}")
+        if self.split_amount_mode not in ("lp", "bottleneck", "auto"):
+            raise ValueError(
+                "split_amount_mode must be 'lp', 'bottleneck' or 'auto', "
+                f"got {self.split_amount_mode!r}"
+            )
+
 
 class _ISPState:
     """Mutable state of one ISP run (kept separate from the public plan)."""

@@ -23,15 +23,14 @@ Two accelerations sit on top of the plain model (see ``docs/solver.md``):
   (repair vector + routed flows) is offered to the backend and, crucially,
   gives the decomposition attack a proven upper bound.
 * **Strategy dispatch** — ``solve_minimum_recovery`` routes through
-  :func:`repro.flows.decomposition.solve_decomposed` unless the process-wide
-  strategy (``REPRO_OPT_STRATEGY`` / ``--opt-strategy``) pins the monolithic
-  model.  The monolithic path is byte-for-byte the pre-acceleration model,
-  kept as the parity baseline.
+  :func:`repro.flows.decomposition.solve_decomposed` unless the caller's
+  explicit ``strategy="monolithic"`` pins the plain model.  The monolithic
+  path is byte-for-byte the pre-acceleration model, kept as the parity
+  baseline.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
@@ -53,36 +52,14 @@ from repro.network.supply import SupplyGraph, canonical_edge
 Node = Hashable
 Edge = Tuple[Node, Node]
 
-#: Environment variable naming the default OPT strategy.
-OPT_STRATEGY_ENV_VAR = "REPRO_OPT_STRATEGY"
-
 #: Valid strategies: the plain Eq. 1 model, the decomposition attack, or
 #: auto (decomposed with a monolithic fallback whenever the attack declines).
 OPT_STRATEGIES = ("monolithic", "decomposed", "auto")
 
-_STRATEGY_OVERRIDE: Optional[str] = None
-
-
-def set_default_opt_strategy(name: Optional[str]) -> None:
-    """Override the OPT strategy process-wide (``None`` clears the override)."""
-    if name is not None and name not in OPT_STRATEGIES:
-        raise ValueError(
-            f"unknown OPT strategy {name!r}; valid: {', '.join(OPT_STRATEGIES)}"
-        )
-    global _STRATEGY_OVERRIDE
-    _STRATEGY_OVERRIDE = name
-
-
-def default_opt_strategy() -> str:
-    """The strategy used when a solve names none: override > env > auto."""
-    if _STRATEGY_OVERRIDE is not None:
-        return _STRATEGY_OVERRIDE
-    return os.environ.get(OPT_STRATEGY_ENV_VAR, "").strip() or "auto"
-
 
 def resolve_opt_strategy(name: Optional[str] = None) -> str:
-    """Validate and resolve an explicit or defaulted strategy name."""
-    strategy = name or default_opt_strategy()
+    """Validate an explicit strategy name; ``None`` resolves to ``auto``."""
+    strategy = name or "auto"
     if strategy not in OPT_STRATEGIES:
         raise ValueError(
             f"unknown OPT strategy {strategy!r}; valid: {', '.join(OPT_STRATEGIES)}"
@@ -398,8 +375,7 @@ def solve_minimum_recovery(
     backend:
         Explicit backend name/instance; defaults to the configured backend.
     strategy:
-        ``"monolithic"``, ``"decomposed"`` or ``"auto"``; defaults to the
-        process-wide strategy (:func:`default_opt_strategy`).
+        ``"monolithic"``, ``"decomposed"`` or ``"auto"`` (the default).
     seed_plans:
         Heuristic plans to mine for a feasible incumbent (cheapest verified
         plan wins).  The incumbent warm-starts the backend and gives the

@@ -8,6 +8,9 @@ and every constraint-structure build that goes through
 Collectors nest — ``execute_task`` opens one around a whole experiment cell
 while ISP opens another around a single run; both see the solves in their
 scope — and cost nothing when none is active (module-level counters aside).
+The open collectors live in a contextvar, like the trace's spans, so a
+solve run in another thread through ``contextvars.copy_context().run``
+reports to the collectors that were open where the context was copied.
 The collected numbers travel with the results: ISP stores them in the plan
 metadata, the experiment engine in each cell's ``extras``, so ``repro.cli
 sweep`` can report solver effort per cell.
@@ -23,15 +26,15 @@ zero-cost-when-idle property is preserved).
 
 from __future__ import annotations
 
-import threading
+import contextvars
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Dict, Iterator, List
+from dataclasses import dataclass, fields
+from typing import Dict, Iterator, Tuple
 
 from repro.obs.trace import record_timed
 
 
-@dataclass(eq=False)  # identity semantics: collectors live on a LIFO stack
+@dataclass(eq=False)  # identity semantics: every open scope is its own collector
 class SolverStats:
     """Counters describing the solver effort spent inside one scope.
 
@@ -78,45 +81,23 @@ class SolverStats:
 
     def as_dict(self) -> Dict[str, float]:
         """Flat JSON-serialisable view (used in plan metadata / cell extras)."""
-        return {
-            "lp_solves": float(self.lp_solves),
-            "milp_solves": float(self.milp_solves),
-            "build_seconds": float(self.build_seconds),
-            "solve_seconds": float(self.solve_seconds),
-            "warm_start_attempts": float(self.warm_start_attempts),
-            "warm_start_hits": float(self.warm_start_hits),
-            "structure_hits": float(self.structure_hits),
-            "structure_misses": float(self.structure_misses),
-            "incumbent_seeds": float(self.incumbent_seeds),
-            "benders_iterations": float(self.benders_iterations),
-            "benders_cuts": float(self.benders_cuts),
-            "bound_reuses": float(self.bound_reuses),
-        }
-
-_ACTIVE = threading.local()
+        return {field.name: float(getattr(self, field.name)) for field in fields(self)}
 
 
-def _stack() -> List[SolverStats]:
-    stack = getattr(_ACTIVE, "stack", None)
-    if stack is None:
-        stack = []
-        _ACTIVE.stack = stack
-    return stack
+_ACTIVE: contextvars.ContextVar[Tuple[SolverStats, ...]] = contextvars.ContextVar(
+    "repro_solver_stats", default=()
+)
 
 
 @contextmanager
 def collect_solver_stats() -> Iterator[SolverStats]:
     """Collect solver effort for everything solved inside the ``with`` block."""
     stats = SolverStats()
-    stack = _stack()
-    stack.append(stats)
+    token = _ACTIVE.set(_ACTIVE.get() + (stats,))
     try:
         yield stats
     finally:
-        for index in range(len(stack) - 1, -1, -1):
-            if stack[index] is stats:
-                del stack[index]
-                break
+        _ACTIVE.reset(token)
 
 
 def record_solve(
@@ -126,7 +107,7 @@ def record_solve(
     warm_start_used: bool = False,
 ) -> None:
     """Report one backend solve of ``kind`` (``"lp"`` or ``"milp"``)."""
-    for stats in _stack():
+    for stats in _ACTIVE.get():
         if kind == "milp":
             stats.milp_solves += 1
         else:
@@ -146,14 +127,14 @@ def record_solve(
 
 def record_build(seconds: float) -> None:
     """Report time spent building constraint matrices."""
-    for stats in _stack():
+    for stats in _ACTIVE.get():
         stats.build_seconds += seconds
     record_timed("solver.build", seconds)
 
 
 def record_structure_lookup(hit: bool) -> None:
     """Report a topology-structure cache lookup outcome."""
-    for stats in _stack():
+    for stats in _ACTIVE.get():
         if hit:
             stats.structure_hits += 1
         else:
@@ -162,13 +143,13 @@ def record_structure_lookup(hit: bool) -> None:
 
 def record_incumbent_seed() -> None:
     """Report one MILP solve seeded with a heuristic incumbent."""
-    for stats in _stack():
+    for stats in _ACTIVE.get():
         stats.incumbent_seeds += 1
 
 
 def record_benders(iterations: int = 0, cuts: int = 0) -> None:
     """Report combinatorial Benders effort (master rounds and cuts added)."""
-    for stats in _stack():
+    for stats in _ACTIVE.get():
         stats.benders_iterations += iterations
         stats.benders_cuts += cuts
     record_timed("solver.benders", 0.0, iterations=iterations, cuts=cuts)
@@ -176,7 +157,7 @@ def record_benders(iterations: int = 0, cuts: int = 0) -> None:
 
 def record_bound_reuse() -> None:
     """Report one reuse of a cached bound/certificate across solves."""
-    for stats in _stack():
+    for stats in _ACTIVE.get():
         stats.bound_reuses += 1
 
 

@@ -3,10 +3,10 @@
 Thin wrapper around :func:`repro.flows.milp.solve_minimum_recovery` that
 adapts the raw MILP solution to the common :class:`RecoveryPlan` interface
 used by the evaluation harness, and that wires heuristic incumbents into
-the solve: callers (the API service, the portfolio racer) pass the plans
-they already computed via ``seed_plans``; when none are supplied and the
-strategy allows decomposition, a quick SRT run self-seeds the solve so the
-bound certificate can prove the optimum without any MILP.
+the solve: the request runner (``RecoveryService.solve``) passes the
+heuristic plans it already computed via ``seed_plans``; when none are
+supplied and the strategy allows decomposition, a quick SRT run self-seeds
+the solve so the bound certificate can prove the optimum without any MILP.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ users register their own algorithms for side-by-side comparison.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+import inspect
+from typing import Any, Dict, List, Mapping
 
 from repro.core.isp import ISPConfig, iterative_split_prune
 from repro.heuristics.all_repair import repair_all
@@ -62,6 +63,27 @@ def get_algorithm(name: str, **kwargs: Any) -> RecoveryAlgorithm:
             f"unknown algorithm {name!r}; available: {', '.join(available_algorithms())}"
         )
     return RecoveryAlgorithm(name=key, solver=_FACTORIES[key], kwargs=dict(kwargs))
+
+
+def check_algorithm_kwargs(name: str, kwargs: Mapping[str, Any]) -> None:
+    """Bind a request's options for algorithm ``name`` against its solver.
+
+    ISP's options are the :class:`ISPConfig` fields, values included; the
+    other solvers' are their keyword parameters.  An unknown name raises
+    ``KeyError``; an unknown, invalid or runner-supplied option (the
+    ``seed_plans`` an exact solve gets from the heuristic runs) raises
+    ``ValueError``.
+    """
+    algorithm = get_algorithm(name)
+    if "seed_plans" in kwargs:
+        raise ValueError(f"{algorithm.name} seed_plans are supplied by the runner, not a request")
+    try:
+        if algorithm.solver is _isp_solver:
+            ISPConfig(**kwargs)
+        else:
+            inspect.signature(algorithm.solver).bind(None, None, **kwargs)
+    except TypeError as error:
+        raise ValueError(f"invalid {algorithm.name} options: {error}") from None
 
 
 def register_algorithm(name: str, solver: Any, overwrite: bool = False) -> None:

@@ -2,47 +2,32 @@
 
 The paper's OPT is the slowest algorithm in every figure — a served request
 asking for ``["ISP", "SRT", "OPT"]`` historically waited for the MILP
-before the client saw *anything*.  This module races the two classes
-instead:
+before the client saw *anything*.  The racer is a policy on top of the one
+request runner, :meth:`~repro.api.service.RecoveryService.solve`, which
+runs every heuristic first and seeds the exact solves with their plans:
 
-1. **Stage 1 (heuristic)** runs every non-exact algorithm of the request
-   and publishes that partial envelope immediately (the worker completes
-   the job row with it), annotated ``envelope["portfolio"] =
-   {"stage": "heuristic", "pending": ["OPT"]}`` so clients and the HTTP
-   fast path know more is coming.
-2. **Stage 2 (exact)** runs the exact algorithms *seeded with the stage-1
-   plans* (see :func:`repro.flows.milp.solve_minimum_recovery` — a verified
-   incumbent frequently lets the decomposed strategy prove optimality
-   without a MILP) and upgrades the stored envelope in place
+1. **Stage 1 (heuristic)** is ``solve``'s ``on_heuristics`` callback: the
+   heuristic envelope is published at once (the worker completes the job
+   row with it), annotated ``envelope["portfolio"] = {"stage":
+   "heuristic", "pending": ["OPT"]}`` so clients and the HTTP fast path
+   know more is coming.
+2. **Stage 2 (exact)** is the rest of ``solve``: the seeded exact solves
+   (see :func:`repro.flows.milp.solve_minimum_recovery`), after which the
+   worker upgrades the stored envelope in place
    (:meth:`~repro.server.stores.base.JobStoreBackend.upgrade_result`), now
    annotated ``{"stage": "exact", "pending": [], "upgraded": True, ...}``.
 
-A stage-2 failure never takes back the stage-1 answer: the exception is
-folded into the annotation (``"error"``) and the heuristic envelope stands,
-with ``pending`` cleared so caches may admit it.
-
-The same split also serves the in-process path:
-:meth:`~repro.api.service.RecoveryService.solve` orders execution through
-:func:`execution_order` so heuristics always run before exacts and their
-plans are available as incumbents — regardless of how the client ordered
-the ``algorithms`` list (the envelope keeps the requested order).
+A stage-2 failure never takes back the stage-1 answer: the published
+envelope stands, its annotation carrying the exception (``"error"``) with
+``pending`` cleared so caches may admit it.
 """
 
 from __future__ import annotations
 
-import time
 import traceback
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.api.results import (
-    AlgorithmRun,
-    RecoveryResult,
-    evaluation_metrics,
-    plan_payload,
-)
-from repro.evaluation.metrics import evaluate_plan
-from repro.flows.solver.stats import collect_solver_stats
-from repro.obs.trace import span
+from repro.api.results import AlgorithmRun, RecoveryResult
 
 #: Algorithm names whose solve is exact (MILP-backed) and therefore raced.
 EXACT_ALGORITHMS = frozenset({"OPT"})
@@ -61,28 +46,6 @@ def split_algorithms(names: Sequence[str]) -> Tuple[List[str], List[str]]:
     heuristics = [name for name in names if not is_exact(name)]
     exacts = [name for name in names if is_exact(name)]
     return heuristics, exacts
-
-
-def execution_order(names: Sequence[str]) -> List[str]:
-    """The order to *run* algorithms in: heuristics first, then exacts.
-
-    Running every heuristic before any exact solve means the exact solves
-    can always be seeded with the heuristic plans, whatever order the
-    client listed the algorithms in.
-    """
-    heuristics, exacts = split_algorithms(names)
-    return heuristics + exacts
-
-
-def can_stage(names: Sequence[str]) -> bool:
-    """Whether a request benefits from two-stage execution.
-
-    Staging needs both classes present: without an exact algorithm there
-    is nothing slow to race, and without a heuristic there is no early
-    answer to publish.
-    """
-    heuristics, exacts = split_algorithms(names)
-    return bool(heuristics) and bool(exacts)
 
 
 def annotation(
@@ -141,88 +104,46 @@ def solve_two_stage(
     heuristic envelope when staging applies — the worker passes a closure
     that completes the job row, so a polling client sees the heuristic
     answer while the exact solve is still running.  Its boolean return
-    (did the write land?) is echoed in ``info["published"]``.
+    (did the write land?) is echoed in ``info["published"]``.  An
+    exception raised by ``publish`` or by a heuristic propagates.
 
     ``info`` carries the counters the worker feeds ``/metrics``:
     ``staged`` (two-stage execution applied), ``published`` (the early
     envelope was stored), ``proven``/``exact`` (exact runs proven optimal
-    over exact runs).  Requests with nothing to race fall back to the
-    service's single-stage :meth:`~repro.api.service.RecoveryService.solve`.
+    over exact runs).  Requests with nothing to race (no heuristic, or no
+    exact algorithm) come back as plain ``solve`` envelopes.
     """
     info = {"staged": False, "published": False, "proven": 0, "exact": 0}
-    names = list(request.algorithms)
-    if not can_stage(names):
-        envelope = service.solve(request).to_dict()
-        runs = [AlgorithmRun.from_dict(run) for run in envelope.get("results", [])]
-        info["proven"], info["exact"] = proven_exact_runs(runs)
-        return envelope, info
+    _, exacts = split_algorithms(request.algorithms)
+    stage1: List[Dict[str, Any]] = []
 
-    info["staged"] = True
-    names = list(dict.fromkeys(names))
-    heuristics, exacts = split_algorithms(names)
-    started = time.perf_counter()
-    spec = request.to_experiment_spec()
-    with service._request_backend(request):
-        supply, demand, _ = service.build_instance(request)
-        broken = len(supply.broken_nodes) + len(supply.broken_edges)
-
-        runs_by_name: Dict[str, AlgorithmRun] = {}
-        seed_plans: List[Any] = []
-
-        def run_one(name: str, extra: Dict[str, Any]) -> Any:
-            algorithm = spec.resolve_algorithm(name)
-            with collect_solver_stats() as stats, span(
-                "portfolio.run", algorithm=name
-            ):
-                plan = algorithm.solve(supply, demand, **extra)
-                evaluation = evaluate_plan(supply, demand, plan, context=service.context)
-            runs_by_name[name] = AlgorithmRun(
-                algorithm=algorithm.name,
-                metrics=evaluation_metrics(evaluation),
-                plan=plan_payload(plan),
-                solver=stats.as_dict(),
-            )
-            return plan
-
-        with span("portfolio.stage1", algorithms=",".join(heuristics)):
-            for name in heuristics:
-                seed_plans.append(run_one(name, {}))
-
-        stage1 = RecoveryResult(
-            request=request.to_dict(),
-            results=[runs_by_name[name] for name in names if name in runs_by_name],
-            broken_elements=broken,
-            wall_seconds=time.perf_counter() - started,
-        )
-        envelope = stage1.to_dict()
+    def on_heuristics(result: RecoveryResult) -> None:
+        info["staged"] = True
+        envelope = result.to_dict()
         envelope[PORTFOLIO_KEY] = annotation("heuristic", pending=exacts)
         if publish is not None:
             info["published"] = bool(publish(envelope))
+        stage1.append(envelope)
 
-        error: Optional[str] = None
-        try:
-            with span("portfolio.stage2", algorithms=",".join(exacts)):
-                for name in exacts:
-                    run_one(name, {"seed_plans": list(seed_plans)})
-        except Exception:
-            # the heuristic answer stands; record why the upgrade is partial
-            error = traceback.format_exc(limit=20)
-
-        final = RecoveryResult(
-            request=request.to_dict(),
-            results=[runs_by_name[name] for name in names if name in runs_by_name],
-            broken_elements=broken,
-            wall_seconds=time.perf_counter() - started,
+    try:
+        result = service.solve(request, on_heuristics=on_heuristics)
+    except Exception:
+        if not stage1:
+            raise  # a heuristic or publish failed: nothing was answered yet
+        # the heuristic answer stands; record why the upgrade is partial
+        marker = annotation(
+            "heuristic", upgraded=info["published"], error=traceback.format_exc(limit=20)
         )
-        info["proven"], info["exact"] = proven_exact_runs(final.results)
-        envelope = final.to_dict()
+        return {**stage1[0], PORTFOLIO_KEY: marker}, info
+
+    envelope = result.to_dict()
+    info["proven"], info["exact"] = proven_exact_runs(result.results)
+    if info["staged"]:
         envelope[PORTFOLIO_KEY] = annotation(
-            "heuristic" if error is not None else "exact",
-            pending=(),
+            "exact",
             upgraded=info["published"],
             proven=info["proven"],
             exact=info["exact"],
-            error=error,
         )
     return envelope, info
 
@@ -231,8 +152,6 @@ __all__ = [
     "EXACT_ALGORITHMS",
     "PORTFOLIO_KEY",
     "annotation",
-    "can_stage",
-    "execution_order",
     "is_exact",
     "pending_algorithms",
     "proven_exact_runs",

@@ -54,9 +54,6 @@ class ServerConfig:
     #: place when the exact solve lands).  Off by default: with it on, a
     #: "done" job's envelope may still change, which clients must opt into.
     portfolio: bool = False
-    #: Process-wide OPT strategy for the worker fleet ("monolithic" /
-    #: "decomposed" / "auto"); ``None`` keeps the environment default.
-    opt_strategy: Optional[str] = None
     #: Job-store shard count: ``None`` (the default) auto-detects the
     #: layout of an existing ``db`` path (single file vs shard fleet) and
     #: creates a classic single SQLite file when the path is new; 1 forces
@@ -83,10 +80,7 @@ async def serve(config: ServerConfig, ready: Optional[asyncio.Event] = None) -> 
     # a bad backend name or malformed $REPRO_TOPOLOGY_CACHE would otherwise
     # kill every worker at startup while the daemon kept serving a queue
     # nobody drains.
-    import os
-
     from repro.api.service import default_topology_cache_size
-    from repro.flows.milp import OPT_STRATEGY_ENV_VAR, resolve_opt_strategy
     from repro.flows.solver.backends import available_backends
 
     if config.lp_backend and config.lp_backend not in available_backends():
@@ -99,10 +93,6 @@ async def serve(config: ServerConfig, ready: Optional[asyncio.Event] = None) -> 
     # the level/format env vars the worker processes configure from.
     configure_logging(level=config.log_level, log_format=config.log_format)
     log = get_logger(__name__)
-    if config.opt_strategy is not None:
-        # Validated here, exported so the spawned worker processes inherit
-        # it — the strategy is process-level, never a request field.
-        os.environ[OPT_STRATEGY_ENV_VAR] = resolve_opt_strategy(config.opt_strategy)
 
     store = open_store(config.db, shards=config.shards)
     shards = getattr(store, "shards", 1)  # actual layout (auto-detected)

@@ -88,8 +88,34 @@ algorithm_lists = st.lists(
     st.sampled_from(available_algorithms()), min_size=1, max_size=4, unique=True
 ).map(tuple)
 
-algorithm_kwargs_maps = st.dictionaries(
-    st.sampled_from(available_algorithms()), kwargs_dicts, max_size=2
+# Algorithm kwargs are bound eagerly to the solver (ISP: the ISPConfig
+# fields), so each algorithm draws from its own option pool; values stay
+# arbitrary scalars except ISP's two choice-valued options.
+_PATH_OPTIONS = {"max_paths_per_pair": scalars}
+_ALGORITHM_OPTIONS = {
+    "ISP": {
+        "length_const": scalars,
+        "metric": st.sampled_from(["dynamic", "hop"]),
+        "require_bubble": scalars,
+        "split_amount_mode": st.sampled_from(["lp", "bottleneck", "auto"]),
+        "lp_edge_threshold": scalars,
+        "max_iterations": scalars,
+    },
+    "OPT": {"time_limit": scalars, "mip_rel_gap": scalars, "strategy": scalars},
+    "SRT": _PATH_OPTIONS,
+    "GRD-COM": _PATH_OPTIONS,
+    "GRD-NC": _PATH_OPTIONS,
+}
+
+algorithm_kwargs_maps = st.lists(
+    st.sampled_from(available_algorithms()), max_size=2, unique=True
+).flatmap(
+    lambda names: st.fixed_dictionaries(
+        {
+            name: st.fixed_dictionaries({}, optional=_ALGORITHM_OPTIONS.get(name, {}))
+            for name in names
+        }
+    )
 )
 
 recovery_requests = st.builds(

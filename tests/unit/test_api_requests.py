@@ -291,3 +291,50 @@ class TestDisruptionKwargsValidation:
         DisruptionSpec("cascading", kwargs={"num_triggers": 2, "propagation_factor": 1.0})
         DisruptionSpec("targeted", kwargs={"node_budget": 1, "metric": "degree"})
         DisruptionSpec("gaussian", kwargs={"variance": 5.0})
+
+
+class TestAlgorithmSection:
+    """The algorithm section is canonical and bound to the solvers at construction."""
+
+    def test_duplicate_names_are_dropped_after_upper_casing(self):
+        request = grid_request(algorithms=("ISP", "isp", "OPT"))
+        assert request.algorithms == ("ISP", "OPT")
+        assert request.digest() == grid_request(algorithms=("ISP", "OPT")).digest()
+        assert RecoveryRequest.from_dict(request.to_dict()) == request
+
+    @pytest.mark.parametrize(
+        "algorithm_kwargs, match",
+        [
+            ({"ISP": {"bogus": 1}}, "bogus"),
+            ({"SRT": {"nope": True}}, "nope"),
+            ({"OPT": {"seed_plans": [1]}}, "seed_plans"),
+            ({"ISP": {"split_amount_mode": "banana"}}, "split_amount_mode"),
+            ({"ISP": {"metric": "euclidean"}}, "metric"),
+        ],
+    )
+    def test_invalid_options_rejected_at_construction(self, algorithm_kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            grid_request(algorithm_kwargs=algorithm_kwargs)
+        payload = grid_request().to_dict()
+        payload["algorithm_kwargs"] = algorithm_kwargs
+        with pytest.raises(ValueError, match=match):
+            RecoveryRequest.from_dict(payload)
+
+    def test_options_for_an_unknown_algorithm_rejected(self):
+        with pytest.raises(KeyError, match="NO-SUCH"):
+            grid_request(algorithm_kwargs={"no-such": {}})
+
+    def test_engine_specs_bind_options_too(self):
+        spec = grid_request().to_experiment_spec()
+        with pytest.raises(ValueError, match="bogus"):
+            spec.replace(algorithm_kwargs={"ISP": {"bogus": 1}})
+
+    def test_valid_options_still_accepted(self):
+        request = grid_request(
+            algorithm_kwargs={
+                "ISP": {"metric": "hop", "split_amount_mode": "lp", "max_iterations": 5},
+                "OPT": {"strategy": "monolithic", "time_limit": 10.0},
+                "GRD-COM": {"max_paths_per_pair": 3},
+            }
+        )
+        assert [name for name, _ in request.algorithm_kwargs] == ["GRD-COM", "ISP", "OPT"]

@@ -72,6 +72,63 @@ class TestSolve:
         assert result.run("ISP").metrics["satisfied_pct"] == pytest.approx(100.0)
 
 
+class TestRunOrder:
+    """Heuristics run first and seed the exact solve; envelopes keep the request's order."""
+
+    @staticmethod
+    def record_runs(monkeypatch):
+        from repro.heuristics.base import RecoveryAlgorithm
+
+        calls = []
+        original = RecoveryAlgorithm.solve
+
+        def recording(self, supply, demand, **extra):
+            calls.append((self.name, len(extra.get("seed_plans", ()))))
+            return original(self, supply, demand, **extra)
+
+        monkeypatch.setattr(RecoveryAlgorithm, "solve", recording)
+        return calls
+
+    def test_heuristics_run_first_and_seed_the_exact_solve(self, monkeypatch):
+        calls = self.record_runs(monkeypatch)
+        result = RecoveryService().solve(grid_request(algorithms=("OPT", "ISP", "SRT")))
+        assert calls == [("ISP", 0), ("SRT", 0), ("OPT", 2)]
+        assert [run.algorithm for run in result.results] == ["OPT", "ISP", "SRT"]
+        assert result.run("OPT").plan["seeded"] is True
+
+    def test_on_heuristics_sees_the_heuristic_envelope_before_the_exact_solve(
+        self, monkeypatch
+    ):
+        calls = self.record_runs(monkeypatch)
+        seen = []
+        final = RecoveryService().solve(
+            grid_request(algorithms=("SRT", "OPT", "ISP")),
+            on_heuristics=lambda early: seen.append((early, list(calls))),
+        )
+        ((early, calls_so_far),) = seen
+        assert calls_so_far == [("SRT", 0), ("ISP", 0)]
+        assert [run.algorithm for run in early.results] == ["SRT", "ISP"]
+        assert early.results == [final.run("SRT"), final.run("ISP")]
+        assert early.request == final.request
+        assert early.broken_elements == final.broken_elements
+
+    @pytest.mark.parametrize("algorithms", [("ISP", "SRT"), ("OPT",)])
+    def test_on_heuristics_needs_both_classes(self, algorithms):
+        seen = []
+        RecoveryService().solve(grid_request(algorithms=algorithms), on_heuristics=seen.append)
+        assert seen == []
+
+    def test_each_run_is_one_service_run_span(self):
+        from repro.obs.trace import trace_context
+
+        with trace_context() as trace:
+            RecoveryService().solve(grid_request(algorithms=("OPT", "ISP")))
+        runs = [node for node in trace.roots if node.name == "service.run"]
+        assert [node.attrs for node in runs] == [{"algorithm": "ISP"}, {"algorithm": "OPT"}]
+        assert all(node.name == "service.run" for node in trace.roots)
+        assert any(child.name == "solver.solve" for child in runs[1].children)
+
+
 class TestSessionReuse:
     def test_repeated_solve_hits_structure_cache_and_warm_start_store(self):
         clear_structure_cache()
@@ -160,7 +217,17 @@ class TestAssess:
 
 class TestSolveBatch:
     def test_batch_matches_in_process_solve(self):
-        requests = [grid_request(seed=3), grid_request(seed=9, algorithms=("SRT",))]
+        # Batch cells run OPT self-seeded with SRT while solve seeds it with
+        # the request's heuristic plans, so on the Bell Canada request OPT
+        # may return another optimum: metrics agree, OPT's repairs need not.
+        bell = RecoveryRequest(
+            topology=TopologySpec("bell-canada"),
+            disruption=DisruptionSpec("complete"),
+            demand=DemandSpec("far-apart", num_pairs=4, flow_per_pair=10.0),
+            algorithms=("ISP", "SRT", "GRD-COM", "OPT"),
+            seed=3,
+        )
+        requests = [grid_request(seed=3), grid_request(seed=9, algorithms=("SRT",)), bell]
         service = RecoveryService()
         batch = service.solve_batch(requests, jobs=2)
         for request, envelope in zip(requests, batch):
@@ -168,6 +235,8 @@ class TestSolveBatch:
             assert [r.algorithm for r in envelope.results] == list(request.algorithms)
             for run_b, run_s in zip(envelope.results, solo.results):
                 assert deterministic_metrics(run_b) == deterministic_metrics(run_s)
+                if run_b.algorithm == "OPT":
+                    continue
                 assert run_b.plan["repaired_nodes"] == run_s.plan["repaired_nodes"]
                 assert run_b.plan["repaired_edges"] == run_s.plan["repaired_edges"]
 

@@ -140,6 +140,12 @@ class TestConfig:
         evaluation = evaluate_plan(grid3_supply, demand, plan)
         assert evaluation.satisfied_percentage == pytest.approx(100.0)
 
+    def test_choice_options_outside_their_choices_rejected(self):
+        with pytest.raises(ValueError, match="metric"):
+            ISPConfig(metric="euclidean")
+        with pytest.raises(ValueError, match="split_amount_mode"):
+            ISPConfig(split_amount_mode="banana")
+
 
 class TestPlanMetadata:
     def test_counters_present(self, grid3_supply):

@@ -4,8 +4,7 @@ The contract of the exact-solve acceleration layer (docs/solver.md) is
 that incumbent seeding and the decomposition strategies only change *how
 fast* the MinR optimum is found and proven — never which optimum comes
 back.  This suite pins that contract on small instances across every
-available LP backend and every strategy, plus the strategy knob's
-resolution order.
+available LP backend and every strategy, plus strategy name resolution.
 """
 
 import numpy as np
@@ -19,10 +18,7 @@ from repro.api.requests import (
 )
 from repro.flows.milp import (
     OPT_STRATEGIES,
-    OPT_STRATEGY_ENV_VAR,
-    default_opt_strategy,
     resolve_opt_strategy,
-    set_default_opt_strategy,
     solve_minimum_recovery,
 )
 from repro.flows.solver.backends import available_backends
@@ -44,14 +40,6 @@ def heuristic_seeds(supply, demand):
     return [
         get_algorithm(name).solve(supply.copy(), demand) for name in ("ISP", "SRT")
     ]
-
-
-@pytest.fixture()
-def clean_strategy_state(monkeypatch):
-    """Keep the process-wide strategy knob untouched by each test."""
-    monkeypatch.delenv(OPT_STRATEGY_ENV_VAR, raising=False)
-    yield
-    set_default_opt_strategy(None)
 
 
 class TestWarmStartParity:
@@ -105,21 +93,13 @@ class TestWarmStartParity:
         assert mono.seeded is False
 
 
-class TestStrategyKnob:
-    def test_resolution_order_override_beats_env(self, clean_strategy_state, monkeypatch):
-        assert default_opt_strategy() == "auto"
-        monkeypatch.setenv(OPT_STRATEGY_ENV_VAR, "monolithic")
-        assert default_opt_strategy() == "monolithic"
-        set_default_opt_strategy("decomposed")
-        assert default_opt_strategy() == "decomposed"
-        assert resolve_opt_strategy() == "decomposed"
+class TestStrategy:
+    def test_no_strategy_resolves_to_auto(self, monkeypatch):
+        # the strategy is an explicit argument: no process setting moves it
+        monkeypatch.setenv("REPRO_OPT_STRATEGY", "monolithic")
+        assert resolve_opt_strategy() == "auto"
         assert resolve_opt_strategy("monolithic") == "monolithic"
 
-    def test_unknown_strategies_are_rejected(self, clean_strategy_state, monkeypatch):
-        with pytest.raises(ValueError, match="unknown OPT strategy"):
-            set_default_opt_strategy("simulated-annealing")
+    def test_unknown_strategies_are_rejected(self):
         with pytest.raises(ValueError, match="unknown OPT strategy"):
             resolve_opt_strategy("simulated-annealing")
-        monkeypatch.setenv(OPT_STRATEGY_ENV_VAR, "banana")
-        with pytest.raises(ValueError, match="unknown OPT strategy"):
-            resolve_opt_strategy()

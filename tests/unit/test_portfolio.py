@@ -15,8 +15,6 @@ from repro.api.service import RecoveryService
 from repro.portfolio import (
     PORTFOLIO_KEY,
     annotation,
-    can_stage,
-    execution_order,
     is_exact,
     pending_algorithms,
     proven_exact_runs,
@@ -48,14 +46,6 @@ class TestStagingHelpers:
 
     def test_split_preserves_each_classes_order(self):
         assert split_algorithms(["OPT", "SRT", "ISP"]) == (["SRT", "ISP"], ["OPT"])
-
-    def test_execution_order_runs_heuristics_first(self):
-        assert execution_order(["OPT", "ISP", "SRT"]) == ["ISP", "SRT", "OPT"]
-
-    def test_staging_needs_both_classes(self):
-        assert can_stage(["ISP", "OPT"])
-        assert not can_stage(["ISP", "SRT"])  # nothing slow to race
-        assert not can_stage(["OPT"])  # no early answer to publish
 
     def test_annotation_shape(self):
         payload = annotation("heuristic", pending=["OPT"])
@@ -186,5 +176,28 @@ class TestSolveTwoStage:
         assert "milp exploded" in marker["error"]
         # pending is cleared: the heuristic answer is final, caches may admit it
         assert marker["pending"] == []
+        assert marker["upgraded"] is True
         assert pending_algorithms(envelope) == []
         assert [run["algorithm"] for run in envelope["results"]] == ["ISP", "SRT"]
+        # the answer is the published stage-1 envelope, only re-annotated
+        (stage1,) = published
+        assert {**envelope, PORTFOLIO_KEY: None} == {**stage1, PORTFOLIO_KEY: None}
+
+    def test_publish_failure_propagates(self):
+        def failing(early):
+            raise RuntimeError("store unavailable")
+
+        with pytest.raises(RuntimeError, match="store unavailable"):
+            solve_two_stage(RecoveryService(), staged_request(), publish=failing)
+
+    def test_heuristic_failure_propagates_unpublished(self, monkeypatch):
+        from repro.heuristics.base import RecoveryAlgorithm
+
+        def exploding(self, supply, demand, **extra):
+            raise RuntimeError(f"{self.name} exploded")
+
+        monkeypatch.setattr(RecoveryAlgorithm, "solve", exploding)
+        published = []
+        with pytest.raises(RuntimeError, match="ISP exploded"):
+            solve_two_stage(RecoveryService(), staged_request(), publish=published.append)
+        assert published == []

@@ -163,6 +163,15 @@ class TestValidation:
         assert "variance" in str(excinfo.value)
         assert store.jobs() == []
 
+    def test_invalid_algorithm_option_is_a_400(self, harness, store):
+        payload = grid_request().to_dict()
+        payload["algorithm_kwargs"] = {"ISP": {"split_amount_mode": "banana"}}
+        with pytest.raises(ServiceError) as excinfo:
+            harness.client.solve(payload)
+        assert excinfo.value.status == 400
+        assert "split_amount_mode" in str(excinfo.value)
+        assert store.jobs() == []
+
     def test_invalid_json_body_is_a_400(self, harness):
         url = f"{harness.client.base_url}/v1/solve"
         request = urllib.request.Request(

@@ -304,6 +304,43 @@ class TestSolverStats:
         assert inner.lp_solves == 1
         assert outer.lp_solves == 2
 
+    def test_collectors_follow_a_copied_context_into_another_thread(self):
+        import contextvars
+        import threading
+
+        from repro.obs.trace import trace_context
+
+        supply, demand = broken_grid_instance()
+        full = supply.full_graph(use_residual=False)
+        with trace_context() as trace, collect_solver_stats() as stats:
+            context = contextvars.copy_context()
+            worker = threading.Thread(target=context.run, args=(routability_test, full, demand))
+            worker.start()
+            worker.join()
+        solves = [span for span in trace.roots if span.name == "solver.solve"]
+        # the collector sees exactly the solves the trace sees
+        assert len(solves) == 1
+        assert stats.lp_solves == 1
+
+    def test_stats_dict_keys_keep_their_order(self):
+        with collect_solver_stats() as stats:
+            pass
+        assert list(stats.as_dict()) == [
+            "lp_solves",
+            "milp_solves",
+            "build_seconds",
+            "solve_seconds",
+            "warm_start_attempts",
+            "warm_start_hits",
+            "structure_hits",
+            "structure_misses",
+            "incumbent_seeds",
+            "benders_iterations",
+            "benders_cuts",
+            "bound_reuses",
+        ]
+        assert all(isinstance(value, float) for value in stats.as_dict().values())
+
     def test_isp_plan_carries_solver_stats(self):
         supply, demand = broken_grid_instance()
         plan = get_algorithm("ISP").solve(supply, demand)
