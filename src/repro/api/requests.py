@@ -496,10 +496,10 @@ class RecoveryRequest:
         return config_digest(self.to_dict())
 
     def to_experiment_spec(self) -> "ExperimentSpec":  # noqa: F821 - lazy import below
-        """This request as a degenerate (single-cell-column) experiment spec.
+        """This request as a degenerate (one-instance) experiment spec.
 
-        The spec's cell configuration — and therefore the engine's cache
-        key — resolves to exactly this request's instance, which is how
+        Its single instance task is this request's instance and algorithms,
+        and each cell's cache key resolves to this request, which is how
         ``RecoveryService.solve_batch`` shares the engine's resumable cache:
         request hashing *is* engine cell hashing.
         """

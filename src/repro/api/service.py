@@ -13,9 +13,7 @@ Three entry points:
 * :meth:`RecoveryService.solve` — run the request's algorithms in-process
   and return a :class:`~repro.api.results.RecoveryResult` envelope whose
   per-run solver stats expose the session reuse (structure-cache hits,
-  warm-start offers).  It is the only code that runs a request's
-  algorithms: heuristics first, then the exact algorithms seeded with the
-  heuristic plans; the portfolio racer (:mod:`repro.portfolio`) is a
+  warm-start offers); the portfolio racer (:mod:`repro.portfolio`) is a
   callback on it, not a second runner;
 * :meth:`RecoveryService.assess` — the damage picture without recovery;
 * :meth:`RecoveryService.solve_batch` — fan a list of requests out through
@@ -23,10 +21,11 @@ Three entry points:
   (request hashing *is* engine cell hashing, so a batch interrupted and
   restarted recomputes only the missing requests).
 
-Instances are seeded exactly like engine cells (the canonical
-``SeedSequence`` derivation in :mod:`repro.engine.tasks`), so ``solve``,
-``solve_batch`` and a degenerate engine sweep all report identical metrics
-for the same request.
+:func:`run_algorithms` is the only code that runs an instance's algorithms:
+``solve`` calls it in-process, every engine instance task (sweeps, batches)
+in its worker, and instances are seeded exactly like engine instances (the
+canonical ``SeedSequence`` derivation in :mod:`repro.engine.tasks`), so
+``solve``, ``solve_batch`` and a degenerate sweep report the same runs.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ from repro.engine.executor import ProgressCallback, run_tasks
 from repro.engine.experiment import ScenarioResult, run_experiment
 from repro.engine.registry import get_spec
 from repro.engine.spec import ExperimentSpec
-from repro.engine.tasks import TaskResult, cell_seed_sequence, expand_tasks, root_entropy
+from repro.engine.tasks import cell_seed_sequence, expand_tasks, root_entropy
 from repro.evaluation.metrics import evaluate_plan
 from repro.extensions.assessment import assess_damage
 from repro.flows.solver.backends import (
@@ -70,6 +69,7 @@ from repro.flows.solver.backends import (
 )
 from repro.flows.solver.incremental import SolverContext
 from repro.flows.solver.stats import collect_solver_stats
+from repro.network.demand import DemandGraph
 from repro.network.plan import RecoveryPlan
 from repro.network.supply import SupplyGraph
 from repro.obs.trace import span
@@ -105,6 +105,51 @@ def default_topology_cache_size() -> int:
     return size
 
 Request = Union[AssessmentRequest, RecoveryRequest]
+
+
+def run_algorithms(
+    spec: ExperimentSpec,
+    supply: SupplyGraph,
+    demand: DemandGraph,
+    context: Optional[SolverContext] = None,
+    on_heuristics: Optional[Callable[[List[AlgorithmRun]], None]] = None,
+) -> List[AlgorithmRun]:
+    """Run ``spec``'s algorithms on one instance; return the runs in listed order.
+
+    Heuristics run first, in the listed order, then the exact algorithms,
+    seeded with every heuristic plan (a verified incumbent lets the
+    decomposed strategy prove optimality without a MILP; OPT listed alone
+    seeds itself with SRT).  Each run — the solve and the plan's evaluation
+    LP, threaded through ``context`` — is one ``service.run`` span with its
+    own solver-stats collector.  When the list mixes the two classes,
+    ``on_heuristics`` (if given) is called once with the heuristic runs
+    before the first exact solve starts.
+    """
+    heuristics, exacts = split_algorithms(spec.algorithms)
+    runs: Dict[str, AlgorithmRun] = {}
+
+    def run(name: str, **extra) -> RecoveryPlan:
+        algorithm = spec.resolve_algorithm(name)
+        with collect_solver_stats() as stats, span("service.run", algorithm=name):
+            plan = algorithm.solve(supply, demand, **extra)
+            evaluation = evaluate_plan(supply, demand, plan, context=context)
+        runs[name] = AlgorithmRun(
+            algorithm=algorithm.name,
+            metrics=evaluation_metrics(evaluation),
+            plan=plan_payload(plan),
+            solver=stats.as_dict(),
+        )
+        return plan
+
+    def listed() -> List[AlgorithmRun]:
+        return [runs[name] for name in spec.algorithms if name in runs]
+
+    seed_plans = [run(name) for name in heuristics]
+    if on_heuristics is not None and heuristics and exacts:
+        on_heuristics(listed())
+    for name in exacts:
+        run(name, seed_plans=seed_plans)
+    return listed()
 
 
 class RecoveryService:
@@ -184,7 +229,7 @@ class RecoveryService:
     # ------------------------------------------------------------------ #
     @staticmethod
     def _instance_rng(seed: int) -> np.random.Generator:
-        """The RNG an engine cell with spawn key (0, 0) would derive."""
+        """The RNG an engine instance with spawn key (0, 0) would derive."""
         return np.random.default_rng(cell_seed_sequence(root_entropy(seed), 0, 0))
 
     def _pristine_topology(self, spec: TopologySpec) -> Optional[SupplyGraph]:
@@ -252,13 +297,12 @@ class RecoveryService:
     ) -> RecoveryResult:
         """Run the request's algorithms in-process and return the envelope.
 
-        Heuristics run first, in the requested order, then the exact
-        algorithms, seeded with every heuristic plan (a verified incumbent
-        lets the decomposed strategy prove optimality without a MILP).  The
-        envelope lists the runs in the requested order.  When the request
-        mixes the two classes, ``on_heuristics`` (if given) is called once
-        with the envelope of the heuristic runs before the first exact
-        solve starts: the portfolio racer's stage 1
+        The runs go through :func:`run_algorithms`: heuristics first, then
+        the exact algorithms seeded with every heuristic plan; the envelope
+        lists them in the requested order.  When the request mixes the two
+        classes, ``on_heuristics`` (if given) is called once with the
+        envelope of the heuristic runs before the first exact solve starts:
+        the portfolio racer's stage 1
         (:func:`repro.portfolio.solve_two_stage`).
 
         The session's :class:`SolverContext` is threaded into the audit LP,
@@ -266,40 +310,28 @@ class RecoveryService:
         (and warm-start offers) in each run's ``solver`` stats.
         """
         started = time.perf_counter()
-        spec = request.to_experiment_spec()
-        heuristics, exacts = split_algorithms(request.algorithms)
-        runs: Dict[str, AlgorithmRun] = {}
         with self._request_backend(request):
             supply, demand, _ = self.build_instance(request)
             broken = len(supply.broken_nodes) + len(supply.broken_edges)
 
-            def run(name: str, **extra) -> RecoveryPlan:
-                algorithm = spec.resolve_algorithm(name)
-                with collect_solver_stats() as stats, span("service.run", algorithm=name):
-                    plan = algorithm.solve(supply, demand, **extra)
-                    evaluation = evaluate_plan(supply, demand, plan, context=self.context)
-                runs[name] = AlgorithmRun(
-                    algorithm=algorithm.name,
-                    metrics=evaluation_metrics(evaluation),
-                    plan=plan_payload(plan),
-                    solver=stats.as_dict(),
-                )
-                return plan
-
-            def envelope() -> RecoveryResult:
+            def envelope(runs: List[AlgorithmRun]) -> RecoveryResult:
                 return RecoveryResult(
                     request=request.to_dict(),
-                    results=[runs[name] for name in request.algorithms if name in runs],
+                    results=runs,
                     broken_elements=broken,
                     wall_seconds=time.perf_counter() - started,
                 )
 
-            seed_plans = [run(name) for name in heuristics]
-            if on_heuristics is not None and heuristics and exacts:
-                on_heuristics(envelope())
-            for name in exacts:
-                run(name, seed_plans=seed_plans)
-        return envelope()
+            runs = run_algorithms(
+                request.to_experiment_spec(),
+                supply,
+                demand,
+                context=self.context,
+                on_heuristics=(
+                    None if on_heuristics is None else lambda early: on_heuristics(envelope(early))
+                ),
+            )
+        return envelope(runs)
 
     def assess(self, request: Request) -> AssessmentResult:
         """The damage picture of the request's instance, without recovery."""
@@ -323,64 +355,35 @@ class RecoveryService:
     ) -> List[RecoveryResult]:
         """Solve many requests through the engine's process pool.
 
-        Every (request, algorithm) pair becomes one engine task cell whose
-        cache key is the request's cell digest, so a ``cache_dir`` makes the
-        batch resumable exactly like ``repro.cli sweep --resume``: rerunning
-        an interrupted batch recomputes only the missing requests, and a
+        Every request becomes one engine instance task that runs its
+        algorithms like :meth:`solve`; each run is one cache cell keyed by
+        the request's cell digest, so a ``cache_dir`` makes the batch
+        resumable exactly like ``repro.cli sweep --resume``: rerunning an
+        interrupted batch recomputes only the missing requests, and a
         request already solved by an earlier batch is served from disk.
 
         The service's process-wide backend selection applies to all workers;
         per-request ``lp_backend`` fields are ignored here (one pool, one
-        backend).  Plans are captured.  Batch envelopes report the same
-        metrics as :meth:`solve` and the same heuristic repair lists, but
-        each engine cell runs alone: OPT self-seeds with SRT instead of the
-        request's heuristic plans, so it may return a different optimal
-        repair set of the same cost.  The solver stats differ too (each
-        worker has its own fresh context).
+        backend).  Each worker has its own fresh solver context, so the
+        runs' ``solver`` stats differ from :meth:`solve`'s.
         """
-        tasks = []
-        spans: List[int] = []
-        for request in requests:
-            cells = expand_tasks(
-                request.to_experiment_spec(), seed=request.seed, capture_plan=True
-            )
-            spans.append(len(cells))
-            tasks.extend(cells)
-        cache = ResultCache(cache_dir) if cache_dir is not None else None
-        results = run_tasks(tasks, jobs=jobs, cache=cache, progress=progress)
-
-        envelopes: List[RecoveryResult] = []
-        cursor = 0
-        for request, span in zip(requests, spans):
-            cell_results = results[cursor : cursor + span]
-            cursor += span
-            envelopes.append(self._batch_envelope(request, cell_results))
-        return envelopes
-
-    @staticmethod
-    def _batch_envelope(
-        request: RecoveryRequest, cell_results: Sequence[TaskResult]
-    ) -> RecoveryResult:
-        runs = [
-            AlgorithmRun(
-                algorithm=result.algorithm,
-                metrics=dict(result.metrics),
-                plan=dict(result.plan or {}),
-                solver={
-                    key[len("solver_") :]: value
-                    for key, value in result.extras.items()
-                    if key.startswith("solver_")
-                },
-                cached=result.cached,
-            )
-            for result in cell_results
+        tasks = [
+            expand_tasks(request.to_experiment_spec(), seed=request.seed)[0]
+            for request in requests
         ]
-        return RecoveryResult(
-            request=request.to_dict(),
-            results=runs,
-            broken_elements=int(cell_results[0].broken_elements) if cell_results else 0,
-            wall_seconds=sum(result.wall_seconds for result in cell_results),
-        )
+        cache = ResultCache(cache_dir) if cache_dir is not None else None
+        instances = run_tasks(tasks, jobs=jobs, cache=cache, progress=progress)
+        return [
+            RecoveryResult(
+                request=request.to_dict(),
+                results=[
+                    AlgorithmRun(c.algorithm, c.metrics, c.plan, c.solver, c.cached) for c in cells
+                ],
+                broken_elements=cells[0].broken_elements,
+                wall_seconds=cells[0].wall_seconds,
+            )
+            for request, cells in zip(requests, instances)
+        ]
 
     def sweep(
         self,
@@ -421,4 +424,5 @@ __all__ = [
     "TOPOLOGY_CACHE_ENV_VAR",
     "RecoveryService",
     "default_topology_cache_size",
+    "run_algorithms",
 ]

@@ -13,7 +13,7 @@ for scripting and service smoke tests.
 
 ``sweep``
     Run one of the registered sweep experiments (the paper's figures)
-    through the parallel experiment engine: ``--jobs`` fans the task cells
+    through the parallel experiment engine: ``--jobs`` fans the instances
     out to worker processes, ``--resume`` persists completed cells to an
     on-disk cache so interrupted or extended sweeps pick up where they left
     off instead of recomputing (MILP solves are never repeated).  Per-cell
@@ -252,11 +252,11 @@ def _command_sweep(args: argparse.Namespace) -> int:
     def progress(completed: int, total: int, result) -> None:
         source = "cache" if result.cached else f"{result.wall_seconds:.2f}s"
         solver = ""
-        lp_solves = result.extras.get("solver_lp_solves", 0)
-        milp_solves = result.extras.get("solver_milp_solves", 0)
+        lp_solves = result.solver.get("lp_solves", 0)
+        milp_solves = result.solver.get("milp_solves", 0)
         solves = lp_solves + milp_solves
         if solves:
-            solve_seconds = result.extras.get("solver_solve_seconds", 0.0)
+            solve_seconds = result.solver.get("solve_seconds", 0.0)
             counts = " ".join(
                 f"{kind}={int(count)}"
                 for kind, count in (("lp", lp_solves), ("milp", milp_solves))

@@ -1,16 +1,16 @@
 """Parallel experiment engine with declarative sweeps and resumable caching.
 
-The engine decomposes a sweep experiment into independent task cells,
+The engine decomposes a sweep experiment into independent instances,
 executes them serially or across worker processes with bit-identical
 results, persists completed cells to an on-disk cache, and aggregates the
 figure rows the paper plots:
 
 * :mod:`~repro.engine.spec` — declarative :class:`ExperimentSpec` (topology,
   disruption, demand, sweep axis, algorithms) and instance materialisation;
-* :mod:`~repro.engine.tasks` — ``(sweep value, run, algorithm)`` task cells
-  with ``SeedSequence.spawn``-derived per-cell streams;
+* :mod:`~repro.engine.tasks` — ``(sweep value, run)`` instance tasks with
+  ``SeedSequence.spawn``-derived streams, one result cell per algorithm;
 * :mod:`~repro.engine.executor` — serial / process-pool execution;
-* :mod:`~repro.engine.cache` — resumable JSON result cache;
+* :mod:`~repro.engine.cache` — resumable JSON result cache, one file per cell;
 * :mod:`~repro.engine.experiment` — :func:`run_experiment` + aggregation;
 * :mod:`~repro.engine.registry` — the paper's figures as registered specs.
 """

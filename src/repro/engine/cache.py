@@ -1,12 +1,13 @@
-"""On-disk result cache for experiment task cells.
+"""On-disk result cache for experiment cells.
 
-Every completed cell is stored as one small JSON file named after the
-digest of everything that determines its result: the resolved instance
-configuration (topology / disruption / demand with the sweep value applied),
-the algorithm (plus its MILP time limit, for OPT), the root seed entropy and
-the cell's spawn key.  Interrupted sweeps therefore resume where they
-stopped, extended sweeps (more values, more runs) only compute the new
-cells, and completed MILP solves are never repeated.
+Every completed cell (one algorithm's run on one instance) is stored as one
+small JSON file named after the digest of everything that determines its
+result: the resolved instance configuration (topology / disruption / demand
+with the sweep value applied), the algorithm (plus, for OPT, its MILP time
+limit and the heuristics seeding it), the root seed entropy and the cell's
+spawn key.  Interrupted sweeps therefore resume where they stopped,
+extended sweeps (more values, more runs) only compute the new instances,
+and completed MILP solves are never repeated.
 
 The format is deliberately flat and human-inspectable: one file per cell
 with the task description next to the metrics, so a cache directory doubles
@@ -19,7 +20,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.engine.tasks import Task, TaskResult
 
@@ -34,59 +35,51 @@ class ResultCache:
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
 
-    def get(self, task: Task) -> Optional[TaskResult]:
-        """The cached result of ``task``, or ``None`` on a miss.
+    def get(self, task: Task) -> Optional[List[TaskResult]]:
+        """The cached cells of ``task``'s instance, or ``None`` on a miss.
 
-        Unreadable or truncated entries (e.g. from a run killed mid-write,
-        although writes are atomic) count as misses and are recomputed.  A
-        plan-capturing task also treats a plan-less entry (stored by a sweep,
-        which only keeps metrics) as a miss, so batch clients never receive
-        a silently empty repair plan; the recompute overwrites the entry
-        with one that carries the plan.
+        A hit needs every algorithm's cell stored with its plan.  A missing,
+        unreadable, truncated (e.g. from a run killed mid-write, although
+        writes are atomic) or plan-less entry makes the whole instance a
+        miss: it reruns, and :meth:`put` rewrites every cell.
         """
-        path = self._path(task.cache_key())
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-        try:
-            result = TaskResult.from_payload(payload["result"])
-        except (KeyError, TypeError, ValueError):
-            return None
-        if task.capture_plan and result.plan is None:
-            return None
-        return result
-
-    def put(self, task: Task, result: TaskResult) -> None:
-        """Store ``result`` for ``task`` atomically (write + rename)."""
-        key = task.cache_key()
-        payload = {
-            "key": key,
-            "task": {
-                "spec": task.spec.name,
-                "cell": task.spec.cell_config(task.sweep_value, task.algorithm),
-                "root_entropy": task.root_entropy,
-                "spawn_key": list(task.spawn_key),
-            },
-            "result": result.to_payload(),
-        }
-        fd, tmp_name = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle, indent=2, default=str)
-            os.replace(tmp_name, self._path(key))
-        except BaseException:
+        cells = []
+        for algorithm in task.spec.algorithms:
             try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+                payload = json.loads(self._path(task.cache_key(algorithm)).read_text())
+                cells.append(TaskResult.from_payload(payload["result"]))
+            except (OSError, KeyError, TypeError, ValueError):
+                return None
+        return cells
+
+    def put(self, task: Task, cells: Sequence[TaskResult]) -> None:
+        """Store every cell of ``task``'s instance, each atomically (write + rename)."""
+        for cell in cells:
+            key = task.cache_key(cell.algorithm)
+            payload = {
+                "key": key,
+                "task": {
+                    "spec": task.spec.name,
+                    "cell": task.spec.cell_config(task.sweep_value, cell.algorithm),
+                    "root_entropy": task.root_entropy,
+                    "spawn_key": list(task.spawn_key),
+                },
+                "result": cell.to_payload(),
+            }
+            fd, tmp_name = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w") as handle:
+                    json.dump(payload, handle, indent=2, default=str)
+                os.replace(tmp_name, self._path(key))
+            except BaseException:
+                try:
+                    os.unlink(tmp_name)
+                except OSError:
+                    pass
+                raise
 
     def __len__(self) -> int:
         return sum(1 for _ in self.directory.glob("*.json"))
-
-    def __contains__(self, task: Task) -> bool:
-        return self._path(task.cache_key()).exists()
 
     def entries(self) -> Iterator[Dict[str, object]]:
         """Iterate over the raw stored payloads (for inspection/tests)."""

@@ -1,27 +1,28 @@
-"""Execution layer: run task cells serially or across worker processes.
+"""Execution layer: run instance tasks serially or across worker processes.
 
-``jobs=1`` runs every cell in-process (no pool, no pickling — the graceful
-fallback and the easiest path to debug).  ``jobs>1`` fans the cells out to a
-:class:`~concurrent.futures.ProcessPoolExecutor`; because every cell derives
-its RNG from its own spawn key (see :mod:`repro.engine.tasks`), the results
-are identical to the serial path regardless of scheduling order.
+``jobs=1`` runs every instance in-process (no pool, no pickling — the
+graceful fallback and the easiest path to debug).  ``jobs>1`` fans the
+instances out to a :class:`~concurrent.futures.ProcessPoolExecutor`;
+because every instance derives its RNG from its own spawn key (see
+:mod:`repro.engine.tasks`), the results are identical to the serial path
+regardless of scheduling order.
 
-When a :class:`~repro.engine.cache.ResultCache` is given, cached cells are
-served from disk and fresh results are written back as soon as they
-complete, so an interrupted parallel sweep loses at most the cells that were
-in flight.
+When a :class:`~repro.engine.cache.ResultCache` is given, cached instances
+are served from disk and fresh results are written back as soon as they
+complete, so an interrupted parallel sweep loses at most the instances that
+were in flight.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.engine.cache import ResultCache
 from repro.engine.tasks import Task, TaskResult, execute_task
 
-#: Progress callback: (completed cells, total cells, result just finished).
+#: Progress callback: (completed cells, total cells, cell just finished).
 ProgressCallback = Callable[[int, int, TaskResult], None]
 
 
@@ -39,32 +40,33 @@ def run_tasks(
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     progress: Optional[ProgressCallback] = None,
-) -> List[TaskResult]:
-    """Execute ``tasks`` and return their results in task order."""
+) -> List[List[TaskResult]]:
+    """Execute ``tasks`` and return each instance's cells, in task order."""
     jobs = resolve_jobs(jobs)
-    total = len(tasks)
-    results: List[Optional[TaskResult]] = [None] * total
+    total = sum(len(task.spec.algorithms) for task in tasks)
+    results: List[Optional[List[TaskResult]]] = [None] * len(tasks)
     pending: List[int] = []
-
     completed = 0
+
+    def report(index: int, cells: List[TaskResult]) -> None:
+        nonlocal completed
+        results[index] = cells
+        for cell in cells:
+            completed += 1
+            if progress is not None:
+                progress(completed, total, cell)
+
     for index, task in enumerate(tasks):
         cached = cache.get(task) if cache is not None else None
         if cached is not None:
-            results[index] = cached
-            completed += 1
-            if progress is not None:
-                progress(completed, total, cached)
+            report(index, cached)
         else:
             pending.append(index)
 
-    def finish(index: int, result: TaskResult) -> None:
-        nonlocal completed
-        results[index] = result
+    def finish(index: int, cells: List[TaskResult]) -> None:
         if cache is not None:
-            cache.put(tasks[index], result)
-        completed += 1
-        if progress is not None:
-            progress(completed, total, result)
+            cache.put(tasks[index], cells)
+        report(index, cells)
 
     if jobs <= 1 or len(pending) <= 1:
         for index in pending:
@@ -74,24 +76,24 @@ def run_tasks(
             futures = {pool.submit(execute_task, tasks[index]): index for index in pending}
             remaining = set(futures)
             first_error: Optional[BaseException] = None
-            # Keep draining even after a failure: cells already running finish
-            # and reach the cache (so --resume recomputes only the failed and
-            # never-started ones); queued cells are cancelled.
+            # Keep draining even after a failure: instances already running
+            # finish and reach the cache (so --resume recomputes only the
+            # failed and never-started ones); queued instances are cancelled.
             while remaining:
                 done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
                 for future in done:
                     if future.cancelled():
                         continue
                     try:
-                        result = future.result()
+                        cells = future.result()
                     except BaseException as error:  # noqa: BLE001 - re-raised below
                         if first_error is None:
                             first_error = error
                             for queued in remaining:
                                 queued.cancel()
                         continue
-                    finish(futures[future], result)
+                    finish(futures[future], cells)
             if first_error is not None:
                 raise first_error
 
-    return [result for result in results if result is not None]
+    return [cells for cells in results if cells is not None]

@@ -1,8 +1,8 @@
 """Top of the engine: run a declarative spec end to end.
 
 :func:`run_experiment` expands an :class:`~repro.engine.spec.ExperimentSpec`
-into task cells, executes them (serially, in parallel, and/or from cache)
-and aggregates the per-cell metrics back into the per-(sweep value,
+into instance tasks, executes them (serially, in parallel, and/or from
+cache) and aggregates the per-cell metrics back into the per-(sweep value,
 algorithm) averaged rows the paper's figures plot.  Rows hold raw metric
 values; display rounding is the job of
 :func:`repro.evaluation.reporting.format_table`.
@@ -69,12 +69,12 @@ def aggregate_results(
             for key in METRIC_KEYS:
                 row[key] = float(np.mean([result.metrics[key] for result in cell]))
             row["broken_elements"] = float(np.mean([result.broken_elements for result in cell]))
-            # Average whatever per-cell extras the tasks reported (solver
-            # effort counters etc.); cached cells from older runs may lack
-            # some keys, so average over the cells that have each key.
-            for key in sorted({key for result in cell for key in result.extras}):
-                values = [result.extras[key] for result in cell if key in result.extras]
-                row[key] = float(np.mean(values))
+            # Average the runs' solver effort counters; cached cells from
+            # older runs may lack some keys, so average over the cells that
+            # have each key.
+            for key in sorted({key for result in cell for key in result.solver}):
+                values = [result.solver[key] for result in cell if key in result.solver]
+                row[f"solver_{key}"] = float(np.mean(values))
             scenario.rows.append(row)
     return scenario
 
@@ -91,7 +91,7 @@ def run_experiment(
     Parameters
     ----------
     seed:
-        Root seed; every task cell derives an independent stream from it, so
+        Root seed; every instance derives an independent stream from it, so
         any ``jobs`` value yields the same metrics.
     jobs:
         Worker processes; ``1`` stays in-process, ``0``/``None`` means one
@@ -99,9 +99,9 @@ def run_experiment(
     cache_dir:
         When given, completed cells are persisted there and reused by later
         runs of the same (spec, seed) — interrupted or extended sweeps only
-        compute what is missing.
+        compute the missing instances.
     """
     tasks = expand_tasks(spec, seed=seed)
     cache = ResultCache(cache_dir) if cache_dir is not None else None
-    results = run_tasks(tasks, jobs=jobs, cache=cache, progress=progress)
-    return aggregate_results(spec, results)
+    instances = run_tasks(tasks, jobs=jobs, cache=cache, progress=progress)
+    return aggregate_results(spec, [cell for cells in instances for cell in cells])

@@ -6,7 +6,7 @@ the demand, which parameter the x-axis sweeps, and which algorithms to
 compare.  Because a spec is data (names + keyword arguments, no closures) it
 can be
 
-* executed cell by cell in worker *processes* (everything pickles),
+* executed instance by instance in worker *processes* (everything pickles),
 * hashed stably for the on-disk result cache, and
 * listed/inspected by the CLI (``repro.cli scenarios``).
 
@@ -38,6 +38,7 @@ from repro.heuristics.base import RecoveryAlgorithm
 from repro.heuristics.registry import get_algorithm
 from repro.network.demand import DemandGraph
 from repro.network.supply import SupplyGraph
+from repro.portfolio import is_exact, split_algorithms
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,7 @@ class ExperimentSpec:
     description: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "algorithms", tuple(self.algorithms))
+        object.__setattr__(self, "algorithms", tuple(dict.fromkeys(map(str.upper, self.algorithms))))
         if not self.algorithms:
             raise ValueError("a spec needs at least one algorithm")
         if self.runs < 1:
@@ -91,6 +92,11 @@ class ExperimentSpec:
         object.__setattr__(
             self, "algorithm_kwargs", _frozen_algorithm_kwargs(self.algorithm_kwargs)
         )
+        section, _, key = self.sweep.target.partition(".")
+        if section == "disruption":
+            # Bind every swept value now, not when its instance is built.
+            for value in self.sweep.values:
+                _DisruptionSpec(self.disruption.kind, {**dict(self.disruption.kwargs), key: value})
 
     def replace(self, **changes: Any) -> "ExperimentSpec":
         """A copy of this spec with the given fields replaced.
@@ -184,7 +190,8 @@ class ExperimentSpec:
         sweep or adding repetitions still hits the cache for existing cells.
         The OPT time limit only enters for OPT — changing it must not
         invalidate cached heuristic cells.  Per-algorithm kwargs enter only
-        when bound, keeping keys stable for specs that bind none.
+        when bound, keeping keys stable for specs that bind none.  OPT beside
+        heuristics is seeded with their plans, so ``seeded_by`` names them.
         """
         overrides = self.overrides_for(sweep_value)
         topology_kwargs = {**dict(self.topology.kwargs), **overrides["topology"]}
@@ -205,6 +212,9 @@ class ExperimentSpec:
         options = self.algorithm_options(algorithm)
         if options:
             config["algorithm_kwargs"] = options
+        heuristics, _ = split_algorithms(self.algorithms)
+        if is_exact(algorithm) and heuristics:
+            config["seeded_by"] = {name: self.algorithm_options(name) for name in heuristics}
         return config
 
 

@@ -1,40 +1,33 @@
-"""Decomposition of an experiment into independent task cells.
+"""Decomposition of an experiment into independent instance tasks.
 
-A sweep experiment is a cube of cells ``(sweep value, run index, algorithm)``
-— every cell can be computed independently, which is what the parallel
-executor exploits.  Cells that share a ``(sweep value, run index)`` must see
-the *same* random instance (the paper compares algorithms on identical
-instances), so each cell derives its generator from a per-cell
+A sweep experiment is a grid of instances ``(sweep value, run index)``, each
+computed independently — which is what the parallel executor exploits.  A
+task builds its instance once and runs every algorithm on it through
+:func:`repro.api.service.run_algorithms` (the paper compares algorithms on
+identical instances); each algorithm's outcome is one result cell.  Each
+task derives its generator from a per-instance
 :class:`~numpy.random.SeedSequence` spawned from the root seed:
 
 ``SeedSequence(root).spawn`` children are keyed by ``(value_index,)`` and
 spawn once more into ``(value_index, run_index)``.  The resulting streams are
 
 * independent of each other (SeedSequence's guarantee),
-* identical for all algorithms of a cell,
 * stable under *extending* the sweep (appending values or adding runs never
-  reseeds existing cells), and
-* identical whether the cell runs serially or in a worker process.
+  reseeds existing instances), and
+* identical whether the task runs serially or in a worker process.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
 from repro.api.requests import config_digest
-from repro.api.results import (
-    METRIC_KEYS,
-    evaluation_metrics,
-    normalise_plan_payload,
-    plan_payload,
-)
+from repro.api.results import normalise_plan_payload
 from repro.engine.spec import ExperimentSpec, build_instance
-from repro.evaluation.metrics import evaluate_plan
-from repro.flows.solver.stats import collect_solver_stats
 from repro.utils.rng import SeedLike, ensure_seed_sequence
 
 
@@ -63,22 +56,20 @@ def cell_seed_sequence(entropy: int, value_index: int, run_index: int) -> np.ran
 
 @dataclass(frozen=True)
 class Task:
-    """One independent experiment cell."""
+    """One independent experiment instance; every algorithm of the spec runs on it."""
 
     spec: ExperimentSpec
     sweep_value: Any
     value_index: int
     run_index: int
-    algorithm: str
     root_entropy: int
-    capture_plan: bool = False
 
     @property
     def spawn_key(self) -> Tuple[int, int]:
         return (self.value_index, self.run_index)
 
     def seed_sequence(self) -> np.random.SeedSequence:
-        """The per-cell seed sequence (shared by all algorithms of the cell).
+        """The per-instance seed sequence.
 
         Derived with ``SeedSequence.spawn`` so the child carries the canonical
         spawn key ``(value_index, run_index)`` — re-deriving it from the root
@@ -86,9 +77,9 @@ class Task:
         """
         return cell_seed_sequence(self.root_entropy, self.value_index, self.run_index)
 
-    def cache_key(self) -> str:
-        """Stable digest of everything that determines this task's result."""
-        config = self.spec.cell_config(self.sweep_value, self.algorithm)
+    def cache_key(self, algorithm: str) -> str:
+        """Stable digest of everything that determines one algorithm's cell."""
+        config = self.spec.cell_config(self.sweep_value, algorithm)
         config["root_entropy"] = self.root_entropy
         config["spawn_key"] = list(self.spawn_key)
         return config_digest(config)
@@ -96,7 +87,12 @@ class Task:
 
 @dataclass
 class TaskResult:
-    """The outcome of one task cell."""
+    """The outcome of one cell: one algorithm's run on one instance.
+
+    ``metrics``, ``plan`` and ``solver`` (the run's solver effort, algorithm
+    plus evaluation LP) are the run's envelope fields; ``wall_seconds`` is
+    the wall time of the whole instance task (its build and every run).
+    """
 
     sweep_value: Any
     value_index: int
@@ -105,29 +101,19 @@ class TaskResult:
     metrics: Dict[str, float]
     broken_elements: int
     wall_seconds: float
+    solver: Dict[str, float]
+    plan: Dict[str, Any]
     cached: bool = False
-    extras: Dict[str, float] = field(default_factory=dict)
-    plan: Optional[Dict[str, Any]] = None
 
     def to_payload(self) -> Dict[str, Any]:
         """JSON-serialisable form stored in the result cache."""
-        payload = {
-            "sweep_value": self.sweep_value,
-            "value_index": self.value_index,
-            "run_index": self.run_index,
-            "algorithm": self.algorithm,
-            "metrics": dict(self.metrics),
-            "broken_elements": self.broken_elements,
-            "wall_seconds": self.wall_seconds,
-            "extras": dict(self.extras),
-        }
-        if self.plan is not None:
-            payload["plan"] = self.plan
+        payload = asdict(self)
+        del payload["cached"]
         return payload
 
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "TaskResult":
-        plan = payload.get("plan")
+        """Parse a stored cell; a payload without a plan raises ``KeyError``."""
         return cls(
             sweep_value=payload["sweep_value"],
             value_index=int(payload["value_index"]),
@@ -136,69 +122,60 @@ class TaskResult:
             metrics={key: float(value) for key, value in payload["metrics"].items()},
             broken_elements=int(payload["broken_elements"]),
             wall_seconds=float(payload["wall_seconds"]),
+            solver={key: float(value) for key, value in payload.get("solver", {}).items()},
+            plan=normalise_plan_payload(payload["plan"]),
             cached=True,
-            extras={key: float(value) for key, value in payload.get("extras", {}).items()},
-            plan=None if plan is None else normalise_plan_payload(plan),
         )
 
 
-def expand_tasks(
-    spec: ExperimentSpec, seed: SeedLike = None, capture_plan: bool = False
-) -> List[Task]:
-    """Unroll ``spec`` into its (value x run x algorithm) task cells.
+def expand_tasks(spec: ExperimentSpec, seed: SeedLike = None) -> List[Task]:
+    """Unroll ``spec`` into its (value x run) instance tasks.
 
-    Tasks carry only the root entropy and their cell indices; each re-derives
-    its own :class:`~numpy.random.SeedSequence` on demand, so they stay
-    self-contained (and picklable) for worker processes.  ``capture_plan``
-    makes every cell include its serialised repair plan in the result (the
-    service batch path wants plans; sweeps aggregating metrics do not).
+    Tasks carry only the root entropy and their instance indices; each
+    re-derives its own :class:`~numpy.random.SeedSequence` on demand, so they
+    stay self-contained (and picklable) for worker processes.
     """
     entropy = root_entropy(seed)
-    tasks: List[Task] = []
-    for value_index, sweep_value in enumerate(spec.sweep.values):
-        for run_index in range(spec.runs):
-            for algorithm in spec.algorithms:
-                tasks.append(
-                    Task(
-                        spec=spec,
-                        sweep_value=sweep_value,
-                        value_index=value_index,
-                        run_index=run_index,
-                        algorithm=algorithm,
-                        root_entropy=entropy,
-                        capture_plan=capture_plan,
-                    )
-                )
-    return tasks
+    return [
+        Task(
+            spec=spec,
+            sweep_value=sweep_value,
+            value_index=value_index,
+            run_index=run_index,
+            root_entropy=entropy,
+        )
+        for value_index, sweep_value in enumerate(spec.sweep.values)
+        for run_index in range(spec.runs)
+    ]
 
 
-def execute_task(task: Task) -> TaskResult:
-    """Run one cell: rebuild its instance, solve, evaluate, time it.
+def execute_task(task: Task) -> List[TaskResult]:
+    """Run one instance: build it once, then run the spec's algorithms on it.
 
-    Solver effort (LP/MILP solve counts, build vs solve wall time,
-    warm-start hits) for the whole cell — the algorithm run *and* the
-    evaluation LP — is collected and reported in the result's ``extras``,
-    prefixed with ``solver_``.
+    The algorithms go through the request runner,
+    :func:`repro.api.service.run_algorithms` — heuristics first, then OPT
+    seeded with every heuristic plan.  Returns one cell per algorithm, in
+    the spec's order.
     """
+    from repro.api.service import run_algorithms  # the service imports the engine
+
     started = time.perf_counter()
     rng = np.random.default_rng(task.seed_sequence())
     supply, demand = build_instance(task.spec, task.sweep_value, rng)
     broken = len(supply.broken_nodes) + len(supply.broken_edges)
-    algorithm = task.spec.resolve_algorithm(task.algorithm)
-    with collect_solver_stats() as solver_stats:
-        plan = algorithm.solve(supply, demand)
-        evaluation = evaluate_plan(supply, demand, plan)
-    extras = {
-        f"solver_{key}": value for key, value in solver_stats.as_dict().items()
-    }
-    return TaskResult(
-        sweep_value=task.sweep_value,
-        value_index=task.value_index,
-        run_index=task.run_index,
-        algorithm=algorithm.name,
-        metrics=evaluation_metrics(evaluation),
-        broken_elements=broken,
-        wall_seconds=time.perf_counter() - started,
-        extras=extras,
-        plan=plan_payload(plan) if task.capture_plan else None,
-    )
+    runs = run_algorithms(task.spec, supply, demand)
+    wall_seconds = time.perf_counter() - started
+    return [
+        TaskResult(
+            sweep_value=task.sweep_value,
+            value_index=task.value_index,
+            run_index=task.run_index,
+            algorithm=run.algorithm,
+            metrics=run.metrics,
+            broken_elements=broken,
+            wall_seconds=wall_seconds,
+            solver=run.solver,
+            plan=run.plan,
+        )
+        for run in runs
+    ]

@@ -5,15 +5,16 @@ and every constraint-structure build that goes through
 :mod:`repro.flows.solver.incremental` reports into the *active* collectors:
 :class:`SolverStats` objects opened with :func:`collect_solver_stats`.
 
-Collectors nest — ``execute_task`` opens one around a whole experiment cell
-while ISP opens another around a single run; both see the solves in their
-scope — and cost nothing when none is active (module-level counters aside).
+Collectors nest — :func:`repro.api.service.run_algorithms` opens one around
+each run (solve plus evaluation LP) while ISP opens another around its own
+solve; both see the solves in their scope — and cost nothing when none is
+active (module-level counters aside).
 The open collectors live in a contextvar, like the trace's spans, so a
 solve run in another thread through ``contextvars.copy_context().run``
 reports to the collectors that were open where the context was copied.
 The collected numbers travel with the results: ISP stores them in the plan
-metadata, the experiment engine in each cell's ``extras``, so ``repro.cli
-sweep`` can report solver effort per cell.
+metadata, the runner in each run's (and engine cell's) ``solver`` stats, so
+``repro.cli sweep`` can report solver effort per cell.
 
 The same reporters double as the solver substrate's **tracing hooks**: when
 a trace is active (worker executing a job), every build/solve/decomposition
@@ -80,7 +81,7 @@ class SolverStats:
     bound_reuses: int = 0
 
     def as_dict(self) -> Dict[str, float]:
-        """Flat JSON-serialisable view (used in plan metadata / cell extras)."""
+        """Flat JSON-serialisable view (used in plan metadata / run stats)."""
         return {field.name: float(getattr(self, field.name)) for field in fields(self)}
 
 

@@ -11,9 +11,10 @@ combination.
 
 :func:`run_fuzz` is the harness the CLI's ``fuzz`` sub-command and the CI
 leg call: sample ``budget`` requests, fan them through
-:meth:`RecoveryService.solve_batch` (process pool + resumable cache, exactly
-like a production batch), and — with ``verify`` — audit every returned plan
-with :func:`repro.verification.audit_result`.
+:meth:`RecoveryService.solve_batch` (one engine instance task per request,
+running the same algorithm loop as ``solve``, over the process pool and the
+resumable cache exactly like a production batch), and — with ``verify`` —
+audit every returned plan with :func:`repro.verification.audit_result`.
 """
 
 from __future__ import annotations
@@ -310,7 +311,7 @@ def run_fuzz(
     """Sample ``budget`` scenarios, solve them as a batch, audit the plans.
 
     ``progress`` is forwarded to :meth:`RecoveryService.solve_batch` (the
-    engine's per-cell callback).  With ``verify`` disabled the harness is a
+    engine's per-cell callback, one cell per algorithm of a request).  With ``verify`` disabled the harness is a
     pure load generator — useful for benchmarking the batch path itself.
     """
     started = time.perf_counter()

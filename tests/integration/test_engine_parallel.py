@@ -1,7 +1,7 @@
 """Parallel-vs-serial determinism of the experiment engine.
 
 The engine's core guarantee: the same spec and root seed yield identical
-metric rows whatever the ``jobs`` value, because every task cell derives its
+metric rows whatever the ``jobs`` value, because every instance derives its
 random stream from its own ``SeedSequence`` spawn key rather than from a
 shared generator whose state depends on execution order.  Timing columns
 (``elapsed_seconds``, the ``solver_*_seconds`` effort telemetry) are
@@ -97,8 +97,9 @@ class TestParallelDeterminism:
         spec = stochastic_spec()
         from repro.engine.tasks import execute_task, expand_tasks
 
-        result = execute_task(expand_tasks(spec, seed=1)[0])
-        assert result.wall_seconds > 0
+        cells = execute_task(expand_tasks(spec, seed=1)[0])
+        assert [cell.algorithm for cell in cells] == list(spec.algorithms)
+        assert all(cell.wall_seconds > 0 for cell in cells)
 
 
 class TestFailurePropagation:

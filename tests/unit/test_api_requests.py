@@ -139,13 +139,12 @@ class TestSharedHashing:
     def test_request_tasks_share_engine_cache_hashing(self):
         """solve_batch keys are engine cell keys: same digest pipeline."""
         request = grid_request()
-        tasks = expand_tasks(request.to_experiment_spec(), seed=request.seed)
-        assert len(tasks) == len(request.algorithms)
-        for task in tasks:
-            config = task.spec.cell_config(task.sweep_value, task.algorithm)
+        (task,) = expand_tasks(request.to_experiment_spec(), seed=request.seed)
+        for algorithm in request.algorithms:
+            config = task.spec.cell_config(task.sweep_value, algorithm)
             config["root_entropy"] = task.root_entropy
             config["spawn_key"] = list(task.spawn_key)
-            assert task.cache_key() == config_digest(config)
+            assert task.cache_key(algorithm) == config_digest(config)
 
     def test_algorithm_kwargs_change_the_cell_key(self):
         plain = grid_request(algorithms=("ISP",))
@@ -155,7 +154,7 @@ class TestSharedHashing:
         )
         key = lambda request: expand_tasks(  # noqa: E731 - local shorthand
             request.to_experiment_spec(), seed=request.seed
-        )[0].cache_key()
+        )[0].cache_key("ISP")
         assert key(plain) != key(tuned)
 
 
@@ -261,10 +260,23 @@ class TestZooSchemaStability:
         from repro.engine.tasks import expand_tasks
 
         task = expand_tasks(get_spec("bellcanada-demand-pairs"), seed=11)[0]
-        assert task.algorithm == "ISP" and task.sweep_value == 1
-        assert task.cache_key() == (
+        assert task.sweep_value == 1
+        assert task.cache_key("ISP") == (
             "a4861ab36ea4630d6083d4967a045877e68773f5f8c7c750f9b5c6d083fd6725"
         )
+
+    def test_opt_only_engine_cache_key_is_pinned(self):
+        """OPT listed alone seeds itself, so its key carries no ``seeded_by``."""
+        from repro.engine.registry import get_spec
+        from repro.engine.tasks import expand_tasks
+
+        spec = get_spec("bellcanada-demand-pairs")
+        alone = expand_tasks(spec.replace(algorithms=("OPT",)), seed=11)[0]
+        assert alone.cache_key("OPT") == (
+            "62b9a208e386deb2dfb3a9727b38d925ec828f5bbfbf1c468c87eb0ecaae9568"
+        )
+        beside_heuristics = expand_tasks(spec, seed=11)[0]
+        assert beside_heuristics.cache_key("OPT") != alone.cache_key("OPT")
 
 
 class TestDisruptionKwargsValidation:
@@ -310,6 +322,7 @@ class TestAlgorithmSection:
             ({"OPT": {"seed_plans": [1]}}, "seed_plans"),
             ({"ISP": {"split_amount_mode": "banana"}}, "split_amount_mode"),
             ({"ISP": {"metric": "euclidean"}}, "metric"),
+            ({"OPT": {"strategy": "bogus"}}, "strategy"),
         ],
     )
     def test_invalid_options_rejected_at_construction(self, algorithm_kwargs, match):

@@ -1,5 +1,6 @@
 """Tests for the RecoveryService session layer (repro.api.service)."""
 
+import dataclasses
 import json
 
 import pytest
@@ -216,10 +217,16 @@ class TestAssess:
 
 
 class TestSolveBatch:
+    @staticmethod
+    def comparable(envelope):
+        """The envelope without its timing fields, solver stats and ``cached`` flags."""
+        payload = envelope.to_dict()
+        del payload["wall_seconds"]
+        for run in payload["results"]:
+            del run["solver"], run["cached"], run["metrics"]["elapsed_seconds"]
+        return payload
+
     def test_batch_matches_in_process_solve(self):
-        # Batch cells run OPT self-seeded with SRT while solve seeds it with
-        # the request's heuristic plans, so on the Bell Canada request OPT
-        # may return another optimum: metrics agree, OPT's repairs need not.
         bell = RecoveryRequest(
             topology=TopologySpec("bell-canada"),
             disruption=DisruptionSpec("complete"),
@@ -231,14 +238,31 @@ class TestSolveBatch:
         service = RecoveryService()
         batch = service.solve_batch(requests, jobs=2)
         for request, envelope in zip(requests, batch):
-            solo = service.solve(request)
             assert [r.algorithm for r in envelope.results] == list(request.algorithms)
-            for run_b, run_s in zip(envelope.results, solo.results):
-                assert deterministic_metrics(run_b) == deterministic_metrics(run_s)
-                if run_b.algorithm == "OPT":
-                    continue
-                assert run_b.plan["repaired_nodes"] == run_s.plan["repaired_nodes"]
-                assert run_b.plan["repaired_edges"] == run_s.plan["repaired_edges"]
+            assert self.comparable(envelope) == self.comparable(service.solve(request))
+
+    def test_batch_after_opt_only_batch_matches_solve(self, tmp_path):
+        """An OPT-only cell in a shared cache is never served to a seeded OPT."""
+        full = RecoveryRequest(
+            topology=TopologySpec("bell-canada"),
+            disruption=DisruptionSpec("complete"),
+            demand=DemandSpec("routable-far-apart", num_pairs=3, flow_per_pair=10.0),
+            algorithms=("ISP", "OPT", "SRT", "GRD-COM", "GRD-NC", "ALL"),
+            seed=1813342674,
+        )
+        alone = dataclasses.replace(full, algorithms=("OPT",))
+        service = RecoveryService()
+        (opt_only,) = service.solve_batch([alone], jobs=2, cache_dir=tmp_path)
+        (batch,) = service.solve_batch([full], jobs=2, cache_dir=tmp_path)
+        assert not any(run.cached for run in batch.results)
+        solo = service.solve(full)
+        assert self.comparable(batch) == self.comparable(solo)
+        # On this instance the self-seeded and the heuristic-seeded OPT pick
+        # different optimal repair sets of the same size.
+        assert opt_only.results[0].plan != solo.run("OPT").plan
+        assert opt_only.results[0].metrics["total_repairs"] == solo.run("OPT").metrics[
+            "total_repairs"
+        ]
 
     def test_batch_resumes_from_request_keyed_cache(self, tmp_path):
         requests = [grid_request(seed=3), grid_request(seed=9)]
@@ -255,18 +279,43 @@ class TestSolveBatch:
                 assert run_a.plan == run_b.plan
 
     def test_batch_recomputes_planless_sweep_cache_entries(self, tmp_path):
-        """A metrics-only cell cached by a sweep must not yield an empty plan."""
-        from repro.engine.cache import ResultCache
-        from repro.engine.tasks import expand_tasks, execute_task
+        """A metrics-only cell cached by an older sweep must not yield an empty plan."""
+        from repro.api.results import METRIC_KEYS
+        from repro.engine.tasks import expand_tasks
 
         request = grid_request(algorithms=("ISP",))
-        # Simulate a sweep run: same cell, cached without capture_plan.
-        cache = ResultCache(tmp_path)
-        task = expand_tasks(request.to_experiment_spec(), seed=request.seed)[0]
-        cache.put(task, execute_task(task))
+        (task,) = expand_tasks(request.to_experiment_spec(), seed=request.seed)
+        key = task.cache_key("ISP")
+        # A sweep entry as older engines wrote it: metrics and solver_-prefixed
+        # extras, no plan.
+        stale_metrics = dict.fromkeys(METRIC_KEYS, 0.0)
+        (tmp_path / f"{key}.json").write_text(
+            json.dumps(
+                {
+                    "key": key,
+                    "task": {
+                        "spec": task.spec.name,
+                        "cell": task.spec.cell_config(task.sweep_value, "ISP"),
+                        "root_entropy": task.root_entropy,
+                        "spawn_key": list(task.spawn_key),
+                    },
+                    "result": {
+                        "sweep_value": task.sweep_value,
+                        "value_index": 0,
+                        "run_index": 0,
+                        "algorithm": "ISP",
+                        "metrics": stale_metrics,
+                        "broken_elements": 0,
+                        "wall_seconds": 0.0,
+                        "extras": {"solver_lp_solves": 1.0},
+                    },
+                }
+            )
+        )
         envelope = RecoveryService().solve_batch([request], cache_dir=tmp_path)[0]
         run = envelope.results[0]
         assert not run.cached  # recomputed, not served plan-less
+        assert run.metrics != stale_metrics
         assert run.plan["repaired_nodes"] or run.plan["repaired_edges"]
         # The recompute overwrote the entry; the next batch is served plans.
         again = RecoveryService().solve_batch([request], cache_dir=tmp_path)[0]

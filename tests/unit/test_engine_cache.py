@@ -39,15 +39,16 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         task = expand_tasks(grid_spec(), seed=3)[0]
         assert cache.get(task) is None
-        result = execute_task(task)
-        cache.put(task, result)
+        cells = execute_task(task)
+        cache.put(task, cells)
         restored = cache.get(task)
-        assert restored is not None
-        assert restored.cached
-        assert restored.metrics == result.metrics
-        assert restored.broken_elements == result.broken_elements
-        assert len(cache) == 1
-        assert task in cache
+        assert [cell.algorithm for cell in restored] == ["SRT", "ALL"]
+        assert all(cell.cached for cell in restored)
+        for fresh, cell in zip(cells, restored):
+            assert cell.metrics == fresh.metrics
+            assert cell.plan == fresh.plan
+            assert cell.broken_elements == fresh.broken_elements
+        assert len(cache) == 2  # one file per cell
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -71,49 +72,70 @@ class TestResultCache:
         path.write_text(json.dumps({"key": "x", "task": {}}))
         assert cache.get(task) is None
 
+    def test_planless_entry_is_a_miss(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        task = expand_tasks(grid_spec(), seed=3)[0]
+        cache.put(task, execute_task(task))
+        path = tmp_path / f"{task.cache_key('ALL')}.json"
+        payload = json.loads(path.read_text())
+        del payload["result"]["plan"]
+        path.write_text(json.dumps(payload))
+        assert cache.get(task) is None
+
     def test_entries_skip_corrupt_files(self, tmp_path):
         cache = ResultCache(tmp_path)
-        tasks = expand_tasks(grid_spec(), seed=3)
-        for task in tasks[:2]:
-            cache.put(task, execute_task(task))
+        task = expand_tasks(grid_spec(), seed=3)[0]
+        cache.put(task, execute_task(task))
         (tmp_path / "zz-corrupt.json").write_text("{ cut off mid-wri")
         assert len(list(cache.entries())) == 2
 
     def test_atomic_put_leaves_no_temp_debris(self, tmp_path):
         cache = ResultCache(tmp_path)
         task = expand_tasks(grid_spec(), seed=3)[0]
-        result = execute_task(task)
+        cells = execute_task(task)
         for _ in range(3):
-            cache.put(task, result)
+            cache.put(task, cells)
         assert list(tmp_path.glob("*.tmp")) == []
-        assert len(cache) == 1
+        assert len(cache) == 2
         # Leftover temp files from a crashed writer never shadow real entries.
         (tmp_path / "orphan.tmp").write_text("partial")
-        assert len(cache) == 1
-        assert len(list(cache.entries())) == 1
+        assert len(cache) == 2
+        assert len(list(cache.entries())) == 2
 
     def test_entries_expose_task_description(self, tmp_path):
         cache = ResultCache(tmp_path)
         task = expand_tasks(grid_spec(), seed=3)[0]
         cache.put(task, execute_task(task))
-        (entry,) = cache.entries()
-        assert entry["task"]["spec"] == "cache-grid"
-        assert entry["task"]["cell"]["algorithm"] == "SRT"
-        json.dumps(entry)  # stays JSON-serialisable end to end
+        entries = list(cache.entries())
+        assert {entry["task"]["spec"] for entry in entries} == {"cache-grid"}
+        assert sorted(entry["task"]["cell"]["algorithm"] for entry in entries) == ["ALL", "SRT"]
+        json.dumps(entries)  # stays JSON-serialisable end to end
 
     def test_different_seeds_use_different_keys(self, tmp_path):
         a = expand_tasks(grid_spec(), seed=3)[0]
         b = expand_tasks(grid_spec(), seed=4)[0]
-        assert a.cache_key() != b.cache_key()
+        assert a.cache_key("SRT") != b.cache_key("SRT")
 
 
 class TestResume:
+    @staticmethod
+    def count_executions(monkeypatch):
+        computed = []
+        real_execute = executor_module.execute_task
+
+        def counting(task):
+            computed.append(task)
+            return real_execute(task)
+
+        monkeypatch.setattr(executor_module, "execute_task", counting)
+        return computed
+
     def test_second_run_never_recomputes(self, tmp_path, monkeypatch):
         spec = grid_spec()
         first = run_experiment(spec, seed=3, cache_dir=tmp_path)
 
         def boom(task):
-            raise AssertionError("cache should have served every cell")
+            raise AssertionError("cache should have served every instance")
 
         monkeypatch.setattr(executor_module, "execute_task", boom)
         second = run_experiment(spec, seed=3, cache_dir=tmp_path)
@@ -123,32 +145,44 @@ class TestResume:
         run_experiment(grid_spec(), seed=3, cache_dir=tmp_path)
         cells_before = len(list(tmp_path.glob("*.json")))
 
-        computed = []
-        real_execute = executor_module.execute_task
-
-        def counting(task):
-            computed.append(task)
-            return real_execute(task)
-
-        monkeypatch.setattr(executor_module, "execute_task", counting)
+        computed = self.count_executions(monkeypatch)
         extended = grid_spec(sweep_values=(1, 2, 3))
         tasks = expand_tasks(extended, seed=3)
         run_tasks(tasks, jobs=1, cache=ResultCache(tmp_path))
-        # Only the cells of the new sweep value ran; the rest came from disk.
+        # Only the instances of the new sweep value ran; the rest came from disk.
         assert all(task.sweep_value == 3 for task in computed)
-        assert len(computed) == len(extended.algorithms) * extended.runs
-        assert len(list(tmp_path.glob("*.json"))) == cells_before + len(computed)
+        assert len(computed) == extended.runs
+        new_cells = len(computed) * len(extended.algorithms)
+        assert len(list(tmp_path.glob("*.json"))) == cells_before + new_cells
 
     def test_interrupted_run_resumes(self, tmp_path):
         spec = grid_spec()
         tasks = expand_tasks(spec, seed=3)
         cache = ResultCache(tmp_path)
-        # Simulate an interrupted sweep: only half the cells completed.
+        # Simulate an interrupted sweep: only half the instances completed.
         for task in tasks[: len(tasks) // 2]:
             cache.put(task, execute_task(task))
         result = run_experiment(spec, seed=3, cache_dir=tmp_path)
         assert len(result.rows) == 2 * 2  # every (value, algorithm) cell present
-        assert len(list(tmp_path.glob("*.json"))) == len(tasks)
+        assert len(list(tmp_path.glob("*.json"))) == len(tasks) * len(spec.algorithms)
+
+    def test_partial_instance_reruns_whole_instance(self, tmp_path, monkeypatch):
+        spec = grid_spec()
+        run_experiment(spec, seed=3, cache_dir=tmp_path)
+        task = expand_tasks(spec, seed=3)[0]
+        srt_path = tmp_path / f"{task.cache_key('SRT')}.json"
+        all_path = tmp_path / f"{task.cache_key('ALL')}.json"
+        all_path.unlink()
+        # Mark the surviving cell so a rewrite is visible.
+        stale = json.loads(srt_path.read_text())
+        stale["result"]["wall_seconds"] = -1.0
+        srt_path.write_text(json.dumps(stale))
+
+        computed = self.count_executions(monkeypatch)
+        run_experiment(spec, seed=3, cache_dir=tmp_path)
+        assert [t.spawn_key for t in computed] == [task.spawn_key]
+        assert all_path.exists()
+        assert json.loads(srt_path.read_text())["result"]["wall_seconds"] >= 0.0
 
     def test_cache_ignores_opt_time_limit_for_heuristics(self, tmp_path, monkeypatch):
         run_experiment(grid_spec(opt_time_limit=30.0), seed=3, cache_dir=tmp_path)

@@ -1,5 +1,7 @@
 """Tests for the declarative spec layer of the experiment engine."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,20 @@ class TestSpecValidation:
             small_spec(algorithms=())
         with pytest.raises(ValueError):
             small_spec(runs=0)
+
+    def test_algorithms_are_upper_cased_and_deduplicated(self):
+        from repro.engine.experiment import run_experiment
+
+        spec = get_spec("figure4").replace(sweep_values=(1,), algorithms=("SRT", "srt", "ALL"))
+        assert spec.algorithms == ("SRT", "ALL")
+        rows = run_experiment(spec, seed=3).rows
+        assert [(row["algorithm"], row["runs"]) for row in rows] == [("SRT", 1), ("ALL", 1)]
+
+    def test_disruption_sweep_target_is_bound_at_construction(self):
+        spec = get_spec("figure6")
+        assert spec.sweep.target.startswith("disruption.")
+        with pytest.raises(ValueError, match="spread"):
+            spec.replace(sweep=dataclasses.replace(spec.sweep, target="disruption.spread"))
 
 
 class TestSweepTargets:
@@ -108,29 +124,25 @@ class TestReplaceAndConfig:
         assert fast.cell_config(1, "SRT") == slow.cell_config(1, "SRT")
         assert fast.cell_config(1, "OPT") != slow.cell_config(1, "OPT")
 
+    def test_opt_cell_names_the_heuristics_that_seed_it(self):
+        mixed = small_spec(
+            algorithms=("OPT", "ISP", "SRT"), algorithm_kwargs={"ISP": {"metric": "hop"}}
+        )
+        assert mixed.cell_config(1, "OPT")["seeded_by"] == {"ISP": {"metric": "hop"}, "SRT": {}}
+        assert "seeded_by" not in small_spec(algorithms=("OPT",)).cell_config(1, "OPT")
+        # A heuristic's cell does not depend on what else is listed.
+        assert mixed.cell_config(1, "SRT") == small_spec(algorithms=("SRT",)).cell_config(1, "SRT")
+
 
 class TestTaskExpansion:
-    def test_cube_size_and_order(self):
+    def test_one_task_per_instance_in_sweep_then_run_order(self):
         tasks = expand_tasks(small_spec(), seed=5)
-        assert len(tasks) == 2 * 2 * 2
-        assert [t.algorithm for t in tasks[:2]] == ["SRT", "ALL"]
+        assert [task.spawn_key for task in tasks] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert [task.sweep_value for task in tasks] == [1, 1, 2, 2]
 
-    def test_cell_mates_share_seed_sequence(self):
+    def test_distinct_instances_get_distinct_streams(self):
         tasks = expand_tasks(small_spec(), seed=5)
-        by_cell = {}
-        for task in tasks:
-            by_cell.setdefault(task.spawn_key, []).append(task)
-        for mates in by_cell.values():
-            states = {tuple(m.seed_sequence().generate_state(4)) for m in mates}
-            assert len(states) == 1
-
-    def test_distinct_cells_get_distinct_streams(self):
-        tasks = expand_tasks(small_spec(), seed=5)
-        states = {
-            tuple(task.seed_sequence().generate_state(4))
-            for task in tasks
-            if task.algorithm == "SRT"
-        }
+        states = {tuple(task.seed_sequence().generate_state(4)) for task in tasks}
         assert len(states) == 4  # 2 values x 2 runs
 
     def test_spawned_roots_yield_distinct_experiments(self):
@@ -140,7 +152,7 @@ class TestTaskExpansion:
         tasks_a = expand_tasks(small_spec(), seed=child_a)
         tasks_b = expand_tasks(small_spec(), seed=child_b)
         assert tasks_a[0].root_entropy != tasks_b[0].root_entropy
-        assert tasks_a[0].cache_key() != tasks_b[0].cache_key()
+        assert tasks_a[0].cache_key("SRT") != tasks_b[0].cache_key("SRT")
         state_a = tuple(tasks_a[0].seed_sequence().generate_state(4))
         state_b = tuple(tasks_b[0].seed_sequence().generate_state(4))
         assert state_a != state_b
@@ -153,11 +165,11 @@ class TestTaskExpansion:
 
     def test_extending_sweep_keeps_existing_seeds(self):
         base = {
-            (t.spawn_key, t.algorithm): tuple(t.seed_sequence().generate_state(2))
+            t.spawn_key: tuple(t.seed_sequence().generate_state(2))
             for t in expand_tasks(small_spec(), seed=5)
         }
         extended = {
-            (t.spawn_key, t.algorithm): tuple(t.seed_sequence().generate_state(2))
+            t.spawn_key: tuple(t.seed_sequence().generate_state(2))
             for t in expand_tasks(small_spec(sweep_values=(1, 2, 3), runs=4), seed=5)
         }
         for key, state in base.items():

@@ -163,13 +163,20 @@ class TestValidation:
         assert "variance" in str(excinfo.value)
         assert store.jobs() == []
 
-    def test_invalid_algorithm_option_is_a_400(self, harness, store):
+    @pytest.mark.parametrize(
+        "algorithm_kwargs, match",
+        [
+            ({"ISP": {"split_amount_mode": "banana"}}, "split_amount_mode"),
+            ({"OPT": {"strategy": "bogus"}}, "strategy"),
+        ],
+    )
+    def test_invalid_algorithm_option_is_a_400(self, harness, store, algorithm_kwargs, match):
         payload = grid_request().to_dict()
-        payload["algorithm_kwargs"] = {"ISP": {"split_amount_mode": "banana"}}
+        payload["algorithm_kwargs"] = algorithm_kwargs
         with pytest.raises(ServiceError) as excinfo:
             harness.client.solve(payload)
         assert excinfo.value.status == 400
-        assert "split_amount_mode" in str(excinfo.value)
+        assert match in str(excinfo.value)
         assert store.jobs() == []
 
     def test_invalid_json_body_is_a_400(self, harness):

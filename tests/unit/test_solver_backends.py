@@ -167,9 +167,9 @@ class TestBackendParity:
             algorithms=("ISP", "SRT"),
         )
         tasks = expand_tasks(spec, seed=5)
-        reference = [execute_task(task).metrics for task in tasks]
+        reference = [cell.metrics for task in tasks for cell in execute_task(task)]
         monkeypatch.setenv(BACKEND_ENV_VAR, backend_name)
-        results = [execute_task(task).metrics for task in tasks]
+        results = [cell.metrics for task in tasks for cell in execute_task(task)]
         for ours, theirs in zip(results, reference):
             for key in theirs:
                 if key == "elapsed_seconds":
@@ -362,9 +362,9 @@ class TestSolverStats:
             sweep=SweepAxis(parameter="num_pairs", values=(1,), target="demand.num_pairs"),
             algorithms=("ISP",),
         )
-        result = execute_task(expand_tasks(spec, seed=5)[0])
-        assert result.extras["solver_lp_solves"] >= 1.0
-        assert result.extras["solver_solve_seconds"] > 0.0
+        (result,) = execute_task(expand_tasks(spec, seed=5)[0])
+        assert result.solver["lp_solves"] >= 1.0
+        assert result.solver["solve_seconds"] > 0.0
 
 
 class TestCliBackendSelection:
