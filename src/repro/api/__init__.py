@@ -11,8 +11,7 @@ One schema, one construction path, one session object:
 * :mod:`repro.api.results` — versioned, wire-ready result envelopes
   (:class:`RecoveryResult`, :class:`AssessmentResult`);
 * :mod:`repro.api.service` — :class:`RecoveryService`, the session layer
-  with solver warm-start memory, a pristine-topology cache and engine-pool
-  batch execution.
+  with a pristine-topology cache and engine-pool batch execution.
 
 The CLI, the experiment engine, the figure benches and every script under
 ``examples/`` are thin clients of this package.

@@ -534,14 +534,10 @@ def request_from_dict(payload: Mapping[str, Any]):
 
 
 def _validate_backend(name: Optional[str]) -> None:
-    if name is None:
-        return
-    from repro.flows.solver.backends import available_backends
-
-    if name not in available_backends():
-        raise KeyError(
-            f"unknown LP backend {name!r}; available: {', '.join(available_backends())}"
-        )
+    # ``lp_backend`` names the one backend or nothing; it stays a request
+    # field because it is part of the request digest.
+    if name not in (None, "scipy"):
+        raise KeyError(f"unknown LP backend {name!r}; the only backend is 'scipy'")
 
 
 def materialise_instance(

@@ -1,19 +1,17 @@
 """The session layer: a long-lived service answering declarative requests.
 
 A :class:`RecoveryService` is what a recovery-planning server would hold per
-worker: it owns a :class:`~repro.flows.solver.SolverContext` (warm-start
-memory across requests), applies the LP backend selection once per process,
-and keeps a small LRU of built *pristine* topologies so repeated requests on
-the same network skip the build entirely — the disruption is applied to a
-copy (:meth:`~repro.api.requests.DisruptionSpec.applied`), so the cached
-graph is never corrupted between requests.
+worker: it keeps a small LRU of built *pristine* topologies so repeated requests on the same
+network skip the build entirely — the disruption is applied to a copy
+(:meth:`~repro.api.requests.DisruptionSpec.applied`), so the cached graph is
+never corrupted between requests.
 
 Three entry points:
 
 * :meth:`RecoveryService.solve` — run the request's algorithms in-process
   and return a :class:`~repro.api.results.RecoveryResult` envelope whose
-  per-run solver stats expose the session reuse (structure-cache hits,
-  warm-start offers); the portfolio racer (:mod:`repro.portfolio`) is a
+  per-run solver stats expose the session reuse (structure-cache hits); the
+  portfolio racer (:mod:`repro.portfolio`) is a
   callback on it, not a second runner;
 * :meth:`RecoveryService.assess` — the damage picture without recovery;
 * :meth:`RecoveryService.solve_batch` — fan a list of requests out through
@@ -33,7 +31,6 @@ from __future__ import annotations
 import os
 import time
 from collections import OrderedDict
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
@@ -61,13 +58,6 @@ from repro.engine.spec import ExperimentSpec
 from repro.engine.tasks import cell_seed_sequence, expand_tasks, root_entropy
 from repro.evaluation.metrics import evaluate_plan
 from repro.extensions.assessment import assess_damage
-from repro.flows.solver.backends import (
-    BACKEND_ENV_VAR,
-    default_backend_name,
-    get_backend,
-    set_default_backend,
-)
-from repro.flows.solver.incremental import SolverContext
 from repro.flows.solver.stats import collect_solver_stats
 from repro.network.demand import DemandGraph
 from repro.network.plan import RecoveryPlan
@@ -111,7 +101,6 @@ def run_algorithms(
     spec: ExperimentSpec,
     supply: SupplyGraph,
     demand: DemandGraph,
-    context: Optional[SolverContext] = None,
     on_heuristics: Optional[Callable[[List[AlgorithmRun]], None]] = None,
 ) -> List[AlgorithmRun]:
     """Run ``spec``'s algorithms on one instance; return the runs in listed order.
@@ -120,10 +109,10 @@ def run_algorithms(
     seeded with every heuristic plan (a verified incumbent lets the
     decomposed strategy prove optimality without a MILP; OPT listed alone
     seeds itself with SRT).  Each run — the solve and the plan's evaluation
-    LP, threaded through ``context`` — is one ``service.run`` span with its
-    own solver-stats collector.  When the list mixes the two classes,
-    ``on_heuristics`` (if given) is called once with the heuristic runs
-    before the first exact solve starts.
+    LP — is one ``service.run`` span with its own solver-stats collector.
+    When the list mixes the two classes, ``on_heuristics`` (if given) is
+    called once with the heuristic runs before the first exact solve
+    starts.
     """
     heuristics, exacts = split_algorithms(spec.algorithms)
     runs: Dict[str, AlgorithmRun] = {}
@@ -132,7 +121,7 @@ def run_algorithms(
         algorithm = spec.resolve_algorithm(name)
         with collect_solver_stats() as stats, span("service.run", algorithm=name):
             plan = algorithm.solve(supply, demand, **extra)
-            evaluation = evaluate_plan(supply, demand, plan, context=context)
+            evaluation = evaluate_plan(supply, demand, plan)
         runs[name] = AlgorithmRun(
             algorithm=algorithm.name,
             metrics=evaluation_metrics(evaluation),
@@ -157,10 +146,6 @@ class RecoveryService:
 
     Parameters
     ----------
-    lp_backend:
-        Optional backend name applied as the process default (and exported
-        through ``REPRO_LP_BACKEND`` so batch worker processes follow).
-        ``None`` keeps the configured default, validating it eagerly.
     topology_cache_size:
         How many pristine built topologies to retain.  ``None`` (the
         default) reads ``$REPRO_TOPOLOGY_CACHE``, falling back to
@@ -171,13 +156,7 @@ class RecoveryService:
         repeated so the stream stays identical to the engine's.
     """
 
-    def __init__(
-        self,
-        lp_backend: Optional[str] = None,
-        topology_cache_size: Optional[int] = None,
-    ) -> None:
-        self._select_backend(lp_backend)
-        self.context = SolverContext()
+    def __init__(self, topology_cache_size: Optional[int] = None) -> None:
         self._topologies: "OrderedDict[str, SupplyGraph]" = OrderedDict()
         if topology_cache_size is None:
             topology_cache_size = default_topology_cache_size()
@@ -186,43 +165,6 @@ class RecoveryService:
         self._topology_cache_size = int(topology_cache_size)
         self.topology_cache_hits = 0
         self.topology_cache_misses = 0
-
-    # ------------------------------------------------------------------ #
-    # Backend selection
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _select_backend(name: Optional[str]) -> None:
-        if name:
-            set_default_backend(name)
-            os.environ[BACKEND_ENV_VAR] = name
-        else:
-            # Validate an env-var selection upfront: failing here beats an
-            # uncaught KeyError halfway into a batch.
-            get_backend()
-
-    @contextmanager
-    def _request_backend(self, request: Request):
-        """Apply a request-scoped backend for the duration of one call.
-
-        The process default (and the worker env var) is restored afterwards,
-        so one request's ``lp_backend`` never leaks into the next request or
-        into other sessions in the process.
-        """
-        name = request.lp_backend
-        previous = default_backend_name()
-        if not name or name == previous:
-            yield
-            return
-        previous_env = os.environ.get(BACKEND_ENV_VAR)
-        self._select_backend(name)
-        try:
-            yield
-        finally:
-            set_default_backend(previous)
-            if previous_env is None:
-                os.environ.pop(BACKEND_ENV_VAR, None)
-            else:
-                os.environ[BACKEND_ENV_VAR] = previous_env
 
     # ------------------------------------------------------------------ #
     # Instance construction (the one path, with a session topology cache)
@@ -305,40 +247,36 @@ class RecoveryService:
         the portfolio racer's stage 1
         (:func:`repro.portfolio.solve_two_stage`).
 
-        The session's :class:`SolverContext` is threaded into the audit LP,
-        so a repeated solve on the same topology shows structure-cache hits
-        (and warm-start offers) in each run's ``solver`` stats.
+        A repeated solve on the same topology shows structure-cache hits in
+        each run's ``solver`` stats.
         """
         started = time.perf_counter()
-        with self._request_backend(request):
-            supply, demand, _ = self.build_instance(request)
-            broken = len(supply.broken_nodes) + len(supply.broken_edges)
+        supply, demand, _ = self.build_instance(request)
+        broken = len(supply.broken_nodes) + len(supply.broken_edges)
 
-            def envelope(runs: List[AlgorithmRun]) -> RecoveryResult:
-                return RecoveryResult(
-                    request=request.to_dict(),
-                    results=runs,
-                    broken_elements=broken,
-                    wall_seconds=time.perf_counter() - started,
-                )
-
-            runs = run_algorithms(
-                request.to_experiment_spec(),
-                supply,
-                demand,
-                context=self.context,
-                on_heuristics=(
-                    None if on_heuristics is None else lambda early: on_heuristics(envelope(early))
-                ),
+        def envelope(runs: List[AlgorithmRun]) -> RecoveryResult:
+            return RecoveryResult(
+                request=request.to_dict(),
+                results=runs,
+                broken_elements=broken,
+                wall_seconds=time.perf_counter() - started,
             )
+
+        runs = run_algorithms(
+            request.to_experiment_spec(),
+            supply,
+            demand,
+            on_heuristics=(
+                None if on_heuristics is None else lambda early: on_heuristics(envelope(early))
+            ),
+        )
         return envelope(runs)
 
     def assess(self, request: Request) -> AssessmentResult:
         """The damage picture of the request's instance, without recovery."""
         started = time.perf_counter()
-        with self._request_backend(request):
-            supply, demand, _ = self.build_instance(request)
-            assessment = assess_damage(supply, demand, context=self.context)
+        supply, demand, _ = self.build_instance(request)
+        assessment = assess_damage(supply, demand)
         return AssessmentResult(
             request=request.to_dict(),
             summary=assessment.summary(),
@@ -362,10 +300,8 @@ class RecoveryService:
         interrupted batch recomputes only the missing requests, and a
         request already solved by an earlier batch is served from disk.
 
-        The service's process-wide backend selection applies to all workers;
-        per-request ``lp_backend`` fields are ignored here (one pool, one
-        backend).  Each worker has its own fresh solver context, so the
-        runs' ``solver`` stats differ from :meth:`solve`'s.
+        Each worker process keeps its own structure cache, so the runs'
+        ``solver`` stats differ from :meth:`solve`'s.
         """
         tasks = [
             expand_tasks(request.to_experiment_spec(), seed=request.seed)[0]

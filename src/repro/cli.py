@@ -17,8 +17,7 @@ for scripting and service smoke tests.
     out to worker processes, ``--resume`` persists completed cells to an
     on-disk cache so interrupted or extended sweeps pick up where they left
     off instead of recomputing (MILP solves are never repeated).  Per-cell
-    progress lines include solver effort (``lp=<solves>x<ms>``), and
-    ``--lp-backend`` / ``REPRO_LP_BACKEND`` select the LP solver backend.
+    progress lines include solver effort (``lp=<solves>x<ms>``).
 
 ``assess``
     Print the damage-assessment report of a disrupted instance without
@@ -104,7 +103,6 @@ from repro.api.requests import (
 from repro.api.service import RecoveryService
 from repro.engine.registry import available_specs, get_spec
 from repro.evaluation.reporting import format_table
-from repro.flows.solver.backends import BACKEND_ENV_VAR, available_backends
 from repro.heuristics.registry import available_algorithms
 from repro.topologies.registry import available_topologies
 from repro.utils.jsonio import emit_json
@@ -162,14 +160,6 @@ def _instance_sections(args: argparse.Namespace):
     return topology, disruption, demand
 
 
-def _service(args: argparse.Namespace) -> RecoveryService:
-    """A service session with the CLI's backend selection applied."""
-    try:
-        return RecoveryService(lp_backend=getattr(args, "lp_backend", None))
-    except KeyError as error:
-        raise SystemExit(str(error.args[0])) from None
-
-
 def _command_solve(args: argparse.Namespace) -> int:
     topology, disruption, demand = _instance_sections(args)
     try:
@@ -180,12 +170,11 @@ def _command_solve(args: argparse.Namespace) -> int:
             algorithms=tuple(args.algorithms),
             seed=args.seed,
             opt_time_limit=args.opt_time_limit,
-            lp_backend=args.lp_backend,
         )
     except (KeyError, ValueError) as error:
         raise SystemExit(str(error.args[0])) from None
     try:
-        result = _service(args).solve(request)
+        result = RecoveryService().solve(request)
     except (KeyError, ValueError) as error:
         raise SystemExit(str(error.args[0])) from None
     if args.json or args.out:
@@ -217,7 +206,7 @@ def _command_assess(args: argparse.Namespace) -> int:
         topology=topology, disruption=disruption, demand=demand, seed=args.seed
     )
     try:
-        result = _service(args).assess(request)
+        result = RecoveryService().assess(request)
     except (KeyError, ValueError) as error:
         raise SystemExit(str(error.args[0])) from None
     if args.json or args.out:
@@ -228,7 +217,7 @@ def _command_assess(args: argparse.Namespace) -> int:
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
-    service = _service(args)
+    service = RecoveryService()
     if args.jobs < 0:
         raise SystemExit("--jobs must be a positive integer, or 0 for one per CPU")
     try:
@@ -323,7 +312,7 @@ def _command_fuzz(args: argparse.Namespace) -> int:
             budget=args.budget,
             seed=args.seed,
             space=space,
-            service=_service(args),
+            service=RecoveryService(),
             jobs=args.jobs,
             verify=args.verify,
             cache_dir=args.cache_dir,
@@ -424,7 +413,6 @@ def _command_online(args: argparse.Namespace) -> int:
         raise SystemExit("--jobs must be a positive integer, or 0 for one per CPU")
     jobs = args.jobs or (os.cpu_count() or 1)
     topology, disruption, demand = _instance_sections(args)
-    _service(args)  # apply the process-level backend selection
     try:
         spec = OnlineScenarioSpec(
             topology=topology,
@@ -521,7 +509,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         max_queue_depth=args.max_queue_depth,
         poll_interval=args.poll_interval,
-        lp_backend=args.lp_backend,
         claim_batch=args.claim_batch,
         portfolio=args.portfolio,
         shards=args.shards,
@@ -632,18 +619,6 @@ def _command_algorithms(_: argparse.Namespace) -> int:
     return 0
 
 
-def _add_lp_backend_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--lp-backend",
-        choices=list(available_backends()),
-        default=None,
-        help=(
-            "LP/MILP solver backend for every solve "
-            f"(default: ${BACKEND_ENV_VAR} or 'scipy')"
-        ),
-    )
-
-
 def _add_instance_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--topology", default="bell-canada", help="registered topology name")
     parser.add_argument(
@@ -716,7 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=120.0,
         help="time limit in seconds for the exact MILP (OPT)",
     )
-    _add_lp_backend_argument(solve)
     _add_json_argument(solve)
     solve.set_defaults(handler=_command_solve)
 
@@ -763,12 +737,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--quiet", action="store_true", help="suppress per-cell progress on stderr"
     )
-    _add_lp_backend_argument(sweep)
     sweep.set_defaults(handler=_command_sweep)
 
     assess = subparsers.add_parser("assess", help="print a damage assessment report")
     _add_instance_arguments(assess)
-    _add_lp_backend_argument(assess)
     _add_json_argument(assess)
     assess.set_defaults(handler=_command_assess)
 
@@ -809,7 +781,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument(
         "--quiet", action="store_true", help="suppress per-cell progress on stderr"
     )
-    _add_lp_backend_argument(fuzz)
     _add_json_argument(fuzz)
     fuzz.set_defaults(handler=_command_fuzz)
 
@@ -893,7 +864,6 @@ def build_parser() -> argparse.ArgumentParser:
     online.add_argument(
         "--quiet", action="store_true", help="suppress per-episode progress on stderr"
     )
-    _add_lp_backend_argument(online)
     _add_json_argument(online)
     online.set_defaults(handler=_command_online)
 
@@ -936,7 +906,6 @@ def build_parser() -> argparse.ArgumentParser:
         "file, N >= 2 turns --db into a directory of N consistent-hash "
         "shards)",
     )
-    _add_lp_backend_argument(serve)
     serve.add_argument(
         "--portfolio",
         action="store_true",

@@ -124,7 +124,8 @@ class _ISPState:
         self.direct_repairs = 0
         self.fallback_used = False
         self.unsatisfiable_pairs: List[Pair] = []
-        #: Warm-start store shared by the run's routability and split solves.
+        #: Split-LP bases of this run (never shared across runs, so a plan
+        #: cannot depend on which requests ran before it).
         self.solver_context = SolverContext()
         #: Indexed snapshot of ``supply``, kept current by the methods below.
         self.index = GraphIndex(self.supply)
@@ -247,7 +248,7 @@ def _main_loop(state: _ISPState) -> int:
         if state.demand.is_empty:
             return iterations
         working = state.working_graph()
-        if routability_test(working, state.demand, context=state.solver_context).routable:
+        if routability_test(working, state.demand).routable:
             return iterations
 
         if _prune_phase(state, working):
@@ -396,9 +397,7 @@ def _finalise_routing(state: _ISPState) -> None:
     if state.demand.is_empty:
         return
     working = state.working_graph()
-    outcome = routability_test(
-        working, state.demand, want_flows=True, context=state.solver_context
-    )
+    outcome = routability_test(working, state.demand, want_flows=True)
     if not outcome.routable:
         return
     for commodity, arc_flows in zip(outcome.commodities, outcome.flows):

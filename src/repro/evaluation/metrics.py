@@ -33,7 +33,7 @@ class PlanEvaluation:
 
     ``solver_stats`` carries the per-solve effort the *algorithm* reported
     in its plan metadata (LP/MILP solve counts, build vs solve wall time,
-    warm-start hits) — empty for algorithms that never touch the solver
+    basis restarts) — empty for algorithms that never touch the solver
     substrate.
     """
 
@@ -91,15 +91,9 @@ def evaluate_plan(
     demand: DemandGraph,
     plan: RecoveryPlan,
     check_routing: bool = True,
-    context=None,
 ) -> PlanEvaluation:
-    """Compute every figure metric for ``plan`` on the given instance.
-
-    ``context`` is an optional :class:`~repro.flows.solver.SolverContext`;
-    a long-lived session passes its own so repeated audit LPs on the same
-    topology are warm-started.
-    """
-    satisfaction = max_satisfiable_flow(recovered_graph(supply, plan), demand, context=context)
+    """Compute every figure metric for ``plan`` on the given instance."""
+    satisfaction = max_satisfiable_flow(recovered_graph(supply, plan), demand)
     violations: List[str] = []
     if check_routing and plan.routes:
         violations = plan.validate_routing(supply, demand)

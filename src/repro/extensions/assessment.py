@@ -64,17 +64,14 @@ class DamageAssessment:
         }
 
 
-def assess_damage(
-    supply: SupplyGraph, demand: DemandGraph, context=None
-) -> DamageAssessment:
+def assess_damage(supply: SupplyGraph, demand: DemandGraph) -> DamageAssessment:
     """Compute a :class:`DamageAssessment` for a disrupted instance.
 
     The assessment only looks at the surviving network (no hypothetical
     repairs): disconnected pairs are demand pairs whose endpoints cannot
     reach each other on working elements, and the pre-recovery satisfied
     fraction is the share of the demand the surviving capacity can carry
-    simultaneously.  ``context`` optionally warm-starts the satisfaction LP
-    from a session's :class:`~repro.flows.solver.SolverContext`.
+    simultaneously.
     """
     working = supply.working_graph(use_residual=False)
 
@@ -94,7 +91,7 @@ def assess_damage(
         ):
             disconnected.append(pair.pair)
 
-    satisfaction = max_satisfiable_flow(working, demand, context=context)
+    satisfaction = max_satisfiable_flow(working, demand)
 
     return DamageAssessment(
         total_nodes=supply.number_of_nodes,

@@ -17,9 +17,9 @@ paper relies on:
 * :mod:`~repro.flows.splitting_lp` — the LP that computes the maximum
   splittable amount ``dx`` used by ISP's split action (Section IV-C);
 * :mod:`~repro.flows.solver` — the solver substrate every solve goes
-  through: pluggable LP/MILP backends, the cached topology structure behind
-  incremental re-solves, warm-start contexts, per-solve statistics and the
-  library's numeric tolerances.
+  through: the LP/MILP backend, the cached topology structure behind
+  incremental re-solves, the split LP's basis store, per-solve statistics
+  and the library's numeric tolerances.
 """
 
 from repro.flows.lp_backend import Commodity, FlowProblem
@@ -32,12 +32,9 @@ from repro.flows.solver import (
     IncrementalFlowProblem,
     SolverContext,
     SolverStats,
-    available_backends,
     build_flow_problem,
     collect_solver_stats,
-    default_backend_name,
     get_backend,
-    set_default_backend,
 )
 
 __all__ = [
@@ -55,10 +52,7 @@ __all__ = [
     "IncrementalFlowProblem",
     "SolverContext",
     "SolverStats",
-    "available_backends",
     "build_flow_problem",
     "collect_solver_stats",
-    "default_backend_name",
     "get_backend",
-    "set_default_backend",
 ]

@@ -34,8 +34,9 @@ The acceleration layer attacks the model in stages, cheapest first:
    set, so excluding a set excludes all its subsets).
 5. **The tightened monolithic model.**  When Benders is not attractive the
    full MILP is solved, but strengthened with the VUB rows, the proven
-   bound window ``lb <= cost <= ub``, cost-free fixings of the non-broken
-   binaries, and the heuristic incumbent as a warm start.
+   bound window ``lb <= cost <= ub`` (the heuristic incumbent's cost is
+   ``ub``) and cost-free fixings of the non-broken binaries; the incumbent
+   is the answer if that solve stops without one.
 
 Bounds and learned cuts are cached per *instance signature* (topology
 signature + damage + capacities + costs + commodities) and reused across
@@ -343,17 +344,13 @@ def _relaxation_program(
             ub_blocks.append(negated)
             ub_rhs.append(-(lb[finite_lb] if not finite_lb.all() else lb))
     lower, upper = fixed_delta_bounds(model)
-    bounds = [
-        (float(lower[i]), None if np.isinf(upper[i]) else float(upper[i]))
-        for i in range(model.num_vars)
-    ]
     return LinearProgram(
         c=model.objective,
         a_ub=sparse.vstack(ub_blocks, format="csr") if ub_blocks else None,
         b_ub=np.concatenate(ub_rhs) if ub_rhs else None,
         a_eq=sparse.vstack(eq_blocks, format="csr") if eq_blocks else None,
         b_eq=np.concatenate(eq_rhs) if eq_rhs else None,
-        bounds=bounds,
+        bounds=np.column_stack([lower, upper]),
     )
 
 
@@ -430,17 +427,13 @@ def commodity_block_bound(
     lower_full, upper_full = fixed_delta_bounds(model)
     lower = np.concatenate([np.zeros(num_arcs), lower_full[model.num_flow:]])
     upper = np.concatenate([np.full(num_arcs, np.inf), upper_full[model.num_flow:]])
-    bounds = [
-        (float(lower[i]), None if np.isinf(upper[i]) else float(upper[i]))
-        for i in range(num_vars)
-    ]
     program = LinearProgram(
         c=objective,
         a_ub=sparse.vstack([vub, degree], format="csr"),
         b_ub=np.zeros(model.num_edges + model.num_nodes),
         a_eq=conservation,
         b_eq=rhs,
-        bounds=bounds,
+        bounds=np.column_stack([lower, upper]),
     )
     solution = get_backend(backend).solve_lp(program)
     if not solution.success:
@@ -849,7 +842,7 @@ def solve_decomposed(
         # "gave_up": fall through to the tightened monolithic model.
 
     # Stage 5: the tightened monolithic model — VUB rows, the proven bound
-    # window, cost-free fixings, and the incumbent as a warm start.
+    # window and cost-free fixings, with the incumbent as the fallback.
     remaining = None
     if deadline is not None:
         remaining = deadline - time.perf_counter()
@@ -879,8 +872,7 @@ def solve_decomposed(
         time_limit=remaining,
         mip_rel_gap=mip_rel_gap,
     )
-    warm = incumbent.x if incumbent is not None else None
-    result = get_backend(backend).solve_milp(program, warm_start=warm)
+    result = get_backend(backend).solve_milp(program)
     if not result.feasible or result.x is None:
         if result.status == "infeasible":
             # The tightened model only removes suboptimal/equivalent points,

@@ -27,14 +27,11 @@ from scipy import sparse
 
 from repro.flows.lp_backend import Commodity
 from repro.flows.solver.backends import LinearProgram, SolverBackend, get_backend
-from repro.flows.solver.incremental import SolverContext, build_flow_problem
+from repro.flows.solver.incremental import build_flow_problem
 from repro.network.demand import DemandGraph
 
 Node = Hashable
 Pair = Tuple[Node, Node]
-
-#: Warm-start purpose tag for the satisfaction LP in a :class:`SolverContext`.
-_WARM_START_TAG = "satisfaction"
 
 
 @dataclass
@@ -57,7 +54,6 @@ def max_satisfiable_flow(
     graph: nx.Graph,
     demand: DemandGraph,
     backend: Optional[Union[str, SolverBackend]] = None,
-    context: Optional[SolverContext] = None,
 ) -> SatisfactionResult:
     """Maximum simultaneously routable portion of ``demand`` over ``graph``.
 
@@ -69,11 +65,8 @@ def max_satisfiable_flow(
     demand:
         The original demand graph.
     backend:
-        Explicit backend name/instance; defaults to the configured backend.
-    context:
-        Optional warm-start store; a long-lived session passes its context
-        so repeated satisfaction solves on the same topology start from the
-        previous optimum.
+        Explicit backend name/instance; defaults to
+        :class:`~repro.flows.solver.backends.ScipyHighsBackend`.
 
     Returns
     -------
@@ -135,21 +128,15 @@ def max_satisfiable_flow(
     for index in range(num_commodities):
         objective[y_column[index]] = -1.0  # maximise total delivered demand
 
-    bounds = [(0, None)] * num_flow + [(0, commodity.demand) for commodity in commodities]
+    bounds = np.column_stack([np.zeros(num_vars), np.full(num_vars, np.inf)])
+    bounds[num_flow:, 1] = [commodity.demand for commodity in commodities]
 
     program = LinearProgram(
         c=objective, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, bounds=bounds
     )
-    warm_start = (
-        context.warm_start_for(_WARM_START_TAG, problem, extra_columns=num_commodities)
-        if context is not None
-        else None
-    )
-    solution = get_backend(backend).solve_lp(program, warm_start=warm_start)
+    solution = get_backend(backend).solve_lp(program)
     if not solution.success:
         return result
-    if context is not None:
-        context.remember(_WARM_START_TAG, problem, solution.x, extra_columns=num_commodities)
 
     for index, pair_key in enumerate(reachable_pairs):
         delivered = float(solution.x[y_column[index]])

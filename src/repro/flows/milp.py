@@ -12,16 +12,18 @@ that all demand flows can be routed simultaneously:
 * constraint 1(d): flow conservation.
 
 The paper solves this model with Gurobi; we dispatch the model through the
-solver substrate (HiGHS branch-and-cut via scipy by default, direct
-``highspy`` when selected), which is also exact.  A time limit can be
+solver substrate (the HiGHS branch-and-cut that scipy ships), which is also
+exact.  A time limit can be
 passed for the scalability experiments, in which case the best incumbent is
 returned together with its optimality gap.
 
 Two accelerations sit on top of the plain model (see ``docs/solver.md``):
 
-* **Incumbent warm starts** — a feasible start built from a heuristic plan
-  (repair vector + routed flows) is offered to the backend and, crucially,
-  gives the decomposition attack a proven upper bound.
+* **Incumbent seeds** — a feasible solution built from a heuristic plan
+  (repair vector + routed flows) gives the decomposition attack a proven
+  upper bound, and its fallback answer.  It is not handed to HiGHS as a
+  MIP start: that changed the returned solutions and was slower (see
+  ``docs/solver.md``).
 * **Strategy dispatch** — ``solve_minimum_recovery`` routes through
   :func:`repro.flows.decomposition.solve_decomposed` unless the caller's
   explicit ``strategy="monolithic"`` pins the plain model.  The monolithic
@@ -373,14 +375,14 @@ def solve_minimum_recovery(
     mip_rel_gap:
         Relative optimality gap at which the solver may stop early.
     backend:
-        Explicit backend name/instance; defaults to the configured backend.
+        Explicit backend name/instance; defaults to
+        :class:`~repro.flows.solver.backends.ScipyHighsBackend`.
     strategy:
         ``"monolithic"``, ``"decomposed"`` or ``"auto"`` (the default).
     seed_plans:
         Heuristic plans to mine for a feasible incumbent (cheapest verified
-        plan wins).  The incumbent warm-starts the backend and gives the
-        decomposition its upper bound; it never changes the optimal
-        objective.
+        plan wins).  The incumbent gives the decomposition its upper bound;
+        it never changes the optimal objective.
 
     Returns
     -------
@@ -432,9 +434,8 @@ def solve_minimum_recovery(
         mip_rel_gap=mip_rel_gap,
     )
 
-    warm_start = incumbent.x if incumbent is not None else None
     started = time.perf_counter()
-    result = get_backend(backend).solve_milp(program, warm_start=warm_start)
+    result = get_backend(backend).solve_milp(program)
     elapsed = time.perf_counter() - started
 
     if not result.feasible or result.x is None:

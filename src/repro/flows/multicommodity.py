@@ -42,7 +42,7 @@ from repro.flows.solver.backends import (
     SolverBackend,
     get_backend,
 )
-from repro.flows.solver.incremental import SolverContext, build_flow_problem
+from repro.flows.solver.incremental import build_flow_problem
 from repro.flows.solver.tolerances import USAGE_THRESHOLD
 from repro.network.demand import DemandGraph
 from repro.network.plan import RecoveryPlan
@@ -53,11 +53,6 @@ Edge = Tuple[Node, Node]
 
 #: Number of reweighting rounds used to sparsify the MCB solution.
 REWEIGHTING_ROUNDS = 4
-
-#: Purpose tag under which reweighting solutions are remembered (the
-#: reweighted LPs share constraints and differ only in the objective — the
-#: ideal warm-start sequence for backends that support it).
-_WARM_START_TAG = "multicommodity-reweighting"
 
 
 @dataclass
@@ -87,7 +82,6 @@ def _solve(
     objective: np.ndarray,
     backend: SolverBackend,
     method_hint: str = "auto",
-    warm_start: Optional[np.ndarray] = None,
 ) -> LPSolution:
     a_ub, b_ub = problem.capacity_matrix()
     a_eq, b_eq = problem.conservation_matrix()
@@ -100,7 +94,7 @@ def _solve(
         bounds=(0, None),
         method_hint=method_hint,
     )
-    return backend.solve_lp(program, warm_start=warm_start)
+    return backend.solve_lp(program)
 
 
 def _plan_from_solution(
@@ -157,7 +151,6 @@ def solve_multicommodity_recovery(
         return MultiCommodityResult(best=empty_best, worst=empty_worst, objective=0.0)
 
     solver = get_backend(backend)
-    context = SolverContext()
     graph = supply.full_graph(use_residual=False)
     problem = build_flow_problem(graph, commodities)
     base_objective = _broken_edge_costs(supply, problem)
@@ -177,11 +170,10 @@ def solve_multicommodity_recovery(
     )
 
     # MCB: iteratively reweighted LP that concentrates flow on few broken
-    # edges.  The rounds share the constraint system and differ only in the
-    # objective, so each one warm-starts from the previous optimum.
+    # edges.  Each round's flows are read, and a basis could change which
+    # optimal vertex comes back, so every round starts cold.
     started = time.perf_counter()
     best_solution = worst_result.x
-    context.remember(_WARM_START_TAG, problem, best_solution)
     weights = base_objective.copy()
     for _ in range(max(1, reweighting_rounds)):
         loads = problem.edge_loads(best_solution)
@@ -197,15 +189,9 @@ def solve_multicommodity_recovery(
                 for a, b in ((u, v), (v, u)):
                     column = problem.flow_index(commodity_index, a, b)
                     weights[column] = base_objective[column] * scale
-        refined = _solve(
-            problem,
-            weights,
-            solver,
-            warm_start=context.warm_start_for(_WARM_START_TAG, problem),
-        )
+        refined = _solve(problem, weights, solver)
         if refined.success:
             best_solution = refined.x
-            context.remember(_WARM_START_TAG, problem, best_solution)
     best_elapsed = time.perf_counter() - started
     best_plan = _plan_from_solution(
         supply, problem, best_solution, algorithm="MCB", elapsed=best_elapsed

@@ -9,10 +9,8 @@ really supports the demand.
 
 The test is implemented as an LP feasibility problem dispatched through the
 solver substrate (:mod:`repro.flows.solver`): constraint matrices come from
-the topology-structure cache, the solve goes to the active backend, and a
-:class:`~repro.flows.solver.incremental.SolverContext` (threaded in by the
-ISP loop and GRD-NC, whose consecutive tests differ only by small deltas)
-lets warm-start-capable backends reuse the previous solution.  A small
+the topology-structure cache and the solve goes to the backend.  It
+always starts cold, because callers read its routing.  A small
 objective (minimising the total routed flow) is used instead of a zero
 objective so the returned routing contains no gratuitous cycles, which keeps
 the derived per-edge loads meaningful.
@@ -28,15 +26,12 @@ import numpy as np
 
 from repro.flows.lp_backend import Commodity
 from repro.flows.solver.backends import LinearProgram, SolverBackend, get_backend
-from repro.flows.solver.incremental import SolverContext, build_flow_problem
+from repro.flows.solver.incremental import build_flow_problem
 from repro.flows.solver.tolerances import EPSILON
 from repro.network.demand import DemandGraph
 
 Node = Hashable
 Edge = Tuple[Node, Node]
-
-#: Purpose tag under which routability solutions are remembered for warm starts.
-_WARM_START_TAG = "routability"
 
 
 @dataclass
@@ -79,7 +74,6 @@ def routability_test(
     graph: nx.Graph,
     demand: DemandGraph,
     want_flows: bool = False,
-    context: Optional[SolverContext] = None,
     backend: Optional[Union[str, SolverBackend]] = None,
 ) -> RoutabilityResult:
     """Check whether ``demand`` is routable over ``graph``.
@@ -94,12 +88,9 @@ def routability_test(
     want_flows:
         When true, a feasible routing (per-commodity arc flows and per-edge
         loads) is returned alongside the verdict.
-    context:
-        Optional warm-start store of the calling algorithm run; consecutive
-        tests on the same topology reuse the previous solution on backends
-        that support warm starts.
     backend:
-        Explicit backend name/instance; defaults to the configured backend.
+        Explicit backend name/instance; defaults to
+        :class:`~repro.flows.solver.backends.ScipyHighsBackend`.
 
     Returns
     -------
@@ -144,10 +135,7 @@ def routability_test(
         b_eq=b_eq,
         bounds=(0, None),
     )
-    warm_start = (
-        context.warm_start_for(_WARM_START_TAG, problem) if context is not None else None
-    )
-    solution = get_backend(backend).solve_lp(program, warm_start=warm_start)
+    solution = get_backend(backend).solve_lp(program)
 
     if not solution.success:
         return RoutabilityResult(
@@ -156,8 +144,6 @@ def routability_test(
             reason=f"LP infeasible ({solution.message})",
         )
 
-    if context is not None:
-        context.remember(_WARM_START_TAG, problem, solution.x)
     outcome = RoutabilityResult(routable=True, commodities=commodities)
     if want_flows:
         outcome.flows = problem.flows_by_commodity(solution.x)

@@ -1,13 +1,13 @@
-"""Solver substrate: pluggable backends, cached structure, warm re-solves.
+"""Solver substrate: the HiGHS backend, cached structure, basis restarts.
 
 This package owns every LP/MILP solve in the library:
 
-* :mod:`repro.flows.solver.backends` — the :class:`SolverBackend` protocol,
-  the default scipy/HiGHS backend, the optional direct ``highspy`` backend
-  and the registry (``--lp-backend`` / ``REPRO_LP_BACKEND`` selection);
+* :mod:`repro.flows.solver.backends` — the :class:`SolverBackend` protocol
+  and its one implementation (scipy's bundled HiGHS core, driven directly
+  with ``linprog``/``milp``'s options);
 * :mod:`repro.flows.solver.incremental` — cached constraint structure per
   graph topology, :class:`IncrementalFlowProblem` delta re-assembly and the
-  :class:`SolverContext` warm-start store;
+  :class:`SolverContext` basis store ISP's split LP restarts from;
 * :mod:`repro.flows.solver.stats` — per-solve effort accounting threaded up
   to plan metadata, experiment cells and the CLI;
 * :mod:`repro.flows.solver.tolerances` — the library's two numeric
@@ -15,19 +15,13 @@ This package owns every LP/MILP solve in the library:
 """
 
 from repro.flows.solver.backends import (
-    BACKEND_ENV_VAR,
-    HighspyBackend,
     LinearProgram,
     LPSolution,
     MILProgram,
     MILPSolution,
     ScipyHighsBackend,
     SolverBackend,
-    available_backends,
-    default_backend_name,
     get_backend,
-    register_backend,
-    set_default_backend,
 )
 from repro.flows.solver.stats import SolverStats, collect_solver_stats
 from repro.flows.solver.tolerances import EPSILON, FLOW_TOLERANCE
@@ -55,19 +49,13 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
-    "BACKEND_ENV_VAR",
     "LinearProgram",
     "LPSolution",
     "MILProgram",
     "MILPSolution",
     "SolverBackend",
     "ScipyHighsBackend",
-    "HighspyBackend",
-    "available_backends",
-    "default_backend_name",
     "get_backend",
-    "register_backend",
-    "set_default_backend",
     "IncrementalFlowProblem",
     "SolverContext",
     "StructureCache",

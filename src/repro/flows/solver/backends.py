@@ -1,46 +1,47 @@
-"""Pluggable LP/MILP solver backends.
+"""The LP/MILP solver backend.
 
 Every optimisation problem in the library — the routability test, the
 split-amount LP, the concurrent-flow satisfaction LP, the multi-commodity
 relaxation and the exact MinR MILP — is expressed as a backend-neutral
 :class:`LinearProgram` / :class:`MILProgram` and dispatched through a
-:class:`SolverBackend`:
+:class:`SolverBackend`.
 
-* :class:`ScipyHighsBackend` (name ``"scipy"``) — the default, always
-  available: ``scipy.optimize.linprog``/``milp`` driving the vendored HiGHS.
-  It re-solves every program from scratch (scipy exposes no warm-start API).
-* :class:`HighspyBackend` (name ``"highs"``) — registered only when the
-  optional ``highspy`` package is importable (``pip install repro[highs]``).
-  It talks to HiGHS directly and accepts the previous solution as a warm
-  start, which is what makes incremental re-solves across the ISP inner
-  loop cheap.
+The one backend, :class:`ScipyHighsBackend` (name ``"scipy"``), runs the
+HiGHS core that scipy ships (``scipy.optimize._highspy._core``) directly:
+it builds one ``HighsLp`` from the program's blocks, sets exactly the
+options ``linprog(method="highs"|"highs-ipm")`` and ``milp`` set and runs
+``linprog``'s check of an LP optimum, so x, objective and status are
+theirs bit for bit, without their per-call input validation,
+option-manager loop and result unpacking.  An
+LP may start from the HiGHS basis of an earlier LP of the same shape
+(:attr:`LPSolution.basis`); only callers that read nothing but the optimum
+pass one (see :class:`~repro.flows.solver.incremental.SolverContext`).
 
-The active backend is resolved per solve: an explicit argument wins, then a
-process-wide override (:func:`set_default_backend`, set by the CLI's
-``--lp-backend``), then the ``REPRO_LP_BACKEND`` environment variable, then
-``"scipy"``.  All registered backends are interchangeable — the backend
-parity suite asserts identical verdicts and metrics on the tier-1 scenarios.
+Solve sites take an optional ``backend``: a :class:`SolverBackend` instance
+(tests wrap one) or the name ``"scipy"``; :func:`get_backend` resolves it.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+import scipy.optimize._highspy._core as _highs
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from repro.flows.solver.stats import record_solve
 
-#: Environment variable naming the default backend.
-BACKEND_ENV_VAR = "REPRO_LP_BACKEND"
-
-#: Per-variable bounds: one (lo, hi) for all variables, or one per variable.
-BoundsLike = Union[Tuple[Optional[float], Optional[float]], Sequence[Tuple[Optional[float], Optional[float]]]]
+#: Per-variable bounds, as ``linprog`` takes them: one (lo, hi) for all
+#: variables, or one per variable (pairs or an ``(n, 2)`` array); ``None``
+#: or an infinity means unbounded.
+BoundsLike = Union[
+    Tuple[Optional[float], Optional[float]],
+    Sequence[Tuple[Optional[float], Optional[float]]],
+    np.ndarray,
+]
 
 
 @dataclass
@@ -71,7 +72,9 @@ class LPSolution:
     x: Optional[np.ndarray] = None
     objective: Optional[float] = None
     message: str = ""
-    warm_started: bool = False
+    #: The final HiGHS basis of an optimal solve; a later LP of the same
+    #: shape may start from it.
+    basis: Optional[object] = None
 
     @property
     def success(self) -> bool:
@@ -107,8 +110,6 @@ class MILPSolution:
     #: Best proven lower bound on the objective (the MIP dual bound), when
     #: the backend reports one.  Equals ``objective`` on a proven optimum.
     dual_bound: Optional[float] = None
-    #: Whether the backend actually consumed the offered incumbent.
-    warm_started: bool = False
 
     @property
     def feasible(self) -> bool:
@@ -116,18 +117,14 @@ class MILPSolution:
 
 
 def _bounds_arrays(bounds: BoundsLike, n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Normalise :attr:`LinearProgram.bounds` into dense (lower, upper) arrays."""
-    lower = np.zeros(n)
-    upper = np.full(n, np.inf)
-    if isinstance(bounds, tuple) and len(bounds) == 2 and not isinstance(bounds[0], (tuple, list)):
-        pairs: Sequence[Tuple[Optional[float], Optional[float]]] = [bounds] * n
-    else:
-        pairs = list(bounds)  # type: ignore[arg-type]
-        if len(pairs) != n:
-            raise ValueError(f"expected {n} bound pairs, got {len(pairs)}")
-    for i, (lo, hi) in enumerate(pairs):
-        lower[i] = -np.inf if lo is None else float(lo)
-        upper[i] = np.inf if hi is None else float(hi)
+    """:attr:`LinearProgram.bounds` as (lower, upper) arrays; ``None`` is unbounded."""
+    pairs = np.array(bounds, dtype=float)  # None becomes nan
+    if pairs.shape == (2,):
+        pairs = np.broadcast_to(pairs, (n, 2))
+    elif pairs.shape != (n, 2):
+        raise ValueError(f"expected {n} bound pairs, got an array of shape {pairs.shape}")
+    lower = np.where(np.isnan(pairs[:, 0]), -np.inf, pairs[:, 0])
+    upper = np.where(np.isnan(pairs[:, 1]), np.inf, pairs[:, 1])
     return lower, upper
 
 
@@ -135,360 +132,269 @@ class SolverBackend(ABC):
     """Interface every LP/MILP backend implements."""
 
     name: str = "abstract"
-    supports_warm_start: bool = False
 
     @abstractmethod
-    def solve_lp(
-        self, program: LinearProgram, warm_start: Optional[np.ndarray] = None
-    ) -> LPSolution:
-        """Solve ``program``, optionally starting from ``warm_start``."""
+    def solve_lp(self, program: LinearProgram, basis: Optional[object] = None) -> LPSolution:
+        """Solve ``program``, starting from ``basis`` when the backend can.
 
-    @abstractmethod
-    def solve_milp(
-        self, program: MILProgram, warm_start: Optional[np.ndarray] = None
-    ) -> MILPSolution:
-        """Solve the mixed-integer ``program``.
-
-        ``warm_start`` is a feasible incumbent (full variable vector) offered
-        to the branch-and-bound search.  Backends that cannot consume MILP
-        incumbents still record the offer in the solver stats so seeding
-        behaviour is observable everywhere.
+        ``basis`` is the :attr:`LPSolution.basis` of an earlier LP of the
+        same shape.  It may change which optimal vertex is returned, so only
+        callers that read nothing but the optimum pass one.
         """
+
+    @abstractmethod
+    def solve_milp(self, program: MILProgram) -> MILPSolution:
+        """Solve the mixed-integer ``program``."""
+
+
+#: The options ``linprog(method="highs")`` sets (``"highs-ipm"`` adds ``solver``).
+_LP_OPTIONS = {
+    "presolve": "on",
+    "highs_debug_level": 0,
+    "log_to_console": False,
+    "output_flag": False,
+    "simplex_strategy": 1,  # dual simplex
+}
+_IPM_OPTIONS = dict(_LP_OPTIONS, solver="ipm")
+
+#: Model statuses that are not ``"error"``, read the way scipy's
+#: ``_highs_to_scipy_status_message`` reads them (a model error counts as
+#: infeasible; "unbounded or infeasible" is an error).
+_STATUSES = {
+    _highs.HighsModelStatus.kOptimal: "optimal",
+    _highs.HighsModelStatus.kInfeasible: "infeasible",
+    _highs.HighsModelStatus.kModelError: "infeasible",
+    _highs.HighsModelStatus.kUnbounded: "unbounded",
+}
+
+#: linprog's tolerance when it checks an optimum (scipy's ``_check_result``:
+#: ``sqrt(tol) * 10`` with its default ``tol`` of 1e-9).
+_CHECK_TOL = np.sqrt(1e-9) * 10
+
+#: MILP statuses that still carry an incumbent when its objective is finite.
+_LIMIT_STATUSES = (
+    _highs.HighsModelStatus.kTimeLimit,
+    _highs.HighsModelStatus.kIterationLimit,
+    _highs.HighsModelStatus.kSolutionLimit,
+)
+
+
+def _run(
+    c: np.ndarray,
+    matrix: sparse.csc_array,
+    row_lower: np.ndarray,
+    row_upper: np.ndarray,
+    col_lower: np.ndarray,
+    col_upper: np.ndarray,
+    options: Dict[str, object],
+    integrality: Optional[np.ndarray] = None,
+    basis: Optional[object] = None,
+) -> Tuple[object, object, bool]:
+    """Load one model into a fresh HiGHS instance and run it.
+
+    Returns ``(highs, model status, whether basis was accepted)``; a model
+    HiGHS refuses to load reports ``kModelError``, as in scipy.
+    """
+    num_row, num_col = matrix.shape
+    lp = _highs.HighsLp()
+    lp.num_col_ = num_col
+    lp.num_row_ = num_row
+    lp.a_matrix_.num_col_ = num_col
+    lp.a_matrix_.num_row_ = num_row
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    # The vector setters convert element by element, from a list about
+    # twice as fast as from an ndarray.
+    lp.col_cost_ = c.tolist()
+    lp.col_lower_ = col_lower.tolist()
+    lp.col_upper_ = col_upper.tolist()
+    lp.row_lower_ = row_lower.tolist()
+    lp.row_upper_ = row_upper.tolist()
+    lp.a_matrix_.start_ = matrix.indptr.tolist()
+    lp.a_matrix_.index_ = matrix.indices.tolist()
+    lp.a_matrix_.value_ = np.asarray(matrix.data, dtype=np.float64).tolist()
+    if integrality is not None:
+        lp.integrality_ = [_highs.HighsVarType(flag) for flag in integrality.tolist()]
+    highs = _highs._Highs()
+    for name, value in options.items():
+        highs.setOptionValue(name, value)
+    if highs.passModel(lp) == _highs.HighsStatus.kError:
+        return highs, _highs.HighsModelStatus.kModelError, False
+    accepted = basis is not None and highs.setBasis(basis) == _highs.HighsStatus.kOk
+    highs.run()
+    return highs, highs.getModelStatus(), accepted
+
+
+def _within_bounds(
+    x: np.ndarray,
+    objective: float,
+    row_value: np.ndarray,
+    col_lower: np.ndarray,
+    col_upper: np.ndarray,
+    row_lower: np.ndarray,
+    row_upper: np.ndarray,
+) -> bool:
+    """linprog's check of an LP optimum: nothing is NaN, and every column
+    and row lies within its bounds up to :data:`_CHECK_TOL`.
+
+    Row residuals are formed as linprog forms its slack and equality
+    residuals (``bound - value``), so the verdict is linprog's.
+    """
+    if np.isnan(objective) or np.isnan(x).any() or np.isnan(row_value).any():
+        return False
+    tol = _CHECK_TOL
+    if not np.all((x >= col_lower - tol) & (x <= col_upper + tol)):
+        return False
+    return not ((row_upper - row_value < -tol).any() or (row_value - row_lower < -tol).any())
 
 
 class ScipyHighsBackend(SolverBackend):
-    """Default backend: ``scipy.optimize`` driving the vendored HiGHS."""
+    """The one backend: scipy's bundled HiGHS core, driven directly."""
 
     name = "scipy"
-    supports_warm_start = False
 
-    def solve_lp(
-        self, program: LinearProgram, warm_start: Optional[np.ndarray] = None
-    ) -> LPSolution:
-        method = "highs-ipm" if program.method_hint == "interior-point" else "highs"
+    def solve_lp(self, program: LinearProgram, basis: Optional[object] = None) -> LPSolution:
         started = time.perf_counter()
-        result = linprog(
-            c=program.c,
-            A_ub=program.a_ub,
-            b_ub=program.b_ub,
-            A_eq=program.a_eq,
-            b_eq=program.b_eq,
-            bounds=program.bounds,
-            method=method,
+        c = np.asarray(program.c, dtype=np.float64)
+        col_lower, col_upper = _bounds_arrays(program.bounds, len(c))
+        # linprog's row system: the A_ub rows (-inf <= row <= b_ub), then
+        # the A_eq rows (b_eq <= row <= b_eq), as one canonical CSC matrix.
+        blocks, row_lower, row_upper = [], [], []
+        if program.a_ub is not None:
+            b_ub = np.asarray(program.b_ub, dtype=np.float64).reshape(-1)
+            blocks.append(program.a_ub)
+            row_lower.append(np.full(len(b_ub), -np.inf))
+            row_upper.append(b_ub)
+        if program.a_eq is not None:
+            b_eq = np.asarray(program.b_eq, dtype=np.float64).reshape(-1)
+            blocks.append(program.a_eq)
+            row_lower.append(b_eq)
+            row_upper.append(b_eq)
+        if blocks:
+            matrix = sparse.csc_array(sparse.vstack(blocks) if len(blocks) > 1 else blocks[0])
+            matrix.sum_duplicates()
+            row_lower, row_upper = np.concatenate(row_lower), np.concatenate(row_upper)
+        else:
+            matrix = sparse.csc_array((0, len(c)))
+            row_lower = row_upper = np.zeros(0)
+        options = _IPM_OPTIONS if program.method_hint == "interior-point" else _LP_OPTIONS
+        highs, status, warm = _run(
+            c,
+            matrix,
+            row_lower,
+            row_upper,
+            col_lower,
+            col_upper,
+            options,
+            basis=basis,
         )
-        # A warm start cannot be consumed by linprog, but the *offer* is
-        # still recorded so session-level reuse is visible on every backend.
+        message = highs.modelStatusToString(status)
+        solution = LPSolution(status=_STATUSES.get(status, "error"), message=message)
+        if status == _highs.HighsModelStatus.kOptimal:
+            values = highs.getSolution()
+            x = np.array(values.col_value)
+            objective = float(highs.getInfo().objective_function_value)
+            row_value = np.array(values.row_value)
+            if _within_bounds(x, objective, row_value, col_lower, col_upper, row_lower, row_upper):
+                final_basis = highs.getBasis()
+                solution = LPSolution(
+                    status="optimal",
+                    x=x,
+                    objective=objective,
+                    message=message,
+                    basis=final_basis if final_basis.valid else None,
+                )
+            else:
+                # linprog downgrades such an optimum to its status 4.
+                solution = LPSolution(
+                    status="error",
+                    message=f"{message}, but outside its bounds by more than {_CHECK_TOL:.2e}",
+                )
         record_solve(
             time.perf_counter() - started,
             kind="lp",
-            warm_start_attempted=warm_start is not None,
+            warm_start_attempted=basis is not None,
+            warm_start_used=warm,
         )
-        if result.success:
-            return LPSolution(
-                status="optimal",
-                x=np.asarray(result.x),
-                objective=float(result.fun),
-                message=str(result.message),
-            )
-        status = {2: "infeasible", 3: "unbounded"}.get(result.status, "error")
-        return LPSolution(status=status, message=str(result.message))
+        return solution
 
-    def solve_milp(
-        self, program: MILProgram, warm_start: Optional[np.ndarray] = None
-    ) -> MILPSolution:
-        constraints = [
-            LinearConstraint(matrix, lb=lb, ub=ub)
-            for matrix, lb, ub in program.constraints
-        ]
-        options: Dict[str, object] = {"mip_rel_gap": program.mip_rel_gap}
+    def solve_milp(self, program: MILProgram) -> MILPSolution:
+        started = time.perf_counter()
+        c = np.asarray(program.c, dtype=np.float64)
+        shape = c.shape
+        integrality = np.broadcast_to(
+            0 if program.integrality is None else program.integrality, shape
+        ).astype(np.uint8)
+        # milp's row system: each constraint block as CSC, stacked in order.
+        blocks, row_lower, row_upper = [], [], []
+        for block, lb, ub in program.constraints:
+            block = sparse.csc_array(block)
+            blocks.append(block)
+            row_lower.append(np.broadcast_to(np.atleast_1d(lb).astype(np.float64), block.shape[:1]))
+            row_upper.append(np.broadcast_to(np.atleast_1d(ub).astype(np.float64), block.shape[:1]))
+        if blocks:
+            matrix = sparse.vstack(blocks, format="csc") if len(blocks) > 1 else blocks[0]
+            row_lower, row_upper = np.concatenate(row_lower), np.concatenate(row_upper)
+        else:
+            matrix = sparse.csc_array((0, len(c)))
+            row_lower = row_upper = np.zeros(0)
+        options: Dict[str, object] = {
+            "log_to_console": False,
+            "mip_rel_gap": float(program.mip_rel_gap),
+        }
         if program.time_limit is not None:
             options["time_limit"] = float(program.time_limit)
-        started = time.perf_counter()
-        result = milp(
-            c=program.c,
-            constraints=constraints,
-            integrality=program.integrality,
-            bounds=Bounds(lb=program.lb, ub=program.ub),
-            options=options,
+        highs, status, _ = _run(
+            c,
+            matrix,
+            row_lower,
+            row_upper,
+            np.broadcast_to(program.lb, shape).astype(np.float64),
+            np.broadcast_to(program.ub, shape).astype(np.float64),
+            options,
+            integrality=integrality,
         )
-        # ``scipy.optimize.milp`` exposes no incumbent-injection API; the
-        # offer is recorded (never consumed) so seeding stays observable.
-        record_solve(
-            time.perf_counter() - started,
-            kind="milp",
-            warm_start_attempted=warm_start is not None,
+        is_mip = bool(integrality.any())
+        info = highs.getInfo()
+        has_x = status == _highs.HighsModelStatus.kOptimal or (
+            is_mip
+            and status in _LIMIT_STATUSES
+            and info.objective_function_value != _highs.kHighsInf
         )
-        # scipy/HiGHS status codes: 0 optimal, 1 iteration/time limit,
-        # 2 infeasible, 3 unbounded, 4 numerical trouble.
-        if result.status == 2:
-            return MILPSolution(status="infeasible")
-        if result.x is None:
-            return MILPSolution(status="error")
-        mip_gap = getattr(result, "mip_gap", None)
-        dual_bound = getattr(result, "mip_dual_bound", None)
-        return MILPSolution(
-            status="optimal" if result.status == 0 else "feasible",
-            x=np.asarray(result.x),
-            objective=float(result.fun),
-            mip_gap=float(mip_gap) if mip_gap is not None else None,
-            dual_bound=float(dual_bound) if dual_bound is not None else None,
-        )
-
-
-class HighspyBackend(SolverBackend):
-    """Direct HiGHS backend via the optional ``highspy`` package.
-
-    Talks to one :class:`highspy.Highs` instance per solve (models are small;
-    the win is the warm start, not instance reuse) and offers the caller's
-    previous solution as a primal starting point when one is available.
-    """
-
-    name = "highs"
-    supports_warm_start = True
-
-    @staticmethod
-    def is_available() -> bool:
-        try:  # pragma: no cover - exercised only where highspy is installed
-            import highspy  # noqa: F401
-        except ImportError:
-            return False
-        return True
-
-    # The whole backend is exercised only in environments with highspy
-    # installed (the CI parity leg); the container running the tier-1 suite
-    # may not have it.
-    def _stack_rows(
-        self, program: Union[LinearProgram, MILProgram]
-    ) -> Tuple[sparse.csc_matrix, np.ndarray, np.ndarray]:  # pragma: no cover
-        """Combine <=/== constraint blocks into one row system with bounds."""
-        blocks: List[sparse.spmatrix] = []
-        lowers: List[np.ndarray] = []
-        uppers: List[np.ndarray] = []
-        if isinstance(program, LinearProgram):
-            if program.a_ub is not None:
-                rows = program.a_ub.shape[0]
-                blocks.append(program.a_ub)
-                lowers.append(np.full(rows, -np.inf))
-                uppers.append(np.asarray(program.b_ub, dtype=float))
-            if program.a_eq is not None:
-                rhs = np.asarray(program.b_eq, dtype=float)
-                blocks.append(program.a_eq)
-                lowers.append(rhs)
-                uppers.append(rhs)
+        if _STATUSES.get(status) == "infeasible":
+            solution = MILPSolution(status="infeasible")
+        elif not has_x:
+            solution = MILPSolution(status="error")
         else:
-            for matrix, lb, ub in program.constraints:
-                rows = matrix.shape[0]
-                blocks.append(matrix)
-                lowers.append(np.broadcast_to(np.asarray(lb, dtype=float), (rows,)))
-                uppers.append(np.broadcast_to(np.asarray(ub, dtype=float), (rows,)))
-        if not blocks:
-            empty = sparse.csc_matrix((0, program.num_variables))
-            return empty, np.zeros(0), np.zeros(0)
-        stacked = sparse.vstack(blocks).tocsc()
-        return stacked, np.concatenate(lowers), np.concatenate(uppers)
-
-    def _build_model(
-        self,
-        program: Union[LinearProgram, MILProgram],
-        col_lower: np.ndarray,
-        col_upper: np.ndarray,
-    ):  # pragma: no cover
-        import highspy
-
-        matrix, row_lower, row_upper = self._stack_rows(program)
-        lp = highspy.HighsLp()
-        lp.num_col_ = program.num_variables
-        lp.num_row_ = matrix.shape[0]
-        lp.col_cost_ = np.asarray(program.c, dtype=float)
-        lp.col_lower_ = col_lower
-        lp.col_upper_ = col_upper
-        lp.row_lower_ = row_lower
-        lp.row_upper_ = row_upper
-        lp.a_matrix_.format_ = highspy.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = matrix.indptr
-        lp.a_matrix_.index_ = matrix.indices
-        lp.a_matrix_.value_ = matrix.data
-        if isinstance(program, MILProgram) and program.integrality is not None:
-            lp.integrality_ = [
-                highspy.HighsVarType.kInteger if flag else highspy.HighsVarType.kContinuous
-                for flag in np.asarray(program.integrality)
-            ]
-        solver = highspy.Highs()
-        solver.setOptionValue("output_flag", False)
-        solver.passModel(lp)
-        return solver
-
-    def solve_lp(
-        self, program: LinearProgram, warm_start: Optional[np.ndarray] = None
-    ) -> LPSolution:  # pragma: no cover
-        import highspy
-
-        col_lower, col_upper = _bounds_arrays(program.bounds, program.num_variables)
-        solver = self._build_model(program, col_lower, col_upper)
-        if program.method_hint == "interior-point":
-            solver.setOptionValue("solver", "ipm")
-        warm_started = False
-        if warm_start is not None and program.method_hint != "interior-point":
-            try:
-                solution = highspy.HighsSolution()
-                solution.col_value = np.asarray(warm_start, dtype=float)
-                warm_started = solver.setSolution(solution) == highspy.HighsStatus.kOk
-            except (AttributeError, TypeError, ValueError):
-                warm_started = False
-        started = time.perf_counter()
-        solver.run()
-        record_solve(
-            time.perf_counter() - started,
-            kind="lp",
-            warm_start_attempted=warm_start is not None,
-            warm_start_used=warm_started,
-        )
-        status = solver.getModelStatus()
-        if status == highspy.HighsModelStatus.kOptimal:
-            values = np.array(solver.getSolution().col_value, dtype=float)
-            return LPSolution(
-                status="optimal",
-                x=values,
-                objective=float(solver.getInfo().objective_function_value),
-                message="Optimal",
-                warm_started=warm_started,
+            solution = MILPSolution(
+                status="optimal" if status == _highs.HighsModelStatus.kOptimal else "feasible",
+                x=np.array(highs.getSolution().col_value),
+                objective=float(info.objective_function_value),
+                mip_gap=float(info.mip_gap) if is_mip else None,
+                dual_bound=float(info.mip_dual_bound) if is_mip else None,
             )
-        if status in (
-            highspy.HighsModelStatus.kInfeasible,
-            highspy.HighsModelStatus.kUnboundedOrInfeasible,
-        ):
-            return LPSolution(status="infeasible", message=str(status))
-        if status == highspy.HighsModelStatus.kUnbounded:
-            return LPSolution(status="unbounded", message=str(status))
-        return LPSolution(status="error", message=str(status))
-
-    def solve_milp(
-        self, program: MILProgram, warm_start: Optional[np.ndarray] = None
-    ) -> MILPSolution:  # pragma: no cover
-        import highspy
-
-        lower = np.broadcast_to(np.asarray(program.lb, dtype=float), (program.num_variables,))
-        upper = np.broadcast_to(np.asarray(program.ub, dtype=float), (program.num_variables,))
-        solver = self._build_model(program, np.array(lower), np.array(upper))
-        solver.setOptionValue("mip_rel_gap", float(program.mip_rel_gap))
-        if program.time_limit is not None:
-            solver.setOptionValue("time_limit", float(program.time_limit))
-        warm_started = False
-        if warm_start is not None:
-            # Hand HiGHS the heuristic incumbent: branch-and-bound starts
-            # with an upper bound and can prune from the first node.
-            try:
-                solution = highspy.HighsSolution()
-                solution.col_value = np.asarray(warm_start, dtype=float)
-                warm_started = solver.setSolution(solution) == highspy.HighsStatus.kOk
-            except (AttributeError, TypeError, ValueError):
-                warm_started = False
-        started = time.perf_counter()
-        solver.run()
-        record_solve(
-            time.perf_counter() - started,
-            kind="milp",
-            warm_start_attempted=warm_start is not None,
-            warm_start_used=warm_started,
-        )
-        status = solver.getModelStatus()
-        info = solver.getInfo()
-        has_incumbent = info.primal_solution_status == highspy.kSolutionStatusFeasible
-        if status == highspy.HighsModelStatus.kInfeasible:
-            return MILPSolution(status="infeasible")
-        if not has_incumbent:
-            return MILPSolution(status="error")
-        values = np.array(solver.getSolution().col_value, dtype=float)
-        gap = getattr(info, "mip_gap", None)
-        dual_bound = getattr(info, "mip_dual_bound", None)
-        return MILPSolution(
-            status="optimal" if status == highspy.HighsModelStatus.kOptimal else "feasible",
-            x=values,
-            objective=float(info.objective_function_value),
-            mip_gap=float(gap) if gap is not None else None,
-            dual_bound=float(dual_bound) if dual_bound is not None else None,
-            warm_started=warm_started,
-        )
+        record_solve(time.perf_counter() - started, kind="milp")
+        return solution
 
 
-# --------------------------------------------------------------------------- #
-# Registry and default-backend resolution
-# --------------------------------------------------------------------------- #
-_REGISTRY: Dict[str, Tuple[Callable[[], SolverBackend], Callable[[], bool]]] = {}
-_INSTANCES: Dict[str, SolverBackend] = {}
-_DEFAULT_OVERRIDE: Optional[str] = None
-
-
-def register_backend(
-    name: str,
-    factory: Callable[[], SolverBackend],
-    available: Callable[[], bool] = lambda: True,
-) -> None:
-    """Register a backend ``factory`` under ``name`` (gated by ``available``)."""
-    _REGISTRY[name] = (factory, available)
-    _INSTANCES.pop(name, None)
-
-
-register_backend("scipy", ScipyHighsBackend)
-register_backend("highs", HighspyBackend, available=HighspyBackend.is_available)
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Names of the registered backends usable in this environment."""
-    return tuple(name for name, (_, available) in _REGISTRY.items() if available())
-
-
-def set_default_backend(name: Optional[str]) -> None:
-    """Override the default backend process-wide (``None`` clears the override)."""
-    if name is not None:
-        _resolve(name)  # validate eagerly
-    global _DEFAULT_OVERRIDE
-    _DEFAULT_OVERRIDE = name
-
-
-def default_backend_name() -> str:
-    """The backend used when a solve site names none explicitly."""
-    if _DEFAULT_OVERRIDE is not None:
-        return _DEFAULT_OVERRIDE
-    return os.environ.get(BACKEND_ENV_VAR, "").strip() or "scipy"
-
-
-def _resolve(name: str) -> SolverBackend:
-    try:
-        factory, available = _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown LP backend {name!r}; registered: {', '.join(sorted(_REGISTRY))}"
-        ) from None
-    if not available():
-        raise KeyError(
-            f"LP backend {name!r} is not available in this environment "
-            f"(available: {', '.join(available_backends())})"
-        )
-    if name not in _INSTANCES:
-        _INSTANCES[name] = factory()
-    return _INSTANCES[name]
+_SCIPY = ScipyHighsBackend()
 
 
 def get_backend(name: Optional[Union[str, SolverBackend]] = None) -> SolverBackend:
-    """Resolve a backend: explicit name/instance > override > env var > scipy."""
+    """The backend a solve runs on: ``name`` itself when it is a backend,
+    else the shared :class:`ScipyHighsBackend` (``None`` or ``"scipy"``)."""
     if isinstance(name, SolverBackend):
         return name
-    return _resolve(name or default_backend_name())
+    if name not in (None, ScipyHighsBackend.name):
+        raise KeyError(f"unknown LP backend {name!r}; the only backend is 'scipy'")
+    return _SCIPY
 
 
 __all__ = [
-    "BACKEND_ENV_VAR",
     "LinearProgram",
     "LPSolution",
     "MILProgram",
     "MILPSolution",
     "SolverBackend",
     "ScipyHighsBackend",
-    "HighspyBackend",
-    "register_backend",
-    "available_backends",
-    "set_default_backend",
-    "default_backend_name",
     "get_backend",
 ]

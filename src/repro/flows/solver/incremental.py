@@ -22,11 +22,9 @@ from them by applying only the **deltas**:
 * added split commodities → append one more ``B`` / ``C`` block;
 * node/edge (de)activation→ new topology signature, one fresh block build.
 
-:class:`SolverContext` complements this with a warm-start store: one
-algorithm run remembers the previous solution per (purpose, topology) and
-offers it to backends that support warm starts (the direct HiGHS backend),
-padding or truncating the flow block when commodities were added or removed
-in between.
+:class:`SolverContext` complements this with a basis store: one ISP run
+keeps the final HiGHS basis of its split LP per (topology, commodity count)
+and starts the next split LP of that shape from it.
 """
 
 from __future__ import annotations
@@ -290,54 +288,29 @@ def build_flow_problem(
 
 
 class SolverContext:
-    """Warm-start memory carried across the solves of one algorithm run.
+    """HiGHS bases carried across the split LPs of one ISP run.
 
-    Stored solutions are keyed by a caller-chosen purpose tag plus the
-    topology signature.  A lookup returns the remembered solution adapted to
-    the requested problem: exact-size matches verbatim, commodity-count
-    drifts (splits add commodities) by zero-padding or truncating the flow
-    block.  The adapted vector is a *starting point*, not a feasible
-    solution — backends treat it as a hint, so staleness is harmless.
+    A basis is kept per (topology signature, commodity count), the key that
+    fixes the split LP's shape; a lookup on any other key returns ``None``.
+    A basis only chooses where the simplex starts, so a caller passes one
+    only when it reads nothing but the optimum.
     """
 
     def __init__(self) -> None:
-        #: (tag, signature) -> (solution, num_commodities, extra columns)
-        self._solutions: Dict[Tuple[str, Signature], Tuple[np.ndarray, int, int]] = {}
+        self._bases: Dict[Tuple[Signature, int], object] = {}
 
-    def remember(
-        self,
-        tag: str,
-        problem: IncrementalFlowProblem,
-        x: np.ndarray,
-        extra_columns: int = 0,
-    ) -> None:
-        key = (tag, problem.structure.signature)
-        self._solutions[key] = (np.asarray(x, dtype=float), problem.num_commodities, extra_columns)
+    @staticmethod
+    def _key(problem: IncrementalFlowProblem) -> Tuple[Signature, int]:
+        return (problem.structure.signature, problem.num_commodities)
 
-    def warm_start_for(
-        self,
-        tag: str,
-        problem: IncrementalFlowProblem,
-        extra_columns: int = 0,
-    ) -> Optional[np.ndarray]:
-        entry = self._solutions.get((tag, problem.structure.signature))
-        if entry is None:
-            return None
-        stored, stored_commodities, stored_extra = entry
-        num_arcs = problem.num_arcs
-        flow_columns = problem.num_commodities * num_arcs
-        if stored_extra != extra_columns:
-            return None
-        if stored_commodities == problem.num_commodities:
-            return stored
-        stored_flows = stored_commodities * num_arcs
-        flows = stored[:stored_flows]
-        extras = stored[stored_flows:]
-        if stored_commodities < problem.num_commodities:
-            flows = np.concatenate([flows, np.zeros(flow_columns - stored_flows)])
-        else:
-            flows = flows[:flow_columns]
-        return np.concatenate([flows, extras])
+    def remember(self, problem: IncrementalFlowProblem, basis: Optional[object]) -> None:
+        """Keep ``basis`` (an :attr:`LPSolution.basis`) for ``problem``'s key."""
+        if basis is not None:
+            self._bases[self._key(problem)] = basis
+
+    def basis_for(self, problem: IncrementalFlowProblem) -> Optional[object]:
+        """The basis last kept for exactly ``problem``'s key, if any."""
+        return self._bases.get(self._key(problem))
 
 
 __all__ = [

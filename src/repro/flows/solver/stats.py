@@ -49,9 +49,9 @@ class SolverStats:
     solve_seconds:
         Wall time spent inside the backend's solve call.
     warm_start_attempts / warm_start_hits:
-        How often a previous solution was offered to the backend, and how
-        often the backend actually consumed it (always 0 for backends with
-        ``supports_warm_start = False``).
+        How often an LP was offered the HiGHS basis of an earlier LP, and
+        how often HiGHS accepted it.  Only ISP's split LP is offered one, so
+        both are 0 for every other algorithm.
     structure_hits / structure_misses:
         Topology-structure cache hits and misses (a miss pays the full
         indexing + constraint-block construction, a hit only the RHS).

@@ -12,7 +12,9 @@ This module implements exactly that LP on top of the solver substrate: the
 multi-commodity constraint blocks come from the topology-structure cache
 (the split LP runs on the *same* full supply graph every ISP iteration, so
 after the first build only the RHS vectors and the one extra ``dx`` column
-are assembled) and the solve is dispatched to the active backend.
+are assembled) and the solve is dispatched to the backend.  The LP's
+only output is its optimum ``dx``, so within one ISP run each split LP may
+start from the HiGHS basis of the previous split LP of the same shape.
 """
 
 from __future__ import annotations
@@ -30,9 +32,6 @@ from repro.flows.solver.tolerances import SPLIT_EPSILON
 from repro.network.demand import DemandGraph
 
 Node = Hashable
-
-#: Purpose tag under which split solutions are remembered for warm starts.
-_WARM_START_TAG = "split-amount"
 
 
 def maximum_splittable_amount(
@@ -59,9 +58,11 @@ def maximum_splittable_amount(
         The split node ``v_BC``; must be present in ``graph`` and different
         from both endpoints.
     context:
-        Optional warm-start store of the calling ISP run.
+        Optional basis store of the calling ISP run: the LP starts from the
+        previous split basis of the same shape and leaves its own.
     backend:
-        Explicit backend name/instance; defaults to the configured backend.
+        Explicit backend name/instance; defaults to
+        :class:`~repro.flows.solver.backends.ScipyHighsBackend`.
 
     Returns
     -------
@@ -138,20 +139,17 @@ def maximum_splittable_amount(
     objective = np.zeros(num_vars)
     objective[dx_column] = -1.0  # maximise dx
 
-    bounds = [(0, None)] * num_flow + [(0, original)]
+    bounds = np.column_stack([np.zeros(num_vars), np.full(num_vars, np.inf)])
+    bounds[dx_column, 1] = original
 
     program = LinearProgram(
         c=objective, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, bounds=bounds
     )
-    warm_start = (
-        context.warm_start_for(_WARM_START_TAG, problem, extra_columns=1)
-        if context is not None
-        else None
-    )
-    solution = get_backend(backend).solve_lp(program, warm_start=warm_start)
+    basis = context.basis_for(problem) if context is not None else None
+    solution = get_backend(backend).solve_lp(program, basis=basis)
     if not solution.success:
         return 0.0
     if context is not None:
-        context.remember(_WARM_START_TAG, problem, solution.x, extra_columns=1)
+        context.remember(problem, solution.basis)
     dx = float(solution.x[dx_column])
     return dx if dx > SPLIT_EPSILON else 0.0

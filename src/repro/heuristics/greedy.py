@@ -206,9 +206,9 @@ def greedy_no_commitment(
 ) -> RecoveryPlan:
     """Run GRD-NC: greedy path repair driven by the routability test."""
     plan = RecoveryPlan(algorithm="GRD-NC")
-    # No warm-start context here: every repaired path changes the working
-    # graph's topology, so remembered solutions would never be reusable
-    # (unlike ISP, whose split/prune iterations keep the topology fixed).
+    # No basis store here: every repaired path changes the working graph's
+    # topology, so a remembered basis would never fit the next LP (unlike
+    # ISP's split LP, which runs on the same full graph every iteration).
     started = time.perf_counter()
     with collect_solver_stats() as solver_stats:
         candidates = enumerate_candidate_paths(supply, demand, max_paths_per_pair)

@@ -50,7 +50,6 @@ from repro.engine.tasks import cell_seed_sequence, root_entropy
 from repro.evaluation.metrics import evaluate_plan
 from repro.extensions.assessment import assess_damage
 from repro.flows.demand_satisfaction import max_satisfiable_flow
-from repro.flows.solver.incremental import SolverContext
 from repro.flows.solver.stats import collect_solver_stats
 from repro.flows.solver.tolerances import FLOW_TOLERANCE
 from repro.heuristics.registry import get_algorithm
@@ -128,10 +127,10 @@ def _repair_cost(supply: SupplyGraph, steps: Sequence[Element]) -> float:
     return supply.repair_cost_of(nodes, edges)
 
 
-def _true_satisfaction(supply: SupplyGraph, demand, context) -> float:
+def _true_satisfaction(supply: SupplyGraph, demand) -> float:
     """The audited satisfiable fraction of the *true* network, right now."""
     working = supply.working_graph(use_residual=False)
-    return max_satisfiable_flow(working, demand, context=context).fraction
+    return max_satisfiable_flow(working, demand).fraction
 
 
 def _algorithm(name: str, opt_time_limit: Optional[float]):
@@ -144,7 +143,6 @@ def run_episode(
     spec: OnlineScenarioSpec,
     episode_seed: Optional[int] = None,
     verify: bool = False,
-    context: Optional[SolverContext] = None,
 ) -> OnlineResult:
     """Simulate one online-recovery episode and return its envelope.
 
@@ -159,7 +157,6 @@ def run_episode(
     instance_rng = np.random.default_rng(cell_seed_sequence(entropy, 0, 0))
     events_rng = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(_EVENTS_STREAM,)))
     fog_rng = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(_FOG_STREAM,)))
-    context = context or SolverContext()
 
     supply, demand, _ = materialise_instance(
         spec.topology, spec.disruption, spec.demand, instance_rng
@@ -185,19 +182,19 @@ def run_episode(
         # -- observe ------------------------------------------------------
         revealed = belief.reveal(spec.fog.reveal_per_epoch) if epoch.index > 0 else []
         believed = belief.believed_supply(supply)
-        assessment = assess_damage(believed, demand, context=context)
+        assessment = assess_damage(believed, demand)
         believed_broken = len(believed.broken_nodes) + len(believed.broken_edges)
 
         # -- plan ---------------------------------------------------------
         if believed_broken:
             with collect_solver_stats() as stats:
                 plan = algorithm.solve(believed.copy(), demand)
-                evaluation = evaluate_plan(believed, demand, plan, context=context)
+                evaluation = evaluate_plan(believed, demand, plan)
             solver_stats = stats.as_dict()
         else:
             # Nothing known to repair: planning is a no-op, not a solve.
             plan = RecoveryPlan(algorithm=spec.algorithm)
-            evaluation = evaluate_plan(believed, demand, plan, context=context)
+            evaluation = evaluate_plan(believed, demand, plan)
             solver_stats = {}
 
         if verify:
@@ -206,7 +203,6 @@ def run_episode(
                 demand,
                 plan,
                 reported_metrics=evaluation_metrics(evaluation),
-                context=context,
             )
 
         # -- execute ------------------------------------------------------
@@ -260,7 +256,7 @@ def run_episode(
                 belief.register_damage(fresh)
 
         # -- record -------------------------------------------------------
-        true_satisfied = _true_satisfaction(supply, demand, context)
+        true_satisfied = _true_satisfaction(supply, demand)
         violations += [
             Violation(v.invariant, v.algorithm, v.detail, request=scope)
             for v in epoch_violations
@@ -288,7 +284,7 @@ def run_episode(
             }
         )
 
-    final_satisfied = _true_satisfaction(supply, demand, context)
+    final_satisfied = _true_satisfaction(supply, demand)
 
     # -- clairvoyant baseline on the final realized damage ----------------
     clairvoyant = supply.copy()
@@ -319,7 +315,7 @@ def run_episode(
         extra["seed_plans"] = [standing]
     with collect_solver_stats() as baseline_stats:
         baseline_plan = baseline_algorithm.solve(clairvoyant.copy(), demand, **extra)
-        baseline_eval = evaluate_plan(clairvoyant, demand, baseline_plan, context=context)
+        baseline_eval = evaluate_plan(clairvoyant, demand, baseline_plan)
     baseline_proven = baseline_plan.metadata.get("status") == "optimal"
 
     if verify:
@@ -331,7 +327,6 @@ def run_episode(
                 realized_steps,
                 algorithm=spec.algorithm,
                 cuts=epoch_cuts,
-                context=context,
             )
         ]
 

@@ -330,7 +330,7 @@ def run_fuzz(
     )
     if verify:
         for request, envelope in zip(requests, envelopes):
-            audited = audit_result(service, request, envelope, context=service.context)
+            audited = audit_result(service, request, envelope)
             report.audit.checked += audited.checked
             report.audit.unproven_baselines += audited.unproven_baselines
             report.audit.opt_gaps.extend(audited.opt_gaps)

@@ -46,7 +46,6 @@ class ServerConfig:
     workers: int = 2
     max_queue_depth: int = DEFAULT_MAX_QUEUE_DEPTH
     poll_interval: float = DEFAULT_POLL_INTERVAL
-    lp_backend: Optional[str] = None
     max_attempts: int = DEFAULT_MAX_ATTEMPTS
     claim_batch: int = DEFAULT_CLAIM_BATCH
     drain_timeout: float = 30.0
@@ -77,17 +76,10 @@ async def serve(config: ServerConfig, ready: Optional[asyncio.Event] = None) -> 
     harnesses await it instead of parsing stderr.
     """
     # Validate worker-side configuration *here*, before any process spawns:
-    # a bad backend name or malformed $REPRO_TOPOLOGY_CACHE would otherwise
-    # kill every worker at startup while the daemon kept serving a queue
-    # nobody drains.
+    # a malformed $REPRO_TOPOLOGY_CACHE would otherwise kill every worker at
+    # startup while the daemon kept serving a queue nobody drains.
     from repro.api.service import default_topology_cache_size
-    from repro.flows.solver.backends import available_backends
 
-    if config.lp_backend and config.lp_backend not in available_backends():
-        raise ValueError(
-            f"unknown LP backend {config.lp_backend!r}; "
-            f"available: {', '.join(available_backends())}"
-        )
     default_topology_cache_size()
     # Configure logging before the fleet spawns: configure_logging exports
     # the level/format env vars the worker processes configure from.
@@ -105,7 +97,6 @@ async def serve(config: ServerConfig, ready: Optional[asyncio.Event] = None) -> 
         config.db,
         workers=config.workers,
         poll_interval=config.poll_interval,
-        lp_backend=config.lp_backend,
         max_attempts=config.max_attempts,
         claim_batch=config.claim_batch,
         portfolio=config.portfolio,

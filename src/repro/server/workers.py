@@ -2,9 +2,9 @@
 
 Each worker is one OS process owning one
 :class:`~repro.api.service.RecoveryService` — the session that accumulates
-the warm-start :class:`~repro.flows.solver.SolverContext` and the
-pristine-topology LRU across jobs, which is exactly the reuse the service
-layer was built for.  The loop is deliberately simple::
+the pristine-topology LRU (and, process-wide, the solver's structure cache)
+across jobs, which is exactly the reuse the service layer was built for.
+The loop is deliberately simple::
 
     claim batch -> execute each (solve | assess) -> complete | fail -> report counters
 
@@ -275,7 +275,6 @@ def worker_loop(
     db_path: str,
     worker_id: str,
     poll_interval: float = DEFAULT_POLL_INTERVAL,
-    lp_backend: Optional[str] = None,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     stop=None,
     max_jobs: Optional[int] = None,
@@ -308,7 +307,7 @@ def worker_loop(
     # fleet-spawned or externally attached — always agrees with the daemon
     # that created the store.
     store = open_store(db_path)
-    service = RecoveryService(lp_backend=lp_backend)
+    service = RecoveryService()
     hold = float(os.environ.get(HOLD_ENV_VAR, "0") or "0")
     counters: Dict[str, float] = {
         "jobs_done": 0.0,
@@ -447,7 +446,6 @@ def _fleet_entry(
     db_path: str,
     worker_id: str,
     poll_interval: float,
-    lp_backend: Optional[str],
     max_attempts: int,
     stop_event,
     wakeup_connection,
@@ -467,7 +465,6 @@ def _fleet_entry(
         db_path,
         worker_id,
         poll_interval=poll_interval,
-        lp_backend=lp_backend,
         max_attempts=max_attempts,
         stop=stop_event,
         wakeup=WakeupReceiver(wakeup_connection),
@@ -484,7 +481,6 @@ class WorkerFleet:
         db_path: str,
         workers: int = 2,
         poll_interval: float = DEFAULT_POLL_INTERVAL,
-        lp_backend: Optional[str] = None,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         claim_batch: int = DEFAULT_CLAIM_BATCH,
         portfolio: bool = False,
@@ -499,7 +495,6 @@ class WorkerFleet:
         self.db_path = str(db_path)
         self.workers = int(workers)
         self.poll_interval = float(poll_interval)
-        self.lp_backend = lp_backend
         self.max_attempts = int(max_attempts)
         self.claim_batch = int(claim_batch)
         self.portfolio = bool(portfolio)
@@ -526,7 +521,6 @@ class WorkerFleet:
                     self.db_path,
                     worker_id,
                     self.poll_interval,
-                    self.lp_backend,
                     self.max_attempts,
                     self._stop,
                     reader,
@@ -592,7 +586,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--poll-interval", type=float, default=DEFAULT_POLL_INTERVAL, help="idle poll seconds"
     )
-    parser.add_argument("--lp-backend", default=None, help="LP backend name")
     parser.add_argument(
         "--claim-batch",
         type=int,
@@ -624,7 +617,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args.db,
         args.worker_id,
         poll_interval=args.poll_interval,
-        lp_backend=args.lp_backend,
         stop=flag,
         max_jobs=args.max_jobs,
         claim_batch=args.claim_batch,

@@ -210,7 +210,6 @@ def _check_satisfaction_monotonicity(
     demand: DemandGraph,
     plan: RecoveryPlan,
     full_satisfied: float,
-    context=None,
     prefix_points: int = 3,
 ) -> List[Violation]:
     """Replay repairs cumulatively; the satisfiable demand must not drop.
@@ -231,7 +230,7 @@ def _check_satisfaction_monotonicity(
     previous = -1.0
     previous_cut = 0
     problems: List[Violation] = []
-    for cut, satisfied in _prefix_satisfactions(supply, demand, steps, cuts, context):
+    for cut, satisfied in _prefix_satisfactions(supply, demand, steps, cuts):
         if satisfied < previous - FLOW_TOLERANCE:
             problems.append(
                 Violation(
@@ -254,12 +253,12 @@ def _check_satisfaction_monotonicity(
     return problems
 
 
-def _prefix_satisfactions(supply, demand, steps, cuts, context):
+def _prefix_satisfactions(supply, demand, steps, cuts):
     for cut in cuts:
         nodes = {element for kind, element in steps[:cut] if kind == "node"}
         edges = {element for kind, element in steps[:cut] if kind == "edge"}
         graph = supply.working_graph(extra_nodes=nodes, extra_edges=edges, use_residual=False)
-        yield cut, max_satisfiable_flow(graph, demand, context=context).total_satisfied
+        yield cut, max_satisfiable_flow(graph, demand).total_satisfied
 
 
 def check_repair_sequence_monotonicity(
@@ -268,7 +267,6 @@ def check_repair_sequence_monotonicity(
     steps: Sequence,
     algorithm: str = "online",
     cuts: Optional[Sequence[int]] = None,
-    context=None,
 ) -> List[Violation]:
     """Replay an explicit *realized* repair sequence; satisfaction must rise.
 
@@ -307,7 +305,7 @@ def check_repair_sequence_monotonicity(
     cuts = sorted({min(max(int(cut), 0), len(steps)) for cut in cuts} | {len(steps)})
     previous = -1.0
     previous_cut = 0
-    for cut, satisfied in _prefix_satisfactions(supply, demand, steps, cuts, context):
+    for cut, satisfied in _prefix_satisfactions(supply, demand, steps, cuts):
         if satisfied < previous - FLOW_TOLERANCE:
             problems.append(
                 Violation(
@@ -432,7 +430,6 @@ def check_plan_invariants(
     plan: RecoveryPlan,
     optimal: Optional[RecoveryPlan] = None,
     reported_metrics: Optional[Mapping[str, float]] = None,
-    context=None,
     prefix_points: int = 3,
 ) -> List[Violation]:
     """Run every applicable invariant on one plan; return the violations.
@@ -449,9 +446,6 @@ def check_plan_invariants(
         The OPT plan for the same instance, enabling ``cost-dominance``.
     reported_metrics:
         Envelope metrics to cross-check against the independent re-audit.
-    context:
-        Optional :class:`~repro.flows.solver.SolverContext` so repeated
-        audit LPs on one topology are warm-started.
     prefix_points:
         Number of intermediate prefixes for the monotonicity replay.
     """
@@ -460,7 +454,7 @@ def check_plan_invariants(
     violations += _check_routing(supply, demand, plan)
     violations += _check_flow_conservation(demand, plan)
 
-    satisfaction = max_satisfiable_flow(recovered_graph(supply, plan), demand, context=context)
+    satisfaction = max_satisfiable_flow(recovered_graph(supply, plan), demand)
     if satisfaction.fraction > 1.0 + FLOW_TOLERANCE:
         violations.append(
             Violation(
@@ -476,14 +470,13 @@ def check_plan_invariants(
         demand,
         plan,
         satisfaction.total_satisfied,
-        context=context,
         prefix_points=prefix_points,
     )
     violations += _check_cost_dominance(supply, plan, satisfaction.fraction, optimal)
     return violations
 
 
-def audit_result(service, request, result, context=None, prefix_points: int = 3) -> InvariantReport:
+def audit_result(service, request, result, prefix_points: int = 3) -> InvariantReport:
     """Audit a :class:`~repro.api.results.RecoveryResult` envelope.
 
     Rebuilds the request's instance through the service's construction path
@@ -518,7 +511,6 @@ def audit_result(service, request, result, context=None, prefix_points: int = 3)
             plan,
             optimal=optimal,
             reported_metrics=run.metrics,
-            context=context,
             prefix_points=prefix_points,
         )
         report.checked += 1

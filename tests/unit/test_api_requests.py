@@ -56,6 +56,12 @@ class TestValidation:
         with pytest.raises(KeyError):
             grid_request(lp_backend="no-such-backend")
 
+    def test_naming_the_one_backend_stays_in_the_digest(self):
+        named = grid_request(lp_backend="scipy")
+        assert named.to_dict()["solver"]["lp_backend"] == "scipy"
+        assert RecoveryRequest.from_dict(named.to_dict()) == named
+        assert named.digest() != grid_request().digest()
+
     def test_algorithm_names_canonicalised(self):
         request = grid_request(algorithms=("isp", "all"))
         assert request.algorithms == ("ISP", "ALL")

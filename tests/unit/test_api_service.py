@@ -131,7 +131,7 @@ class TestRunOrder:
 
 
 class TestSessionReuse:
-    def test_repeated_solve_hits_structure_cache_and_warm_start_store(self):
+    def test_repeated_solve_hits_structure_cache(self):
         clear_structure_cache()
         service = RecoveryService()
         request = grid_request(algorithms=("ISP",))
@@ -142,8 +142,6 @@ class TestSessionReuse:
         # ... the repeat is served entirely from the topology-structure cache
         assert second["structure_misses"] == 0
         assert second["structure_hits"] > 0
-        # and the session's context offers the remembered audit solution.
-        assert second["warm_start_attempts"] >= 1
 
     def test_topology_lru_reuses_pristine_build(self):
         service = RecoveryService()
@@ -153,15 +151,6 @@ class TestSessionReuse:
         assert info["topology_cache_misses"] == 1
         assert info["topology_cache_hits"] == 1
         assert info["topology_cache_size"] == 1
-
-    def test_request_backend_does_not_leak(self):
-        from repro.flows.solver.backends import default_backend_name
-
-        before = default_backend_name()
-        # 'scipy' always exists; a request naming it explicitly must leave
-        # the process default untouched afterwards.
-        RecoveryService().solve(grid_request(algorithms=("SRT",), lp_backend="scipy"))
-        assert default_backend_name() == before
 
     def test_pinned_seed_topologies_are_cached(self):
         service = RecoveryService()

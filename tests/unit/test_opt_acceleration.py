@@ -21,7 +21,6 @@ from repro.flows.milp import (
     resolve_opt_strategy,
     solve_minimum_recovery,
 )
-from repro.flows.solver.backends import available_backends
 from repro.flows.solver.stats import collect_solver_stats
 from repro.heuristics.registry import get_algorithm
 
@@ -43,16 +42,13 @@ def heuristic_seeds(supply, demand):
 
 
 class TestWarmStartParity:
-    @pytest.mark.parametrize("backend", available_backends())
     @pytest.mark.parametrize("strategy", OPT_STRATEGIES)
-    def test_seeding_never_changes_the_optimal_objective(self, backend, strategy):
+    def test_seeding_never_changes_the_optimal_objective(self, strategy):
         supply, demand = small_instance()
         seeds = heuristic_seeds(supply, demand)
 
-        plain = solve_minimum_recovery(supply, demand, backend=backend, strategy=strategy)
-        seeded = solve_minimum_recovery(
-            supply, demand, backend=backend, strategy=strategy, seed_plans=seeds
-        )
+        plain = solve_minimum_recovery(supply, demand, strategy=strategy)
+        seeded = solve_minimum_recovery(supply, demand, strategy=strategy, seed_plans=seeds)
 
         assert plain.status == "optimal" and seeded.status == "optimal"
         assert seeded.objective == pytest.approx(plain.objective, abs=1e-9)

@@ -103,7 +103,7 @@ class TestSolveTwoStage:
         request = staged_request()
         envelope, _ = solve_two_stage(service, request, publish=lambda early: True)
         result = RecoveryResult.from_dict(envelope)
-        report = audit_result(service, request, result, context=service.context)
+        report = audit_result(service, request, result)
         assert report.ok, "; ".join(map(str, report.violations))
         assert report.unproven_baselines == 0
         assert report.opt_gaps == [0.0]

@@ -154,6 +154,6 @@ class TestAuditEnvelope:
         generator = ScenarioGenerator(space=SMALL_SPACE, seed=7)
         request = generator.sample_request()
         envelope = service.solve(request)
-        report = audit_result(service, request, envelope, context=service.context)
+        report = audit_result(service, request, envelope)
         assert report.ok
         assert report.checked == len(request.algorithms)

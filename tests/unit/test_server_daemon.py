@@ -85,11 +85,6 @@ class TestServeCoroutine:
 
 
 class TestServeValidation:
-    def test_bad_backend_fails_before_any_worker_spawns(self, tmp_path):
-        config = ServerConfig(db=str(tmp_path / "x.db"), port=0, lp_backend="nope")
-        with pytest.raises(ValueError, match="unknown LP backend"):
-            asyncio.run(serve(config))
-
     def test_malformed_topology_cache_env_fails_before_any_worker_spawns(
         self, tmp_path, monkeypatch
     ):

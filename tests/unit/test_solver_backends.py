@@ -1,30 +1,38 @@
-"""Backend parity suite for the solver substrate.
+"""Solver substrate: the direct HiGHS backend, cached structure, bases, stats.
 
-Every registered backend must be interchangeable: identical routability
-verdicts, identical repair counts and identical evaluation metrics on the
-tier-1 scenarios.  The suite parametrises over ``available_backends()`` so
-the CI leg that installs ``highspy`` exercises the direct HiGHS backend with
-the same assertions (locally only ``scipy`` may be present).
+The backend runs scipy's bundled HiGHS core with the options
+``linprog``/``milp`` set, so :class:`TestReferencePath` re-solves every
+program of one Bell Canada request through ``linprog``/``milp`` and demands
+bit-identical x, objective and status, and :class:`TestOptimumCheck`
+compares the backend's check of an LP optimum with scipy's own
+``_check_result``.  ``linprog``/``milp`` and ``_check_result`` appear here
+only as those references.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.optimize._linprog_util import _check_result
 
+import repro.core.isp as isp_module
+import repro.flows.solver.backends as backends_module
+from repro.api.requests import DemandSpec, DisruptionSpec, RecoveryRequest, TopologySpec
+from repro.api.service import RecoveryService
 from repro.engine.tasks import execute_task, expand_tasks
 from repro.evaluation.metrics import evaluate_plan
 from repro.failures.complete import CompleteDestruction
 from repro.flows.lp_backend import Commodity, FlowProblem
-from repro.flows.milp import solve_minimum_recovery
-from repro.flows.multicommodity import solve_multicommodity_recovery
 from repro.flows.routability import routability_test
 from repro.flows.solver.backends import (
-    BACKEND_ENV_VAR,
-    available_backends,
-    default_backend_name,
+    LinearProgram,
+    MILProgram,
+    ScipyHighsBackend,
     get_backend,
-    set_default_backend,
 )
 from repro.flows.solver.incremental import (
     IncrementalFlowProblem,
@@ -41,18 +49,6 @@ from repro.heuristics.registry import get_algorithm
 from repro.network.demand import DemandGraph
 from repro.topologies.grids import grid_topology
 
-BACKENDS = available_backends()
-
-
-@pytest.fixture(autouse=True)
-def _reset_backend_selection(monkeypatch):
-    """Keep backend selection hermetic per test."""
-    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-    set_default_backend(None)
-    yield
-    set_default_backend(None)
-
-
 def broken_grid_instance():
     """3x3 grid, complete destruction, two hand-checkable demands."""
     supply = grid_topology(3, 3, capacity=10.0)
@@ -63,118 +59,235 @@ def broken_grid_instance():
     return supply, demand
 
 
-class TestRegistry:
-    def test_scipy_is_always_available(self):
-        assert "scipy" in BACKENDS
-        assert get_backend("scipy").name == "scipy"
-
-    def test_default_resolution_order(self, monkeypatch):
-        assert default_backend_name() == "scipy"
-        monkeypatch.setenv(BACKEND_ENV_VAR, "scipy")
-        assert default_backend_name() == "scipy"
-        set_default_backend("scipy")
-        assert default_backend_name() == "scipy"
+class TestGetBackend:
+    def test_scipy_is_the_only_backend(self):
+        assert get_backend().name == "scipy"
+        assert get_backend("scipy") is get_backend()
 
     def test_unknown_backend_raises(self):
         with pytest.raises(KeyError, match="unknown LP backend"):
             get_backend("glpk")
-        with pytest.raises(KeyError):
-            set_default_backend("glpk")
-
-    def test_env_var_selects_backend_at_solve_time(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "glpk")
-        with pytest.raises(KeyError):
-            get_backend()
 
     def test_backend_instance_passes_through(self):
         backend = get_backend("scipy")
         assert get_backend(backend) is backend
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
-class TestBackendParity:
-    """Every backend must reproduce the scipy reference results exactly."""
+#: One Bell Canada request (complete destruction, 4 far-apart pairs of 10
+#: units) with the six paper algorithms plus Figure 3's MCB/MCW: ISP splits
+#: with bases, OPT solves one MILP and MCW runs the interior-point solver.
+BELL_REQUEST = RecoveryRequest(
+    topology=TopologySpec("bell-canada"),
+    disruption=DisruptionSpec("complete"),
+    demand=DemandSpec("routable-far-apart", num_pairs=4, flow_per_pair=10.0),
+    algorithms=("ISP", "OPT", "SRT", "GRD-COM", "GRD-NC", "ALL", "MCB", "MCW"),
+    seed=1,
+)
 
-    def test_routability_verdicts(self, backend_name):
-        supply, demand = broken_grid_instance()
-        working = supply.working_graph()  # everything broken: unroutable
-        full = supply.full_graph(use_residual=False)
-        assert not routability_test(working, demand, backend=backend_name).routable
-        outcome = routability_test(full, demand, want_flows=True, backend=backend_name)
-        assert outcome.routable
-        # The routing must satisfy every demand exactly.
-        for commodity, flows in zip(outcome.commodities, outcome.flows):
-            outflow = sum(
-                value for (u, _), value in flows.items() if u == commodity.source
-            )
-            assert outflow == pytest.approx(commodity.demand, abs=1e-6)
 
-    def test_isp_repairs_and_metrics_match_reference(self, backend_name):
-        supply, demand = broken_grid_instance()
-        reference_plan = get_algorithm("ISP").solve(supply, demand)
-        reference = evaluate_plan(supply, demand, reference_plan)
+@pytest.fixture(scope="module")
+def bell_solves():
+    """``BELL_REQUEST``'s envelope and every program it solved.
 
-        set_default_backend(backend_name)
-        plan = get_algorithm("ISP").solve(supply, demand)
-        evaluation = evaluate_plan(supply, demand, plan)
+    Each LP comes with the solution the run used when it started cold, or
+    ``None`` when it started from a basis (re-solved cold below).
+    """
+    lps, milps = [], []
+    solve_lp, solve_milp = ScipyHighsBackend.solve_lp, ScipyHighsBackend.solve_milp
 
-        # Repair *counts* and metrics must agree; the exact element sets may
-        # legitimately differ between backends when an LP has alternate
-        # optima (different optimal vertices give different routings).
-        assert evaluation.node_repairs == reference.node_repairs
-        assert evaluation.edge_repairs == reference.edge_repairs
-        assert evaluation.total_repairs == reference.total_repairs
-        assert evaluation.satisfied_percentage == pytest.approx(
-            reference.satisfied_percentage, abs=1e-6
+    def record_lp(self, program, basis=None):
+        solution = solve_lp(self, program, basis)
+        lps.append((program, solution if basis is None else None))
+        return solution
+
+    def record_milp(self, program):
+        solution = solve_milp(self, program)
+        milps.append((program, solution))
+        return solution
+
+    ScipyHighsBackend.solve_lp, ScipyHighsBackend.solve_milp = record_lp, record_milp
+    try:
+        result = RecoveryService().solve(BELL_REQUEST)
+    finally:
+        ScipyHighsBackend.solve_lp, ScipyHighsBackend.solve_milp = solve_lp, solve_milp
+    backend = ScipyHighsBackend()
+    lps = [(program, solution or backend.solve_lp(program)) for program, solution in lps]
+    return result, lps, milps
+
+
+def linprog_reference(program):
+    """``(status, x, objective)`` of ``program`` through ``scipy.optimize.linprog``."""
+    method = "highs-ipm" if program.method_hint == "interior-point" else "highs"
+    result = linprog(
+        c=program.c,
+        A_ub=program.a_ub,
+        b_ub=program.b_ub,
+        A_eq=program.a_eq,
+        b_eq=program.b_eq,
+        bounds=program.bounds,
+        method=method,
+    )
+    if result.success:
+        return "optimal", result.x, float(result.fun)
+    return {2: "infeasible", 3: "unbounded"}.get(result.status, "error"), None, None
+
+
+def milp_reference(program):
+    """``(status, x, objective)`` of ``program`` through ``scipy.optimize.milp``."""
+    options = {"mip_rel_gap": program.mip_rel_gap}
+    if program.time_limit is not None:
+        options["time_limit"] = float(program.time_limit)
+    result = milp(
+        c=program.c,
+        constraints=[
+            LinearConstraint(matrix, lb=lb, ub=ub) for matrix, lb, ub in program.constraints
+        ],
+        integrality=program.integrality,
+        bounds=Bounds(lb=program.lb, ub=program.ub),
+        options=options,
+    )
+    if result.status == 2:
+        return "infeasible", None, None
+    if result.x is None:
+        return "error", None, None
+    return ("optimal" if result.status == 0 else "feasible"), result.x, float(result.fun)
+
+
+def outcome(solution):
+    return solution.status, solution.x, solution.objective
+
+
+def assert_bit_identical(ours, reference):
+    assert ours[0] == reference[0]
+    assert (ours[1] is None) == (reference[1] is None)
+    if ours[1] is not None:
+        assert ours[1].tobytes() == np.asarray(reference[1]).tobytes()
+    assert ours[2] == reference[2]
+
+
+class TestReferencePath:
+    """The direct core reproduces ``linprog``/``milp`` bit for bit."""
+
+    def test_every_lp_of_a_bell_request_matches_linprog(self, bell_solves):
+        _, lps, _ = bell_solves
+        assert len(lps) > 50
+        assert any(program.method_hint == "interior-point" for program, _ in lps)
+        for program, solution in lps:
+            assert_bit_identical(outcome(solution), linprog_reference(program))
+
+    def test_every_milp_of_a_bell_request_matches_milp(self, bell_solves):
+        _, _, milps = bell_solves
+        assert milps
+        for program, solution in milps:
+            assert_bit_identical(outcome(solution), milp_reference(program))
+
+    def test_infeasible_lp(self):
+        program = LinearProgram(
+            c=np.ones(2), a_ub=sparse.csr_matrix([[1.0, 1.0]]), b_ub=np.array([-1.0])
         )
-        assert evaluation.repair_cost == pytest.approx(reference.repair_cost, abs=1e-6)
+        solution = ScipyHighsBackend().solve_lp(program)
+        assert solution.status == "infeasible"
+        assert_bit_identical(outcome(solution), linprog_reference(program))
 
-    def test_split_amount_matches_reference(self, backend_name):
-        supply, demand = broken_grid_instance()
-        full = supply.full_graph(use_residual=False)
-        reference = maximum_splittable_amount(full, demand, ((0, 0), (2, 2)), (1, 1))
-        amount = maximum_splittable_amount(
-            full, demand, ((0, 0), (2, 2)), (1, 1), backend=backend_name
+    def test_unbounded_lp(self):
+        program = LinearProgram(
+            c=np.array([-1.0, 0.0]), a_ub=sparse.csr_matrix([[1.0, -1.0]]), b_ub=np.array([1.0])
         )
-        assert amount == pytest.approx(reference, abs=1e-6)
+        solution = ScipyHighsBackend().solve_lp(program)
+        assert solution.status == "unbounded"
+        assert_bit_identical(outcome(solution), linprog_reference(program))
 
-    def test_milp_objective_matches_reference(self, backend_name):
-        supply, demand = broken_grid_instance()
-        reference = solve_minimum_recovery(supply, demand)
-        solution = solve_minimum_recovery(supply, demand, backend=backend_name)
-        assert solution.status == reference.status == "optimal"
-        assert solution.objective == pytest.approx(reference.objective, abs=1e-6)
-
-    def test_multicommodity_relaxation_is_feasible(self, backend_name):
-        supply, demand = broken_grid_instance()
-        result = solve_multicommodity_recovery(supply, demand, backend=backend_name)
-        assert result.feasible
-        assert result.objective == pytest.approx(
-            solve_multicommodity_recovery(supply, demand).objective, rel=1e-6
+    def test_bounds_are_read_like_linprog(self):
+        pairs = [(0, None), (None, 2.0), (1.0, 1.0)]
+        listed = LinearProgram(
+            c=np.array([1.0, -1.0, 1.0]),
+            a_ub=sparse.csr_matrix([[1.0, 1.0, 1.0]]),
+            b_ub=np.array([5.0]),
+            bounds=pairs,
         )
-
-    def test_engine_cell_metrics_match_reference(self, backend_name, monkeypatch):
-        from repro.api.requests import DemandSpec, DisruptionSpec, TopologySpec
-        from repro.engine.spec import ExperimentSpec, SweepAxis
-
-        spec = ExperimentSpec(
-            name="parity-grid",
-            figure="Unit",
-            topology=TopologySpec("grid", kwargs={"rows": 3, "cols": 3, "capacity": 10.0}),
-            disruption=DisruptionSpec("complete"),
-            demand=DemandSpec("random", num_pairs=2, flow_per_pair=5.0),
-            sweep=SweepAxis(parameter="num_pairs", values=(2,), target="demand.num_pairs"),
-            algorithms=("ISP", "SRT"),
+        array = dataclasses.replace(
+            listed, bounds=np.array([[0, np.inf], [-np.inf, 2.0], [1.0, 1.0]])
         )
-        tasks = expand_tasks(spec, seed=5)
-        reference = [cell.metrics for task in tasks for cell in execute_task(task)]
-        monkeypatch.setenv(BACKEND_ENV_VAR, backend_name)
-        results = [cell.metrics for task in tasks for cell in execute_task(task)]
-        for ours, theirs in zip(results, reference):
-            for key in theirs:
-                if key == "elapsed_seconds":
-                    continue  # wall clock, not a solver output
-                assert ours[key] == pytest.approx(theirs[key], abs=1e-6), key
+        for program in (listed, array):
+            solution = ScipyHighsBackend().solve_lp(program)
+            assert_bit_identical(outcome(solution), linprog_reference(listed))
+        with pytest.raises(ValueError, match="bound pairs"):
+            ScipyHighsBackend().solve_lp(dataclasses.replace(listed, bounds=pairs[:2]))
+
+    def test_time_limited_milp_without_incumbent_is_an_error(self):
+        rng = np.random.default_rng(0)
+        weights = rng.integers(10, 100, size=(3, 60)).astype(float)
+        program = MILProgram(
+            c=-rng.integers(10, 100, size=60).astype(float),
+            constraints=[
+                (sparse.csr_matrix(weights), np.full(3, -np.inf), weights.sum(axis=1) / 3)
+            ],
+            integrality=np.ones(60),
+            ub=1.0,
+            time_limit=0.0,
+        )
+        solution = ScipyHighsBackend().solve_milp(program)
+        assert solution.status == "error"
+        assert_bit_identical(outcome(solution), milp_reference(program))
+
+
+#: Hand-built solutions for linprog's check of an optimum: two columns in
+#: [0, 1] and [0, inf), one ``<= 3`` row and one ``= 2`` row; the tolerance
+#: is sqrt(1e-9) * 10 ~ 3.2e-4.
+COL_LOWER, COL_UPPER = np.array([0.0, 0.0]), np.array([1.0, np.inf])
+ROW_LOWER, ROW_UPPER = np.array([-np.inf, 2.0]), np.array([3.0, 2.0])
+
+
+class TestOptimumCheck:
+    """HiGHS's optimum passes the check linprog runs on it, or is an error."""
+
+    @pytest.mark.parametrize(
+        "x, rows, objective, feasible",
+        [
+            ([0.5, 1.0], [3.0, 2.0], 0.0, True),
+            ([1.0 + 1e-4, 1.0], [3.0, 2.0 - 1e-4], 0.0, True),
+            ([1.0 + 1e-3, 1.0], [3.0, 2.0], 0.0, False),
+            ([-1e-3, 1.0], [3.0, 2.0], 0.0, False),
+            ([0.5, 1e9], [-1e9, 2.0], 0.0, True),
+            ([0.5, 1.0], [3.0 + 1e-3, 2.0], 0.0, False),
+            ([0.5, 1.0], [3.0, 2.0 + 1e-3], 0.0, False),
+            ([0.5, 1.0], [3.0, 2.0 - 1e-3], 0.0, False),
+            ([np.nan, 1.0], [3.0, 2.0], 0.0, False),
+            ([0.5, 1.0], [3.0, np.nan], 0.0, False),
+            ([0.5, 1.0], [3.0, 2.0], np.nan, False),
+        ],
+    )
+    def test_verdict_is_linprogs(self, x, rows, objective, feasible):
+        x, rows = np.array(x), np.array(rows)
+        verdict = backends_module._within_bounds(
+            x, objective, rows, COL_LOWER, COL_UPPER, ROW_LOWER, ROW_UPPER
+        )
+        assert verdict is feasible
+        status, _ = _check_result(
+            x,
+            objective,
+            0,
+            ROW_UPPER[:1] - rows[:1],
+            ROW_UPPER[1:] - rows[1:],
+            np.column_stack([COL_LOWER, COL_UPPER]),
+            1e-9,
+            "",
+            None,
+        )
+        assert (status == 0) is feasible
+
+    def test_an_optimum_that_fails_the_check_is_an_error(self, monkeypatch):
+        program = LinearProgram(
+            c=np.array([1.0, 1.0]),
+            a_eq=sparse.csr_matrix([[1.0, 1.0]]),
+            b_eq=np.array([2.0]),
+        )
+        assert ScipyHighsBackend().solve_lp(program).success
+        # A negative tolerance rejects every vertex: one column sits on its bound.
+        monkeypatch.setattr(backends_module, "_CHECK_TOL", -1.0)
+        solution = ScipyHighsBackend().solve_lp(program)
+        assert solution.status == "error"
+        assert solution.x is None and solution.objective is None and solution.basis is None
 
 
 class TestIncrementalProblem:
@@ -238,50 +351,62 @@ class TestIncrementalProblem:
 
 
 class TestSolverContext:
-    def grid_problem(self, num_commodities=2):
-        graph = grid_topology(3, 3, capacity=10.0).full_graph(use_residual=False)
-        commodities = [
-            Commodity((0, 0), (2, 2), 5.0),
-            Commodity((0, 2), (2, 0), 3.0),
-            Commodity((1, 0), (1, 2), 2.0),
-        ][:num_commodities]
-        return build_flow_problem(graph, commodities, cache=StructureCache())
+    def test_basis_is_returned_only_for_the_exact_key(self):
+        def problem(rows, num_commodities):
+            graph = grid_topology(rows, 3, capacity=10.0).full_graph(use_residual=False)
+            commodities = [
+                Commodity((0, 0), (rows - 1, 2), 5.0),
+                Commodity((0, 2), (rows - 1, 0), 3.0),
+                Commodity((1, 0), (1, 2), 2.0),
+            ][:num_commodities]
+            return build_flow_problem(graph, commodities, cache=StructureCache())
 
-    def test_exact_match_round_trip(self):
+        basis = ScipyHighsBackend().solve_lp(LinearProgram(c=np.ones(1), bounds=(0, 1))).basis
+        assert basis is not None
         context = SolverContext()
-        problem = self.grid_problem(2)
-        x = np.arange(problem.num_flow_variables, dtype=float)
-        context.remember("tag", problem, x)
-        assert np.array_equal(context.warm_start_for("tag", problem), x)
-        assert context.warm_start_for("other-tag", problem) is None
+        context.remember(problem(3, 2), basis)
+        assert context.basis_for(problem(3, 2)) is basis
+        assert context.basis_for(problem(3, 3)) is None  # commodity count
+        assert context.basis_for(problem(4, 2)) is None  # topology
+        context.remember(problem(3, 2), None)  # a failed solve keeps the old one
+        assert context.basis_for(problem(3, 2)) is basis
 
-    def test_added_commodity_pads_with_zeros(self):
-        context = SolverContext()
-        small = self.grid_problem(2)
-        big = self.grid_problem(3)
-        x = np.ones(small.num_flow_variables)
-        context.remember("tag", small, x)
-        padded = context.warm_start_for("tag", big)
-        assert padded is not None
-        assert len(padded) == big.num_flow_variables
-        assert np.all(padded[: small.num_flow_variables] == 1.0)
-        assert np.all(padded[small.num_flow_variables :] == 0.0)
+    def test_basis_of_another_shape_is_refused(self):
+        def program(n):
+            return LinearProgram(c=np.ones(n), a_ub=sparse.csr_matrix(np.ones((1, n))), b_ub=[1.0])
 
-    def test_removed_commodity_truncates(self):
-        context = SolverContext()
-        small = self.grid_problem(1)
-        big = self.grid_problem(3)
-        context.remember("tag", big, np.ones(big.num_flow_variables))
-        truncated = context.warm_start_for("tag", small)
-        assert truncated is not None
-        assert len(truncated) == small.num_flow_variables
+        backend = ScipyHighsBackend()
+        basis = backend.solve_lp(program(3)).basis
+        with collect_solver_stats() as stats:
+            fits = backend.solve_lp(program(3), basis=basis)
+            refused = backend.solve_lp(program(4), basis=basis)
+        assert (stats.warm_start_attempts, stats.warm_start_hits) == (2, 1)
+        assert fits.success and refused.success
+        assert_bit_identical(outcome(refused), outcome(backend.solve_lp(program(4))))
 
-    def test_extra_columns_must_match(self):
-        context = SolverContext()
-        problem = self.grid_problem(2)
-        context.remember("tag", problem, np.ones(problem.num_flow_variables + 1), extra_columns=1)
-        assert context.warm_start_for("tag", problem) is None
-        assert context.warm_start_for("tag", problem, extra_columns=1) is not None
+    def test_split_lps_return_the_same_amounts_with_and_without_bases(self, monkeypatch):
+        pairs = []
+
+        def both(graph, demand, pair, via, context=None):
+            warm = maximum_splittable_amount(graph, demand, pair, via, context=context)
+            pairs.append((warm, maximum_splittable_amount(graph, demand, pair, via)))
+            return warm
+
+        monkeypatch.setattr(isp_module, "maximum_splittable_amount", both)
+        with collect_solver_stats() as stats:
+            RecoveryService().solve(dataclasses.replace(BELL_REQUEST, algorithms=("ISP",)))
+        assert stats.warm_start_hits > 0
+        warm, cold = zip(*pairs)
+        assert list(warm) == list(cold)
+
+    def test_only_isp_starts_from_bases(self, bell_solves):
+        result, _, _ = bell_solves
+        for run in result.results:
+            hits, attempts = run.solver["warm_start_hits"], run.solver["warm_start_attempts"]
+            if run.algorithm == "ISP":
+                assert hits == attempts > 0
+            else:
+                assert hits == attempts == 0
 
 
 class TestSolverStats:
@@ -365,39 +490,3 @@ class TestSolverStats:
         (result,) = execute_task(expand_tasks(spec, seed=5)[0])
         assert result.solver["lp_solves"] >= 1.0
         assert result.solver["solve_seconds"] > 0.0
-
-
-class TestCliBackendSelection:
-    def test_solve_accepts_lp_backend(self, capsys, monkeypatch):
-        from repro.cli import main
-
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        code = main(
-            [
-                "solve",
-                "--topology",
-                "grid",
-                "--topology-arg",
-                "rows=3",
-                "--topology-arg",
-                "cols=3",
-                "--pairs",
-                "1",
-                "--algorithms",
-                "SRT",
-                "--lp-backend",
-                "scipy",
-            ]
-        )
-        assert code == 0
-        assert "SRT" in capsys.readouterr().out
-        # The selection is exported for sweep worker processes.
-        import os
-
-        assert os.environ[BACKEND_ENV_VAR] == "scipy"
-
-    def test_unknown_lp_backend_is_rejected(self):
-        from repro.cli import build_parser
-
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["sweep", "figure4", "--lp-backend", "bogus"])

@@ -259,6 +259,6 @@ class TestReportTypes:
         envelope = service.solve(request)
         # Simulate a pre-status cache entry: strip the persisted status.
         envelope.run("OPT").plan.pop("status")
-        report = audit_result(service, request, envelope, context=service.context)
+        report = audit_result(service, request, envelope)
         assert report.ok
         assert report.unproven_baselines == 1
