@@ -23,8 +23,11 @@ both the repair list and the routing produced by prune actions and by the
 final routability test, as the paper requires.
 
 A run keeps one :class:`~repro.network.index.GraphIndex` of its supply copy,
-updated by every repair and prune; the graph primitives of steps 2-4 read it
-instead of rebuilding networkx graphs (see ``docs/isp-kernel.md``).
+updated by every repair and prune.  The graph primitives of steps 1-4 read
+it instead of rebuilding networkx graphs: step 1 answers "not routable"
+from component labels when a demand pair has no working path, and the LP
+and prune hits read the index's networkx working graph, built at most once
+per repair (see ``docs/isp-kernel.md``).
 """
 
 from __future__ import annotations
@@ -129,14 +132,17 @@ class _ISPState:
         self.solver_context = SolverContext()
         #: Indexed snapshot of ``supply``, kept current by the methods below.
         self.index = GraphIndex(self.supply)
+        mode = config.split_amount_mode
+        if mode == "auto":
+            mode = "lp" if len(self.index.edges) <= config.lp_edge_threshold else "bottleneck"
+        #: ``config.split_amount_mode`` with ``"auto"`` resolved for this supply.
+        self.split_amount_mode = mode
 
     # ------------------------------------------------------------------ #
-    def working_graph(self) -> nx.Graph:
-        return self.supply.working_graph(
-            extra_nodes=self.repaired_nodes,
-            extra_edges=self.repaired_edges,
-            use_residual=True,
-        )
+    def demand_connected(self) -> bool:
+        """Whether every demand pair has working endpoints joined by working
+        edges: without that the routability LP cannot be feasible."""
+        return all(self.index.working_path(pair.source, pair.target) for pair in self.demand)
 
     def repair_node(self, node: Node) -> None:
         if self.supply.is_broken_node(node) and node not in self.repaired_nodes:
@@ -247,11 +253,13 @@ def _main_loop(state: _ISPState) -> int:
 
         if state.demand.is_empty:
             return iterations
-        working = state.working_graph()
-        if routability_test(working, state.demand).routable:
+        if (
+            state.demand_connected()
+            and routability_test(state.index.working_graph(), state.demand).routable
+        ):
             return iterations
 
-        if _prune_phase(state, working):
+        if _prune_phase(state):
             continue
         if _direct_repair_phase(state):
             continue
@@ -266,7 +274,7 @@ def _main_loop(state: _ISPState) -> int:
     return iterations
 
 
-def _prune_phase(state: _ISPState, working: nx.Graph) -> bool:
+def _prune_phase(state: _ISPState) -> bool:
     """Prune every demand that admits a bubble routing.  Returns True if any pruned."""
     pruned_any = False
     progress = True
@@ -274,18 +282,16 @@ def _prune_phase(state: _ISPState, working: nx.Graph) -> bool:
         progress = False
         for pair in state.demand.pairs():
             action = find_prunable_routing(
-                working,
+                state.index,
                 state.demand,
                 pair.pair,
                 require_bubble=state.config.require_bubble,
-                index=state.index,
             )
             if action is None:
                 continue
             state.apply_prune(action)
             pruned_any = True
             progress = True
-            working = state.working_graph()
             break
     return pruned_any
 
@@ -320,9 +326,7 @@ def _split_phase(state: _ISPState) -> bool:
         metric=config.metric,
         index=state.index,
     )
-    mode = config.split_amount_mode
-    if mode == "auto":
-        mode = "lp" if state.supply.number_of_edges <= config.lp_edge_threshold else "bottleneck"
+    mode = state.split_amount_mode
     # The split LP runs on the complete graph; build it once, when first needed.
     full_graph: Optional[nx.Graph] = None
 
@@ -396,8 +400,7 @@ def _finalise_routing(state: _ISPState) -> None:
     """
     if state.demand.is_empty:
         return
-    working = state.working_graph()
-    outcome = routability_test(working, state.demand, want_flows=True)
+    outcome = routability_test(state.index.working_graph(), state.demand, want_flows=True)
     if not outcome.routable:
         return
     for commodity, arc_flows in zip(outcome.commodities, outcome.flows):

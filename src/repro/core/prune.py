@@ -11,15 +11,16 @@ The bubble is found with the modified breadth-first search the paper
 describes: explore the working graph from the demand endpoints while
 discarding every vertex reachable from another demand endpoint without
 passing through ``s_h`` / ``t_h``.  ISP passes its
-:class:`~repro.network.index.GraphIndex`, which decides the pairs that have
-nothing to prune from component labels alone; only the others build a
-networkx flow, whose routes become the prune action.
+:class:`~repro.network.index.GraphIndex` instead of a graph: the index
+decides the pairs that have nothing to prune from component labels alone,
+and only the others read its networkx working graph for a flow, whose
+routes become the prune action.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Set, Tuple, Union
 
 import networkx as nx
 
@@ -89,18 +90,21 @@ def find_bubble(
 
 
 def find_prunable_routing(
-    working_graph: nx.Graph,
+    working: Union[nx.Graph, GraphIndex],
     demand: DemandGraph,
     pair: Pair,
     require_bubble: bool = True,
-    index: Optional[GraphIndex] = None,
 ) -> Optional[PruneAction]:
     """Compute the largest prune action available for ``pair``.
 
     Parameters
     ----------
-    working_graph:
-        Current working supply graph (residual capacities on ``capacity``).
+    working:
+        Current working supply graph (residual capacities on ``capacity``),
+        or a :class:`GraphIndex` whose working graph it is.  An index
+        rejects the pairs with no positive-residual path inside their
+        region from component labels and reads
+        :meth:`GraphIndex.working_graph` only for the others.
     demand:
         Current demand graph.
     pair:
@@ -110,10 +114,6 @@ def find_prunable_routing(
         to the pair's bubble so that Theorem 3 guarantees the prune is safe.
         When false the whole working graph is used — a more aggressive
         variant exercised by the ablation benches.
-    index:
-        Optional :class:`GraphIndex` describing the same working graph.
-        Pairs with no positive-residual path inside their region are then
-        rejected from component labels, without touching ``working_graph``.
 
     Returns
     -------
@@ -125,22 +125,25 @@ def find_prunable_routing(
     requested = demand.demand(source, target)
     if requested <= PRUNE_EPSILON:
         return None
-    if source not in working_graph or target not in working_graph:
-        return None
 
-    # Without a positive-residual path the max-flow is 0: nothing to prune.
-    if index is not None and not index.spare_path(source, target):
-        return None
-    if require_bubble:
-        if index is None:
-            region = find_bubble(working_graph, demand, pair)
-        else:
-            region = index.bubble(source, target, demand.endpoints)
+    region: Optional[Set[Node]] = None
+    if isinstance(working, GraphIndex):
+        # No positive-residual path over working edges (which covers an
+        # endpoint that does not work) means a zero max-flow.
+        if not working.spare_path(source, target):
+            return None
+        if require_bubble:
+            region = working.bubble(source, target, demand.endpoints)
             if region is None:
                 return None
-        candidate_graph = working_graph.subgraph(region)
+        working_graph = working.working_graph()
     else:
-        candidate_graph = working_graph
+        working_graph = working
+        if source not in working_graph or target not in working_graph:
+            return None
+        if require_bubble:
+            region = find_bubble(working_graph, demand, pair)
+    candidate_graph = working_graph if region is None else working_graph.subgraph(region)
 
     if not nx.has_path(candidate_graph, source, target):
         return None

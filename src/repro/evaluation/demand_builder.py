@@ -4,19 +4,20 @@ The paper builds the demand graph by selecting pairs of nodes that are far
 apart in the supply graph: "we randomly select the demand pairs among those
 which have a hop distance greater than or equal to half the diameter of the
 network" (Section VII-A).  :func:`far_apart_demand` implements exactly that;
-:func:`random_demand` is an unconstrained variant used by tests and
-examples.
+:func:`routable_far_apart_demand` redraws until the intact network can route
+the demand; :func:`random_demand` is an unconstrained variant used by tests
+and examples.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple
 
 import numpy as np
 from scipy.sparse import csgraph
 
 from repro.network.demand import DemandGraph
-from repro.network.index import ArcLayout
+from repro.network.index import ArcLayout, max_flow_verdict
 from repro.network.supply import SupplyGraph
 from repro.utils.rng import RandomState, ensure_rng
 from repro.utils.validation import check_positive
@@ -26,6 +27,16 @@ Pair = Tuple[Node, Node]
 #: Eligible pairs as ``(nodes, first, second)``: pair ``k`` is
 #: ``(nodes[first[k]], nodes[second[k]])``.
 EligiblePairs = Tuple[List[Node], np.ndarray, np.ndarray]
+
+
+def _edge_ends(supply: SupplyGraph) -> Tuple[List[Node], Dict[Node, int], np.ndarray, np.ndarray]:
+    """The nodes of ``supply.graph``, their positions, and the ``tail`` and
+    ``head`` position arrays of its edges in ``graph.edges`` order."""
+    nodes = list(supply.graph)
+    position = {node: i for i, node in enumerate(nodes)}
+    ends = np.array([(position[u], position[v]) for u, v in supply.graph.edges], dtype=np.int32)
+    tail, head = ends.reshape(-1, 2).T
+    return nodes, position, tail, head
 
 
 def _eligible_far_pairs(supply: SupplyGraph, min_fraction_of_diameter: float) -> EligiblePairs:
@@ -39,12 +50,8 @@ def _eligible_far_pairs(supply: SupplyGraph, min_fraction_of_diameter: float) ->
     no shortest path passes through a leaf, and a leaf is one hop further
     from everything than its neighbour.
     """
-    graph = supply.graph
-    nodes = list(graph)
-    position = {node: i for i, node in enumerate(nodes)}
-    ends = np.array([(position[u], position[v]) for u, v in graph.edges], dtype=np.int64)
-    tail, head = ends.reshape(-1, 2).T
-    degree = np.bincount(ends.ravel(), minlength=len(nodes))
+    nodes, _, tail, head = _edge_ends(supply)
+    degree = np.bincount(np.concatenate([tail, head]), minlength=len(nodes))
     neighbour = np.arange(len(nodes))  # a leaf's only neighbour
     neighbour[tail], neighbour[head] = head, tail
     leaf = (degree == 1) & (degree[neighbour] > 1)
@@ -157,6 +164,22 @@ def far_apart_demand(
     return _draw_far_apart(eligible, num_pairs, flow_per_pair, ensure_rng(seed), distinct_endpoints)
 
 
+def _intact_verdict(supply: SupplyGraph) -> Callable[[DemandGraph], Optional[bool]]:
+    """:func:`~repro.network.index.max_flow_verdict` of a demand on the
+    nominal capacities of every edge of ``supply``, broken or not."""
+    nodes, position, tail, head = _edge_ends(supply)
+    arcs = ArcLayout(len(nodes), tail, head)
+    capacity = np.array([value for _, _, value in supply.graph.edges(data="capacity")], float)
+
+    def verdict(demand: DemandGraph) -> Optional[bool]:
+        commodities = [
+            (position[pair.source], position[pair.target], pair.demand) for pair in demand
+        ]
+        return max_flow_verdict(arcs, capacity, commodities)
+
+    return verdict
+
+
 def routable_far_apart_demand(
     supply: SupplyGraph,
     num_pairs: int,
@@ -176,17 +199,28 @@ def routable_far_apart_demand(
     them simultaneously.  If no routable selection is found within
     ``attempts`` draws, the last draw is returned (callers can still detect
     the infeasibility through the OPT status).
+
+    Integer max-flows on the intact capacities decide most draws
+    (:func:`~repro.network.index.max_flow_verdict`); the routability LP of
+    :func:`~repro.flows.routability.is_routable` decides the rest, on a
+    complete graph built only for them.
     """
     from repro.flows.routability import is_routable  # local import to avoid a cycle
 
     _check_request(num_pairs, flow_per_pair)
     rng = ensure_rng(seed)
     eligible = _eligible_far_pairs(supply, min_fraction_of_diameter)
-    graph = supply.full_graph(use_residual=False)
+    verdict = _intact_verdict(supply)
+    full_graph = None
     demand: Optional[DemandGraph] = None
     for _ in range(max(1, attempts)):
         demand = _draw_far_apart(eligible, num_pairs, flow_per_pair, rng, True)
-        if is_routable(graph, demand):
+        routable = verdict(demand)
+        if routable is None:
+            if full_graph is None:
+                full_graph = supply.full_graph(use_residual=False)
+            routable = is_routable(full_graph, demand)
+        if routable:
             return demand
     return demand
 

@@ -100,20 +100,19 @@ def routability_test(
     if not commodities:
         return RoutabilityResult(routable=True, commodities=[])
 
-    problem = build_flow_problem(graph, commodities)
-    if problem.infeasible_commodities:
-        missing = [
-            (c.source, c.target) for c in problem.infeasible_commodities
-        ]
+    # Connectivity first: a commodity with an endpoint off the graph, or
+    # with no path at all, makes the LP infeasible.  Deciding those cases
+    # before build_flow_problem costs one BFS per pair and leaves their
+    # graphs out of the shared structure cache (no signature, no build).
+    missing = [
+        (c.source, c.target) for c in commodities if c.source not in graph or c.target not in graph
+    ]
+    if missing:
         return RoutabilityResult(
             routable=False,
             commodities=commodities,
             reason=f"demand endpoints missing from the working graph: {missing}",
         )
-
-    # Quick necessary condition: each pair must be connected with enough
-    # single-path capacity only when it is alone; connectivity alone is the
-    # cheap pre-check that avoids building the LP for obviously broken cases.
     for commodity in commodities:
         if not nx.has_path(graph, commodity.source, commodity.target):
             return RoutabilityResult(
@@ -124,6 +123,7 @@ def routability_test(
                 ),
             )
 
+    problem = build_flow_problem(graph, commodities)
     a_ub, b_ub = problem.capacity_matrix()
     a_eq, b_eq = problem.conservation_matrix()
     program = LinearProgram(

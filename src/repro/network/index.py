@@ -23,12 +23,19 @@ primitive reproduces the networkx computation it replaces:
   value is unique, so only the fallback needs networkx's graph layout);
 * the Dijkstra behind path covers breaks ties exactly as networkx's
   ``(distance, counter, node)`` heap does, so covers pick the same paths;
-* prune connectivity is decided with
-  :func:`scipy.sparse.csgraph.connected_components` on edge masks.
+* prune connectivity and the connectivity half of the routability test
+  are decided with :func:`scipy.sparse.csgraph.connected_components` on
+  edge masks;
+* the networkx working graph the routability LP and prune hits read is
+  built from the arrays (:meth:`GraphIndex.working_graph`) with
+  :meth:`SupplyGraph.working_graph`'s node and edge layout, once per
+  repair, and residual updates are written into it in place.
 
 The module also serves the max-flow helpers on plain networkx graphs,
 :func:`max_flow_value` and :func:`max_flow_over_path_set` through the same
-kernel, and :func:`bottleneck_capacity`.
+kernel, :func:`bottleneck_capacity`, and :func:`max_flow_verdict`, which
+decides multi-commodity routability by integer max-flows where they
+settle it.
 """
 
 from __future__ import annotations
@@ -87,6 +94,8 @@ class ArcLayout:
         cols = np.concatenate([head, tail])
         order = np.lexsort((cols, rows))
         self.size = num_nodes
+        self.tail = tail
+        self.head = head
         self.row = rows[order]
         self.col = cols[order]
         self.edge = np.concatenate([np.arange(len(tail))] * 2)[order]
@@ -113,6 +122,65 @@ class ArcLayout:
     def max_flow(self, capacity: np.ndarray, source: int, target: int) -> float:
         """Max-flow value for int32 edge ``capacity`` on csgraph."""
         return float(csgraph.maximum_flow(self.matrix(capacity), source, target).flow_value)
+
+    def route(
+        self, capacity: np.ndarray, source: int, target: int, amount: int
+    ) -> Tuple[int, np.ndarray]:
+        """A max-flow from ``source`` to ``target`` capped at ``amount`` units,
+        on int32 edge ``capacity``: ``(value, flow carried by every edge)``.
+
+        The cap is an extra node whose one arc, of capacity ``amount``,
+        feeds ``source``; csgraph's flow is antisymmetric, so an edge
+        carries the absolute value of its ``tail -> head`` entry.
+        """
+        matrix = self.matrix(capacity)
+        capped = sparse.csr_matrix(
+            (
+                np.append(matrix.data, np.int32(amount)),
+                np.append(matrix.indices, source),
+                np.append(matrix.indptr, matrix.indptr[-1] + 1),
+            ),
+            shape=(self.size + 1, self.size + 1),
+        )
+        result = csgraph.maximum_flow(capped, self.size, target)
+        carried = np.abs(np.asarray(result.flow[self.tail, self.head]).ravel())
+        return int(result.flow_value), carried.astype(np.int32)
+
+
+def max_flow_verdict(
+    arcs: ArcLayout,
+    capacity: np.ndarray,
+    commodities: Sequence[Tuple[int, int, float]],
+) -> Optional[bool]:
+    """Whether ``commodities`` — ``(source, target, demand)`` with distinct
+    node indices — can be routed together on edge ``capacity``, when
+    integer max-flows decide it, else ``None``.
+
+    ``True`` when they route one after another, each on the capacity the
+    ones before it left and capped at its demand, since those flows
+    together are a feasible routing.  ``False`` when one commodity's
+    max-flow alone is below its demand.  ``None`` when neither holds, or
+    when a capacity or demand is not an exact integer or their total is
+    beyond the int32 guard of :func:`_int32_capacities`.
+    """
+    demands = np.array([demand for _, _, demand in commodities], dtype=float)
+    exact = _int32_capacities(np.concatenate([capacity, demands]))
+    if exact is None:
+        return None
+    intact, amounts = exact[: len(capacity)], exact[len(capacity):].tolist()
+    residual = intact.copy()
+    for short, ((source, target, _), amount) in enumerate(zip(commodities, amounts)):
+        routed, carried = arcs.route(residual, source, target, amount)
+        if routed < amount:
+            break
+        residual -= carried
+    else:
+        return True
+    # the commodities before ``short`` were routed, so each fits alone
+    for (source, target, _), amount in zip(commodities[short:], amounts[short:]):
+        if arcs.max_flow(intact, source, target) < amount:
+            return False
+    return None
 
 
 def _networkx_flow(graph: nx.Graph, source: Node, target: Node) -> float:
@@ -323,6 +391,11 @@ class GraphIndex:
         self._arcs = ArcLayout(len(self.nodes), self.tail, self.head)
         #: Component labels of the complete graph (its structure never changes).
         self._labels: Optional[np.ndarray] = None
+        #: Component labels of the working edges (-1 on nodes that do not
+        #: work), and the networkx working graph: both kept until the next
+        #: repair; residual updates are written into the graph.
+        self._working_labels: Optional[np.ndarray] = None
+        self._working_graph: Optional[nx.Graph] = None
         #: Component labels of the working edges with spare capacity, and
         #: max-flow values: both kept until the next mutation.
         self._spare_labels: Optional[np.ndarray] = None
@@ -342,16 +415,23 @@ class GraphIndex:
     def list_node(self, node: Node) -> None:
         """Mark ``node`` as listed for repair."""
         self.listed_node[self.position[node]] = True
-        self._changed()
+        self._repaired()
 
     def list_edge(self, u: Node, v: Node) -> None:
         """Mark the edge ``(u, v)`` as listed for repair."""
         self.listed_edge[self.edge_of(u, v)] = True
-        self._changed()
+        self._repaired()
 
     def set_residual(self, u: Node, v: Node, residual: float) -> None:
         """Record the new residual capacity of the edge ``(u, v)``."""
         self.residual[self.edge_of(u, v)] = residual
+        if self._working_graph is not None and self._working_graph.has_edge(u, v):
+            self._working_graph.edges[u, v]["capacity"] = float(residual)
+        self._changed()
+
+    def _repaired(self) -> None:
+        self._working_labels = None
+        self._working_graph = None
         self._changed()
 
     def _changed(self) -> None:
@@ -378,9 +458,28 @@ class GraphIndex:
             self._labels = self._arcs.labels(np.ones(len(self.edges), dtype=bool))
         return self._labels[self.position[u]] == self._labels[self.position[v]]
 
+    def working_path(self, u: Node, v: Node) -> bool:
+        """Whether ``u`` and ``v`` are working nodes joined by working edges
+        (residuals aside; labels are cached until the next repair)."""
+        if self._working_labels is None:
+            nodes = self.working_nodes()
+            labels = self._arcs.labels(self.working_edges(nodes))
+            self._working_labels = np.where(nodes, labels, -1)
+        i, j = self.position.get(u), self.position.get(v)
+        if i is None or j is None or self._working_labels[i] < 0:
+            return False
+        return self._working_labels[i] == self._working_labels[j]
+
     # ------------------------------------------------------------------ #
-    # Max-flow values
+    # networkx views and max-flow values
     # ------------------------------------------------------------------ #
+    def working_graph(self) -> nx.Graph:
+        """``to_networkx(working=True)``, built on first use after a repair
+        and kept current by :meth:`set_residual`.  Callers only read it."""
+        if self._working_graph is None:
+            self._working_graph = self.to_networkx(working=True)
+        return self._working_graph
+
     def to_networkx(self, working: bool = False) -> nx.Graph:
         """The complete (or working) graph with residual ``capacity`` edges,
         laid out as :meth:`SupplyGraph.full_graph` / ``working_graph`` do."""
@@ -422,7 +521,8 @@ class GraphIndex:
             capacity = np.where(self.working_edges(), capacity, 0.0)
         exact = _int32_capacities(capacity)
         if exact is None:
-            return _networkx_flow(self.to_networkx(working), source, target)
+            graph = self.working_graph() if working else self.to_networkx()
+            return _networkx_flow(graph, source, target)
         return self._arcs.max_flow(exact, s, t)
 
     # ------------------------------------------------------------------ #
@@ -513,5 +613,6 @@ __all__ = [
     "bottleneck_capacity",
     "max_flow_over_path_set",
     "max_flow_value",
+    "max_flow_verdict",
     "path_cover",
 ]

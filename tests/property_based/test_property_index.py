@@ -11,12 +11,17 @@ import networkx as nx
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from repro.core.isp import ISPConfig, _ISPState, iterative_split_prune
 from repro.core.prune import find_prunable_routing
-from repro.evaluation.demand_builder import _eligible_far_pairs
+from repro.evaluation.demand_builder import _eligible_far_pairs, routable_far_apart_demand
+from repro.failures.complete import CompleteDestruction
+from repro.flows.routability import routability_test
 from repro.network.demand import DemandGraph
 from repro.network.index import CAPACITY_EPSILON, GraphIndex, max_flow_value
 from repro.network.paths import dynamic_edge_length, shortest_path_cover
 from repro.network.supply import SupplyGraph, canonical_edge
+from repro.topologies.bellcanada import bell_canada
+from repro.topologies.caida_like import caida_like
 
 SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -204,8 +209,104 @@ class TestPrune:
             demand.add(u, v, data.draw(st.sampled_from((1.0, 5.0, 30.0))))
         for pair in demand.pairs():
             expected = find_prunable_routing(working, demand, pair.pair, require_bubble)
-            actual = find_prunable_routing(working, demand, pair.pair, require_bubble, index=index)
+            actual = find_prunable_routing(index, demand, pair.pair, require_bubble)
             assert actual == expected
+
+
+def fresh_working_graph(state):
+    """The reference: ``SupplyGraph.working_graph`` of the state's repair
+    list, with residual capacities."""
+    return state.supply.working_graph(
+        state.repaired_nodes, state.repaired_edges, use_residual=True
+    )
+
+
+def run_checked_isp(supply, demand, config):
+    """Run ISP, checking its working graph after every repair and prune and
+    its routability pre-check on every call; returns the checks made."""
+    checks = []
+
+    def check_graph(state):
+        expected = fresh_working_graph(state)
+        graph = state.index.working_graph()
+        assert list(graph.nodes) == list(expected.nodes)
+        assert list(graph.edges(data="capacity")) == list(expected.edges(data="capacity"))
+        checks.append("graph")
+
+    def checked(method):
+        def wrapper(state, *args):
+            method(state, *args)
+            check_graph(state)
+
+        return wrapper
+
+    def checked_pre_check(state):
+        connected = original_pre_check(state)
+        outcome = routability_test(fresh_working_graph(state), state.demand)
+        disconnected = outcome.reason.startswith(("demand endpoints missing", "no working path"))
+        assert disconnected != connected
+        checks.append("pre-check")
+        return connected
+
+    originals = {
+        name: getattr(_ISPState, name) for name in ("repair_node", "repair_edge", "apply_prune")
+    }
+    original_pre_check = _ISPState.demand_connected
+    for name, method in originals.items():
+        setattr(_ISPState, name, checked(method))
+    _ISPState.demand_connected = checked_pre_check
+    try:
+        iterative_split_prune(supply, demand, config)
+    finally:
+        for name, method in originals.items():
+            setattr(_ISPState, name, method)
+        _ISPState.demand_connected = original_pre_check
+    return checks
+
+
+@st.composite
+def isp_instances(draw):
+    """A damaged supply graph, a demand on it and an ISP configuration."""
+    supply = draw(supplies(st.sampled_from((2.0, 5.0, 10.0, 7.5)), max_nodes=8))
+    for node in supply.nodes:
+        if draw(st.booleans()):
+            supply.break_node(node)
+    for u, v in supply.edges:
+        if draw(st.booleans()):
+            supply.break_edge(u, v)
+    pairs = list(itertools.combinations(supply.nodes, 2))
+    demand = DemandGraph()
+    for u, v in draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3, unique=True)):
+        demand.add(u, v, draw(st.sampled_from((1.0, 4.0, 6.5))))
+    config = ISPConfig(
+        require_bubble=draw(st.booleans()),
+        split_amount_mode=draw(st.sampled_from(("lp", "bottleneck"))),
+    )
+    return supply, demand, config
+
+
+class TestISPWorkingGraph:
+    """ISP reads its working graph from the index instead of rebuilding it:
+    the graph equals a fresh ``SupplyGraph.working_graph`` after every
+    repair and prune, and the index's pre-check says "not connected"
+    exactly when the routability test stops before its LP."""
+
+    @given(isp_instances())
+    @SETTINGS
+    def test_random_instances(self, instance):
+        run_checked_isp(*instance)
+
+    @pytest.mark.parametrize(
+        "topology, num_pairs, flow_per_pair, seed",
+        [(bell_canada, 4, 10.0, 3), (bell_canada, 6, 10.0, 5), (caida_like, 3, 22.0, 31)],
+        ids=["bell-4x10", "bell-6x10", "caida-3x22"],
+    )
+    def test_paper_instances(self, topology, num_pairs, flow_per_pair, seed):
+        supply = topology() if topology is bell_canada else topology(200, 246, seed=seed)
+        CompleteDestruction().apply(supply)
+        demand = routable_far_apart_demand(supply, num_pairs, flow_per_pair, seed=seed)
+        checks = run_checked_isp(supply, demand, ISPConfig())
+        assert "graph" in checks and "pre-check" in checks
 
 
 class TestFarApartPairs:

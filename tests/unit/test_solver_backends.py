@@ -27,7 +27,7 @@ from repro.engine.tasks import execute_task, expand_tasks
 from repro.evaluation.metrics import evaluate_plan
 from repro.failures.complete import CompleteDestruction
 from repro.flows.lp_backend import Commodity, FlowProblem
-from repro.flows.routability import routability_test
+from repro.flows.routability import is_routable, routability_test
 from repro.flows.solver.backends import (
     LinearProgram,
     MILProgram,
@@ -87,11 +87,14 @@ BELL_REQUEST = RecoveryRequest(
 
 @pytest.fixture(scope="module")
 def bell_solves():
-    """``BELL_REQUEST``'s envelope and every program it solved.
+    """``BELL_REQUEST``'s envelope and every program it solved, plus the
+    routability LP on the request's intact graph and demand (the demand
+    builder decides this request's draw by max-flow, without that LP).
 
     Each LP comes with the solution the run used when it started cold, or
     ``None`` when it started from a basis (re-solved cold below).
     """
+    supply, demand, _ = RecoveryService().build_instance(BELL_REQUEST)
     lps, milps = [], []
     solve_lp, solve_milp = ScipyHighsBackend.solve_lp, ScipyHighsBackend.solve_milp
 
@@ -108,6 +111,7 @@ def bell_solves():
     ScipyHighsBackend.solve_lp, ScipyHighsBackend.solve_milp = record_lp, record_milp
     try:
         result = RecoveryService().solve(BELL_REQUEST)
+        is_routable(supply.full_graph(use_residual=False), demand)
     finally:
         ScipyHighsBackend.solve_lp, ScipyHighsBackend.solve_milp = solve_lp, solve_milp
     backend = ScipyHighsBackend()
