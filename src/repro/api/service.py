@@ -59,6 +59,7 @@ from repro.engine.tasks import cell_seed_sequence, expand_tasks, root_entropy
 from repro.evaluation.metrics import evaluate_plan
 from repro.extensions.assessment import assess_damage
 from repro.flows.solver.stats import collect_solver_stats
+from repro.heuristics.greedy import candidate_scope
 from repro.network.demand import DemandGraph
 from repro.network.plan import RecoveryPlan
 from repro.network.supply import SupplyGraph
@@ -108,8 +109,10 @@ def run_algorithms(
     Heuristics run first, in the listed order, then the exact algorithms,
     seeded with every heuristic plan (a verified incumbent lets the
     decomposed strategy prove optimality without a MILP; OPT listed alone
-    seeds itself with SRT).  Each run — the solve and the plan's evaluation
-    LP — is one ``service.run`` span with its own solver-stats collector.
+    seeds itself with SRT).  The heuristics share one candidate scope, so
+    GRD-COM and GRD-NC enumerate the instance's candidate paths once.  Each
+    run — the solve and the plan's evaluation LP — is one ``service.run``
+    span with its own solver-stats collector.
     When the list mixes the two classes, ``on_heuristics`` (if given) is
     called once with the heuristic runs before the first exact solve
     starts.
@@ -133,7 +136,8 @@ def run_algorithms(
     def listed() -> List[AlgorithmRun]:
         return [runs[name] for name in spec.algorithms if name in runs]
 
-    seed_plans = [run(name) for name in heuristics]
+    with candidate_scope():
+        seed_plans = [run(name) for name in heuristics]
     if on_heuristics is not None and heuristics and exacts:
         on_heuristics(listed())
     for name in exacts:

@@ -13,19 +13,28 @@ and repair paths in ascending order of that weight:
   repaired path it re-runs the LP routability test of the full demand on the
   repaired network and stops as soon as the demand becomes routable.  It
   repairs more than GRD-COM but never loses demand (provided the undamaged
-  network could route it).
+  network could route it).  The repairs are listed on a
+  :class:`~repro.network.index.GraphIndex`, and the test runs only once they
+  join every demand pair: before that, the test would answer "not
+  routable" without its LP.
 
 The paper enumerates *all* simple paths between every demand pair offline,
 which is exponential; we bound the enumeration to the
 ``max_paths_per_pair`` shortest simple paths (documented substitution — the
-low-weight paths the greedy order favours are found first anyway).
+low-weight paths the greedy order favours are found first anyway), in
+:func:`networkx.shortest_simple_paths` order, from the index's simple-path
+kernel.  Inside :func:`candidate_scope` (one per instance, opened by the
+request runner) both heuristics read one enumeration.
 """
 
 from __future__ import annotations
 
+import contextvars
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from itertools import islice
+from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
 import networkx as nx
 
@@ -34,7 +43,8 @@ from repro.flows.routability import routability_test
 from repro.flows.solver.stats import collect_solver_stats
 from repro.flows.solver.tolerances import EPSILON
 from repro.network.demand import DemandGraph
-from repro.network.paths import path_broken_elements, path_capacity, path_edges, path_repair_cost
+from repro.network.index import GraphIndex
+from repro.network.paths import path_broken_elements, path_edges, path_repair_cost
 from repro.network.plan import RecoveryPlan
 from repro.network.supply import SupplyGraph, canonical_edge
 
@@ -57,6 +67,29 @@ class CandidatePath:
     cost: float
 
 
+#: The open candidate scope: enumerated lists by ``(id(supply), id(demand),
+#: max_paths_per_pair)``, each kept with its supply and demand so no id is
+#: reused while the scope lasts.
+_SCOPE: contextvars.ContextVar[Optional[Dict[Tuple[int, int, int], tuple]]] = (
+    contextvars.ContextVar("repro_candidate_paths", default=None)
+)
+
+
+@contextmanager
+def candidate_scope() -> Iterator[None]:
+    """Enumerate each instance's candidates once inside the ``with`` block.
+
+    :func:`repro.api.service.run_algorithms` opens one scope per instance,
+    so GRD-NC reads the list GRD-COM enumerated.  Sharing is safe because
+    no registered algorithm modifies the instance it is given.
+    """
+    token = _SCOPE.set({})
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
+
+
 def enumerate_candidate_paths(
     supply: SupplyGraph,
     demand: DemandGraph,
@@ -66,21 +99,26 @@ def enumerate_candidate_paths(
 
     The weight of a path is ``cost(p) / capacity(p)`` where ``cost`` is the
     total repair cost of its broken elements (a free working path has weight
-    0) and ``capacity`` its bottleneck capacity.
+    0) and ``capacity`` its bottleneck capacity.  Inside a
+    :func:`candidate_scope`, a repeated call on the same instance returns
+    the list the first call enumerated.
     """
-    graph = supply.full_graph(use_residual=False)
+    scope = _SCOPE.get()
+    key = (id(supply), id(demand), max_paths_per_pair)
+    if scope is not None and key in scope:
+        return list(scope[key][2])
+    index = GraphIndex(supply)
+    capacities = index.capacity.tolist()
     candidates: List[CandidatePath] = []
     for pair in demand.pairs():
-        if pair.source not in graph or pair.target not in graph:
+        if not index.connected(pair.source, pair.target):
             continue
-        if not nx.has_path(graph, pair.source, pair.target):
-            continue
-        generator = nx.shortest_simple_paths(graph, pair.source, pair.target)
-        for count, path in enumerate(generator):
-            if count >= max_paths_per_pair:
-                break
-            path = tuple(path)
-            capacity = path_capacity(graph, path)
+        paths = index.simple_paths(pair.source, pair.target)
+        for path in islice(paths, max(max_paths_per_pair, 0)):
+            capacity = min(
+                (capacities[index.edge_of(u, v)] for u, v in path_edges(path)),
+                default=float("inf"),
+            )
             if capacity <= EPSILON:
                 continue
             cost = path_repair_cost(supply, path)
@@ -94,16 +132,31 @@ def enumerate_candidate_paths(
                 )
             )
     candidates.sort(key=lambda c: (c.weight, len(c.path), repr(c.path)))
-    return candidates
+    if scope is not None:
+        scope[key] = (supply, demand, candidates)
+    return list(candidates)
 
 
-def _repair_path(supply: SupplyGraph, plan: RecoveryPlan, path: Path) -> None:
-    """List every broken element of ``path`` for repair."""
+def _repair_path(
+    supply: SupplyGraph, plan: RecoveryPlan, path: Path, index: Optional[GraphIndex] = None
+) -> None:
+    """List every broken element of ``path`` for repair (also on ``index``)."""
     nodes, edges = path_broken_elements(supply, path)
     for node in nodes:
         plan.add_node_repair(node)
+        if index is not None:
+            index.list_node(node)
     for u, v in edges:
         plan.add_edge_repair(u, v)
+        if index is not None:
+            index.list_edge(u, v)
+
+
+def _demand_joined(index: GraphIndex, demand: DemandGraph) -> bool:
+    """Whether every demand pair has working endpoints joined by working
+    edges on ``index``; when not, :func:`routability_test` answers "not
+    routable" before its LP."""
+    return all(index.working_path(pair.source, pair.target) for pair in demand.pairs())
 
 
 def greedy_commitment(
@@ -183,7 +236,6 @@ def greedy_commitment(
         if pending <= EPSILON:
             continue
         _repair_path(supply, plan, candidate.path)
-        graph = working_residual_graph()
         available = min(
             residual_capacity[canonical_edge(u, v)]
             for u, v in path_edges(list(candidate.path))
@@ -212,22 +264,26 @@ def greedy_no_commitment(
     started = time.perf_counter()
     with collect_solver_stats() as solver_stats:
         candidates = enumerate_candidate_paths(supply, demand, max_paths_per_pair)
+        index = GraphIndex(supply)
 
-        def repaired_working_graph() -> nx.Graph:
-            return supply.working_graph(
+        def repaired_routable() -> bool:
+            if not _demand_joined(index, demand):
+                return False
+            graph = supply.working_graph(
                 extra_nodes=plan.repaired_nodes,
                 extra_edges=plan.repaired_edges,
                 use_residual=False,
             )
+            return routability_test(graph, demand).routable
 
-        routable = routability_test(repaired_working_graph(), demand).routable
+        routable = repaired_routable()
         used_paths = 0
         for candidate in candidates:
             if routable:
                 break
-            _repair_path(supply, plan, candidate.path)
+            _repair_path(supply, plan, candidate.path, index)
             used_paths += 1
-            routable = routability_test(repaired_working_graph(), demand).routable
+            routable = repaired_routable()
 
         plan.metadata["routable"] = routable
         plan.metadata["paths_repaired"] = used_paths

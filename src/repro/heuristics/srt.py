@@ -12,13 +12,12 @@ as soon as shortest paths saturate (Figures 4(d), 5(b), 6(b), 9(b)).
 from __future__ import annotations
 
 import time
+from itertools import islice
 from typing import Hashable, List, Tuple
 
-import networkx as nx
-
 from repro.network.demand import DemandGraph
-from repro.network.index import max_flow_over_path_set
-from repro.network.paths import path_broken_elements, path_capacity
+from repro.network.index import GraphIndex, max_flow_over_path_set
+from repro.network.paths import path_broken_elements
 from repro.network.plan import RecoveryPlan
 from repro.network.supply import SupplyGraph
 
@@ -39,23 +38,21 @@ def shortest_path_repair(
     Paths are enumerated in increasing hop count (uniform edge weight, the
     "very intuitive" static metric of the paper) on the complete supply
     graph, because SRT plans repairs rather than routing over what is
-    currently working.
+    currently working, by the index's simple-path kernel in
+    :func:`networkx.shortest_simple_paths` order.
     """
     plan = RecoveryPlan(algorithm="SRT")
     started = time.perf_counter()
     graph = supply.full_graph(use_residual=False)
+    index = GraphIndex(supply)
     pairs = sorted(demand.pairs(), key=lambda p: (-p.demand, repr(p.pair)))
     for pair in pairs:
-        if pair.source not in graph or pair.target not in graph:
-            continue
-        if not nx.has_path(graph, pair.source, pair.target):
+        if not index.connected(pair.source, pair.target):
             continue
         selected: List[Path] = []
-        generator = nx.shortest_simple_paths(graph, pair.source, pair.target)
-        for count, path in enumerate(generator):
-            if count >= max_paths_per_pair:
-                break
-            selected.append(tuple(path))
+        paths = index.simple_paths(pair.source, pair.target)
+        for path in islice(paths, max(max_paths_per_pair, 0)):
+            selected.append(path)
             achievable = max_flow_over_path_set(graph, selected, pair.source, pair.target)
             if achievable >= pair.demand:
                 break

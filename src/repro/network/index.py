@@ -23,6 +23,9 @@ primitive reproduces the networkx computation it replaces:
   value is unique, so only the fallback needs networkx's graph layout);
 * the Dijkstra behind path covers breaks ties exactly as networkx's
   ``(distance, counter, node)`` heap does, so covers pick the same paths;
+* the hop-count simple paths of the greedy baselines and SRT
+  (:func:`simple_paths`) are networkx's Yen loop and bidirectional BFS on
+  indices, so they come in :func:`networkx.shortest_simple_paths` order;
 * prune connectivity and the connectivity half of the routability test
   are decided with :func:`scipy.sparse.csgraph.connected_components` on
   edge masks;
@@ -41,7 +44,18 @@ settle it.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Collection, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Collection,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import networkx as nx
 import numpy as np
@@ -298,6 +312,109 @@ def _dijkstra(
     nodes.reverse()
     edges.reverse()
     return nodes, edges
+
+
+def _bidirectional_bfs(
+    adjacency: Adjacency,
+    source: int,
+    target: int,
+    ignored: List[bool],
+    blocked: Collection[int],
+) -> Optional[List[int]]:
+    """Fewest-hop ``source``→``target`` path avoiding ``ignored`` nodes and
+    ``blocked`` edges, or ``None``.
+
+    networkx's ``_bidirectional_pred_succ`` on indices: the smaller fringe
+    (the forward one on ties) grows by one level, neighbours are scanned in
+    adjacency order, and the search stops at the first neighbour already
+    reached from the other side.
+    """
+    if source == target:
+        return [source]
+    pred: Dict[int, int] = {source: -1}
+    succ: Dict[int, int] = {target: -1}
+    forward, reverse = [source], [target]
+    meet = -1
+    while forward and reverse and meet < 0:
+        if len(forward) <= len(reverse):
+            level, forward = forward, []
+            reached, other = pred, succ
+            fringe = forward
+        else:
+            level, reverse = reverse, []
+            reached, other = succ, pred
+            fringe = reverse
+        for node in level:
+            for neighbour, edge in adjacency[node]:
+                if ignored[neighbour] or edge in blocked:
+                    continue
+                if neighbour not in reached:
+                    fringe.append(neighbour)
+                    reached[neighbour] = node
+                if neighbour in other:
+                    meet = neighbour
+                    break
+            if meet >= 0:
+                break
+    if meet < 0:
+        return None
+    path = []
+    node = pred[meet]
+    while node >= 0:
+        path.append(node)
+        node = pred[node]
+    path.reverse()
+    node = meet
+    while node >= 0:
+        path.append(node)
+        node = succ[node]
+    return path
+
+
+def simple_paths(adjacency: Adjacency, source: int, target: int) -> Iterator[List[int]]:
+    """Every simple ``source``→``target`` path, fewest hops first.
+
+    The sequence is :func:`networkx.shortest_simple_paths` (no weight) on a
+    graph whose adjacency order is ``adjacency``: Yen's loop, spur searches
+    by :func:`_bidirectional_bfs`, and a heap of ``(length, push counter,
+    path)`` that skips a path already queued.  networkx finds the edges to
+    avoid from a root by scanning every yielded path; here a trie of the
+    yielded paths gives the same edges: those from the root's last node to
+    its children.  Edges ignored from shorter roots touch ignored nodes, so
+    they would not change a search.  Nothing is yielded when the endpoints
+    are disconnected.
+    """
+    first = _bidirectional_bfs(adjacency, source, target, [False] * len(adjacency), ())
+    if first is None:
+        return
+    queue = [(len(first), 0, first)]
+    queued = {tuple(first)}
+    pushes = 1
+    trie: Dict[int, dict] = {}
+    while queue:
+        _, _, path = heappop(queue)
+        queued.discard(tuple(path))
+        yield path
+        branch = trie
+        for node in path:
+            branch = branch.setdefault(node, {})
+        # spur from the last node of every root path[:i]; ``branch`` holds
+        # the nodes that follow the root in the paths yielded so far
+        branch = trie[path[0]]
+        ignored = [False] * len(adjacency)
+        for i in range(1, len(path)):
+            spur_node = path[i - 1]
+            blocked = {edge for neighbour, edge in adjacency[spur_node] if neighbour in branch}
+            spur = _bidirectional_bfs(adjacency, spur_node, target, ignored, blocked)
+            if spur is not None:
+                found = path[: i - 1] + spur
+                key = tuple(found)
+                if key not in queued:
+                    heappush(queue, (i + len(spur), pushes, found))
+                    queued.add(key)
+                    pushes += 1
+            ignored[spur_node] = True
+            branch = branch[path[i]]
 
 
 def path_cover(
@@ -560,6 +677,13 @@ class GraphIndex:
         )
         return [(tuple(self.nodes[i] for i in path), capacity) for path, capacity in cover]
 
+    def simple_paths(self, source: Node, target: Node) -> Iterator[Path]:
+        """``networkx.shortest_simple_paths(full_graph(), source, target)``
+        on the index (see :func:`simple_paths`), as node tuples."""
+        paths = simple_paths(self.adjacency, self.position[source], self.position[target])
+        for path in paths:
+            yield tuple(self.nodes[i] for i in path)
+
     # ------------------------------------------------------------------ #
     # Pruning
     # ------------------------------------------------------------------ #
@@ -615,4 +739,5 @@ __all__ = [
     "max_flow_value",
     "max_flow_verdict",
     "path_cover",
+    "simple_paths",
 ]

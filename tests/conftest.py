@@ -7,10 +7,17 @@ bounds.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.network.demand import DemandGraph
 from repro.network.supply import SupplyGraph
+
+#: The benchmark's request lists (``perfbench/workloads.py``).
+PERFBENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 @pytest.fixture
@@ -60,3 +67,19 @@ def diamond_demand() -> DemandGraph:
     demand = DemandGraph()
     demand.add("s", "t", 12.0)
     return demand
+
+
+@pytest.fixture(scope="session")
+def paper_bell_requests():
+    """``perfbench``'s ``paper-bell`` list of a workload seed: the 25 Bell
+    Canada requests of a 20-second run, every paper algorithm listed."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH_WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses resolve their module
+    spec.loader.exec_module(workloads)
+
+    def requests(workload_seed: int):
+        count = workloads.request_count("paper-bell", 20.0)
+        return workloads.in_process_requests("paper-bell", workload_seed, count)
+
+    return requests

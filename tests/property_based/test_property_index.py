@@ -11,6 +11,7 @@ import networkx as nx
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from repro.api.service import RecoveryService
 from repro.core.isp import ISPConfig, _ISPState, iterative_split_prune
 from repro.core.prune import find_prunable_routing
 from repro.evaluation.demand_builder import _eligible_far_pairs, routable_far_apart_demand
@@ -61,6 +62,16 @@ def reference_cover(graph, source, target, demand, weight):
         for u, v in edges:
             residual[canonical_edge(u, v)] -= bottleneck
     return cover
+
+
+def reference_simple_paths(graph, source, target, limit=None):
+    """networkx's hop-count Yen enumeration the simple-path kernel replaced
+    (empty for disconnected endpoints, where networkx raises)."""
+    try:
+        paths = nx.shortest_simple_paths(graph, source, target)
+        return [tuple(path) for path in itertools.islice(paths, limit)]
+    except nx.NetworkXNoPath:
+        return []
 
 
 def reference_far_pairs(supply, fraction):
@@ -124,6 +135,17 @@ def tied_grids(draw):
     for u, v in graph.edges:
         graph.edges[u, v]["capacity"] = draw(st.sampled_from((0.0, 1.0, 1.0, 2.0, 3.0)))
     return graph, (0, 0), (rows - 1, cols - 1)
+
+
+@st.composite
+def trees(draw):
+    """A random tree: every node hangs off an earlier one (one path per pair)."""
+    size = draw(st.integers(min_value=2, max_value=12))
+    supply = SupplyGraph()
+    supply.add_node(0)
+    for node in range(1, size):
+        supply.add_edge(draw(st.integers(min_value=0, max_value=node - 1)), node)
+    return supply
 
 
 # ---------------------------------------------------------------------- #
@@ -194,6 +216,78 @@ class TestPathCover:
         for u, v in supply.graph.edges:
             expected = dynamic_edge_length(supply, u, v, listed_nodes, listed_edges, const=const)
             assert lengths[index.edge_of(u, v)] == expected
+
+
+class TestSimplePaths:
+    """The simple-path kernel yields networkx's whole sequence, ties included."""
+
+    @staticmethod
+    def assert_same_sequence(supply, source, target):
+        expected = reference_simple_paths(supply.full_graph(use_residual=False), source, target)
+        index = GraphIndex(supply)
+        assert list(index.simple_paths(source, target)) == expected
+        # asking for more paths than exist ends the sequence there
+        beyond = itertools.islice(index.simple_paths(source, target), len(expected) + 5)
+        assert list(beyond) == expected
+
+    @given(supplies(max_nodes=7), st.data())
+    @SETTINGS
+    def test_random_graphs(self, supply, data):
+        source, target = data.draw(st.sampled_from(list(itertools.product(supply.nodes, repeat=2))))
+        self.assert_same_sequence(supply, source, target)
+
+    @given(supplies(max_nodes=7), st.data())
+    @SETTINGS
+    def test_adjacent_endpoints(self, supply, data):
+        source, target = data.draw(st.sampled_from(list(supply.graph.edges)))
+        if data.draw(st.booleans()):
+            source, target = target, source
+        self.assert_same_sequence(supply, source, target)
+
+    @given(st.integers(2, 4), st.integers(2, 4), st.data())
+    @SETTINGS
+    def test_grids_full_of_ties(self, rows, cols, data):
+        supply = SupplyGraph(nx.grid_2d_graph(rows, cols))
+        source, target = data.draw(
+            st.sampled_from(list(itertools.permutations(supply.nodes, 2)))
+        )
+        self.assert_same_sequence(supply, source, target)
+
+    @given(trees(), st.data())
+    @SETTINGS
+    def test_trees(self, supply, data):
+        source, target = data.draw(st.sampled_from(list(itertools.permutations(supply.nodes, 2))))
+        self.assert_same_sequence(supply, source, target)
+
+    def test_disconnected_pairs_yield_nothing(self):
+        supply = SupplyGraph(nx.disjoint_union(nx.cycle_graph(4), nx.path_graph(3)))
+        supply.add_node("isolated")
+        for source, target in [(0, 5), (6, 1), (2, "isolated"), ("isolated", 3)]:
+            assert reference_simple_paths(supply.full_graph(), source, target) == []
+            assert list(GraphIndex(supply).simple_paths(source, target)) == []
+
+    @staticmethod
+    def assert_first_paths_match(supply, pairs, limit=60):
+        graph = supply.full_graph(use_residual=False)
+        index = GraphIndex(supply)
+        for source, target in pairs:
+            expected = reference_simple_paths(graph, source, target, limit)
+            assert expected
+            paths = index.simple_paths(source, target)
+            assert list(itertools.islice(paths, limit)) == expected, (source, target)
+
+    @pytest.mark.parametrize("workload_seed", [2016, 2017])
+    def test_paper_bell_requests(self, paper_bell_requests, workload_seed):
+        service = RecoveryService()
+        for request in paper_bell_requests(workload_seed):
+            supply, demand, _ = service.build_instance(request)
+            self.assert_first_paths_match(supply, [pair.pair for pair in demand.pairs()])
+
+    @pytest.mark.parametrize("seed", [31, 32, 33])
+    def test_caida_like_maps(self, seed):
+        supply = caida_like(825, 1018, seed=seed)
+        demand = routable_far_apart_demand(supply, 3, 22.0, seed=seed)
+        self.assert_first_paths_match(supply, [pair.pair for pair in demand.pairs()])
 
 
 class TestPrune:
