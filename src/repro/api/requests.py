@@ -48,6 +48,7 @@ from repro.failures.targeted import TargetedAttack
 from repro.heuristics.registry import available_algorithms, check_algorithm_kwargs
 from repro.network.demand import DemandGraph
 from repro.network.supply import SupplyGraph
+from repro.obs.trace import span
 from repro.topologies.registry import build_topology, get_topology_builder
 
 #: Version stamped on every request and result envelope.  Bump when a field
@@ -560,16 +561,20 @@ def materialise_instance(
     is applied to a *copy*, so the cached graph is never mutated.  This is
     only sound for deterministic topologies (``TopologySpec.deterministic``)
     whose builders draw nothing from ``rng``.
+
+    The build is one ``service.materialise`` span, so the demand builder's
+    routability LPs are counted and traced apart from the runs.
     """
     sections: Dict[str, Mapping[str, Any]] = {"topology": {}, "disruption": {}, "demand": {}}
     sections.update(overrides or {})
-    if supply is None:
-        built = topology.build(rng, sections.get("topology", {}))
-        report = disruption.apply(built, rng, sections.get("disruption", {}))
-        disrupted = built
-    else:
-        disrupted, report = disruption.applied(supply, rng, sections.get("disruption", {}))
-    demand_graph = demand.build(disrupted, rng, sections.get("demand", {}))
+    with span("service.materialise"):
+        if supply is None:
+            built = topology.build(rng, sections.get("topology", {}))
+            report = disruption.apply(built, rng, sections.get("disruption", {}))
+            disrupted = built
+        else:
+            disrupted, report = disruption.applied(supply, rng, sections.get("disruption", {}))
+        demand_graph = demand.build(disrupted, rng, sections.get("demand", {}))
     return disrupted, demand_graph, report
 
 

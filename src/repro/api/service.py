@@ -58,7 +58,7 @@ from repro.engine.spec import ExperimentSpec
 from repro.engine.tasks import cell_seed_sequence, expand_tasks, root_entropy
 from repro.evaluation.metrics import evaluate_plan
 from repro.extensions.assessment import assess_damage
-from repro.flows.solver.stats import collect_solver_stats
+from repro.flows.solver.stats import solver_counts
 from repro.heuristics.greedy import candidate_scope
 from repro.network.demand import DemandGraph
 from repro.network.plan import RecoveryPlan
@@ -112,7 +112,7 @@ def run_algorithms(
     seeds itself with SRT).  The heuristics share one candidate scope, so
     GRD-COM and GRD-NC enumerate the instance's candidate paths once.  Each
     run — the solve and the plan's evaluation LP — is one ``service.run``
-    span with its own solver-stats collector.
+    span, and the run's ``solver`` stats are what was counted on it.
     When the list mixes the two classes, ``on_heuristics`` (if given) is
     called once with the heuristic runs before the first exact solve
     starts.
@@ -122,14 +122,14 @@ def run_algorithms(
 
     def run(name: str, **extra) -> RecoveryPlan:
         algorithm = spec.resolve_algorithm(name)
-        with collect_solver_stats() as stats, span("service.run", algorithm=name):
+        with span("service.run", algorithm=name) as scope:
             plan = algorithm.solve(supply, demand, **extra)
             evaluation = evaluate_plan(supply, demand, plan)
         runs[name] = AlgorithmRun(
             algorithm=algorithm.name,
             metrics=evaluation_metrics(evaluation),
             plan=plan_payload(plan),
-            solver=stats.as_dict(),
+            solver=solver_counts(scope),
         )
         return plan
 

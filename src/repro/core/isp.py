@@ -45,7 +45,6 @@ from repro.flows.routability import routability_test
 from repro.flows.splitting_lp import maximum_splittable_amount
 from repro.flows.decomposition import decompose_flows
 from repro.flows.solver.incremental import SolverContext
-from repro.flows.solver.stats import collect_solver_stats
 from repro.flows.solver.tolerances import EPSILON
 from repro.network.demand import DemandGraph
 from repro.network.index import GraphIndex
@@ -198,10 +197,9 @@ def iterative_split_prune(
     state = _ISPState(supply, demand, config)
 
     started = time.perf_counter()
-    with collect_solver_stats() as solver_stats:
-        _initialise(state)
-        iterations = _main_loop(state)
-        _finalise_routing(state)
+    _initialise(state)
+    iterations = _main_loop(state)
+    _finalise_routing(state)
 
     plan = state.plan
     plan.iterations = iterations
@@ -213,7 +211,6 @@ def iterative_split_prune(
             "direct_edge_repairs": state.direct_repairs,
             "fallback_used": state.fallback_used,
             "unsatisfiable_pairs": list(state.unsatisfiable_pairs),
-            "solver": solver_stats.as_dict(),
         }
     )
     return plan

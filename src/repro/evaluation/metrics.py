@@ -29,13 +29,7 @@ Pair = Tuple[Node, Node]
 
 @dataclass
 class PlanEvaluation:
-    """All figure metrics for one (algorithm, instance) pair.
-
-    ``solver_stats`` carries the per-solve effort the *algorithm* reported
-    in its plan metadata (LP/MILP solve counts, build vs solve wall time,
-    basis restarts) — empty for algorithms that never touch the solver
-    substrate.
-    """
+    """All figure metrics for one (algorithm, instance) pair."""
 
     algorithm: str
     node_repairs: int
@@ -49,7 +43,6 @@ class PlanEvaluation:
     iterations: int = 0
     routing_violations: int = 0
     per_pair_satisfaction: Dict[Pair, float] = field(default_factory=dict)
-    solver_stats: Dict[str, float] = field(default_factory=dict)
 
     @property
     def satisfied_percentage(self) -> float:
@@ -97,7 +90,6 @@ def evaluate_plan(
     violations: List[str] = []
     if check_routing and plan.routes:
         violations = plan.validate_routing(supply, demand)
-    solver_stats = plan.metadata.get("solver", {})
     return PlanEvaluation(
         algorithm=plan.algorithm,
         node_repairs=plan.num_node_repairs,
@@ -111,5 +103,4 @@ def evaluate_plan(
         iterations=plan.iterations,
         routing_violations=len(violations),
         per_pair_satisfaction=dict(satisfaction.satisfied),
-        solver_stats=dict(solver_stats) if isinstance(solver_stats, dict) else {},
     )

@@ -28,14 +28,7 @@ from repro.flows.multicommodity import MultiCommodityResult, solve_multicommodit
 from repro.flows.routability import RoutabilityResult, is_routable, routability_test
 from repro.flows.splitting_lp import maximum_splittable_amount
 from repro.flows.decomposition import decompose_flows
-from repro.flows.solver import (
-    IncrementalFlowProblem,
-    SolverContext,
-    SolverStats,
-    build_flow_problem,
-    collect_solver_stats,
-    get_backend,
-)
+from repro.flows.solver import IncrementalFlowProblem, SolverContext, build_flow_problem
 
 __all__ = [
     "Commodity",
@@ -51,8 +44,5 @@ __all__ = [
     "maximum_splittable_amount",
     "IncrementalFlowProblem",
     "SolverContext",
-    "SolverStats",
     "build_flow_problem",
-    "collect_solver_stats",
-    "get_backend",
 ]

@@ -57,14 +57,10 @@ import numpy as np
 from scipy import sparse
 
 from repro.flows.routability import routability_test
-from repro.flows.solver.backends import (
-    LinearProgram,
-    MILProgram,
-    SolverBackend,
-    get_backend,
-)
-from repro.flows.solver.stats import record_benders, record_bound_reuse
+from repro.flows.solver.backends import HIGHS, LinearProgram, MILProgram
+from repro.flows.solver.stats import record_benders
 from repro.flows.solver.tolerances import BINARY_THRESHOLD, FLOW_TOLERANCE
+from repro.obs.trace import count
 
 Node = Hashable
 Arc = Tuple[Node, Node]
@@ -225,7 +221,7 @@ class BoundCache:
                 self._entries.move_to_end(signature)
         if entry is not None:
             if entry.lower_bound is not None or entry.cuts:
-                record_bound_reuse()
+                count(bound_reuses=1)
             return entry
         entry = BoundEntry()
         with self._lock:
@@ -354,9 +350,7 @@ def _relaxation_program(
     )
 
 
-def relaxation_bound(
-    model, backend: Optional[Union[str, SolverBackend]] = None
-) -> Tuple[str, Optional[float]]:
+def relaxation_bound(model) -> Tuple[str, Optional[float]]:
     """``(status, bound)`` of the VUB-strengthened joint LP relaxation.
 
     ``status`` is ``"optimal"`` (bound valid), ``"infeasible"`` (the MILP
@@ -365,7 +359,7 @@ def relaxation_bound(
     """
     constraints = list(model.constraints) + [vub_rows(model)]
     program = _relaxation_program(model, constraints)
-    solution = get_backend(backend).solve_lp(program)
+    solution = HIGHS.solve_lp(program)
     if solution.success:
         return "optimal", float(solution.objective)
     if solution.status == "infeasible":
@@ -373,9 +367,7 @@ def relaxation_bound(
     return "error", None
 
 
-def commodity_block_bound(
-    model, index: int, backend: Optional[Union[str, SolverBackend]] = None
-) -> Optional[float]:
+def commodity_block_bound(model, index: int) -> Optional[float]:
     """Lower bound from commodity ``index``'s single-block relaxation.
 
     Any feasible repair vector must route each commodity *alone*, so the
@@ -435,7 +427,7 @@ def commodity_block_bound(
         b_eq=rhs,
         bounds=np.column_stack([lower, upper]),
     )
-    solution = get_backend(backend).solve_lp(program)
+    solution = HIGHS.solve_lp(program)
     if not solution.success:
         return None
     return float(solution.objective)
@@ -526,7 +518,6 @@ def benders_search(
     upper_bound: Optional[float],
     lower_bound: float,
     deadline: Optional[float],
-    backend: Optional[Union[str, SolverBackend]] = None,
     seed_cuts: Sequence[frozenset] = (),
 ) -> BendersOutcome:
     """Search repair vectors directly via master MILP + routability cuts.
@@ -605,7 +596,6 @@ def benders_search(
             rows.append(row)
             cuts.append(cut)
 
-    solver = get_backend(backend)
     iterations = 0
     new_cuts: List[frozenset] = []
     for _ in range(BENDERS_MAX_ITERATIONS):
@@ -619,7 +609,7 @@ def benders_search(
             lb=lower,
             ub=upper,
         )
-        master = solver.solve_milp(program)
+        master = HIGHS.solve_milp(program)
         if master.status == "infeasible":
             record_benders(iterations=iterations, cuts=len(new_cuts))
             if upper_bound is not None:
@@ -660,7 +650,7 @@ def benders_search(
             extra_edges=candidate_edges,
             use_residual=False,
         )
-        verdict = routability_test(graph, demand, want_flows=True, backend=backend)
+        verdict = routability_test(graph, demand, want_flows=True)
         if verdict.routable:
             record_benders(iterations=iterations, cuts=len(new_cuts))
             objective = supply.repair_cost_of(candidate_nodes, candidate_edges)
@@ -708,7 +698,6 @@ def solve_decomposed(
     model,
     time_limit: Optional[float] = None,
     mip_rel_gap: float = 0.0,
-    backend: Optional[Union[str, SolverBackend]] = None,
     incumbent=None,
 ):
     """Drive the staged decomposition attack on a built MinR model.
@@ -750,12 +739,12 @@ def solve_decomposed(
     if lower_bound is None:
         block_bound = 0.0
         for index in range(len(model.commodities)):
-            bound = commodity_block_bound(model, index, backend)
+            bound = commodity_block_bound(model, index)
             if bound is not None:
                 block_bound = max(block_bound, bound)
         lower_bound = block_bound
         if not certificate_met(integral_bound(model, lower_bound)):
-            status, joint = relaxation_bound(model, backend)
+            status, joint = relaxation_bound(model)
             if status == "infeasible":
                 entry.lower_bound = np.inf
                 return finish(
@@ -784,7 +773,6 @@ def solve_decomposed(
             supply.working_graph(use_residual=False),
             model.demand,
             want_flows=True,
-            backend=backend,
         )
         if verdict.routable:
             return finish(
@@ -808,7 +796,7 @@ def solve_decomposed(
     damage = len(supply.broken_nodes) + len(supply.broken_edges)
     if damage <= BENDERS_MAX_ELEMENTS:
         outcome = benders_search(
-            model, upper, lb_int, deadline, backend=backend, seed_cuts=entry.cuts
+            model, upper, lb_int, deadline, seed_cuts=entry.cuts
         )
         for cut in outcome.cuts:
             if cut not in entry.cuts:
@@ -872,7 +860,7 @@ def solve_decomposed(
         time_limit=remaining,
         mip_rel_gap=mip_rel_gap,
     )
-    result = get_backend(backend).solve_milp(program)
+    result = HIGHS.solve_milp(program)
     if not result.feasible or result.x is None:
         if result.status == "infeasible":
             # The tightened model only removes suboptimal/equivalent points,

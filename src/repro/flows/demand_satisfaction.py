@@ -19,14 +19,14 @@ the ``y`` columns are instance-specific.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple, Union
+from typing import Dict, Hashable, List, Tuple
 
 import networkx as nx
 import numpy as np
 from scipy import sparse
 
 from repro.flows.lp_backend import Commodity
-from repro.flows.solver.backends import LinearProgram, SolverBackend, get_backend
+from repro.flows.solver.backends import HIGHS, LinearProgram
 from repro.flows.solver.incremental import build_flow_problem
 from repro.network.demand import DemandGraph
 
@@ -53,7 +53,6 @@ class SatisfactionResult:
 def max_satisfiable_flow(
     graph: nx.Graph,
     demand: DemandGraph,
-    backend: Optional[Union[str, SolverBackend]] = None,
 ) -> SatisfactionResult:
     """Maximum simultaneously routable portion of ``demand`` over ``graph``.
 
@@ -64,9 +63,6 @@ def max_satisfiable_flow(
         ``capacity`` attribute.
     demand:
         The original demand graph.
-    backend:
-        Explicit backend name/instance; defaults to
-        :class:`~repro.flows.solver.backends.ScipyHighsBackend`.
 
     Returns
     -------
@@ -134,7 +130,7 @@ def max_satisfiable_flow(
     program = LinearProgram(
         c=objective, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, bounds=bounds
     )
-    solution = get_backend(backend).solve_lp(program)
+    solution = HIGHS.solve_lp(program)
     if not solution.success:
         return result
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -43,13 +43,13 @@ from scipy import sparse
 from repro.flows.decomposition import decompose_flows, solve_decomposed
 from repro.flows.lp_backend import Commodity
 from repro.flows.routability import routability_test
-from repro.flows.solver.backends import MILProgram, SolverBackend, get_backend
+from repro.flows.solver.backends import HIGHS, MILProgram
 from repro.flows.solver.incremental import build_flow_problem
-from repro.flows.solver.stats import record_incumbent_seed
 from repro.flows.solver.tolerances import BINARY_THRESHOLD, FLOW_THRESHOLD
 from repro.network.demand import DemandGraph
 from repro.network.plan import RecoveryPlan
 from repro.network.supply import SupplyGraph, canonical_edge
+from repro.obs.trace import count
 
 Node = Hashable
 Edge = Tuple[Node, Node]
@@ -238,7 +238,6 @@ def build_minr_model(
 def build_incumbent(
     model: MinRModel,
     plan: RecoveryPlan,
-    backend: Optional[Union[str, SolverBackend]] = None,
 ) -> Optional[IncumbentStart]:
     """Turn a heuristic plan into a *verified* feasible MILP start.
 
@@ -261,7 +260,7 @@ def build_incumbent(
     graph = supply.working_graph(
         extra_nodes=repaired_nodes, extra_edges=repaired_edges, use_residual=False
     )
-    verdict = routability_test(graph, model.demand, want_flows=True, backend=backend)
+    verdict = routability_test(graph, model.demand, want_flows=True)
     if not verdict.routable:
         return None
 
@@ -357,7 +356,6 @@ def solve_minimum_recovery(
     demand: DemandGraph,
     time_limit: Optional[float] = None,
     mip_rel_gap: float = 0.0,
-    backend: Optional[Union[str, SolverBackend]] = None,
     strategy: Optional[str] = None,
     seed_plans: Optional[Sequence[RecoveryPlan]] = None,
 ) -> MinRSolution:
@@ -374,9 +372,6 @@ def solve_minimum_recovery(
         Optional wall-clock limit in seconds handed to HiGHS.
     mip_rel_gap:
         Relative optimality gap at which the solver may stop early.
-    backend:
-        Explicit backend name/instance; defaults to
-        :class:`~repro.flows.solver.backends.ScipyHighsBackend`.
     strategy:
         ``"monolithic"``, ``"decomposed"`` or ``"auto"`` (the default).
     seed_plans:
@@ -406,18 +401,17 @@ def solve_minimum_recovery(
             key=lambda plan: (plan.repair_cost(supply), plan.algorithm),
         )
         for plan in ranked:
-            incumbent = build_incumbent(model, plan, backend=backend)
+            incumbent = build_incumbent(model, plan)
             if incumbent is not None:
                 break
     if incumbent is not None:
-        record_incumbent_seed()
+        count(incumbent_seeds=1)
 
     if chosen in ("decomposed", "auto"):
         solution = solve_decomposed(
             model,
             time_limit=time_limit,
             mip_rel_gap=mip_rel_gap,
-            backend=backend,
             incumbent=incumbent,
         )
         if solution is not None:
@@ -435,7 +429,7 @@ def solve_minimum_recovery(
     )
 
     started = time.perf_counter()
-    result = get_backend(backend).solve_milp(program)
+    result = HIGHS.solve_milp(program)
     elapsed = time.perf_counter() - started
 
     if not result.feasible or result.x is None:

@@ -30,18 +30,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Set, Tuple, Union
+from typing import Hashable, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.flows.decomposition import decompose_flows
 from repro.flows.lp_backend import Commodity, FlowProblem
-from repro.flows.solver.backends import (
-    LinearProgram,
-    LPSolution,
-    SolverBackend,
-    get_backend,
-)
+from repro.flows.solver.backends import HIGHS, LinearProgram, LPSolution
 from repro.flows.solver.incremental import build_flow_problem
 from repro.flows.solver.tolerances import USAGE_THRESHOLD
 from repro.network.demand import DemandGraph
@@ -80,7 +75,6 @@ def _broken_edge_costs(supply: SupplyGraph, problem: FlowProblem) -> np.ndarray:
 def _solve(
     problem: FlowProblem,
     objective: np.ndarray,
-    backend: SolverBackend,
     method_hint: str = "auto",
 ) -> LPSolution:
     a_ub, b_ub = problem.capacity_matrix()
@@ -94,7 +88,7 @@ def _solve(
         bounds=(0, None),
         method_hint=method_hint,
     )
-    return backend.solve_lp(program)
+    return HIGHS.solve_lp(program)
 
 
 def _plan_from_solution(
@@ -135,7 +129,6 @@ def solve_multicommodity_recovery(
     supply: SupplyGraph,
     demand: DemandGraph,
     reweighting_rounds: int = REWEIGHTING_ROUNDS,
-    backend: Optional[Union[str, SolverBackend]] = None,
 ) -> MultiCommodityResult:
     """Solve the multi-commodity relaxation and extract the MCB / MCW plans.
 
@@ -150,14 +143,13 @@ def solve_multicommodity_recovery(
         empty_worst = RecoveryPlan(algorithm="MCW")
         return MultiCommodityResult(best=empty_best, worst=empty_worst, objective=0.0)
 
-    solver = get_backend(backend)
     graph = supply.full_graph(use_residual=False)
     problem = build_flow_problem(graph, commodities)
     base_objective = _broken_edge_costs(supply, problem)
 
     # MCW: interior-point solution of the plain relaxation (spreads flow).
     started = time.perf_counter()
-    worst_result = _solve(problem, base_objective, solver, method_hint="interior-point")
+    worst_result = _solve(problem, base_objective, method_hint="interior-point")
     worst_elapsed = time.perf_counter() - started
     if not worst_result.success:
         infeasible = RecoveryPlan(algorithm="MCB", metadata={"status": "infeasible"})
@@ -189,7 +181,7 @@ def solve_multicommodity_recovery(
                 for a, b in ((u, v), (v, u)):
                     column = problem.flow_index(commodity_index, a, b)
                     weights[column] = base_objective[column] * scale
-        refined = _solve(problem, weights, solver)
+        refined = _solve(problem, weights)
         if refined.success:
             best_solution = refined.x
     best_elapsed = time.perf_counter() - started

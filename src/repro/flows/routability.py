@@ -19,13 +19,13 @@ the derived per-edge loads meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple, Union
+from typing import Dict, Hashable, List, Tuple
 
 import networkx as nx
 import numpy as np
 
 from repro.flows.lp_backend import Commodity
-from repro.flows.solver.backends import LinearProgram, SolverBackend, get_backend
+from repro.flows.solver.backends import HIGHS, LinearProgram
 from repro.flows.solver.incremental import build_flow_problem
 from repro.flows.solver.tolerances import EPSILON
 from repro.network.demand import DemandGraph
@@ -74,7 +74,6 @@ def routability_test(
     graph: nx.Graph,
     demand: DemandGraph,
     want_flows: bool = False,
-    backend: Optional[Union[str, SolverBackend]] = None,
 ) -> RoutabilityResult:
     """Check whether ``demand`` is routable over ``graph``.
 
@@ -88,9 +87,6 @@ def routability_test(
     want_flows:
         When true, a feasible routing (per-commodity arc flows and per-edge
         loads) is returned alongside the verdict.
-    backend:
-        Explicit backend name/instance; defaults to
-        :class:`~repro.flows.solver.backends.ScipyHighsBackend`.
 
     Returns
     -------
@@ -135,7 +131,7 @@ def routability_test(
         b_eq=b_eq,
         bounds=(0, None),
     )
-    solution = get_backend(backend).solve_lp(program)
+    solution = HIGHS.solve_lp(program)
 
     if not solution.success:
         return RoutabilityResult(

@@ -2,14 +2,16 @@
 
 This package owns every LP/MILP solve in the library:
 
-* :mod:`repro.flows.solver.backends` — the :class:`SolverBackend` protocol
-  and its one implementation (scipy's bundled HiGHS core, driven directly
-  with ``linprog``/``milp``'s options);
+* :mod:`repro.flows.solver.backends` — the one backend (scipy's bundled
+  HiGHS core, driven directly with ``linprog``/``milp``'s options) and
+  :data:`~repro.flows.solver.backends.HIGHS`, the instance every solve
+  site calls;
 * :mod:`repro.flows.solver.incremental` — cached constraint structure per
   graph topology, :class:`IncrementalFlowProblem` delta re-assembly and the
   :class:`SolverContext` basis store ISP's split LP restarts from;
-* :mod:`repro.flows.solver.stats` — per-solve effort accounting threaded up
-  to plan metadata, experiment cells and the CLI;
+* :mod:`repro.flows.solver.stats` — per-solve effort, counted on the open
+  spans (:func:`repro.obs.trace.count`) and read off each run's
+  ``service.run`` span into run stats, experiment cells and the CLI;
 * :mod:`repro.flows.solver.tolerances` — the library's two numeric
   tolerance scales, documented once.
 """
@@ -20,10 +22,7 @@ from repro.flows.solver.backends import (
     MILProgram,
     MILPSolution,
     ScipyHighsBackend,
-    SolverBackend,
-    get_backend,
 )
-from repro.flows.solver.stats import SolverStats, collect_solver_stats
 from repro.flows.solver.tolerances import EPSILON, FLOW_TOLERANCE
 
 #: Symbols of :mod:`repro.flows.solver.incremental`, loaded lazily (PEP 562):
@@ -53,9 +52,7 @@ __all__ = [
     "LPSolution",
     "MILProgram",
     "MILPSolution",
-    "SolverBackend",
     "ScipyHighsBackend",
-    "get_backend",
     "IncrementalFlowProblem",
     "SolverContext",
     "StructureCache",
@@ -64,8 +61,6 @@ __all__ = [
     "clear_structure_cache",
     "shared_structure_cache",
     "topology_signature",
-    "SolverStats",
-    "collect_solver_stats",
     "EPSILON",
     "FLOW_TOLERANCE",
 ]

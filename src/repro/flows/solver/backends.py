@@ -2,12 +2,12 @@
 
 Every optimisation problem in the library — the routability test, the
 split-amount LP, the concurrent-flow satisfaction LP, the multi-commodity
-relaxation and the exact MinR MILP — is expressed as a backend-neutral
-:class:`LinearProgram` / :class:`MILProgram` and dispatched through a
-:class:`SolverBackend`.
+relaxation and the exact MinR MILP — is expressed as a
+:class:`LinearProgram` / :class:`MILProgram` and solved by :data:`HIGHS`,
+the one instance of :class:`ScipyHighsBackend`.
 
-The one backend, :class:`ScipyHighsBackend` (name ``"scipy"``), runs the
-HiGHS core that scipy ships (``scipy.optimize._highspy._core``) directly:
+:class:`ScipyHighsBackend` runs the HiGHS core that scipy ships
+(``scipy.optimize._highspy._core``) directly:
 it builds one ``HighsLp`` from the program's blocks, sets exactly the
 options ``linprog(method="highs"|"highs-ipm")`` and ``milp`` set and runs
 ``linprog``'s check of an LP optimum, so x, objective and status are
@@ -16,15 +16,11 @@ option-manager loop and result unpacking.  An
 LP may start from the HiGHS basis of an earlier LP of the same shape
 (:attr:`LPSolution.basis`); only callers that read nothing but the optimum
 pass one (see :class:`~repro.flows.solver.incremental.SolverContext`).
-
-Solve sites take an optional ``backend``: a :class:`SolverBackend` instance
-(tests wrap one) or the name ``"scipy"``; :func:`get_backend` resolves it.
 """
 
 from __future__ import annotations
 
 import time
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -128,25 +124,6 @@ def _bounds_arrays(bounds: BoundsLike, n: int) -> Tuple[np.ndarray, np.ndarray]:
     return lower, upper
 
 
-class SolverBackend(ABC):
-    """Interface every LP/MILP backend implements."""
-
-    name: str = "abstract"
-
-    @abstractmethod
-    def solve_lp(self, program: LinearProgram, basis: Optional[object] = None) -> LPSolution:
-        """Solve ``program``, starting from ``basis`` when the backend can.
-
-        ``basis`` is the :attr:`LPSolution.basis` of an earlier LP of the
-        same shape.  It may change which optimal vertex is returned, so only
-        callers that read nothing but the optimum pass one.
-        """
-
-    @abstractmethod
-    def solve_milp(self, program: MILProgram) -> MILPSolution:
-        """Solve the mixed-integer ``program``."""
-
-
 #: The options ``linprog(method="highs")`` sets (``"highs-ipm"`` adds ``solver``).
 _LP_OPTIONS = {
     "presolve": "on",
@@ -247,12 +224,16 @@ def _within_bounds(
     return not ((row_upper - row_value < -tol).any() or (row_value - row_lower < -tol).any())
 
 
-class ScipyHighsBackend(SolverBackend):
+class ScipyHighsBackend:
     """The one backend: scipy's bundled HiGHS core, driven directly."""
 
-    name = "scipy"
-
     def solve_lp(self, program: LinearProgram, basis: Optional[object] = None) -> LPSolution:
+        """Solve ``program``, starting from ``basis`` when HiGHS accepts it.
+
+        ``basis`` is the :attr:`LPSolution.basis` of an earlier LP of the
+        same shape.  It may change which optimal vertex is returned, so only
+        callers that read nothing but the optimum pass one.
+        """
         started = time.perf_counter()
         c = np.asarray(program.c, dtype=np.float64)
         col_lower, col_upper = _bounds_arrays(program.bounds, len(c))
@@ -318,6 +299,7 @@ class ScipyHighsBackend(SolverBackend):
         return solution
 
     def solve_milp(self, program: MILProgram) -> MILPSolution:
+        """Solve the mixed-integer ``program``."""
         started = time.perf_counter()
         c = np.asarray(program.c, dtype=np.float64)
         shape = c.shape
@@ -376,25 +358,17 @@ class ScipyHighsBackend(SolverBackend):
         return solution
 
 
-_SCIPY = ScipyHighsBackend()
-
-
-def get_backend(name: Optional[Union[str, SolverBackend]] = None) -> SolverBackend:
-    """The backend a solve runs on: ``name`` itself when it is a backend,
-    else the shared :class:`ScipyHighsBackend` (``None`` or ``"scipy"``)."""
-    if isinstance(name, SolverBackend):
-        return name
-    if name not in (None, ScipyHighsBackend.name):
-        raise KeyError(f"unknown LP backend {name!r}; the only backend is 'scipy'")
-    return _SCIPY
+#: The instance every solve site calls.  Its methods are looked up on the
+#: class at call time, so a wrapper set on ``ScipyHighsBackend.solve_lp`` or
+#: ``solve_milp`` sees every solve.
+HIGHS = ScipyHighsBackend()
 
 
 __all__ = [
+    "HIGHS",
     "LinearProgram",
     "LPSolution",
     "MILProgram",
     "MILPSolution",
-    "SolverBackend",
     "ScipyHighsBackend",
-    "get_backend",
 ]

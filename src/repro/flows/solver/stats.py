@@ -2,103 +2,71 @@
 
 Every LP/MILP solve that goes through :mod:`repro.flows.solver.backends`
 and every constraint-structure build that goes through
-:mod:`repro.flows.solver.incremental` reports into the *active* collectors:
-:class:`SolverStats` objects opened with :func:`collect_solver_stats`.
+:mod:`repro.flows.solver.incremental` reports here, and each report is
+counted on every open span (:func:`repro.obs.trace.count`).  A span
+therefore sums the solver effort of everything run inside it, nested spans
+and threads run through ``contextvars.copy_context().run`` included:
+:func:`repro.api.service.run_algorithms` reads each run's ``solver`` stats
+off its ``service.run`` span with :func:`solver_counts`, and ``repro.cli
+sweep`` reports them per cell.
 
-Collectors nest — :func:`repro.api.service.run_algorithms` opens one around
-each run (solve plus evaluation LP) while ISP opens another around its own
-solve; both see the solves in their scope — and cost nothing when none is
-active (module-level counters aside).
-The open collectors live in a contextvar, like the trace's spans, so a
-solve run in another thread through ``contextvars.copy_context().run``
-reports to the collectors that were open where the context was copied.
-The collected numbers travel with the results: ISP stores them in the plan
-metadata, the runner in each run's (and engine cell's) ``solver`` stats, so
-``repro.cli sweep`` can report solver effort per cell.
+When a trace is active (a worker executing a job), the build, solve and
+Benders reports also land completed ``solver.*`` leaves on the trace via
+:func:`repro.obs.trace.record_timed`, so the substrate shows up in
+``GET /v1/trace/{digest}`` without the backends knowing traces exist.
 
-The same reporters double as the solver substrate's **tracing hooks**: when
-a trace is active (worker executing a job), every build/solve/decomposition
-report also lands a completed span on the trace via
-:func:`repro.obs.trace.record_timed` — so the substrate shows up in
-``GET /v1/trace/{digest}`` without the backends knowing traces exist.  With
-no active trace the hook is a single contextvar read (the collectors'
-zero-cost-when-idle property is preserved).
+The counts, in the order of a run's ``solver`` dict (:data:`SOLVER_COUNTS`):
+
+``lp_solves`` / ``milp_solves``
+    LP respectively MILP solves dispatched to the backend.
+``build_seconds``
+    Wall time spent constructing constraint matrices (the part the
+    incremental structure cache eliminates on a hit).
+``solve_seconds``
+    Wall time spent inside the backend's solve call.
+``warm_start_attempts`` / ``warm_start_hits``
+    How often an LP was offered the HiGHS basis of an earlier LP, and how
+    often HiGHS accepted it.  Only ISP's split LP is offered one, so both
+    are 0 for every other algorithm.
+``structure_hits`` / ``structure_misses``
+    Topology-structure cache hits and misses (a miss pays the full
+    indexing + constraint-block construction, a hit only the RHS).
+``incumbent_seeds``
+    How often a MILP solve was seeded with a heuristic incumbent (repair
+    vector + routed flows offered as a feasible start).
+``benders_iterations`` / ``benders_cuts``
+    Master-subproblem rounds of the combinatorial Benders loop and the
+    total number of feasibility cuts it added.
+``bound_reuses``
+    How often a cached dual bound / certificate was reused for an instance
+    already solved in this process (keyed by instance signature).
 """
 
 from __future__ import annotations
 
-import contextvars
-from contextlib import contextmanager
-from dataclasses import dataclass, fields
-from typing import Dict, Iterator, Tuple
+from typing import Dict
 
-from repro.obs.trace import record_timed
+from repro.obs.trace import Span, count, record_timed
 
-
-@dataclass(eq=False)  # identity semantics: every open scope is its own collector
-class SolverStats:
-    """Counters describing the solver effort spent inside one scope.
-
-    Attributes
-    ----------
-    lp_solves / milp_solves:
-        Number of LP respectively MILP solves dispatched to a backend.
-    build_seconds:
-        Wall time spent constructing constraint matrices (the part the
-        incremental structure cache eliminates on a hit).
-    solve_seconds:
-        Wall time spent inside the backend's solve call.
-    warm_start_attempts / warm_start_hits:
-        How often an LP was offered the HiGHS basis of an earlier LP, and
-        how often HiGHS accepted it.  Only ISP's split LP is offered one, so
-        both are 0 for every other algorithm.
-    structure_hits / structure_misses:
-        Topology-structure cache hits and misses (a miss pays the full
-        indexing + constraint-block construction, a hit only the RHS).
-    incumbent_seeds:
-        How often a MILP solve was seeded with a heuristic incumbent
-        (repair vector + routed flows offered as a feasible start).
-    benders_iterations / benders_cuts:
-        Master-subproblem rounds of the combinatorial Benders loop and the
-        total number of feasibility cuts it added.
-    bound_reuses:
-        How often a cached dual bound / certificate was reused for an
-        instance already solved in this process (keyed by instance
-        signature).
-    """
-
-    lp_solves: int = 0
-    milp_solves: int = 0
-    build_seconds: float = 0.0
-    solve_seconds: float = 0.0
-    warm_start_attempts: int = 0
-    warm_start_hits: int = 0
-    structure_hits: int = 0
-    structure_misses: int = 0
-    incumbent_seeds: int = 0
-    benders_iterations: int = 0
-    benders_cuts: int = 0
-    bound_reuses: int = 0
-
-    def as_dict(self) -> Dict[str, float]:
-        """Flat JSON-serialisable view (used in plan metadata / run stats)."""
-        return {field.name: float(getattr(self, field.name)) for field in fields(self)}
-
-
-_ACTIVE: contextvars.ContextVar[Tuple[SolverStats, ...]] = contextvars.ContextVar(
-    "repro_solver_stats", default=()
+SOLVER_COUNTS = (
+    "lp_solves",
+    "milp_solves",
+    "build_seconds",
+    "solve_seconds",
+    "warm_start_attempts",
+    "warm_start_hits",
+    "structure_hits",
+    "structure_misses",
+    "incumbent_seeds",
+    "benders_iterations",
+    "benders_cuts",
+    "bound_reuses",
 )
 
 
-@contextmanager
-def collect_solver_stats() -> Iterator[SolverStats]:
-    """Collect solver effort for everything solved inside the ``with`` block."""
-    stats = SolverStats()
-    token = _ACTIVE.set(_ACTIVE.get() + (stats,))
-    try:
-        yield stats
-    finally:
-        _ACTIVE.reset(token)
+def solver_counts(node: Span) -> Dict[str, float]:
+    """The solver effort counted on ``node``, as floats in :data:`SOLVER_COUNTS` order."""
+    return {key: float(node.counts.get(key, 0)) for key in SOLVER_COUNTS}
 
 
 def record_solve(
@@ -108,16 +76,13 @@ def record_solve(
     warm_start_used: bool = False,
 ) -> None:
     """Report one backend solve of ``kind`` (``"lp"`` or ``"milp"``)."""
-    for stats in _ACTIVE.get():
-        if kind == "milp":
-            stats.milp_solves += 1
-        else:
-            stats.lp_solves += 1
-        stats.solve_seconds += seconds
-        if warm_start_attempted:
-            stats.warm_start_attempts += 1
-        if warm_start_used:
-            stats.warm_start_hits += 1
+    solves = "milp_solves" if kind == "milp" else "lp_solves"
+    count(
+        **{solves: 1},
+        solve_seconds=seconds,
+        warm_start_attempts=int(warm_start_attempted),
+        warm_start_hits=int(warm_start_used),
+    )
     if warm_start_attempted:
         record_timed(
             "solver.solve", seconds, kind=kind, warm_start_used=warm_start_used
@@ -128,47 +93,26 @@ def record_solve(
 
 def record_build(seconds: float) -> None:
     """Report time spent building constraint matrices."""
-    for stats in _ACTIVE.get():
-        stats.build_seconds += seconds
+    count(build_seconds=seconds)
     record_timed("solver.build", seconds)
 
 
 def record_structure_lookup(hit: bool) -> None:
     """Report a topology-structure cache lookup outcome."""
-    for stats in _ACTIVE.get():
-        if hit:
-            stats.structure_hits += 1
-        else:
-            stats.structure_misses += 1
-
-
-def record_incumbent_seed() -> None:
-    """Report one MILP solve seeded with a heuristic incumbent."""
-    for stats in _ACTIVE.get():
-        stats.incumbent_seeds += 1
+    count(**{"structure_hits" if hit else "structure_misses": 1})
 
 
 def record_benders(iterations: int = 0, cuts: int = 0) -> None:
     """Report combinatorial Benders effort (master rounds and cuts added)."""
-    for stats in _ACTIVE.get():
-        stats.benders_iterations += iterations
-        stats.benders_cuts += cuts
+    count(benders_iterations=iterations, benders_cuts=cuts)
     record_timed("solver.benders", 0.0, iterations=iterations, cuts=cuts)
 
 
-def record_bound_reuse() -> None:
-    """Report one reuse of a cached bound/certificate across solves."""
-    for stats in _ACTIVE.get():
-        stats.bound_reuses += 1
-
-
 __all__ = [
-    "SolverStats",
-    "collect_solver_stats",
-    "record_solve",
-    "record_build",
-    "record_structure_lookup",
-    "record_incumbent_seed",
+    "SOLVER_COUNTS",
     "record_benders",
-    "record_bound_reuse",
+    "record_build",
+    "record_solve",
+    "record_structure_lookup",
+    "solver_counts",
 ]

@@ -19,14 +19,14 @@ start from the HiGHS basis of the previous split LP of the same shape.
 
 from __future__ import annotations
 
-from typing import Hashable, Optional, Tuple, Union
+from typing import Hashable, Optional, Tuple
 
 import networkx as nx
 import numpy as np
 from scipy import sparse
 
 from repro.flows.lp_backend import Commodity
-from repro.flows.solver.backends import LinearProgram, SolverBackend, get_backend
+from repro.flows.solver.backends import HIGHS, LinearProgram
 from repro.flows.solver.incremental import SolverContext, build_flow_problem
 from repro.flows.solver.tolerances import SPLIT_EPSILON
 from repro.network.demand import DemandGraph
@@ -40,7 +40,6 @@ def maximum_splittable_amount(
     pair: Tuple[Node, Node],
     via: Node,
     context: Optional[SolverContext] = None,
-    backend: Optional[Union[str, SolverBackend]] = None,
 ) -> float:
     """Maximum amount ``dx`` of ``pair``'s demand splittable through ``via``.
 
@@ -60,9 +59,6 @@ def maximum_splittable_amount(
     context:
         Optional basis store of the calling ISP run: the LP starts from the
         previous split basis of the same shape and leaves its own.
-    backend:
-        Explicit backend name/instance; defaults to
-        :class:`~repro.flows.solver.backends.ScipyHighsBackend`.
 
     Returns
     -------
@@ -146,7 +142,7 @@ def maximum_splittable_amount(
         c=objective, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, bounds=bounds
     )
     basis = context.basis_for(problem) if context is not None else None
-    solution = get_backend(backend).solve_lp(program, basis=basis)
+    solution = HIGHS.solve_lp(program, basis=basis)
     if not solution.success:
         return 0.0
     if context is not None:

@@ -40,7 +40,6 @@ import networkx as nx
 
 from repro.flows.decomposition import decompose_flows
 from repro.flows.routability import routability_test
-from repro.flows.solver.stats import collect_solver_stats
 from repro.flows.solver.tolerances import EPSILON
 from repro.network.demand import DemandGraph
 from repro.network.index import GraphIndex
@@ -262,32 +261,30 @@ def greedy_no_commitment(
     # topology, so a remembered basis would never fit the next LP (unlike
     # ISP's split LP, which runs on the same full graph every iteration).
     started = time.perf_counter()
-    with collect_solver_stats() as solver_stats:
-        candidates = enumerate_candidate_paths(supply, demand, max_paths_per_pair)
-        index = GraphIndex(supply)
+    candidates = enumerate_candidate_paths(supply, demand, max_paths_per_pair)
+    index = GraphIndex(supply)
 
-        def repaired_routable() -> bool:
-            if not _demand_joined(index, demand):
-                return False
-            graph = supply.working_graph(
-                extra_nodes=plan.repaired_nodes,
-                extra_edges=plan.repaired_edges,
-                use_residual=False,
-            )
-            return routability_test(graph, demand).routable
+    def repaired_routable() -> bool:
+        if not _demand_joined(index, demand):
+            return False
+        graph = supply.working_graph(
+            extra_nodes=plan.repaired_nodes,
+            extra_edges=plan.repaired_edges,
+            use_residual=False,
+        )
+        return routability_test(graph, demand).routable
 
+    routable = repaired_routable()
+    used_paths = 0
+    for candidate in candidates:
+        if routable:
+            break
+        _repair_path(supply, plan, candidate.path, index)
+        used_paths += 1
         routable = repaired_routable()
-        used_paths = 0
-        for candidate in candidates:
-            if routable:
-                break
-            _repair_path(supply, plan, candidate.path, index)
-            used_paths += 1
-            routable = repaired_routable()
 
-        plan.metadata["routable"] = routable
-        plan.metadata["paths_repaired"] = used_paths
-        plan.metadata["candidate_paths"] = len(candidates)
-        plan.metadata["solver"] = solver_stats.as_dict()
+    plan.metadata["routable"] = routable
+    plan.metadata["paths_repaired"] = used_paths
+    plan.metadata["candidate_paths"] = len(candidates)
     plan.elapsed_seconds = time.perf_counter() - started
     return plan

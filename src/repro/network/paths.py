@@ -198,13 +198,3 @@ def shortest_path_cover(
         adjacency, weights, residual, position[source], position[target], demand, max_paths
     )
     return [(tuple(nodes[i] for i in path), capacity) for path, capacity in cover]
-
-
-def max_flow_over_paths(paths: Iterable[Tuple[Path, float]]) -> float:
-    """Sum of the bottleneck capacities of a path cover.
-
-    This is the (lower bound on the) flow that the paths of a cover can carry
-    when they were generated by :func:`shortest_path_cover`, because each
-    path's bottleneck was computed on the residual left by its predecessors.
-    """
-    return sum(capacity for _, capacity in paths)

@@ -6,9 +6,10 @@ layer — the asyncio HTTP front end, spawned worker processes, the solver
 substrate — can lean on it without cycles:
 
 :mod:`repro.obs.trace`
-    Contextvar-scoped spans with monotonic wall + CPU time, trace ids
-    minted at HTTP ingress and carried across processes on the job row,
-    and the flame-style renderer behind ``repro.cli trace``.
+    Contextvar-scoped spans with monotonic wall + CPU time and counts (the
+    library's one measurement scope: run-level solver stats are summed on
+    spans), trace ids minted at HTTP ingress and carried across processes
+    on the job row, and the flame-style renderer behind ``repro.cli trace``.
 
 :mod:`repro.obs.logging`
     Structured JSON (or plain-text) logging with automatic trace-id
@@ -16,8 +17,8 @@ substrate — can lean on it without cycles:
 
 The hard invariant: **nothing in this package may perturb an answer.**
 Trace ids never enter ``config_digest``, span payloads never ride result
-envelopes, and with no active trace every hook is a contextvar read that
-returns immediately.
+envelopes, and with no active trace a span only times and counts while
+every other hook is a contextvar read that returns immediately.
 """
 
 from repro.obs.logging import configure_logging, get_logger, warn_rate_limited

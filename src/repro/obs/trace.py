@@ -1,13 +1,23 @@
-"""Trace/span primitives for the serving pipeline.
+"""Spans, the library's one measurement scope, and the traces they join.
+
+A **span** is one timed stage inside a process: a named node capturing
+monotonic wall time (``time.perf_counter``) and CPU time
+(``time.process_time``).  The open spans live in one contextvar, so their
+nesting mirrors the call structure, survives ``await`` boundaries (which a
+``threading.local`` would not) and follows ``contextvars.copy_context()``
+into another thread.  Every span **counts**: :func:`count` adds to every
+span open in the calling context, so a span sums what was counted inside
+it, nested spans and copied-context threads included.  The solver
+substrate (:mod:`repro.flows.solver.stats`) counts its effort this way, and
+each algorithm run reads its ``solver`` stats off its ``service.run`` span.
 
 A **trace** follows one request across processes: minted (or accepted via
 the ``X-Repro-Trace-Id`` header) at HTTP ingress, stamped on the durable
 job row, picked up by whichever worker claims the job, and finally merged
-back into one tree by ``GET /v1/trace/{digest}``.  A **span** is one timed
-stage inside a process: a named node capturing monotonic wall time
-(``time.perf_counter``) and CPU time (``time.process_time``), nesting
-through a contextvar so the structure mirrors the call structure — and
-survives ``await`` boundaries, which a ``threading.local`` would not.
+back into one tree by ``GET /v1/trace/{digest}``.  A span opened while a
+trace is active joins that trace's tree under the innermost open span of
+the same trace; with no active trace it times and counts but is recorded
+nowhere.
 
 Usage::
 
@@ -17,15 +27,19 @@ Usage::
                 ...
         payload = trace.to_payload()        # JSON-safe span tree
 
+    with span("service.run") as run:        # no trace needed to count
+        ...
+    run.counts                              # everything counted inside
+
 Two properties the serving layer depends on:
 
-* **Inactive tracing is free.**  ``span(...)`` and ``record_timed(...)``
-  with no active trace are a single contextvar read; the solver-substrate
-  hooks next to ``collect_solver_stats`` cost nothing on the library path.
+* **Cheap without a trace.**  An untraced ``span(...)`` is one small object
+  and two contextvar writes, and ``record_timed(...)`` with no active trace
+  is a single contextvar read, so both are safe in library code.
 * **Bounded traces.**  A trace records at most
   :data:`MAX_SPANS_PER_TRACE` spans (a pathological solve cannot balloon
   the sidecar row); overflow is counted in ``dropped_spans``, never
-  silently lost.
+  silently lost.  A span over the budget still counts.
 
 Trace ids and span payloads must never feed ``config_digest`` or result
 envelopes — they ride headers, the ``jobs.trace_id`` column and the
@@ -39,7 +53,7 @@ import os
 import time
 import uuid
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 #: The HTTP header a trace id rides on — echoed on every response and
 #: accepted inbound so external callers can stitch our trace into theirs.
@@ -76,7 +90,11 @@ def normalize_trace_id(value: Optional[str]) -> Optional[str]:
 
 
 class Span:
-    """One timed, attributed, nestable stage of a trace."""
+    """One timed, counting, nestable stage; part of a trace's tree when ``trace`` is set.
+
+    Opened with :func:`span` (``with span(...) as node``); entering pushes it
+    on the open spans of this context, leaving times it and pops it.
+    """
 
     __slots__ = (
         "name",
@@ -85,6 +103,8 @@ class Span:
         "wall_seconds",
         "cpu_seconds",
         "children",
+        "counts",
+        "trace",
         "_wall0",
         "_cpu0",
         "_open",
@@ -97,9 +117,31 @@ class Span:
         self.wall_seconds = 0.0
         self.cpu_seconds = 0.0
         self.children: List["Span"] = []
+        #: What :func:`count` added while this span was open.
+        self.counts: Dict[str, float] = {}
+        #: The trace whose tree holds this span, if any.
+        self.trace: Optional["Trace"] = None
         self._wall0 = time.perf_counter()
         self._cpu0 = time.process_time()
         self._open = True
+
+    def __enter__(self) -> "Span":
+        open_spans = _OPEN.get()
+        trace = _ACTIVE.get()
+        if trace is not None:
+            trace.attach(self, open_spans)
+        _OPEN.set(open_spans + (self,))
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.finish()
+        # back to the spans open before this one, whatever order the exits
+        # come in: a span still open inside it (a generator finalised late)
+        # leaves with it, and a span already left with its parent, or
+        # exited in another context, changes nothing
+        open_spans = _OPEN.get()
+        if self in open_spans:
+            _OPEN.set(open_spans[: open_spans.index(self)])
 
     def finish(self) -> None:
         self.wall_seconds = time.perf_counter() - self._wall0
@@ -129,55 +171,31 @@ class Span:
 
 
 class Trace:
-    """The per-context span collector: one tree per traced request."""
+    """The span tree of one traced request in this process."""
 
-    __slots__ = ("trace_id", "roots", "_stack", "span_count", "dropped_spans")
+    __slots__ = ("trace_id", "roots", "span_count", "dropped_spans")
 
     def __init__(self, trace_id: str) -> None:
         self.trace_id = trace_id
         self.roots: List[Span] = []
-        self._stack: List[Span] = []
         self.span_count = 0
         self.dropped_spans = 0
 
-    def _admit(self) -> bool:
+    def attach(self, node: Span, open_spans: Tuple[Span, ...]) -> None:
+        """Add ``node`` under the innermost of ``open_spans`` in this tree.
+
+        Over the budget the node is only counted in ``dropped_spans``.
+        """
         if self.span_count >= MAX_SPANS_PER_TRACE:
             self.dropped_spans += 1
-            return False
-        self.span_count += 1
-        return True
-
-    def open_span(self, name: str, attrs: Dict[str, Any]) -> Optional[Span]:
-        if not self._admit():
-            return None
-        node = Span(name, attrs)
-        parent = self._stack[-1] if self._stack else None
-        (parent.children if parent is not None else self.roots).append(node)
-        self._stack.append(node)
-        return node
-
-    def close_span(self, node: Span) -> None:
-        node.finish()
-        # tolerate exits out of order (a generator finalized late): pop to
-        # the closed node rather than corrupting the stack
-        while self._stack:
-            top = self._stack.pop()
-            if top is node:
-                break
-
-    def add_completed(
-        self, name: str, wall_seconds: float, cpu_seconds: float, attrs: Dict[str, Any]
-    ) -> None:
-        """Attach an already-measured stage as a leaf of the open span."""
-        if not self._admit():
             return
-        node = Span(name, attrs)
-        node.started_at = time.time() - max(0.0, float(wall_seconds))
-        node.wall_seconds = float(wall_seconds)
-        node.cpu_seconds = float(cpu_seconds)
-        node._open = False
-        parent = self._stack[-1] if self._stack else None
-        (parent.children if parent is not None else self.roots).append(node)
+        self.span_count += 1
+        node.trace = self
+        for parent in reversed(open_spans):
+            if parent.trace is self:
+                parent.children.append(node)
+                return
+        self.roots.append(node)
 
     def to_payload(self) -> Dict[str, Any]:
         """The JSON-safe cross-process slice of this trace (one source)."""
@@ -191,6 +209,12 @@ class Trace:
 
 _ACTIVE: contextvars.ContextVar[Optional[Trace]] = contextvars.ContextVar(
     "repro_active_trace", default=None
+)
+
+#: The spans open in this context, outermost first: the only stack of
+#: measurement scopes.
+_OPEN: contextvars.ContextVar[Tuple[Span, ...]] = contextvars.ContextVar(
+    "repro_open_spans", default=()
 )
 
 
@@ -222,25 +246,22 @@ def trace_context(trace_id: Optional[str] = None) -> Iterator[Trace]:
         _ACTIVE.reset(token)
 
 
-@contextmanager
-def span(name: str, **attrs: Any) -> Iterator[Optional[Span]]:
-    """Time the enclosed block as a span of the active trace.
+def span(name: str, **attrs: Any) -> Span:
+    """A span to time the ``with`` block it opens; it sums every :func:`count` inside it.
 
-    With no active trace this is a no-op costing one contextvar read —
-    safe to leave in library code unconditionally.
+    The span joins the active trace's tree, if a trace is active and under
+    its budget; otherwise it is recorded nowhere, but it still times and
+    counts.
     """
-    trace = _ACTIVE.get()
-    if trace is None:
-        yield None
-        return
-    node = trace.open_span(name, attrs)
-    if node is None:  # over the span budget: time nothing, drop quietly
-        yield None
-        return
-    try:
-        yield node
-    finally:
-        trace.close_span(node)
+    return Span(name, attrs)
+
+
+def count(**amounts: float) -> None:
+    """Add ``amounts`` to the counts of every span open in this context."""
+    for node in _OPEN.get():
+        counts = node.counts
+        for key, amount in amounts.items():
+            counts[key] = counts.get(key, 0) + amount
 
 
 def record_timed(
@@ -255,7 +276,12 @@ def record_timed(
     trace = _ACTIVE.get()
     if trace is None:
         return
-    trace.add_completed(name, wall_seconds, cpu_seconds, attrs)
+    node = Span(name, attrs)
+    node.started_at -= max(0.0, float(wall_seconds))
+    node.wall_seconds = float(wall_seconds)
+    node.cpu_seconds = float(cpu_seconds)
+    node._open = False
+    trace.attach(node, _OPEN.get())
 
 
 # --------------------------------------------------------------------- #
@@ -321,6 +347,7 @@ __all__ = [
     "Span",
     "TRACE_HEADER",
     "Trace",
+    "count",
     "current_trace",
     "current_trace_id",
     "new_trace_id",

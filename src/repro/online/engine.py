@@ -50,11 +50,12 @@ from repro.engine.tasks import cell_seed_sequence, root_entropy
 from repro.evaluation.metrics import evaluate_plan
 from repro.extensions.assessment import assess_damage
 from repro.flows.demand_satisfaction import max_satisfiable_flow
-from repro.flows.solver.stats import collect_solver_stats
+from repro.flows.solver.stats import solver_counts
 from repro.flows.solver.tolerances import FLOW_TOLERANCE
 from repro.heuristics.registry import get_algorithm
 from repro.network.plan import RecoveryPlan
 from repro.network.supply import SupplyGraph
+from repro.obs.trace import span
 from repro.online.belief import BeliefState, Element
 from repro.online.crews import CrewSimulator
 from repro.online.events import apply_event, event_fires
@@ -187,10 +188,10 @@ def run_episode(
 
         # -- plan ---------------------------------------------------------
         if believed_broken:
-            with collect_solver_stats() as stats:
+            with span("online.plan", epoch=epoch.index) as plan_span:
                 plan = algorithm.solve(believed.copy(), demand)
                 evaluation = evaluate_plan(believed, demand, plan)
-            solver_stats = stats.as_dict()
+            solver_stats = solver_counts(plan_span)
         else:
             # Nothing known to repair: planning is a no-op, not a solve.
             plan = RecoveryPlan(algorithm=spec.algorithm)
@@ -313,7 +314,7 @@ def run_episode(
         # instance (its recovered graph IS the final true network), so they
         # are a valid incumbent for the exact baseline.
         extra["seed_plans"] = [standing]
-    with collect_solver_stats() as baseline_stats:
+    with span("online.baseline", algorithm=spec.baseline_algorithm) as baseline_span:
         baseline_plan = baseline_algorithm.solve(clairvoyant.copy(), demand, **extra)
         baseline_eval = evaluate_plan(clairvoyant, demand, baseline_plan)
     baseline_proven = baseline_plan.metadata.get("status") == "optimal"
@@ -356,7 +357,7 @@ def run_episode(
             "repair_cost": baseline_cost,
             "satisfied_pct": baseline_pct,
             "total_repairs": baseline_plan.total_repairs,
-            "solver": baseline_stats.as_dict(),
+            "solver": solver_counts(baseline_span),
         },
         regret={
             "regret": float(regret),

@@ -142,8 +142,7 @@ def assert_same_plan(actual, expected):
     assert list(actual.repaired_nodes) == list(expected.repaired_nodes)
     assert list(actual.repaired_edges) == list(expected.repaired_edges)
     assert actual.routes == expected.routes
-    metadata = {key: value for key, value in actual.metadata.items() if key != "solver"}
-    assert metadata == expected.metadata
+    assert actual.metadata == expected.metadata
 
 
 def run_checked_no_commitment(supply, demand, monkeypatch):

@@ -1,9 +1,9 @@
 """Unit tests of the trace/span primitives (``repro.obs.trace``).
 
-The two properties everything else leans on: spans are **free when no
-trace is active** (a single contextvar read, yielding ``None``), and a
-trace is **bounded** (the span cap keeps a runaway loop from growing an
-unbounded tree).
+The two properties everything else leans on: with no trace active a span
+**only counts** (it joins no tree, and ``record_timed`` is a single
+contextvar read), and a trace is **bounded** (the span cap keeps a runaway
+loop from growing an unbounded tree, while the spans over it still count).
 """
 
 import json
@@ -12,6 +12,7 @@ import time
 from repro.obs.trace import (
     MAX_SPANS_PER_TRACE,
     TRACE_HEADER,
+    count,
     current_trace,
     current_trace_id,
     new_trace_id,
@@ -47,11 +48,16 @@ class TestIds:
 
 
 class TestNoActiveTrace:
-    def test_span_is_a_noop_without_a_trace(self):
+    def test_an_untraced_span_counts_and_is_recorded_nowhere(self):
         assert current_trace() is None
         with span("anything", attr=1) as opened:
-            assert opened is None
+            count(solves=1, seconds=0.5)
+            record_timed("solver.solve", 0.5)
+        assert opened.counts == {"solves": 1, "seconds": 0.5}
+        assert opened.trace is None and opened.children == []
         assert current_trace() is None
+        count(solves=1)  # no span open: counted nowhere, must not raise
+        assert opened.counts["solves"] == 1
 
     def test_record_timed_is_a_noop_without_a_trace(self):
         record_timed("solver.solve", 0.5)  # must not raise
@@ -108,6 +114,20 @@ class TestTraceContext:
         except RuntimeError:
             pass
         assert trace.roots[0].wall_seconds is not None  # finished, not open
+
+    def test_an_inner_span_exiting_late_reopens_nothing(self):
+        # a generator finalised after its caller's span closed exits late
+        with trace_context() as trace:
+            outer = span("outer").__enter__()
+            inner = span("inner").__enter__()
+            outer.__exit__(None, None, None)
+            inner.__exit__(None, None, None)
+            count(solves=1)
+            with span("after"):
+                pass
+        assert [root.name for root in trace.roots] == ["outer", "after"]
+        assert [child.name for child in outer.children] == ["inner"]
+        assert outer.counts == {} and inner.counts == {}
 
     def test_span_cap_bounds_the_tree(self):
         with trace_context() as trace:

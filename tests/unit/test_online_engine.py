@@ -107,6 +107,25 @@ class TestRunEpisode:
         assert result.epochs[0]["executed_repairs"] == 0
         assert result.violations == []
 
+    def test_a_violation_in_a_planned_epoch_is_labelled_and_json_safe(self, monkeypatch):
+        # Epoch 0 plans inside its `online.plan` span; the violation found
+        # there must still name its epoch, not the span.
+        import json
+
+        import repro.online.engine as engine
+        from repro.verification import Violation
+
+        monkeypatch.setattr(
+            engine,
+            "check_plan_invariants",
+            lambda *args, **kwargs: [Violation("planted", "ISP", "test violation")],
+        )
+        result = run_episode(make_spec(epochs=1), verify=True)
+        assert result.epochs[0]["believed_broken"] > 0
+        assert result.violations[0]["scope"] == "epoch-0"
+        json.dumps(result.to_dict())
+        result.fingerprint()
+
 
 class TestRunCampaign:
     def test_episode_seeds_are_stable_under_extension(self):

@@ -21,8 +21,8 @@ from repro.flows.milp import (
     resolve_opt_strategy,
     solve_minimum_recovery,
 )
-from repro.flows.solver.stats import collect_solver_stats
 from repro.heuristics.registry import get_algorithm
+from repro.obs.trace import span
 
 
 def small_instance(seed: int = 3):
@@ -73,12 +73,12 @@ class TestWarmStartParity:
     def test_incumbent_seeding_is_counted_in_solver_stats(self):
         supply, demand = small_instance()
         seeds = heuristic_seeds(supply, demand)
-        with collect_solver_stats() as stats:
+        with span("solve") as scope:
             solution = solve_minimum_recovery(
                 supply, demand, strategy="decomposed", seed_plans=seeds
             )
         assert solution.status == "optimal"
-        assert stats.incumbent_seeds >= 1
+        assert scope.counts["incumbent_seeds"] >= 1
 
     def test_solution_records_its_strategy(self):
         supply, demand = small_instance()

@@ -24,16 +24,10 @@ import repro.flows.solver.backends as backends_module
 from repro.api.requests import DemandSpec, DisruptionSpec, RecoveryRequest, TopologySpec
 from repro.api.service import RecoveryService
 from repro.engine.tasks import execute_task, expand_tasks
-from repro.evaluation.metrics import evaluate_plan
 from repro.failures.complete import CompleteDestruction
 from repro.flows.lp_backend import Commodity, FlowProblem
 from repro.flows.routability import is_routable, routability_test
-from repro.flows.solver.backends import (
-    LinearProgram,
-    MILProgram,
-    ScipyHighsBackend,
-    get_backend,
-)
+from repro.flows.solver.backends import LinearProgram, MILProgram, ScipyHighsBackend
 from repro.flows.solver.incremental import (
     IncrementalFlowProblem,
     SolverContext,
@@ -43,10 +37,10 @@ from repro.flows.solver.incremental import (
     shared_structure_cache,
     topology_signature,
 )
-from repro.flows.solver.stats import collect_solver_stats
+from repro.flows.solver.stats import solver_counts
 from repro.flows.splitting_lp import maximum_splittable_amount
-from repro.heuristics.registry import get_algorithm
 from repro.network.demand import DemandGraph
+from repro.obs.trace import span
 from repro.topologies.grids import grid_topology
 
 def broken_grid_instance():
@@ -57,20 +51,6 @@ def broken_grid_instance():
     demand.add((0, 0), (2, 2), 5.0)
     demand.add((0, 2), (2, 0), 3.0)
     return supply, demand
-
-
-class TestGetBackend:
-    def test_scipy_is_the_only_backend(self):
-        assert get_backend().name == "scipy"
-        assert get_backend("scipy") is get_backend()
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(KeyError, match="unknown LP backend"):
-            get_backend("glpk")
-
-    def test_backend_instance_passes_through(self):
-        backend = get_backend("scipy")
-        assert get_backend(backend) is backend
 
 
 #: One Bell Canada request (complete destruction, 4 far-apart pairs of 10
@@ -314,11 +294,11 @@ class TestIncrementalProblem:
         graph = supply.full_graph(use_residual=False)
         commodities = [Commodity(p.source, p.target, p.demand) for p in demand.pairs()]
         cache = StructureCache()
-        with collect_solver_stats() as stats:
+        with span("lookups") as scope:
             first = build_flow_problem(graph, commodities, cache=cache)
             second = build_flow_problem(graph, commodities[:1], cache=cache)
-        assert stats.structure_misses == 1
-        assert stats.structure_hits == 1
+        assert scope.counts["structure_misses"] == 1
+        assert scope.counts["structure_hits"] == 1
         assert first.structure is second.structure
 
     def test_capacity_delta_only_changes_rhs(self):
@@ -381,10 +361,10 @@ class TestSolverContext:
 
         backend = ScipyHighsBackend()
         basis = backend.solve_lp(program(3)).basis
-        with collect_solver_stats() as stats:
+        with span("restarts") as scope:
             fits = backend.solve_lp(program(3), basis=basis)
             refused = backend.solve_lp(program(4), basis=basis)
-        assert (stats.warm_start_attempts, stats.warm_start_hits) == (2, 1)
+        assert (scope.counts["warm_start_attempts"], scope.counts["warm_start_hits"]) == (2, 1)
         assert fits.success and refused.success
         assert_bit_identical(outcome(refused), outcome(backend.solve_lp(program(4))))
 
@@ -397,9 +377,9 @@ class TestSolverContext:
             return warm
 
         monkeypatch.setattr(isp_module, "maximum_splittable_amount", both)
-        with collect_solver_stats() as stats:
+        with span("solve") as scope:
             RecoveryService().solve(dataclasses.replace(BELL_REQUEST, algorithms=("ISP",)))
-        assert stats.warm_start_hits > 0
+        assert scope.counts["warm_start_hits"] > 0
         warm, cold = zip(*pairs)
         assert list(warm) == list(cold)
 
@@ -417,21 +397,21 @@ class TestSolverStats:
     def test_routability_records_effort(self):
         supply, demand = broken_grid_instance()
         full = supply.full_graph(use_residual=False)
-        with collect_solver_stats() as stats:
+        with span("test") as scope:
             assert routability_test(full, demand).routable
-        assert stats.lp_solves == 1
-        assert stats.solve_seconds > 0.0
-        assert stats.build_seconds > 0.0
+        assert scope.counts["lp_solves"] == 1
+        assert scope.counts["solve_seconds"] > 0.0
+        assert scope.counts["build_seconds"] > 0.0
 
     def test_nested_collectors_both_record(self):
         supply, demand = broken_grid_instance()
         full = supply.full_graph(use_residual=False)
-        with collect_solver_stats() as outer:
+        with span("outer") as outer:
             routability_test(full, demand)
-            with collect_solver_stats() as inner:
+            with span("inner") as inner:
                 routability_test(full, demand)
-        assert inner.lp_solves == 1
-        assert outer.lp_solves == 2
+        assert inner.counts["lp_solves"] == 1
+        assert outer.counts["lp_solves"] == 2
 
     def test_collectors_follow_a_copied_context_into_another_thread(self):
         import contextvars
@@ -441,20 +421,21 @@ class TestSolverStats:
 
         supply, demand = broken_grid_instance()
         full = supply.full_graph(use_residual=False)
-        with trace_context() as trace, collect_solver_stats() as stats:
+        with trace_context() as trace, span("caller") as scope:
             context = contextvars.copy_context()
             worker = threading.Thread(target=context.run, args=(routability_test, full, demand))
             worker.start()
             worker.join()
-        solves = [span for span in trace.roots if span.name == "solver.solve"]
-        # the collector sees exactly the solves the trace sees
+        assert trace.roots == [scope]
+        solves = [node for node in scope.children if node.name == "solver.solve"]
+        # the span counts exactly the solves the trace sees under it
         assert len(solves) == 1
-        assert stats.lp_solves == 1
+        assert scope.counts["lp_solves"] == 1
 
     def test_stats_dict_keys_keep_their_order(self):
-        with collect_solver_stats() as stats:
+        with span("empty") as scope:
             pass
-        assert list(stats.as_dict()) == [
+        assert list(solver_counts(scope)) == [
             "lp_solves",
             "milp_solves",
             "build_seconds",
@@ -468,15 +449,7 @@ class TestSolverStats:
             "benders_cuts",
             "bound_reuses",
         ]
-        assert all(isinstance(value, float) for value in stats.as_dict().values())
-
-    def test_isp_plan_carries_solver_stats(self):
-        supply, demand = broken_grid_instance()
-        plan = get_algorithm("ISP").solve(supply, demand)
-        stats = plan.metadata["solver"]
-        assert stats["lp_solves"] >= 1
-        evaluation = evaluate_plan(supply, demand, plan)
-        assert evaluation.solver_stats == stats
+        assert all(isinstance(value, float) for value in solver_counts(scope).values())
 
     def test_engine_cell_reports_solver_extras(self):
         from repro.api.requests import DemandSpec, DisruptionSpec, TopologySpec
