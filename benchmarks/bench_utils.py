@@ -5,7 +5,9 @@ section (see DESIGN.md for the per-experiment index).  By default the
 benches run at *reduced scale* — fewer repetitions, coarser sweeps, smaller
 MILP time limits — so the whole harness finishes on a laptop in minutes.
 Set the environment variable ``REPRO_BENCH_SCALE=full`` to run the paper's
-full parameters (expect hours, dominated by the exact MILP).
+full parameters.  Figures 3-6 then take well under a minute each; the slow
+ones are Figure 7 (OPT limit 3600 s) and Figure 9 (OPT limit 1800 s),
+dominated by the exact MILP.
 
 The benches both *print* the reproduced rows (the same series the paper's
 figures plot) and *assert* the qualitative claims, so a green benchmark run
@@ -27,6 +29,7 @@ from repro.evaluation.demand_builder import far_apart_demand
 from repro.evaluation.metrics import PlanEvaluation, evaluate_plan
 from repro.evaluation.reporting import format_table
 from repro.failures.complete import CompleteDestruction
+from repro.flows.solver.incremental import instance_scope
 from repro.heuristics.base import RecoveryAlgorithm
 from repro.topologies.bellcanada import bell_canada
 
@@ -98,6 +101,7 @@ def ablation_rows(
 
     Run ``k`` destroys Bell-Canada completely and draws 4 far-apart pairs of
     10 units from the ``k``-th child of ``SeedSequence(seed).spawn(runs)``.
+    Each instance's runs share one instance scope, as in the request runner.
     One row per algorithm, keyed by ``algorithm.name``.
     """
     if runs < 1:
@@ -107,9 +111,10 @@ def ablation_rows(
         supply = bell_canada()
         CompleteDestruction().apply(supply)
         demand = far_apart_demand(supply, 4, 10.0, seed=np.random.default_rng(child))
-        for algorithm in algorithms:
-            plan = algorithm.solve(supply, demand)
-            evaluations[algorithm.name].append(evaluate_plan(supply, demand, plan))
+        with instance_scope():
+            for algorithm in algorithms:
+                plan = algorithm.solve(supply, demand)
+                evaluations[algorithm.name].append(evaluate_plan(supply, demand, plan))
     return [
         {
             "algorithm": name,

@@ -6,7 +6,9 @@ LP-bound workload of the tier-1 suite) and reports, per algorithm, the
 averaged solver-effort counters the engine now threads through every cell:
 LP solve count, build vs solve wall time, and structure-cache hit rate.
 
-The assertions pin the properties the substrate is for:
+The golden table pins the solve and structure counts, which depend on the
+cell alone (the structure cache lives for one instance).  The assertions pin
+the properties the substrate is for:
 
 * the topology-structure cache is effective in the ISP loop (hits dominate
   misses — splits and prunes re-solve on an unchanged topology), and
@@ -50,8 +52,7 @@ def test_solver_substrate_effort(benchmark):
         "Solver substrate — per-cell solver effort on the Figure-4 sweep",
         result.rows,
         COLUMNS,
-        # structure-cache hits depend on what the process solved before
-        timing=[column for column in COLUMNS if column.endswith(("_seconds", "_hits", "_misses"))],
+        timing=[column for column in COLUMNS if column.endswith("_seconds")],
     )
 
     solves = result.series("solver_lp_solves")

@@ -25,6 +25,7 @@ seed stream.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import json
@@ -141,6 +142,35 @@ def _kwargs_to_json(kwargs: Tuple[Tuple[str, Any], ...]) -> Dict[str, Any]:
     return {key: jsonify_value(value) for key, value in kwargs}
 
 
+#: ``inspect.signature`` per builder or model: every spec construction binds
+#: its kwargs, and building a signature costs tens of microseconds.
+_signature = functools.lru_cache(maxsize=None)(inspect.signature)
+
+
+def _bind_kwargs(
+    label: str, function: Any, kwargs: Mapping[str, Any], passed: Sequence[str] = ()
+) -> None:
+    """Bind ``kwargs`` to ``function``'s signature or raise ``ValueError``.
+
+    ``passed`` names the parameters the caller always supplies itself, which
+    ``kwargs`` may not name.  Catching an unknown or missing name here —
+    instead of as a ``TypeError`` deep inside a later solve — gives CLI and
+    service clients a clean error (HTTP 400), and keeps silently ignored
+    kwargs from changing request digests.
+    """
+    signature = _signature(function)
+    valid = [name for name in signature.parameters if name not in passed]
+    unknown = [key for key in kwargs if key not in valid]
+    if unknown:
+        raise ValueError(
+            f"unknown {label} parameter(s) {', '.join(unknown)}; valid: {', '.join(valid)}"
+        )
+    try:
+        signature.bind(**dict.fromkeys(passed), **kwargs)
+    except TypeError as error:
+        raise ValueError(f"invalid {label} parameters: {error}") from None
+
+
 def config_digest(config: Mapping[str, Any]) -> str:
     """Stable hex digest of a JSON-serialisable configuration mapping.
 
@@ -160,13 +190,14 @@ class TopologySpec:
     kwargs: Tuple[Tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
-        get_topology_builder(self.name)  # validate the name eagerly
+        builder = get_topology_builder(self.name)  # validate the name eagerly
         object.__setattr__(self, "kwargs", _frozen_kwargs(dict(self.kwargs)))
+        _bind_kwargs(f"{self.name} topology", builder, dict(self.kwargs))
 
     def build(self, rng: np.random.Generator, overrides: Mapping[str, Any]) -> SupplyGraph:
         kwargs = dict(self.kwargs)
         kwargs.update(overrides)
-        if "seed" in inspect.signature(get_topology_builder(self.name)).parameters:
+        if "seed" in _signature(get_topology_builder(self.name)).parameters:
             kwargs.setdefault("seed", rng)
         return build_topology(self.name, **kwargs)
 
@@ -188,7 +219,7 @@ class TopologySpec:
         kwargs = dict(self.kwargs)
         if "seed" in kwargs:
             return kwargs["seed"] is not None
-        return "seed" not in inspect.signature(get_topology_builder(self.name)).parameters
+        return "seed" not in _signature(get_topology_builder(self.name)).parameters
 
     def to_dict(self) -> Dict[str, Any]:
         return {"name": self.name, "kwargs": _kwargs_to_json(self.kwargs)}
@@ -211,35 +242,14 @@ class DisruptionSpec:
                 f"unknown disruption {self.kind!r}; available: {', '.join(_DISRUPTION_KINDS)}"
             )
         object.__setattr__(self, "kwargs", _frozen_kwargs(dict(self.kwargs)))
-        self._validate_kwargs()
-
-    def _validate_kwargs(self) -> None:
-        """Reject keyword arguments the kind's model cannot be built from.
-
-        Catching an unknown or missing name here — instead of as a
-        ``TypeError`` deep inside a later solve — gives CLI/service clients
-        a clean error, and prevents silently-ignored kwargs from changing
-        request digests (``complete`` and ``none`` take no parameters at all).
-        """
-        keys = [key for key, _ in self.kwargs]
         model_cls = _DISRUPTION_MODELS.get(self.kind)
-        if model_cls is None:
-            if keys:
-                raise ValueError(
-                    f"disruption {self.kind!r} takes no parameters, got: {', '.join(keys)}"
-                )
-            return
-        signature = inspect.signature(model_cls)
-        unknown = [key for key in keys if key not in signature.parameters]
-        if unknown:
+        if model_cls is not None:
+            _bind_kwargs(f"{self.kind} disruption", model_cls, dict(self.kwargs))
+        elif self.kwargs:  # ``complete`` and ``none`` take no parameters at all
             raise ValueError(
-                f"unknown {self.kind} disruption parameter(s) {', '.join(unknown)}; "
-                f"valid: {', '.join(signature.parameters)}"
+                f"disruption {self.kind!r} takes no parameters, "
+                f"got: {', '.join(key for key, _ in self.kwargs)}"
             )
-        try:
-            signature.bind(**dict(self.kwargs))
-        except TypeError as error:
-            raise ValueError(f"invalid {self.kind} disruption parameters: {error}") from None
 
     def model(self, overrides: Optional[Mapping[str, Any]] = None) -> Optional[FailureModel]:
         """The failure model this spec describes (``None`` for kind "none").
@@ -315,6 +325,12 @@ class DemandSpec:
         object.__setattr__(self, "num_pairs", int(self.num_pairs))
         object.__setattr__(self, "flow_per_pair", float(self.flow_per_pair))
         object.__setattr__(self, "kwargs", _frozen_kwargs(dict(self.kwargs)))
+        _bind_kwargs(
+            f"{self.builder} demand",
+            _DEMAND_BUILDERS[self.builder],
+            {"num_pairs": self.num_pairs, "flow_per_pair": self.flow_per_pair, **dict(self.kwargs)},
+            passed=("supply", "seed"),
+        )
 
     def build(
         self, supply: SupplyGraph, rng: np.random.Generator, overrides: Mapping[str, Any]

@@ -272,8 +272,9 @@ class OnlineResult:
         """Digest of the behavioural trace, invariant under machine speed.
 
         Scrubs the fields that legitimately vary between identical replays —
-        wall-clock timings and solver performance counters (cache warmth
-        depends on what the process solved before) — and hashes the rest.
+        wall-clock timings and solver performance counters (under
+        ``opt_time_limit`` an exact solve's effort depends on machine
+        speed) — and hashes the rest.
         Two runs of the same seeded episode must agree on this digest; that
         is the determinism contract the differential suite enforces.
         """

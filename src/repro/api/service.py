@@ -9,8 +9,7 @@ never corrupted between requests.
 Three entry points:
 
 * :meth:`RecoveryService.solve` — run the request's algorithms in-process
-  and return a :class:`~repro.api.results.RecoveryResult` envelope whose
-  per-run solver stats expose the session reuse (structure-cache hits); the
+  and return a :class:`~repro.api.results.RecoveryResult` envelope; the
   portfolio racer (:mod:`repro.portfolio`) is a
   callback on it, not a second runner;
 * :meth:`RecoveryService.assess` — the damage picture without recovery;
@@ -24,6 +23,10 @@ Three entry points:
 in its worker, and instances are seeded exactly like engine instances (the
 canonical ``SeedSequence`` derivation in :mod:`repro.engine.tasks`), so
 ``solve``, ``solve_batch`` and a degenerate sweep report the same runs.
+Everything the runs reuse lives in one instance scope
+(:func:`~repro.flows.solver.incremental.instance_scope`), so a run's
+envelope depends on its request only, not on what the process solved
+before.
 """
 
 from __future__ import annotations
@@ -58,8 +61,8 @@ from repro.engine.spec import ExperimentSpec
 from repro.engine.tasks import cell_seed_sequence, expand_tasks, root_entropy
 from repro.evaluation.metrics import evaluate_plan
 from repro.extensions.assessment import assess_damage
+from repro.flows.solver.incremental import instance_scope
 from repro.flows.solver.stats import solver_counts
-from repro.heuristics.greedy import candidate_scope
 from repro.network.demand import DemandGraph
 from repro.network.plan import RecoveryPlan
 from repro.network.supply import SupplyGraph
@@ -109,10 +112,11 @@ def run_algorithms(
     Heuristics run first, in the listed order, then the exact algorithms,
     seeded with every heuristic plan (a verified incumbent lets the
     decomposed strategy prove optimality without a MILP; OPT listed alone
-    seeds itself with SRT).  The heuristics share one candidate scope, so
-    GRD-COM and GRD-NC enumerate the instance's candidate paths once.  Each
-    run — the solve and the plan's evaluation LP — is one ``service.run``
-    span, and the run's ``solver`` stats are what was counted on it.
+    seeds itself with SRT).  All runs share one instance scope: constraint
+    structures are built once per topology, and GRD-COM and GRD-NC
+    enumerate the instance's candidate paths once.  Each run — the solve
+    and the plan's evaluation LP — is one ``service.run`` span, and the
+    run's ``solver`` stats are what was counted on it.
     When the list mixes the two classes, ``on_heuristics`` (if given) is
     called once with the heuristic runs before the first exact solve
     starts.
@@ -136,12 +140,12 @@ def run_algorithms(
     def listed() -> List[AlgorithmRun]:
         return [runs[name] for name in spec.algorithms if name in runs]
 
-    with candidate_scope():
+    with instance_scope():
         seed_plans = [run(name) for name in heuristics]
-    if on_heuristics is not None and heuristics and exacts:
-        on_heuristics(listed())
-    for name in exacts:
-        run(name, seed_plans=seed_plans)
+        if on_heuristics is not None and heuristics and exacts:
+            on_heuristics(listed())
+        for name in exacts:
+            run(name, seed_plans=seed_plans)
     return listed()
 
 
@@ -251,8 +255,9 @@ class RecoveryService:
         the portfolio racer's stage 1
         (:func:`repro.portfolio.solve_two_stage`).
 
-        A repeated solve on the same topology shows structure-cache hits in
-        each run's ``solver`` stats.
+        A repeated solve of the same request returns equal runs, ``solver``
+        counts included (timings aside): nothing a run reuses outlives its
+        instance.
         """
         started = time.perf_counter()
         supply, demand, _ = self.build_instance(request)
@@ -303,9 +308,8 @@ class RecoveryService:
         resumable exactly like ``repro.cli sweep --resume``: rerunning an
         interrupted batch recomputes only the missing requests, and a
         request already solved by an earlier batch is served from disk.
-
-        Each worker process keeps its own structure cache, so the runs'
-        ``solver`` stats differ from :meth:`solve`'s.
+        The runs equal :meth:`solve`'s, ``solver`` counts included
+        (timings and ``cached`` flags aside).
         """
         tasks = [
             expand_tasks(request.to_experiment_spec(), seed=request.seed)[0]

@@ -93,10 +93,10 @@ class ExperimentSpec:
             self, "algorithm_kwargs", _frozen_algorithm_kwargs(self.algorithm_kwargs)
         )
         section, _, key = self.sweep.target.partition(".")
-        if section == "disruption":
+        swept = getattr(self, section)
+        for value in self.sweep.values:
             # Bind every swept value now, not when its instance is built.
-            for value in self.sweep.values:
-                _DisruptionSpec(self.disruption.kind, {**dict(self.disruption.kwargs), key: value})
+            dataclasses.replace(swept, kwargs={**dict(swept.kwargs), key: value})
 
     def replace(self, **changes: Any) -> "ExperimentSpec":
         """A copy of this spec with the given fields replaced.

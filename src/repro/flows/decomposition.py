@@ -38,17 +38,15 @@ The acceleration layer attacks the model in stages, cheapest first:
    ``ub``) and cost-free fixings of the non-broken binaries; the incumbent
    is the answer if that solve stops without one.
 
-Bounds and learned cuts are cached per *instance signature* (topology
-signature + damage + capacities + costs + commodities) and reused across
-re-solves of the same scenario, e.g. across strategies or portfolio stages.
+Bounds and learned cuts live for one :func:`solve_decomposed` call: a
+re-solve of the same scenario repeats the same stages and reports the same
+counts.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple, Union
 
@@ -60,7 +58,6 @@ from repro.flows.routability import routability_test
 from repro.flows.solver.backends import HIGHS, LinearProgram, MILProgram
 from repro.flows.solver.stats import record_benders
 from repro.flows.solver.tolerances import BINARY_THRESHOLD, FLOW_TOLERANCE
-from repro.obs.trace import count
 
 Node = Hashable
 Arc = Tuple[Node, Node]
@@ -77,9 +74,6 @@ BENDERS_MAX_ELEMENTS = 12
 
 #: Master/subproblem rounds before Benders gives up and falls back.
 BENDERS_MAX_ITERATIONS = 60
-
-#: Retained instance entries in the shared bound cache.
-_BOUND_CACHE_SIZE = 256
 
 
 def decompose_flows(
@@ -157,90 +151,6 @@ def decompose_flows(
 def total_decomposed_flow(decomposition: List[Tuple[Path, float]]) -> float:
     """Total flow carried by a decomposition."""
     return sum(flow for _, flow in decomposition)
-
-
-# --------------------------------------------------------------------------- #
-# Instance signatures and the shared bound cache
-# --------------------------------------------------------------------------- #
-def instance_signature(model) -> Tuple:
-    """A hashable key identifying one MinR instance exactly.
-
-    Extends the topology signature with everything else the optimum depends
-    on: the damage sets, per-edge capacities, repair costs and commodities.
-    Two scenario deltas that happen to coincide (e.g. the same scenario
-    re-solved under a different strategy, or the exact stage of a portfolio
-    race) hit the same entry.
-    """
-    supply = model.supply
-    capacities = tuple(round(float(c), 9) for c in model.capacity_rhs)
-    costs = tuple(round(float(c), 9) for c in model.objective[model.num_flow:])
-    commodities = tuple(
-        (repr(c.source), repr(c.target), round(float(c.demand), 9))
-        for c in model.commodities
-    )
-    return (
-        model.problem.structure.signature,
-        frozenset(supply.broken_nodes),
-        frozenset(supply.broken_edges),
-        capacities,
-        costs,
-        commodities,
-    )
-
-
-@dataclass
-class BoundEntry:
-    """Cached knowledge about one instance: bounds and learned Benders cuts."""
-
-    lower_bound: Optional[float] = None
-    #: Feasibility cuts as sets of elements, at least one of which must be
-    #: repaired (``sum x_b >= 1``); valid for the instance forever.
-    cuts: List[frozenset] = field(default_factory=list)
-
-
-class BoundCache:
-    """LRU cache of :class:`BoundEntry` objects keyed by instance signature."""
-
-    def __init__(self, maxsize: int = _BOUND_CACHE_SIZE) -> None:
-        self.maxsize = maxsize
-        self._entries: "OrderedDict[Tuple, BoundEntry]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def entry_for(self, signature: Tuple) -> BoundEntry:
-        """The (cached) entry of ``signature``; reuse of a bound is recorded."""
-        with self._lock:
-            entry = self._entries.get(signature)
-            if entry is not None:
-                self._entries.move_to_end(signature)
-        if entry is not None:
-            if entry.lower_bound is not None or entry.cuts:
-                count(bound_reuses=1)
-            return entry
-        entry = BoundEntry()
-        with self._lock:
-            self._entries[signature] = entry
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-        return entry
-
-
-_SHARED_BOUND_CACHE = BoundCache()
-
-
-def shared_bound_cache() -> BoundCache:
-    return _SHARED_BOUND_CACHE
-
-
-def clear_bound_cache() -> None:
-    """Drop all cached instance bounds and cuts (tests / memory pressure)."""
-    _SHARED_BOUND_CACHE.clear()
 
 
 # --------------------------------------------------------------------------- #
@@ -460,7 +370,6 @@ class BendersOutcome:
     bound: Optional[float] = None
     flows: List[Dict[Arc, float]] = field(default_factory=list)
     iterations: int = 0
-    cuts: List[frozenset] = field(default_factory=list)
 
 
 def _element_cost(model, element: Element) -> float:
@@ -518,7 +427,6 @@ def benders_search(
     upper_bound: Optional[float],
     lower_bound: float,
     deadline: Optional[float],
-    seed_cuts: Sequence[frozenset] = (),
 ) -> BendersOutcome:
     """Search repair vectors directly via master MILP + routability cuts.
 
@@ -590,14 +498,7 @@ def benders_search(
         return matrix.tocsr(), np.array([1.0]), np.array([np.inf])
 
     cuts: List[frozenset] = []
-    for cut in seed_cuts:
-        row = cut_row(cut)
-        if row is not None:
-            rows.append(row)
-            cuts.append(cut)
-
     iterations = 0
-    new_cuts: List[frozenset] = []
     for _ in range(BENDERS_MAX_ITERATIONS):
         if deadline is not None and time.perf_counter() >= deadline:
             break
@@ -611,7 +512,7 @@ def benders_search(
         )
         master = HIGHS.solve_milp(program)
         if master.status == "infeasible":
-            record_benders(iterations=iterations, cuts=len(new_cuts))
+            record_benders(iterations=iterations, cuts=len(cuts))
             if upper_bound is not None:
                 # The incumbent satisfies every master row, so an infeasible
                 # master can only mean numerical fuzz — treat it as proof.
@@ -620,23 +521,19 @@ def benders_search(
                     objective=upper_bound,
                     bound=upper_bound,
                     iterations=iterations,
-                    cuts=new_cuts,
                 )
-            return BendersOutcome(
-                status="infeasible", iterations=iterations, cuts=new_cuts
-            )
+            return BendersOutcome(status="infeasible", iterations=iterations)
         if not master.feasible or master.x is None:
             break
         candidate_cost = float(master.objective)
         if upper_bound is not None and candidate_cost >= upper_bound - FLOW_TOLERANCE:
             # No repair vector beats the incumbent: it is optimal.
-            record_benders(iterations=iterations, cuts=len(new_cuts))
+            record_benders(iterations=iterations, cuts=len(cuts))
             return BendersOutcome(
                 status="incumbent",
                 objective=upper_bound,
                 bound=candidate_cost if upper_bound is None else upper_bound,
                 iterations=iterations,
-                cuts=new_cuts,
             )
         selected = [
             element
@@ -652,7 +549,7 @@ def benders_search(
         )
         verdict = routability_test(graph, demand, want_flows=True)
         if verdict.routable:
-            record_benders(iterations=iterations, cuts=len(new_cuts))
+            record_benders(iterations=iterations, cuts=len(cuts))
             objective = supply.repair_cost_of(candidate_nodes, candidate_edges)
             return BendersOutcome(
                 status="optimal",
@@ -662,7 +559,6 @@ def benders_search(
                 bound=float(objective),
                 flows=verdict.flows,
                 iterations=iterations,
-                cuts=new_cuts,
             )
         # Feasibility cuts.  The no-good cut is always separating (routability
         # is monotone in the repair set, so the candidate and all its subsets
@@ -683,12 +579,11 @@ def benders_search(
                 continue
             rows.append(row)
             cuts.append(cut)
-            new_cuts.append(cut)
             progressed = True
         if not progressed:
             break  # cannot separate the candidate: give up, don't spin
-    record_benders(iterations=iterations, cuts=len(new_cuts))
-    return BendersOutcome(status="gave_up", iterations=iterations, cuts=new_cuts)
+    record_benders(iterations=iterations, cuts=len(cuts))
+    return BendersOutcome(status="gave_up", iterations=iterations)
 
 
 # --------------------------------------------------------------------------- #
@@ -715,12 +610,18 @@ def solve_decomposed(
     if model.problem.infeasible_commodities:
         return None  # parity: let the monolithic model define the behaviour
 
-    entry = shared_bound_cache().entry_for(instance_signature(model))
     upper = incumbent.cost if incumbent is not None else None
 
     def finish(solution):
         solution.elapsed_seconds = time.perf_counter() - started
         return solution
+
+    def infeasible():
+        return finish(
+            _milp.MinRSolution(
+                status="infeasible", strategy="decomposed", seeded=incumbent is not None
+            )
+        )
 
     def certificate_met(lower_value: float) -> bool:
         if upper is None:
@@ -732,39 +633,20 @@ def solve_decomposed(
             return gap <= mip_rel_gap
         return False
 
-    # Stage 1: lower bounds — cached, then per-commodity blocks, then the
-    # strengthened joint relaxation (skipped when a cheaper bound already
-    # proves the incumbent).
-    lower_bound = entry.lower_bound
-    if lower_bound is None:
-        block_bound = 0.0
-        for index in range(len(model.commodities)):
-            bound = commodity_block_bound(model, index)
-            if bound is not None:
-                block_bound = max(block_bound, bound)
-        lower_bound = block_bound
-        if not certificate_met(integral_bound(model, lower_bound)):
-            status, joint = relaxation_bound(model)
-            if status == "infeasible":
-                entry.lower_bound = np.inf
-                return finish(
-                    _milp.MinRSolution(
-                        status="infeasible",
-                        strategy="decomposed",
-                        seeded=incumbent is not None,
-                    )
-                )
-            if joint is not None:
-                lower_bound = max(lower_bound, joint)
-        entry.lower_bound = lower_bound
-    elif np.isinf(lower_bound):
-        return finish(
-            _milp.MinRSolution(
-                status="infeasible",
-                strategy="decomposed",
-                seeded=incumbent is not None,
-            )
-        )
+    # Stage 1: lower bounds — per-commodity blocks, then the strengthened
+    # joint relaxation (skipped when a cheaper bound already proves the
+    # incumbent).
+    lower_bound = 0.0
+    for index in range(len(model.commodities)):
+        bound = commodity_block_bound(model, index)
+        if bound is not None:
+            lower_bound = max(lower_bound, bound)
+    if not certificate_met(integral_bound(model, lower_bound)):
+        status, joint = relaxation_bound(model)
+        if status == "infeasible":
+            return infeasible()
+        if joint is not None:
+            lower_bound = max(lower_bound, joint)
     lb_int = integral_bound(model, lower_bound)
 
     # Stage 2: a zero-cost optimum — nothing needs repairing at all.
@@ -795,21 +677,9 @@ def solve_decomposed(
     # Stage 4: combinatorial Benders for small damage sets.
     damage = len(supply.broken_nodes) + len(supply.broken_edges)
     if damage <= BENDERS_MAX_ELEMENTS:
-        outcome = benders_search(
-            model, upper, lb_int, deadline, seed_cuts=entry.cuts
-        )
-        for cut in outcome.cuts:
-            if cut not in entry.cuts:
-                entry.cuts.append(cut)
+        outcome = benders_search(model, upper, lb_int, deadline)
         if outcome.status == "infeasible":
-            entry.lower_bound = np.inf
-            return finish(
-                _milp.MinRSolution(
-                    status="infeasible",
-                    strategy="decomposed",
-                    seeded=incumbent is not None,
-                )
-            )
+            return infeasible()
         if outcome.status == "incumbent":
             return finish(
                 _milp.incumbent_solution(model, incumbent, bound=outcome.bound)
@@ -865,14 +735,7 @@ def solve_decomposed(
         if result.status == "infeasible":
             # The tightened model only removes suboptimal/equivalent points,
             # so infeasibility transfers to the original model.
-            entry.lower_bound = np.inf
-            return finish(
-                _milp.MinRSolution(
-                    status="infeasible",
-                    strategy="decomposed",
-                    seeded=incumbent is not None,
-                )
-            )
+            return infeasible()
         if incumbent is not None:
             solution = _milp.incumbent_solution(model, incumbent, bound=lb_int)
             solution.status = "feasible"
@@ -903,11 +766,6 @@ __all__ = [
     "total_decomposed_flow",
     "BENDERS_MAX_ELEMENTS",
     "BENDERS_MAX_ITERATIONS",
-    "instance_signature",
-    "BoundEntry",
-    "BoundCache",
-    "shared_bound_cache",
-    "clear_bound_cache",
     "vub_rows",
     "fixed_delta_bounds",
     "relaxation_bound",

@@ -99,7 +99,7 @@ def routability_test(
     # Connectivity first: a commodity with an endpoint off the graph, or
     # with no path at all, makes the LP infeasible.  Deciding those cases
     # before build_flow_problem costs one BFS per pair and leaves their
-    # graphs out of the shared structure cache (no signature, no build).
+    # graphs out of the instance's structure cache (no signature, no build).
     missing = [
         (c.source, c.target) for c in commodities if c.source not in graph or c.target not in graph
     ]

@@ -6,8 +6,9 @@ This package owns every LP/MILP solve in the library:
   HiGHS core, driven directly with ``linprog``/``milp``'s options) and
   :data:`~repro.flows.solver.backends.HIGHS`, the instance every solve
   site calls;
-* :mod:`repro.flows.solver.incremental` — cached constraint structure per
-  graph topology, :class:`IncrementalFlowProblem` delta re-assembly and the
+* :mod:`repro.flows.solver.incremental` — constraint structure cached per
+  graph topology inside one instance's :func:`instance_scope`,
+  :class:`IncrementalFlowProblem` delta re-assembly and the
   :class:`SolverContext` basis store ISP's split LP restarts from;
 * :mod:`repro.flows.solver.stats` — per-solve effort, counted on the open
   spans (:func:`repro.obs.trace.count`) and read off each run's
@@ -34,8 +35,7 @@ _INCREMENTAL_EXPORTS = (
     "StructureCache",
     "TopologyStructure",
     "build_flow_problem",
-    "clear_structure_cache",
-    "shared_structure_cache",
+    "instance_scope",
     "topology_signature",
 )
 
@@ -58,8 +58,7 @@ __all__ = [
     "StructureCache",
     "TopologyStructure",
     "build_flow_problem",
-    "clear_structure_cache",
-    "shared_structure_cache",
+    "instance_scope",
     "topology_signature",
     "EPSILON",
     "FLOW_TOLERANCE",

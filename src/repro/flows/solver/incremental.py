@@ -22,6 +22,13 @@ from them by applying only the **deltas**:
 * added split commodities → append one more ``B`` / ``C`` block;
 * node/edge (de)activation→ new topology signature, one fresh block build.
 
+The cache lives for one instance: :func:`instance_scope` opens an
+:class:`InstanceScope` (one ``ContextVar``) holding the instance's
+:class:`StructureCache` and the greedy baselines' candidate lists, and
+:func:`repro.api.service.run_algorithms` opens one around all of an
+instance's runs.  Outside a scope nothing is kept, so a run's counts depend
+only on its request, never on what the process solved before.
+
 :class:`SolverContext` complements this with a basis store: one ISP run
 keeps the final HiGHS basis of its split LP per (topology, commodity count)
 and starts the next split LP of that shape from it.
@@ -29,10 +36,12 @@ and starts the next split LP of that shape from it.
 
 from __future__ import annotations
 
+import contextvars
 import threading
 import time
 from collections import OrderedDict
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
@@ -48,7 +57,7 @@ Edge = Tuple[Node, Node]
 #: A topology signature: the exact node and (canonical) edge sets.
 Signature = Tuple[frozenset, frozenset]
 
-#: Retained topologies per cache (a sweep touches a handful per instance).
+#: Retained topologies per instance (an instance touches a handful).
 DEFAULT_STRUCTURE_CACHE_SIZE = 32
 
 #: Retained assembled (k-commodity) systems per topology.
@@ -149,14 +158,37 @@ class TopologyStructure:
             system = (self.capacity_block, self.conservation_block)
         else:
             system = (
-                sparse.hstack([self.capacity_block] * num_commodities, format="csr"),
-                sparse.block_diag([self.conservation_block] * num_commodities, format="csr"),
+                self._capacity_stack(num_commodities),
+                self._conservation_diagonal(num_commodities),
             )
         with self._lock:
             self._assembled[num_commodities] = system
             while len(self._assembled) > _ASSEMBLED_CACHE_SIZE:
                 self._assembled.popitem(last=False)
         return system
+
+    def _capacity_stack(self, k: int) -> sparse.csr_matrix:
+        """``[B B ... B]``, the arrays ``sparse.hstack`` builds: row ``i``
+        holds arcs ``2i`` and ``2i + 1`` of every commodity, block by block."""
+        num_edges, num_arcs = self.capacity_block.shape
+        offsets = num_arcs * np.arange(k).reshape(1, k, 1)
+        indices = (np.arange(num_arcs).reshape(num_edges, 1, 2) + offsets).ravel()
+        return sparse.csr_matrix(
+            (np.ones(k * num_arcs), indices, np.arange(0, k * num_arcs + 1, 2 * k)),
+            shape=(num_edges, k * num_arcs),
+        )
+
+    def _conservation_diagonal(self, k: int) -> sparse.csr_matrix:
+        """``blockdiag(C, ..., C)``, the arrays ``sparse.block_diag`` builds:
+        block ``j`` is ``C`` shifted by ``j`` rows and columns of blocks."""
+        block = self.conservation_block
+        num_rows, num_columns = block.shape
+        copies = np.arange(k).reshape(k, 1)
+        indptr = np.append((block.indptr[:-1] + block.nnz * copies).ravel(), k * block.nnz)
+        return sparse.csr_matrix(
+            (np.tile(block.data, k), (block.indices + num_columns * copies).ravel(), indptr),
+            shape=(k * num_rows, k * num_columns),
+        )
 
     def capacity_rhs(self, graph: nx.Graph) -> np.ndarray:
         """``b_ub``: the current capacity of every edge, in block row order."""
@@ -190,10 +222,6 @@ class StructureCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
     def structure_for(self, graph: nx.Graph) -> TopologyStructure:
         """The (cached) structure of ``graph``'s topology."""
         signature = topology_signature(graph)
@@ -214,17 +242,46 @@ class StructureCache:
         return structure
 
 
-#: Process-wide structure cache shared by all solve sites.
-_SHARED_CACHE = StructureCache()
+class InstanceScope:
+    """What the runs of one instance reuse: its topology structures and the
+    greedy baselines' candidate lists
+    (:func:`repro.heuristics.greedy.enumerate_candidate_paths`)."""
+
+    __slots__ = ("structures", "candidates")
+
+    def __init__(self) -> None:
+        self.structures = StructureCache()
+        #: Candidate lists by ``(id(supply), id(demand), max_paths_per_pair)``,
+        #: each kept with its supply and demand so no id is reused while the
+        #: scope lasts.
+        self.candidates: Dict[Tuple[int, int, int], tuple] = {}
 
 
-def shared_structure_cache() -> StructureCache:
-    return _SHARED_CACHE
+_SCOPE: contextvars.ContextVar[Optional[InstanceScope]] = contextvars.ContextVar(
+    "repro_instance_scope", default=None
+)
 
 
-def clear_structure_cache() -> None:
-    """Drop all cached topology structures (tests / memory pressure)."""
-    _SHARED_CACHE.clear()
+@contextmanager
+def instance_scope() -> Iterator[InstanceScope]:
+    """Share structures and candidate lists inside the ``with`` block only.
+
+    Opened by :func:`repro.api.service.run_algorithms` around an instance's
+    runs, by the online engine around an episode.  A nested scope starts
+    empty and ends with its block.  Sharing is safe because no registered
+    algorithm modifies the instance it is given.
+    """
+    scope = InstanceScope()
+    token = _SCOPE.set(scope)
+    try:
+        yield scope
+    finally:
+        _SCOPE.reset(token)
+
+
+def current_scope() -> Optional[InstanceScope]:
+    """The open :class:`InstanceScope`, or ``None`` outside every scope."""
+    return _SCOPE.get()
 
 
 class IncrementalFlowProblem(FlowProblem):
@@ -247,7 +304,10 @@ class IncrementalFlowProblem(FlowProblem):
         self.graph = graph
         self.commodities = list(commodities)
         if structure is None:
-            structure = shared_structure_cache().structure_for(graph)
+            # The open instance scope's structure; a fresh build outside one.
+            scope = current_scope()
+            cache = scope.structures if scope is not None else StructureCache()
+            structure = cache.structure_for(graph)
         self.structure = structure
         # Reuse the cached indexing verbatim: with an identical signature the
         # index maps are valid for this graph even if its iteration order
@@ -277,14 +337,9 @@ class IncrementalFlowProblem(FlowProblem):
         return a_eq, b_eq
 
 
-def build_flow_problem(
-    graph: nx.Graph,
-    commodities: Sequence[Commodity],
-    cache: Optional[StructureCache] = None,
-) -> IncrementalFlowProblem:
-    """Build a flow problem through the (shared) structure cache."""
-    cache = cache if cache is not None else shared_structure_cache()
-    return IncrementalFlowProblem(graph, commodities, cache.structure_for(graph))
+def build_flow_problem(graph: nx.Graph, commodities: Sequence[Commodity]) -> IncrementalFlowProblem:
+    """Build a flow problem on the open instance scope's structures."""
+    return IncrementalFlowProblem(graph, commodities)
 
 
 class SolverContext:
@@ -318,8 +373,9 @@ __all__ = [
     "topology_signature",
     "TopologyStructure",
     "StructureCache",
-    "shared_structure_cache",
-    "clear_structure_cache",
+    "InstanceScope",
+    "instance_scope",
+    "current_scope",
     "IncrementalFlowProblem",
     "build_flow_problem",
     "SolverContext",

@@ -29,17 +29,19 @@ The counts, in the order of a run's ``solver`` dict (:data:`SOLVER_COUNTS`):
     often HiGHS accepted it.  Only ISP's split LP is offered one, so both
     are 0 for every other algorithm.
 ``structure_hits`` / ``structure_misses``
-    Topology-structure cache hits and misses (a miss pays the full
-    indexing + constraint-block construction, a hit only the RHS).
+    Topology-structure cache hits and misses within the instance (a miss
+    pays the full indexing + constraint-block construction, a hit only the
+    RHS).
 ``incumbent_seeds``
     How often a MILP solve was seeded with a heuristic incumbent (repair
     vector + routed flows offered as a feasible start).
 ``benders_iterations`` / ``benders_cuts``
     Master-subproblem rounds of the combinatorial Benders loop and the
     total number of feasibility cuts it added.
-``bound_reuses``
-    How often a cached dual bound / certificate was reused for an instance
-    already solved in this process (keyed by instance signature).
+
+Nothing the substrate reuses outlives one instance scope
+(:func:`repro.flows.solver.incremental.instance_scope`), so every count
+depends only on the request that was solved.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ SOLVER_COUNTS = (
     "incumbent_seeds",
     "benders_iterations",
     "benders_cuts",
-    "bound_reuses",
 )
 
 

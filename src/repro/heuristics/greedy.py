@@ -23,23 +23,23 @@ which is exponential; we bound the enumeration to the
 ``max_paths_per_pair`` shortest simple paths (documented substitution — the
 low-weight paths the greedy order favours are found first anyway), in
 :func:`networkx.shortest_simple_paths` order, from the index's simple-path
-kernel.  Inside :func:`candidate_scope` (one per instance, opened by the
+kernel.  Inside an instance scope
+(:func:`repro.flows.solver.incremental.instance_scope`, opened by the
 request runner) both heuristics read one enumeration.
 """
 
 from __future__ import annotations
 
-import contextvars
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
-from typing import Dict, Hashable, Iterator, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 import networkx as nx
 
 from repro.flows.decomposition import decompose_flows
 from repro.flows.routability import routability_test
+from repro.flows.solver.incremental import current_scope
 from repro.flows.solver.tolerances import EPSILON
 from repro.network.demand import DemandGraph
 from repro.network.index import GraphIndex
@@ -66,29 +66,6 @@ class CandidatePath:
     cost: float
 
 
-#: The open candidate scope: enumerated lists by ``(id(supply), id(demand),
-#: max_paths_per_pair)``, each kept with its supply and demand so no id is
-#: reused while the scope lasts.
-_SCOPE: contextvars.ContextVar[Optional[Dict[Tuple[int, int, int], tuple]]] = (
-    contextvars.ContextVar("repro_candidate_paths", default=None)
-)
-
-
-@contextmanager
-def candidate_scope() -> Iterator[None]:
-    """Enumerate each instance's candidates once inside the ``with`` block.
-
-    :func:`repro.api.service.run_algorithms` opens one scope per instance,
-    so GRD-NC reads the list GRD-COM enumerated.  Sharing is safe because
-    no registered algorithm modifies the instance it is given.
-    """
-    token = _SCOPE.set({})
-    try:
-        yield
-    finally:
-        _SCOPE.reset(token)
-
-
 def enumerate_candidate_paths(
     supply: SupplyGraph,
     demand: DemandGraph,
@@ -98,14 +75,15 @@ def enumerate_candidate_paths(
 
     The weight of a path is ``cost(p) / capacity(p)`` where ``cost`` is the
     total repair cost of its broken elements (a free working path has weight
-    0) and ``capacity`` its bottleneck capacity.  Inside a
-    :func:`candidate_scope`, a repeated call on the same instance returns
-    the list the first call enumerated.
+    0) and ``capacity`` its bottleneck capacity.  Inside an instance
+    scope, a repeated call on the same instance returns the list the first
+    call enumerated.
     """
-    scope = _SCOPE.get()
+    scope = current_scope()
+    kept = scope.candidates if scope is not None else {}
     key = (id(supply), id(demand), max_paths_per_pair)
-    if scope is not None and key in scope:
-        return list(scope[key][2])
+    if key in kept:
+        return list(kept[key][2])
     index = GraphIndex(supply)
     capacities = index.capacity.tolist()
     candidates: List[CandidatePath] = []
@@ -131,8 +109,7 @@ def enumerate_candidate_paths(
                 )
             )
     candidates.sort(key=lambda c: (c.weight, len(c.path), repr(c.path)))
-    if scope is not None:
-        scope[key] = (supply, demand, candidates)
+    kept[key] = (supply, demand, candidates)
     return list(candidates)
 
 

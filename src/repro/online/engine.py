@@ -50,6 +50,7 @@ from repro.engine.tasks import cell_seed_sequence, root_entropy
 from repro.evaluation.metrics import evaluate_plan
 from repro.extensions.assessment import assess_damage
 from repro.flows.demand_satisfaction import max_satisfiable_flow
+from repro.flows.solver.incremental import instance_scope
 from repro.flows.solver.stats import solver_counts
 from repro.flows.solver.tolerances import FLOW_TOLERANCE
 from repro.heuristics.registry import get_algorithm
@@ -140,6 +141,7 @@ def _algorithm(name: str, opt_time_limit: Optional[float]):
     return get_algorithm(name)
 
 
+@instance_scope()
 def run_episode(
     spec: OnlineScenarioSpec,
     episode_seed: Optional[int] = None,
@@ -151,6 +153,8 @@ def run_episode(
     one per episode); everything stochastic — the initial instance, every
     event strike, every fog coin — flows from it through independent
     deterministic streams, so the same seed replays the identical episode.
+    The episode is one instance scope: its epochs and its baseline share
+    constraint structures, and nothing is kept past the episode.
     """
     started = time.perf_counter()
     seed = spec.seed if episode_seed is None else int(episode_seed)

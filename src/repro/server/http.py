@@ -916,11 +916,6 @@ class RecoveryServer:
                 "Exact solves seeded with a verified heuristic incumbent.",
             ),
             (
-                "bound_reuses",
-                "repro_solver_bound_reuses_total",
-                "Cached dual bounds / certificates reused across solves.",
-            ),
-            (
                 "portfolio_stage1",
                 "repro_portfolio_stage1_total",
                 "Jobs answered early with their heuristic envelope.",

@@ -2,8 +2,9 @@
 
 Each worker is one OS process owning one
 :class:`~repro.api.service.RecoveryService` — the session that accumulates
-the pristine-topology LRU (and, process-wide, the solver's structure cache)
-across jobs, which is exactly the reuse the service layer was built for.
+the pristine-topology LRU across jobs, which is exactly the reuse the
+service layer was built for.  Solver structures live for one job's
+instance, so a job's envelope does not depend on the jobs before it.
 The loop is deliberately simple::
 
     claim batch -> execute each (solve | assess) -> complete | fail -> report counters
@@ -77,7 +78,6 @@ _SOLVER_KEYS = (
     "solve_seconds",
     "build_seconds",
     "incumbent_seeds",
-    "bound_reuses",
 )
 
 

@@ -18,15 +18,13 @@ from repro.api.service import RecoveryService
 from repro.engine.experiment import run_experiment
 from repro.engine.spec import ExperimentSpec, SweepAxis
 
-#: Row keys that legitimately differ between runs of the same cells:
-#: wall-clock measurements and process-environment cache counters.
+#: Row keys that legitimately differ between runs of the same cells: the
+#: wall-clock measurements.  Every count depends on the cell alone.
 ENVIRONMENTAL_KEYS = frozenset(
     {
         "elapsed_seconds",
         "solver_build_seconds",
         "solver_solve_seconds",
-        "solver_structure_hits",
-        "solver_structure_misses",
     }
 )
 

@@ -30,12 +30,12 @@ from repro.engine.registry import get_spec
 from repro.engine.spec import build_instance
 from repro.engine.tasks import expand_tasks
 from repro.flows.routability import routability_test
+from repro.flows.solver.incremental import current_scope, instance_scope
 from repro.flows.solver.tolerances import EPSILON
 from repro.heuristics import greedy
 from repro.heuristics.greedy import (
     MAX_PATHS_PER_PAIR,
     CandidatePath,
-    candidate_scope,
     enumerate_candidate_paths,
     greedy_commitment,
     greedy_no_commitment,
@@ -308,7 +308,7 @@ def test_consecutive_solves_do_not_share_a_list(kernel_calls):
         request = bell_request(seed, num_pairs=num_pairs)
         envelope = service.solve(request)
         assert len(kernel_calls) == num_pairs
-        assert greedy._SCOPE.get() is None
+        assert current_scope() is None
         supply, demand, _ = service.build_instance(request)
         direct = plans_outside_scope(supply, demand)
         assert [run.plan for run in envelope.results] == [plan_payload(plan) for plan in direct]
@@ -326,7 +326,7 @@ def test_calls_outside_a_scope_enumerate_every_time(kernel_calls):
 def test_scope_keys_on_instance_and_path_cap(kernel_calls):
     supply, demand, _ = RecoveryService().build_instance(bell_request(seed=7))
     other_supply, other_demand, _ = RecoveryService().build_instance(bell_request(seed=8))
-    with candidate_scope():
+    with instance_scope():
         first = enumerate_candidate_paths(supply, demand)
         first.clear()  # callers get their own copy
         assert enumerate_candidate_paths(supply, demand) == reference_candidates(supply, demand)
@@ -337,4 +337,4 @@ def test_scope_keys_on_instance_and_path_cap(kernel_calls):
         assert enumerate_candidate_paths(other_supply, other_demand) == reference_candidates(
             other_supply, other_demand
         )
-    assert greedy._SCOPE.get() is None
+    assert current_scope() is None

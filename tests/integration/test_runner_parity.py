@@ -7,17 +7,15 @@ envelope — minus the ``portfolio`` annotation — must equal the plain
 ``solve`` envelope, solver counters included, and the published stage-1
 envelope must carry exactly the final envelope's heuristic runs.
 
-Each side runs on a fresh service with the process-wide structure and
-bound caches cleared: in one shared session the second solve would reuse
-them and report different solver counters.  Timing fields are dropped.
+Each side runs on a fresh service; nothing a run reuses outlives its
+instance, so the solver counters compare exactly.  Timing fields are
+dropped.
 """
 
 import pytest
 
 from repro.api.requests import DemandSpec, DisruptionSpec, RecoveryRequest, TopologySpec
 from repro.api.service import RecoveryService
-from repro.flows.decomposition import clear_bound_cache
-from repro.flows.solver.incremental import clear_structure_cache
 from repro.portfolio import PORTFOLIO_KEY, is_exact, solve_two_stage
 
 TIMING_FIELDS = frozenset({"wall_seconds", "elapsed_seconds", "build_seconds", "solve_seconds"})
@@ -57,19 +55,13 @@ def without_timing(value):
     return value
 
 
-def fresh_service() -> RecoveryService:
-    clear_structure_cache()
-    clear_bound_cache()
-    return RecoveryService()
-
-
 @pytest.mark.parametrize("name", sorted(REQUESTS))
 def test_two_stage_envelope_equals_the_solve_envelope(name):
     request = REQUESTS[name]
-    solved = without_timing(fresh_service().solve(request).to_dict())
+    solved = without_timing(RecoveryService().solve(request).to_dict())
     published = []
     staged, info = solve_two_stage(
-        fresh_service(), request, publish=lambda envelope: published.append(envelope) or True
+        RecoveryService(), request, publish=lambda envelope: published.append(envelope) or True
     )
 
     assert info["staged"] and info["published"]

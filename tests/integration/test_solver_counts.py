@@ -1,4 +1,4 @@
-"""Solver counts are sums over spans, and they stay what they were.
+"""Solver counts are sums over spans, and they depend on the request only.
 
 A run's ``solver`` stats are what the solver substrate counted on the run's
 ``service.run`` span (``repro.obs.trace.count``).  These tests pin the
@@ -8,19 +8,24 @@ an enclosing span sums its nested spans, and a solve run in another thread
 through a copied context counts on the spans that were open where the
 context was copied.
 
-Every solve starts from a fresh service with the process-wide structure
-and bound caches cleared, because the structure and bound counters depend
-on what earlier solves left in them.  The two ``*_seconds`` counts are
-timings and are left out.
+Nothing a run reuses outlives its instance, so a request solved again on
+the same service, or in a fresh process, reports the same envelope: no
+cache is cleared here.  The ``*_seconds`` fields are timings and are left
+out.
 """
 
 import contextvars
+import json
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
+import pytest
+
+import repro
 import repro.obs.trace as trace_module
 from repro.api.service import RecoveryService
-from repro.flows.decomposition import clear_bound_cache
-from repro.flows.solver.incremental import clear_structure_cache
 from repro.obs.trace import span, trace_context
 
 #: The count keys of a run's ``solver`` dict, in its order, timings left out.
@@ -34,62 +39,97 @@ COUNT_KEYS = (
     "incumbent_seeds",
     "benders_iterations",
     "benders_cuts",
-    "bound_reuses",
 )
 
 #: Every run of the first 6 ``paper-bell`` requests of workload seed 2016,
-#: solved in order on one fresh service: (algorithm, counts in COUNT_KEYS
-#: order).  Identical under PYTHONHASHSEED=0 and 1.
+#: solved in order on one service: (algorithm, counts in COUNT_KEYS order).
+#: Identical under PYTHONHASHSEED=0 and 1.
 GOLDEN = [
     # request 0
-    ("ISP", (9, 0, 4, 4, 7, 2, 0, 0, 0, 0)),
-    ("OPT", (4, 1, 0, 0, 3, 0, 1, 0, 0, 0)),
-    ("SRT", (1, 0, 0, 0, 1, 0, 0, 0, 0, 0)),
-    ("GRD-COM", (1, 0, 0, 0, 1, 0, 0, 0, 0, 0)),
-    ("GRD-NC", (2, 0, 0, 0, 2, 0, 0, 0, 0, 0)),
-    ("ALL", (1, 0, 0, 0, 1, 0, 0, 0, 0, 0)),
+    ("ISP", (9, 0, 4, 4, 7, 2, 0, 0, 0)),
+    ("OPT", (4, 1, 0, 0, 3, 0, 1, 0, 0)),
+    ("SRT", (1, 0, 0, 0, 1, 0, 0, 0, 0)),
+    ("GRD-COM", (1, 0, 0, 0, 1, 0, 0, 0, 0)),
+    ("GRD-NC", (2, 0, 0, 0, 2, 0, 0, 0, 0)),
+    ("ALL", (1, 0, 0, 0, 1, 0, 0, 0, 0)),
     # request 1
-    ("ISP", (16, 0, 9, 9, 15, 1, 0, 0, 0, 0)),
-    ("OPT", (5, 1, 0, 0, 3, 0, 1, 0, 0, 0)),
-    ("SRT", (1, 0, 0, 0, 1, 0, 0, 0, 0, 0)),
-    ("GRD-COM", (1, 0, 0, 0, 0, 1, 0, 0, 0, 0)),
-    ("GRD-NC", (2, 0, 0, 0, 1, 1, 0, 0, 0, 0)),
-    ("ALL", (1, 0, 0, 0, 1, 0, 0, 0, 0, 0)),
+    ("ISP", (16, 0, 9, 9, 14, 2, 0, 0, 0)),
+    ("OPT", (5, 1, 0, 0, 3, 0, 1, 0, 0)),
+    ("SRT", (1, 0, 0, 0, 1, 0, 0, 0, 0)),
+    ("GRD-COM", (1, 0, 0, 0, 0, 1, 0, 0, 0)),
+    ("GRD-NC", (2, 0, 0, 0, 1, 1, 0, 0, 0)),
+    ("ALL", (1, 0, 0, 0, 1, 0, 0, 0, 0)),
     # request 2
-    ("ISP", (24, 0, 15, 15, 23, 1, 0, 0, 0, 0)),
-    ("OPT", (6, 1, 0, 0, 2, 1, 1, 0, 0, 0)),
-    ("SRT", (1, 0, 0, 0, 0, 1, 0, 0, 0, 0)),
-    ("GRD-COM", (1, 0, 0, 0, 0, 1, 0, 0, 0, 0)),
-    ("GRD-NC", (2, 0, 0, 0, 1, 1, 0, 0, 0, 0)),
-    ("ALL", (1, 0, 0, 0, 1, 0, 0, 0, 0, 0)),
+    ("ISP", (24, 0, 15, 15, 22, 2, 0, 0, 0)),
+    ("OPT", (6, 1, 0, 0, 2, 1, 1, 0, 0)),
+    ("SRT", (1, 0, 0, 0, 0, 1, 0, 0, 0)),
+    ("GRD-COM", (1, 0, 0, 0, 0, 1, 0, 0, 0)),
+    ("GRD-NC", (2, 0, 0, 0, 1, 1, 0, 0, 0)),
+    ("ALL", (1, 0, 0, 0, 1, 0, 0, 0, 0)),
     # request 3
-    ("ISP", (25, 0, 15, 15, 24, 1, 0, 0, 0, 0)),
-    ("OPT", (7, 1, 0, 0, 3, 0, 1, 0, 0, 0)),
-    ("SRT", (1, 0, 0, 0, 1, 0, 0, 0, 0, 0)),
-    ("GRD-COM", (1, 0, 0, 0, 0, 1, 0, 0, 0, 0)),
-    ("GRD-NC", (2, 0, 0, 0, 1, 1, 0, 0, 0, 0)),
-    ("ALL", (1, 0, 0, 0, 1, 0, 0, 0, 0, 0)),
+    ("ISP", (25, 0, 15, 15, 23, 2, 0, 0, 0)),
+    ("OPT", (7, 1, 0, 0, 3, 0, 1, 0, 0)),
+    ("SRT", (1, 0, 0, 0, 1, 0, 0, 0, 0)),
+    ("GRD-COM", (1, 0, 0, 0, 0, 1, 0, 0, 0)),
+    ("GRD-NC", (2, 0, 0, 0, 1, 1, 0, 0, 0)),
+    ("ALL", (1, 0, 0, 0, 1, 0, 0, 0, 0)),
     # request 4
-    ("ISP", (34, 0, 22, 22, 33, 1, 0, 0, 0, 0)),
-    ("OPT", (8, 1, 0, 0, 3, 0, 1, 0, 0, 0)),
-    ("SRT", (1, 0, 0, 0, 0, 1, 0, 0, 0, 0)),
-    ("GRD-COM", (1, 0, 0, 0, 0, 1, 0, 0, 0, 0)),
-    ("GRD-NC", (2, 0, 0, 0, 1, 1, 0, 0, 0, 0)),
-    ("ALL", (1, 0, 0, 0, 1, 0, 0, 0, 0, 0)),
+    ("ISP", (34, 0, 22, 22, 32, 2, 0, 0, 0)),
+    ("OPT", (8, 1, 0, 0, 3, 0, 1, 0, 0)),
+    ("SRT", (1, 0, 0, 0, 0, 1, 0, 0, 0)),
+    ("GRD-COM", (1, 0, 0, 0, 0, 1, 0, 0, 0)),
+    ("GRD-NC", (2, 0, 0, 0, 1, 1, 0, 0, 0)),
+    ("ALL", (1, 0, 0, 0, 1, 0, 0, 0, 0)),
     # request 5
-    ("ISP", (52, 0, 34, 34, 50, 2, 0, 0, 0, 0)),
-    ("OPT", (10, 1, 0, 0, 3, 1, 1, 0, 0, 0)),
-    ("SRT", (1, 0, 0, 0, 0, 1, 0, 0, 0, 0)),
-    ("GRD-COM", (1, 0, 0, 0, 0, 1, 0, 0, 0, 0)),
-    ("GRD-NC", (2, 0, 0, 0, 1, 1, 0, 0, 0, 0)),
-    ("ALL", (1, 0, 0, 0, 1, 0, 0, 0, 0, 0)),
+    ("ISP", (52, 0, 34, 34, 49, 3, 0, 0, 0)),
+    ("OPT", (10, 1, 0, 0, 3, 1, 1, 0, 0)),
+    ("SRT", (1, 0, 0, 0, 0, 1, 0, 0, 0)),
+    ("GRD-COM", (1, 0, 0, 0, 0, 1, 0, 0, 0)),
+    ("GRD-NC", (2, 0, 0, 0, 1, 1, 0, 0, 0)),
+    ("ALL", (1, 0, 0, 0, 1, 0, 0, 0, 0)),
 ]
 
+#: The timing fields of an envelope.
+TIMING_FIELDS = frozenset({"wall_seconds", "elapsed_seconds", "build_seconds", "solve_seconds"})
 
-def fresh_service() -> RecoveryService:
-    clear_structure_cache()
-    clear_bound_cache()
-    return RecoveryService()
+#: Solves the request dicts read from stdin on one fresh service and prints
+#: their envelopes as one JSON list.
+SOLVE_IN_A_FRESH_PROCESS = """
+import json, sys
+from repro.api.requests import RecoveryRequest
+from repro.api.service import RecoveryService
+service = RecoveryService()
+requests = [RecoveryRequest.from_dict(payload) for payload in json.load(sys.stdin)]
+json.dump([service.solve(request).to_dict() for request in requests], sys.stdout)
+"""
+
+
+def without_timing(value):
+    if isinstance(value, dict):
+        return {
+            key: without_timing(item) for key, item in value.items() if key not in TIMING_FIELDS
+        }
+    if isinstance(value, list):
+        return [without_timing(item) for item in value]
+    return value
+
+
+def comparable(envelopes):
+    """JSON-normalised envelope dicts, timing fields dropped."""
+    return without_timing(json.loads(json.dumps([envelope.to_dict() for envelope in envelopes])))
+
+
+@pytest.fixture(scope="module")
+def six_bell_requests(paper_bell_requests):
+    return paper_bell_requests(2016)[:6]
+
+
+@pytest.fixture(scope="module")
+def solved_twice(six_bell_requests):
+    """The six requests solved in order twice on one service: two lists of
+    envelopes."""
+    service = RecoveryService()
+    return [[service.solve(request) for request in six_bell_requests] for _ in range(2)]
 
 
 def run_counts(result):
@@ -107,11 +147,9 @@ def span_counts(node):
     return tuple(node.counts.get(key, 0) for key in COUNT_KEYS)
 
 
-def test_paper_bell_counts_are_golden(paper_bell_requests):
-    service = fresh_service()
-    observed = []
-    for request in paper_bell_requests(2016)[:6]:
-        observed += run_counts(service.solve(request))
+@pytest.mark.parametrize("solve_pass", [0, 1], ids=["first", "second"])
+def test_paper_bell_counts_are_golden(solved_twice, solve_pass):
+    observed = [run for result in solved_twice[solve_pass] for run in run_counts(result)]
     expected = [
         (algorithm, [(key, float(value)) for key, value in zip(COUNT_KEYS, counts)])
         for algorithm, counts in GOLDEN
@@ -119,11 +157,27 @@ def test_paper_bell_counts_are_golden(paper_bell_requests):
     assert observed == expected
 
 
+def test_a_re_solve_and_a_fresh_process_give_equal_envelopes(six_bell_requests, solved_twice):
+    child = subprocess.run(
+        [sys.executable, "-c", SOLVE_IN_A_FRESH_PROCESS],
+        input=json.dumps([request.to_dict() for request in six_bell_requests]),
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=Path(repro.__file__).resolve().parents[1],
+        timeout=600,
+    )
+    first, second = (comparable(envelopes) for envelopes in solved_twice)
+    fresh = without_timing(json.loads(child.stdout))
+    assert second == first
+    assert fresh == first
+
+
 def test_a_trace_over_its_budget_counts_like_no_trace(paper_bell_requests, monkeypatch):
     request = paper_bell_requests(2016)[0]
-    untraced = run_counts(fresh_service().solve(request))
+    untraced = run_counts(RecoveryService().solve(request))
     monkeypatch.setattr(trace_module, "MAX_SPANS_PER_TRACE", 5)
-    service = fresh_service()
+    service = RecoveryService()
     with trace_context() as trace:
         traced = run_counts(service.solve(request))
     assert trace.span_count == 5 and trace.dropped_spans > 0
@@ -133,7 +187,7 @@ def test_a_trace_over_its_budget_counts_like_no_trace(paper_bell_requests, monke
 def traced_solve(request):
     """Solve ``request`` under a ``caller`` span, in a thread run through a
     context copied inside that span; return the trace and the span."""
-    service = fresh_service()
+    service = RecoveryService()
     results = []
     with trace_context() as trace, span("caller") as caller:
         context = contextvars.copy_context()
@@ -147,7 +201,7 @@ def traced_solve(request):
 
 def test_an_enclosing_span_sums_its_nested_spans(paper_bell_requests):
     request = paper_bell_requests(2016)[0]
-    untraced = run_counts(fresh_service().solve(request))
+    untraced = run_counts(RecoveryService().solve(request))
     trace, caller, result = traced_solve(request)
     assert run_counts(result) == untraced
     assert trace.roots == [caller]

@@ -36,17 +36,40 @@ scalars = st.one_of(
     st.none(),
 )
 
-kwarg_keys = st.text(
-    alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=10
+
+def _kwargs_strategy(required, optional):
+    """Kwargs that always name ``required`` and may name ``optional``;
+    values stay arbitrary scalars — only names are validated."""
+    return st.fixed_dictionaries(
+        {name: scalars for name in required},
+        optional={name: scalars for name in optional},
+    )
+
+
+# Topology and demand kwargs are bound eagerly to the builder's signature,
+# so each builder draws from its own parameter-name pool and always draws
+# the names it requires.
+_TOPOLOGY_KWARGS = {
+    "bell-canada": ((), ("primary_capacity", "access_capacity", "node_repair_cost")),
+    "grid": (("rows", "cols"), ("capacity", "edge_repair_cost")),
+    "ring": (("num_nodes",), ("capacity",)),
+    "star": (("num_leaves",), ("capacity",)),
+    "erdos-renyi": ((), ("num_nodes", "edge_probability", "seed", "ensure_connected")),
+    "caida-like": ((), ("num_nodes", "num_edges", "seed")),
+}
+
+topology_specs = st.sampled_from(sorted(_TOPOLOGY_KWARGS)).flatmap(
+    lambda name: st.builds(
+        TopologySpec, name=st.just(name), kwargs=_kwargs_strategy(*_TOPOLOGY_KWARGS[name])
+    )
 )
 
-kwargs_dicts = st.dictionaries(kwarg_keys, scalars, max_size=4)
-
-topology_specs = st.builds(
-    TopologySpec,
-    name=st.sampled_from(["bell-canada", "grid", "ring", "star", "erdos-renyi", "caida-like"]),
-    kwargs=kwargs_dicts,
-)
+_DEMAND_KWARGS = {
+    "routable-far-apart": ("min_fraction_of_diameter", "attempts"),
+    "far-apart": ("min_fraction_of_diameter", "distinct_endpoints"),
+    "random": (),
+    "explicit": ("pairs",),
+}
 
 # Disruption kwargs are bound eagerly to the model's signature, so each kind
 # draws from its own (possibly empty) parameter-name pool and always draws
@@ -66,23 +89,24 @@ _DISRUPTION_KWARG_NAMES = {
 
 def _disruption_spec_strategy(kind):
     required = _REQUIRED_DISRUPTION_KWARGS.get(kind, ())
-    kwargs = st.fixed_dictionaries(
-        {name: scalars for name in required},
-        optional={name: scalars for name in _DISRUPTION_KWARG_NAMES[kind] if name not in required},
+    optional = [name for name in _DISRUPTION_KWARG_NAMES[kind] if name not in required]
+    return st.builds(
+        DisruptionSpec, kind=st.just(kind), kwargs=_kwargs_strategy(required, optional)
     )
-    return st.builds(DisruptionSpec, kind=st.just(kind), kwargs=kwargs)
 
 
 disruption_specs = st.sampled_from(sorted(_DISRUPTION_KWARG_NAMES)).flatmap(
     _disruption_spec_strategy
 )
 
-demand_specs = st.builds(
-    DemandSpec,
-    builder=st.sampled_from(["routable-far-apart", "far-apart", "random", "explicit"]),
-    num_pairs=st.integers(min_value=1, max_value=16),
-    flow_per_pair=st.floats(min_value=0.25, max_value=100.0, allow_nan=False, width=32),
-    kwargs=kwargs_dicts,
+demand_specs = st.sampled_from(sorted(_DEMAND_KWARGS)).flatmap(
+    lambda builder: st.builds(
+        DemandSpec,
+        builder=st.just(builder),
+        num_pairs=st.integers(min_value=1, max_value=16),
+        flow_per_pair=st.floats(min_value=0.25, max_value=100.0, allow_nan=False, width=32),
+        kwargs=_kwargs_strategy((), _DEMAND_KWARGS[builder]),
+    )
 )
 
 algorithm_lists = st.lists(

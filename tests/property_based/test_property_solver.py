@@ -6,18 +6,28 @@ deactivation — an :class:`IncrementalFlowProblem` assembled from cached
 structure is indistinguishable from a from-scratch
 :class:`~repro.flows.lp_backend.FlowProblem`: identical constraint
 matrices, identical RHS vectors, and identical routability verdicts.
+The k-commodity systems are placed by index arithmetic, and their arrays
+must be the ones scipy's block stacking builds.
 """
 
 from __future__ import annotations
 
 import hypothesis.strategies as st
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
+from scipy import sparse
 
 from repro.flows.lp_backend import Commodity, FlowProblem
 from repro.flows.routability import routability_test
-from repro.flows.solver.incremental import IncrementalFlowProblem, StructureCache
+from repro.flows.solver.incremental import (
+    IncrementalFlowProblem,
+    StructureCache,
+    TopologyStructure,
+)
 from repro.network.demand import DemandGraph
+from repro.topologies.bellcanada import bell_canada
+from repro.topologies.caida_like import caida_like
 from repro.topologies.grids import grid_topology
 
 #: The node grid the deltas operate on (3x3 keeps every LP tiny).
@@ -155,3 +165,49 @@ class TestIncrementalMatchesFromScratch:
             method="highs",
         )
         assert verdict.routable == bool(result.success)
+
+
+def assert_same_arrays(built, reference):
+    assert type(built) is type(reference)
+    assert built.shape == reference.shape
+    for name in ("indptr", "indices", "data"):
+        ours, theirs = getattr(built, name), getattr(reference, name)
+        assert ours.dtype == theirs.dtype, name
+        assert np.array_equal(ours, theirs), name
+
+
+def assert_assembled_like_scipy(graph):
+    """``assembled(k)`` for k = 1..8 equals ``sparse.hstack``/``sparse.block_diag``."""
+    structure = TopologyStructure(graph)
+    for k in range(1, 9):
+        a_ub, a_eq = structure.assembled(k)
+        assert_same_arrays(a_ub, sparse.hstack([structure.capacity_block] * k, format="csr"))
+        assert_same_arrays(
+            a_eq, sparse.block_diag([structure.conservation_block] * k, format="csr")
+        )
+
+
+class TestAssembledSystems:
+    @pytest.mark.parametrize(
+        "build, num_nodes",
+        [(bell_canada, 48), (lambda: caida_like(seed=0), 825)],
+        ids=["bell-canada", "caida-like"],
+    )
+    def test_paper_topologies(self, build, num_nodes):
+        graph = build().full_graph(use_residual=False)
+        assert graph.number_of_nodes() == num_nodes
+        assert_assembled_like_scipy(graph)
+
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=6),
+        st.lists(st.integers(min_value=0, max_value=10_000), max_size=6),
+    )
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_grids_with_removed_edges(self, rows, cols, removals):
+        graph = grid_topology(rows, cols, capacity=10.0).full_graph(use_residual=False)
+        for index in removals:
+            edges = sorted(graph.edges, key=repr)
+            if edges:
+                graph.remove_edge(*edges[index % len(edges)])
+        assert_assembled_like_scipy(graph)

@@ -82,7 +82,7 @@ class TestValidation:
         assert seeded.deterministic
         assert not entropy.deterministic
         assert not unseeded.deterministic
-        assert TopologySpec("grid").deterministic
+        assert TopologySpec("grid", kwargs={"rows": 3, "cols": 3}).deterministic
 
     def test_requests_are_hashable(self):
         assert len({grid_request(), grid_request(), grid_request(seed=4)}) == 2
@@ -309,6 +309,40 @@ class TestDisruptionKwargsValidation:
         DisruptionSpec("cascading", kwargs={"num_triggers": 2, "propagation_factor": 1.0})
         DisruptionSpec("targeted", kwargs={"node_budget": 1, "metric": "degree"})
         DisruptionSpec("gaussian", kwargs={"variance": 5.0})
+
+
+class TestTopologyAndDemandKwargsValidation:
+    def test_unknown_topology_kwarg_names_the_valid_ones(self):
+        with pytest.raises(ValueError, match="bogus.*valid: rows, cols, capacity"):
+            TopologySpec("grid", kwargs={"rows": 3, "cols": 3, "bogus": 1})
+        with pytest.raises(ValueError, match="bogus"):
+            TopologySpec.from_dict({"name": "bell-canada", "kwargs": {"bogus": 1}})
+
+    def test_missing_required_topology_kwarg_rejected(self):
+        with pytest.raises(ValueError, match="cols"):
+            TopologySpec("grid", kwargs={"rows": 3})
+
+    def test_unknown_demand_kwarg_names_the_valid_ones(self):
+        with pytest.raises(ValueError, match="nonsense.*valid: num_pairs, flow_per_pair"):
+            DemandSpec("far-apart", kwargs={"nonsense": 2})
+
+    def test_demand_kwargs_may_not_name_what_the_builder_is_passed(self):
+        # ``build`` passes the supply and the instance RNG itself.
+        for name in ("seed", "supply"):
+            with pytest.raises(ValueError, match=name):
+                DemandSpec("random", kwargs={name: 1})
+
+    def test_valid_kwargs_still_accepted(self):
+        TopologySpec("grid", kwargs={"rows": 3, "cols": 3, "capacity": 5.0})
+        TopologySpec("erdos-renyi", kwargs={"num_nodes": 12, "seed": 5})
+        DemandSpec("far-apart", kwargs={"min_fraction_of_diameter": 0.3})
+        DemandSpec("explicit", kwargs={"pairs": ((0, 1, 2.0),)})
+
+    def test_a_recovery_request_with_a_bad_kwarg_fails_at_construction(self):
+        payload = grid_request().to_dict()
+        payload["demand"]["kwargs"] = {"nonsense": 2}
+        with pytest.raises(ValueError, match="nonsense"):
+            RecoveryRequest.from_dict(payload)
 
 
 class TestAlgorithmSection:

@@ -66,6 +66,18 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="spread"):
             spec.replace(sweep=dataclasses.replace(spec.sweep, target="disruption.spread"))
 
+    @pytest.mark.parametrize(
+        "target, match",
+        [("topology.bogus", "unknown grid topology parameter"), ("demand.nonsense", "nonsense")],
+    )
+    def test_topology_and_demand_sweep_targets_are_bound_at_construction(self, target, match):
+        with pytest.raises(ValueError, match=match):
+            small_spec(sweep=SweepAxis(parameter="x", values=(1, 2), target=target))
+
+    def test_valid_topology_and_demand_sweep_targets_are_accepted(self):
+        small_spec(sweep=SweepAxis(parameter="rows", values=(2, 4), target="topology.rows"))
+        small_spec(sweep=SweepAxis(parameter="flow", values=(1.0,), target="demand.flow_per_pair"))
+
 
 class TestSweepTargets:
     def test_demand_target_overrides_pairs(self):

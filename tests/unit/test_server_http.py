@@ -164,6 +164,24 @@ class TestValidation:
         assert store.jobs() == []
 
     @pytest.mark.parametrize(
+        "section, kwargs, match",
+        [
+            ("topology", {"rows": 3, "cols": 3, "bogus": 1}, "bogus"),
+            ("demand", {"nonsense": 2}, "nonsense"),
+        ],
+    )
+    def test_unknown_topology_or_demand_parameter_is_a_400(
+        self, harness, store, section, kwargs, match
+    ):
+        payload = grid_request().to_dict()
+        payload[section]["kwargs"] = kwargs
+        with pytest.raises(ServiceError) as excinfo:
+            harness.client.solve(payload)
+        assert excinfo.value.status == 400
+        assert match in str(excinfo.value) and "valid:" in str(excinfo.value)
+        assert store.jobs() == []
+
+    @pytest.mark.parametrize(
         "algorithm_kwargs, match",
         [
             ({"ISP": {"split_amount_mode": "banana"}}, "split_amount_mode"),

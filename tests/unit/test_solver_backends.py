@@ -29,12 +29,11 @@ from repro.flows.lp_backend import Commodity, FlowProblem
 from repro.flows.routability import is_routable, routability_test
 from repro.flows.solver.backends import LinearProgram, MILProgram, ScipyHighsBackend
 from repro.flows.solver.incremental import (
+    DEFAULT_STRUCTURE_CACHE_SIZE,
     IncrementalFlowProblem,
     SolverContext,
-    StructureCache,
     build_flow_problem,
-    clear_structure_cache,
-    shared_structure_cache,
+    instance_scope,
     topology_signature,
 )
 from repro.flows.solver.stats import solver_counts
@@ -293,25 +292,37 @@ class TestIncrementalProblem:
         supply, demand = broken_grid_instance()
         graph = supply.full_graph(use_residual=False)
         commodities = [Commodity(p.source, p.target, p.demand) for p in demand.pairs()]
-        cache = StructureCache()
-        with span("lookups") as scope:
-            first = build_flow_problem(graph, commodities, cache=cache)
-            second = build_flow_problem(graph, commodities[:1], cache=cache)
+        with instance_scope(), span("lookups") as scope:
+            first = build_flow_problem(graph, commodities)
+            second = build_flow_problem(graph, commodities[:1])
         assert scope.counts["structure_misses"] == 1
         assert scope.counts["structure_hits"] == 1
         assert first.structure is second.structure
+
+    def test_nothing_is_kept_outside_a_scope(self):
+        supply, demand = broken_grid_instance()
+        graph = supply.full_graph(use_residual=False)
+        commodities = [Commodity(p.source, p.target, p.demand) for p in demand.pairs()]
+        with instance_scope():
+            inside = build_flow_problem(graph, commodities)
+        with span("lookups") as scope:
+            first = build_flow_problem(graph, commodities)
+            second = build_flow_problem(graph, commodities)
+        assert scope.counts["structure_misses"] == 2
+        assert "structure_hits" not in scope.counts
+        assert len({id(inside.structure), id(first.structure), id(second.structure)}) == 3
 
     def test_capacity_delta_only_changes_rhs(self):
         supply, _ = broken_grid_instance()
         graph = supply.full_graph(use_residual=False)
         commodities = [Commodity((0, 0), (2, 2), 5.0)]
-        cache = StructureCache()
-        before = build_flow_problem(graph, commodities, cache=cache)
-        a_before, b_before = before.capacity_matrix()
-        edge = next(iter(graph.edges))
-        graph.edges[edge]["capacity"] = 123.0
-        after = build_flow_problem(graph, commodities, cache=cache)
-        a_after, b_after = after.capacity_matrix()
+        with instance_scope():
+            before = build_flow_problem(graph, commodities)
+            a_before, b_before = before.capacity_matrix()
+            edge = next(iter(graph.edges))
+            graph.edges[edge]["capacity"] = 123.0
+            after = build_flow_problem(graph, commodities)
+            a_after, b_after = after.capacity_matrix()
         assert a_before is a_after  # identical cached block stack
         assert not np.allclose(b_before, b_after)
         assert 123.0 in b_after
@@ -325,13 +336,12 @@ class TestIncrementalProblem:
         graph.remove_edge(*edge)
         assert topology_signature(graph) != signature
 
-    def test_shared_cache_is_bounded(self):
-        clear_structure_cache()
-        cache = shared_structure_cache()
-        for rows in range(2, 8):
-            graph = grid_topology(rows, 2, capacity=1.0).full_graph(use_residual=False)
-            cache.structure_for(graph)
-        assert len(cache) <= cache.maxsize
+    def test_scope_cache_is_bounded(self):
+        with instance_scope() as scope:
+            for rows in range(2, DEFAULT_STRUCTURE_CACHE_SIZE + 6):
+                graph = grid_topology(rows, 2, capacity=1.0).full_graph(use_residual=False)
+                build_flow_problem(graph, [])
+        assert len(scope.structures) == scope.structures.maxsize == DEFAULT_STRUCTURE_CACHE_SIZE
 
 
 class TestSolverContext:
@@ -343,7 +353,7 @@ class TestSolverContext:
                 Commodity((0, 2), (rows - 1, 0), 3.0),
                 Commodity((1, 0), (1, 2), 2.0),
             ][:num_commodities]
-            return build_flow_problem(graph, commodities, cache=StructureCache())
+            return build_flow_problem(graph, commodities)
 
         basis = ScipyHighsBackend().solve_lp(LinearProgram(c=np.ones(1), bounds=(0, 1))).basis
         assert basis is not None
@@ -447,7 +457,6 @@ class TestSolverStats:
             "incumbent_seeds",
             "benders_iterations",
             "benders_cuts",
-            "bound_reuses",
         ]
         assert all(isinstance(value, float) for value in solver_counts(scope).values())
 
