@@ -12,16 +12,20 @@ dominated by the exact MILP.
 The benches both *print* the reproduced rows (the same series the paper's
 figures plot) and *assert* the qualitative claims, so a green benchmark run
 doubles as a reproduction check.  Each printed table is also compared with
-its tracked golden copy under ``results/``.
+its tracked golden copy under ``results/``: every bench has a quick-scale
+table, and Figures 3-6 also a full-scale one (CI's ``full-scale-figures``
+job).  The sweep benches print their wall time (:func:`timed`).
 """
 
 from __future__ import annotations
 
 import difflib
+import functools
 import os
 import re
+import time
 from pathlib import Path
-from typing import Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence, TypeVar
 
 import numpy as np
 
@@ -48,6 +52,26 @@ BENCH_CACHE = os.environ.get("REPRO_BENCH_CACHE") or None
 #: Golden copies of the reproduced figure tables, one file per figure and
 #: scale; they also survive pytest's output capturing.
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
+
+T = TypeVar("T")
+
+
+def timed(run: Callable[[], T]) -> Callable[[], T]:
+    """``run``, printing its wall time when it returns.
+
+    The wall time goes to stdout only (``pytest -s`` shows it); like every
+    timing column it is never part of a golden table.
+    """
+
+    @functools.wraps(run)
+    def timed_run() -> T:
+        started = time.perf_counter()
+        result = run()
+        scale = "full" if FULL_SCALE else "quick"
+        print(f"\n{run.__name__} ({scale} scale): {time.perf_counter() - started:.1f} s wall time")
+        return result
+
+    return timed_run
 
 
 def print_figure(

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import pytest
 
-from bench_utils import BENCH_CACHE, BENCH_JOBS, FULL_SCALE, print_figure
+from bench_utils import BENCH_CACHE, BENCH_JOBS, FULL_SCALE, print_figure, timed
 from repro.api.service import RecoveryService
 
 COLUMNS = ["demand_per_pair", "algorithm", "total_repairs", "satisfied_pct", "elapsed_seconds"]
 
 
+@timed
 def run_figure3():
     if FULL_SCALE:
         scale = dict(sweep_values=(2, 4, 6, 8, 10, 12, 14, 16, 18), runs=20, opt_time_limit=None)

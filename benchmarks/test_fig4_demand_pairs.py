@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from bench_utils import BENCH_CACHE, BENCH_JOBS, FULL_SCALE, print_figure
+from bench_utils import BENCH_CACHE, BENCH_JOBS, FULL_SCALE, print_figure, timed
 from repro.api.service import RecoveryService
 
 COLUMNS = [
@@ -28,6 +28,7 @@ COLUMNS = [
 ]
 
 
+@timed
 def run_figure4():
     if FULL_SCALE:
         scale = dict(sweep_values=(1, 2, 3, 4, 5, 6, 7), runs=20, opt_time_limit=None)

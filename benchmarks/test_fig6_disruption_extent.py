@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import pytest
 
-from bench_utils import BENCH_CACHE, BENCH_JOBS, FULL_SCALE, print_figure
+from bench_utils import BENCH_CACHE, BENCH_JOBS, FULL_SCALE, print_figure, timed
 from repro.api.service import RecoveryService
 
 COLUMNS = ["variance", "algorithm", "total_repairs", "satisfied_pct", "broken_elements"]
 
 
+@timed
 def run_figure6():
     if FULL_SCALE:
         scale = dict(sweep_values=(10, 25, 50, 80, 120, 160), runs=20, opt_time_limit=None)

@@ -17,13 +17,14 @@ import dataclasses
 
 import pytest
 
-from bench_utils import BENCH_CACHE, BENCH_JOBS, FULL_SCALE, print_figure
+from bench_utils import BENCH_CACHE, BENCH_JOBS, FULL_SCALE, print_figure, timed
 from repro.api.service import RecoveryService
 from repro.engine.registry import get_spec
 
 COLUMNS = ["edge_probability", "algorithm", "total_repairs", "elapsed_seconds", "satisfied_pct"]
 
 
+@timed
 def run_figure7():
     if FULL_SCALE:
         num_nodes = 100

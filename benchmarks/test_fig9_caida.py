@@ -19,13 +19,14 @@ import dataclasses
 
 import pytest
 
-from bench_utils import BENCH_CACHE, BENCH_JOBS, FULL_SCALE, print_figure
+from bench_utils import BENCH_CACHE, BENCH_JOBS, FULL_SCALE, print_figure, timed
 from repro.api.service import RecoveryService
 from repro.engine.registry import get_spec
 
 COLUMNS = ["num_pairs", "algorithm", "total_repairs", "satisfied_pct", "elapsed_seconds"]
 
 
+@timed
 def run_figure9():
     if FULL_SCALE:
         seed, size = 29, {"num_nodes": 825, "num_edges": 1018}

@@ -325,6 +325,14 @@ class DemandSpec:
         object.__setattr__(self, "num_pairs", int(self.num_pairs))
         object.__setattr__(self, "flow_per_pair", float(self.flow_per_pair))
         object.__setattr__(self, "kwargs", _frozen_kwargs(dict(self.kwargs)))
+        for field in ("num_pairs", "flow_per_pair"):
+            # ``build`` would let the kwarg override the field, so two
+            # digests could name one instance.
+            if field in dict(self.kwargs):
+                raise ValueError(
+                    f"{field} is a DemandSpec field; set it there, not in the {self.builder} "
+                    "demand kwargs"
+                )
         _bind_kwargs(
             f"{self.builder} demand",
             _DEMAND_BUILDERS[self.builder],

@@ -25,9 +25,12 @@ final routability test, as the paper requires.
 A run keeps one :class:`~repro.network.index.GraphIndex` of its supply copy,
 updated by every repair and prune.  The graph primitives of steps 1-4 read
 it instead of rebuilding networkx graphs: step 1 answers "not routable"
-from component labels when a demand pair has no working path, and the LP
-and prune hits read the index's networkx working graph, built at most once
-per repair (see ``docs/isp-kernel.md``).
+from component labels when a demand pair has no working path, the
+routability LP and prune hits read the index's networkx working graph,
+built at most once per repair, and step 4's split LP reads the index's
+residual capacities through the run's
+:class:`~repro.flows.splitting_lp.SplitProgram` (see
+``docs/isp-kernel.md``).
 """
 
 from __future__ import annotations
@@ -36,15 +39,12 @@ import time
 from dataclasses import dataclass
 from typing import Hashable, List, Literal, Optional, Set, Tuple
 
-import networkx as nx
-
 from repro.core.centrality import demand_based_centrality
 from repro.core.prune import PruneAction, find_prunable_routing
 from repro.core.split import select_demand_to_split
 from repro.flows.routability import routability_test
-from repro.flows.splitting_lp import maximum_splittable_amount
+from repro.flows.splitting_lp import SplitProgram, maximum_splittable_amount
 from repro.flows.decomposition import decompose_flows
-from repro.flows.solver.incremental import SolverContext
 from repro.flows.solver.tolerances import EPSILON
 from repro.network.demand import DemandGraph
 from repro.network.index import GraphIndex
@@ -126,16 +126,17 @@ class _ISPState:
         self.direct_repairs = 0
         self.fallback_used = False
         self.unsatisfiable_pairs: List[Pair] = []
-        #: Split-LP bases of this run (never shared across runs, so a plan
-        #: cannot depend on which requests ran before it).
-        self.solver_context = SolverContext()
         #: Indexed snapshot of ``supply``, kept current by the methods below.
         self.index = GraphIndex(self.supply)
         mode = config.split_amount_mode
         if mode == "auto":
             mode = "lp" if len(self.index.edges) <= config.lp_edge_threshold else "bottleneck"
-        #: ``config.split_amount_mode`` with ``"auto"`` resolved for this supply.
-        self.split_amount_mode = mode
+        #: The split LP of this run on the complete graph of ``index``, or
+        #: ``None`` when ``config.split_amount_mode`` resolves to
+        #: ``"bottleneck"`` for this supply.  Its bases are never shared
+        #: across runs, so a plan cannot depend on which requests ran before
+        #: it; it builds its arrays at the first split LP.
+        self.split_program = SplitProgram(self.index) if mode == "lp" else None
 
     # ------------------------------------------------------------------ #
     def demand_connected(self) -> bool:
@@ -323,10 +324,6 @@ def _split_phase(state: _ISPState) -> bool:
         metric=config.metric,
         index=state.index,
     )
-    mode = state.split_amount_mode
-    # The split LP runs on the complete graph; build it once, when first needed.
-    full_graph: Optional[nx.Graph] = None
-
     for candidate in centrality.ranked_nodes():
         if centrality.scores.get(candidate, 0.0) <= 0:
             break
@@ -334,11 +331,9 @@ def _split_phase(state: _ISPState) -> bool:
         if choice is None:
             continue
         source, target = choice.pair
-        if mode == "lp":
-            if full_graph is None:
-                full_graph = state.supply.full_graph(use_residual=True)
+        if state.split_program is not None:
             amount = maximum_splittable_amount(
-                full_graph, state.demand, choice.pair, candidate, context=state.solver_context
+                state.split_program, state.demand, choice.pair, candidate
             )
         else:
             # Bottleneck approximation: what the covering paths through the

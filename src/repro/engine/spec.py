@@ -96,7 +96,10 @@ class ExperimentSpec:
         swept = getattr(self, section)
         for value in self.sweep.values:
             # Bind every swept value now, not when its instance is built.
-            dataclasses.replace(swept, kwargs={**dict(swept.kwargs), key: value})
+            if section == "demand" and key in ("num_pairs", "flow_per_pair"):
+                dataclasses.replace(swept, **{key: value})
+            else:
+                dataclasses.replace(swept, kwargs={**dict(swept.kwargs), key: value})
 
     def replace(self, **changes: Any) -> "ExperimentSpec":
         """A copy of this spec with the given fields replaced.

@@ -15,20 +15,21 @@ paper relies on:
 * :mod:`~repro.flows.milp` — the exact MinR MILP of Eq. 1 (the paper's OPT),
   solved with the HiGHS branch-and-cut backend;
 * :mod:`~repro.flows.splitting_lp` — the LP that computes the maximum
-  splittable amount ``dx`` used by ISP's split action (Section IV-C);
+  splittable amount ``dx`` used by ISP's split action (Section IV-C), kept
+  ready for HiGHS per ISP run with its bases;
 * :mod:`~repro.flows.solver` — the solver substrate every solve goes
   through: the LP/MILP backend, the cached topology structure behind
-  incremental re-solves, the split LP's basis store, per-solve statistics
-  and the library's numeric tolerances.
+  incremental re-solves, per-solve statistics and the library's numeric
+  tolerances.
 """
 
 from repro.flows.lp_backend import Commodity, FlowProblem
 from repro.flows.milp import MinRSolution, solve_minimum_recovery
 from repro.flows.multicommodity import MultiCommodityResult, solve_multicommodity_recovery
 from repro.flows.routability import RoutabilityResult, is_routable, routability_test
-from repro.flows.splitting_lp import maximum_splittable_amount
+from repro.flows.splitting_lp import SplitProgram, maximum_splittable_amount
 from repro.flows.decomposition import decompose_flows
-from repro.flows.solver import IncrementalFlowProblem, SolverContext, build_flow_problem
+from repro.flows.solver import IncrementalFlowProblem, build_flow_problem
 
 __all__ = [
     "Commodity",
@@ -42,7 +43,7 @@ __all__ = [
     "MinRSolution",
     "solve_minimum_recovery",
     "maximum_splittable_amount",
+    "SplitProgram",
     "IncrementalFlowProblem",
-    "SolverContext",
     "build_flow_problem",
 ]

@@ -1,4 +1,4 @@
-"""Solver substrate: the HiGHS backend, cached structure, basis restarts.
+"""Solver substrate: the HiGHS backend, cached structure, solve statistics.
 
 This package owns every LP/MILP solve in the library:
 
@@ -7,9 +7,8 @@ This package owns every LP/MILP solve in the library:
   :data:`~repro.flows.solver.backends.HIGHS`, the instance every solve
   site calls;
 * :mod:`repro.flows.solver.incremental` — constraint structure cached per
-  graph topology inside one instance's :func:`instance_scope`,
-  :class:`IncrementalFlowProblem` delta re-assembly and the
-  :class:`SolverContext` basis store ISP's split LP restarts from;
+  graph topology inside one instance's :func:`instance_scope` and
+  :class:`IncrementalFlowProblem` delta re-assembly;
 * :mod:`repro.flows.solver.stats` — per-solve effort, counted on the open
   spans (:func:`repro.obs.trace.count`) and read off each run's
   ``service.run`` span into run stats, experiment cells and the CLI;
@@ -31,7 +30,6 @@ from repro.flows.solver.tolerances import EPSILON, FLOW_TOLERANCE
 #: this package's tolerances — eager loading here would be circular.
 _INCREMENTAL_EXPORTS = (
     "IncrementalFlowProblem",
-    "SolverContext",
     "StructureCache",
     "TopologyStructure",
     "build_flow_problem",
@@ -54,7 +52,6 @@ __all__ = [
     "MILPSolution",
     "ScipyHighsBackend",
     "IncrementalFlowProblem",
-    "SolverContext",
     "StructureCache",
     "TopologyStructure",
     "build_flow_problem",

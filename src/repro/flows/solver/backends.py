@@ -7,15 +7,20 @@ relaxation and the exact MinR MILP — is expressed as a
 the one instance of :class:`ScipyHighsBackend`.
 
 :class:`ScipyHighsBackend` runs the HiGHS core that scipy ships
-(``scipy.optimize._highspy._core``) directly:
-it builds one ``HighsLp`` from the program's blocks, sets exactly the
-options ``linprog(method="highs"|"highs-ipm")`` and ``milp`` set and runs
+(``scipy.optimize._highspy._core``) directly: it loads each model from
+numpy arrays through ``_Highs.passModel``, sets exactly the options
+``linprog(method="highs"|"highs-ipm")`` and ``milp`` set and runs
 ``linprog``'s check of an LP optimum, so x, objective and status are
 theirs bit for bit, without their per-call input validation,
-option-manager loop and result unpacking.  An
-LP may start from the HiGHS basis of an earlier LP of the same shape
+option-manager loop and result unpacking.  An LP's row system is
+``linprog``'s: the ``A_ub`` rows over the ``A_eq`` rows as one canonical
+CSC matrix with their row bounds (:meth:`LinearProgram.row_system`); a
+caller that keeps that triple ready passes it as
+:attr:`LinearProgram.rows` (ISP's split LP,
+:class:`~repro.flows.splitting_lp.SplitProgram`).  An LP may start from
+the HiGHS basis of an earlier LP of the same shape
 (:attr:`LPSolution.basis`); only callers that read nothing but the optimum
-pass one (see :class:`~repro.flows.solver.incremental.SolverContext`).
+pass one.
 """
 
 from __future__ import annotations
@@ -39,6 +44,10 @@ BoundsLike = Union[
     np.ndarray,
 ]
 
+#: An LP's rows as HiGHS loads them: a canonical CSC matrix and its row
+#: lower and upper bounds (float64).
+RowSystem = Tuple[sparse.csc_array, np.ndarray, np.ndarray]
+
 
 @dataclass
 class LinearProgram:
@@ -54,10 +63,36 @@ class LinearProgram:
     #: ``"interior-point"`` requests an IPM solve (used by MCW, whose optimal
     #: face interior is the point of the exercise).
     method_hint: str = "auto"
+    #: The row system :meth:`row_system` would build, when the caller has
+    #: it ready; ``a_ub``/``b_ub``/``a_eq``/``b_eq`` are then unused.
+    rows: Optional[RowSystem] = None
 
     @property
     def num_variables(self) -> int:
         return len(self.c)
+
+    def row_system(self) -> RowSystem:
+        """``(matrix, row lower, row upper)`` as ``linprog`` builds them: the
+        ``A_ub`` rows (``-inf <= row <= b_ub``), then the ``A_eq`` rows
+        (``b_eq <= row <= b_eq``), as one canonical CSC matrix."""
+        if self.rows is not None:
+            return self.rows
+        blocks, row_lower, row_upper = [], [], []
+        if self.a_ub is not None:
+            b_ub = np.asarray(self.b_ub, dtype=np.float64).reshape(-1)
+            blocks.append(self.a_ub)
+            row_lower.append(np.full(len(b_ub), -np.inf))
+            row_upper.append(b_ub)
+        if self.a_eq is not None:
+            b_eq = np.asarray(self.b_eq, dtype=np.float64).reshape(-1)
+            blocks.append(self.a_eq)
+            row_lower.append(b_eq)
+            row_upper.append(b_eq)
+        if not blocks:
+            return sparse.csc_array((0, len(self.c))), np.zeros(0), np.zeros(0)
+        matrix = sparse.csc_array(sparse.vstack(blocks) if len(blocks) > 1 else blocks[0])
+        matrix.sum_duplicates()
+        return matrix, np.concatenate(row_lower), np.concatenate(row_upper)
 
 
 @dataclass
@@ -144,6 +179,10 @@ _STATUSES = {
     _highs.HighsModelStatus.kUnbounded: "unbounded",
 }
 
+#: ``passModel``'s codes for a column-wise matrix and a minimisation.
+_COLWISE = int(_highs.MatrixFormat.kColwise)
+_MINIMIZE = int(_highs.ObjSense.kMinimize)
+
 #: linprog's tolerance when it checks an optimum (scipy's ``_check_result``:
 #: ``sqrt(tol) * 10`` with its default ``tol`` of 1e-9).
 _CHECK_TOL = np.sqrt(1e-9) * 10
@@ -169,32 +208,37 @@ def _run(
 ) -> Tuple[object, object, bool]:
     """Load one model into a fresh HiGHS instance and run it.
 
-    Returns ``(highs, model status, whether basis was accepted)``; a model
-    HiGHS refuses to load reports ``kModelError``, as in scipy.
+    The model goes in through ``passModel``'s array overload, which copies
+    the arrays; it takes an integrality array of length ``num_col`` even
+    for an LP (all continuous), since with an empty one it returns
+    ``kError``.  Returns ``(highs, model status, whether basis was
+    accepted)``; a model HiGHS refuses to load reports ``kModelError``, as
+    in scipy.
     """
     num_row, num_col = matrix.shape
-    lp = _highs.HighsLp()
-    lp.num_col_ = num_col
-    lp.num_row_ = num_row
-    lp.a_matrix_.num_col_ = num_col
-    lp.a_matrix_.num_row_ = num_row
-    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    # The vector setters convert element by element, from a list about
-    # twice as fast as from an ndarray.
-    lp.col_cost_ = c.tolist()
-    lp.col_lower_ = col_lower.tolist()
-    lp.col_upper_ = col_upper.tolist()
-    lp.row_lower_ = row_lower.tolist()
-    lp.row_upper_ = row_upper.tolist()
-    lp.a_matrix_.start_ = matrix.indptr.tolist()
-    lp.a_matrix_.index_ = matrix.indices.tolist()
-    lp.a_matrix_.value_ = np.asarray(matrix.data, dtype=np.float64).tolist()
-    if integrality is not None:
-        lp.integrality_ = [_highs.HighsVarType(flag) for flag in integrality.tolist()]
+    if integrality is None:
+        integrality = np.zeros(num_col, dtype=np.int32)
     highs = _highs._Highs()
     for name, value in options.items():
         highs.setOptionValue(name, value)
-    if highs.passModel(lp) == _highs.HighsStatus.kError:
+    loaded = highs.passModel(
+        num_col,
+        num_row,
+        matrix.nnz,
+        _COLWISE,
+        _MINIMIZE,
+        0.0,
+        c,
+        col_lower,
+        col_upper,
+        row_lower,
+        row_upper,
+        matrix.indptr,
+        matrix.indices,
+        matrix.data,
+        integrality,
+    )
+    if loaded == _highs.HighsStatus.kError:
         return highs, _highs.HighsModelStatus.kModelError, False
     accepted = basis is not None and highs.setBasis(basis) == _highs.HighsStatus.kOk
     highs.run()
@@ -237,26 +281,7 @@ class ScipyHighsBackend:
         started = time.perf_counter()
         c = np.asarray(program.c, dtype=np.float64)
         col_lower, col_upper = _bounds_arrays(program.bounds, len(c))
-        # linprog's row system: the A_ub rows (-inf <= row <= b_ub), then
-        # the A_eq rows (b_eq <= row <= b_eq), as one canonical CSC matrix.
-        blocks, row_lower, row_upper = [], [], []
-        if program.a_ub is not None:
-            b_ub = np.asarray(program.b_ub, dtype=np.float64).reshape(-1)
-            blocks.append(program.a_ub)
-            row_lower.append(np.full(len(b_ub), -np.inf))
-            row_upper.append(b_ub)
-        if program.a_eq is not None:
-            b_eq = np.asarray(program.b_eq, dtype=np.float64).reshape(-1)
-            blocks.append(program.a_eq)
-            row_lower.append(b_eq)
-            row_upper.append(b_eq)
-        if blocks:
-            matrix = sparse.csc_array(sparse.vstack(blocks) if len(blocks) > 1 else blocks[0])
-            matrix.sum_duplicates()
-            row_lower, row_upper = np.concatenate(row_lower), np.concatenate(row_upper)
-        else:
-            matrix = sparse.csc_array((0, len(c)))
-            row_lower = row_upper = np.zeros(0)
+        matrix, row_lower, row_upper = program.row_system()
         options = _IPM_OPTIONS if program.method_hint == "interior-point" else _LP_OPTIONS
         highs, status, warm = _run(
             c,
@@ -305,7 +330,7 @@ class ScipyHighsBackend:
         shape = c.shape
         integrality = np.broadcast_to(
             0 if program.integrality is None else program.integrality, shape
-        ).astype(np.uint8)
+        ).astype(np.int32)
         # milp's row system: each constraint block as CSC, stacked in order.
         blocks, row_lower, row_upper = [], [], []
         for block, lb, ub in program.constraints:
@@ -367,6 +392,7 @@ HIGHS = ScipyHighsBackend()
 __all__ = [
     "HIGHS",
     "LinearProgram",
+    "RowSystem",
     "LPSolution",
     "MILProgram",
     "MILPSolution",

@@ -29,9 +29,11 @@ The cache lives for one instance: :func:`instance_scope` opens an
 instance's runs.  Outside a scope nothing is kept, so a run's counts depend
 only on its request, never on what the process solved before.
 
-:class:`SolverContext` complements this with a basis store: one ISP run
-keeps the final HiGHS basis of its split LP per (topology, commodity count)
-and starts the next split LP of that shape from it.
+A structure is built from node and edge lists, not from a graph: ISP's
+split LP (:class:`~repro.flows.splitting_lp.SplitProgram`) builds the
+complete graph's structure from its :class:`~repro.network.index.GraphIndex`
+and looks it up with :meth:`StructureCache.lookup` under a signature it
+computes once per run.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import threading
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
@@ -93,12 +95,23 @@ class TopologyStructure:
         "_lock",
     )
 
-    def __init__(self, graph: nx.Graph, signature: Optional[Signature] = None) -> None:
-        self.signature = signature if signature is not None else topology_signature(graph)
-        self.nodes: List[Node] = list(graph.nodes)
+    def __init__(
+        self,
+        nodes: Iterable[Node],
+        edges: Iterable[Edge],
+        signature: Optional[Signature] = None,
+    ) -> None:
+        """Index ``nodes`` and ``edges`` (a graph's ``graph.nodes`` and
+        ``graph.edges``, in that graph's order) and build both blocks."""
+        self.nodes: List[Node] = list(nodes)
         self.node_index: Dict[Node, int] = {node: i for i, node in enumerate(self.nodes)}
-        self.edges: List[Edge] = [canonical_edge(u, v) for u, v in graph.edges]
+        self.edges: List[Edge] = [canonical_edge(u, v) for u, v in edges]
         self.edge_index: Dict[Edge, int] = {edge: i for i, edge in enumerate(self.edges)}
+        self.signature = (
+            signature
+            if signature is not None
+            else (frozenset(self.nodes), frozenset(self.edges))
+        )
         # Arc ordering matches FlowProblem: (u, v) then (v, u) per edge.
         self.arcs: List[Tuple[Node, Node]] = []
         for u, v in self.edges:
@@ -122,20 +135,23 @@ class TopologyStructure:
             shape=(num_edges, num_arcs),
         )
 
-        # C: one row per node, +1 on outgoing arcs, -1 on incoming arcs.
-        rows: List[int] = []
-        cols: List[int] = []
-        data: List[float] = []
-        for node, row in self.node_index.items():
-            for neighbor in graph.neighbors(node):
-                rows.append(row)
-                cols.append(self.arc_index[(node, neighbor)])
-                data.append(1.0)
-                rows.append(row)
-                cols.append(self.arc_index[(neighbor, node)])
-                data.append(-1.0)
+        # C: one row per node, +1 on outgoing arcs, -1 on incoming arcs.  Edge
+        # i leaves its tail on arc 2i and its head on arc 2i+1 (a self-loop's
+        # arcs are both 2i+1 in ``arc_index``, so its entries cancel to one
+        # explicit zero, as FlowProblem's do); COO-to-CSR sorts each row.
+        tail = np.array([self.node_index[u] for u, _ in self.edges], dtype=np.intp)
+        head = np.array([self.node_index[v] for _, v in self.edges], dtype=np.intp)
+        backward = 2 * np.arange(num_edges) + 1
+        forward = np.where(tail == head, backward, backward - 1)
         self.conservation_block = sparse.csr_matrix(
-            (data, (rows, cols)), shape=(len(self.nodes), num_arcs)
+            (
+                np.repeat([1.0, -1.0, 1.0, -1.0], num_edges),
+                (
+                    np.concatenate([tail, tail, head, head]),
+                    np.concatenate([forward, backward, backward, forward]),
+                ),
+            ),
+            shape=(len(self.nodes), num_arcs),
         )
 
         self._assembled: "OrderedDict[int, Tuple[sparse.csr_matrix, sparse.csr_matrix]]" = (
@@ -224,7 +240,16 @@ class StructureCache:
 
     def structure_for(self, graph: nx.Graph) -> TopologyStructure:
         """The (cached) structure of ``graph``'s topology."""
-        signature = topology_signature(graph)
+        return self.lookup(
+            topology_signature(graph),
+            lambda signature: TopologyStructure(graph.nodes, graph.edges, signature),
+        )
+
+    def lookup(
+        self, signature: Signature, build: Callable[[Signature], TopologyStructure]
+    ) -> TopologyStructure:
+        """The structure cached under ``signature``, or ``build(signature)``
+        cached under it.  Every lookup counts one structure hit or miss."""
         with self._lock:
             structure = self._entries.get(signature)
             if structure is not None:
@@ -233,7 +258,7 @@ class StructureCache:
         if structure is not None:
             return structure
         started = time.perf_counter()
-        structure = TopologyStructure(graph, signature)
+        structure = build(signature)
         record_build(time.perf_counter() - started)
         with self._lock:
             self._entries[signature] = structure
@@ -342,32 +367,6 @@ def build_flow_problem(graph: nx.Graph, commodities: Sequence[Commodity]) -> Inc
     return IncrementalFlowProblem(graph, commodities)
 
 
-class SolverContext:
-    """HiGHS bases carried across the split LPs of one ISP run.
-
-    A basis is kept per (topology signature, commodity count), the key that
-    fixes the split LP's shape; a lookup on any other key returns ``None``.
-    A basis only chooses where the simplex starts, so a caller passes one
-    only when it reads nothing but the optimum.
-    """
-
-    def __init__(self) -> None:
-        self._bases: Dict[Tuple[Signature, int], object] = {}
-
-    @staticmethod
-    def _key(problem: IncrementalFlowProblem) -> Tuple[Signature, int]:
-        return (problem.structure.signature, problem.num_commodities)
-
-    def remember(self, problem: IncrementalFlowProblem, basis: Optional[object]) -> None:
-        """Keep ``basis`` (an :attr:`LPSolution.basis`) for ``problem``'s key."""
-        if basis is not None:
-            self._bases[self._key(problem)] = basis
-
-    def basis_for(self, problem: IncrementalFlowProblem) -> Optional[object]:
-        """The basis last kept for exactly ``problem``'s key, if any."""
-        return self._bases.get(self._key(problem))
-
-
 __all__ = [
     "DEFAULT_STRUCTURE_CACHE_SIZE",
     "topology_signature",
@@ -378,5 +377,4 @@ __all__ = [
     "current_scope",
     "IncrementalFlowProblem",
     "build_flow_problem",
-    "SolverContext",
 ]

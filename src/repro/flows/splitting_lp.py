@@ -8,57 +8,192 @@ The paper defines this amount ``dx`` as the optimum of an LP: maximise
 obtained by replacing ``d_h`` with ``d_h - dx`` and adding the two derived
 demands ``(s_h, v_BC)`` and ``(v_BC, t_h)`` of value ``dx``.
 
-This module implements exactly that LP on top of the solver substrate: the
-multi-commodity constraint blocks come from the topology-structure cache
-(the split LP runs on the *same* full supply graph every ISP iteration, so
-after the first build only the RHS vectors and the one extra ``dx`` column
-are assembled) and the solve is dispatched to the backend.  The LP's
-only output is its optimum ``dx``, so within one ISP run each split LP may
-start from the HiGHS basis of the previous split LP of the same shape.
+The LP runs on the complete supply graph, whose topology never changes
+within an ISP run, so a run keeps one :class:`SplitProgram` on its
+:class:`~repro.network.index.GraphIndex`.  At the run's first split LP the
+program gets the complete graph's
+:class:`~repro.flows.solver.incremental.TopologyStructure` from the open
+instance scope; for each commodity count ``k`` it then keeps the
+canonical CSC matrix of ``[A_ub; A_eq]`` from ``assembled(k)`` and the last
+HiGHS basis.  A split LP writes only the ``dx`` column's six entries, the
+right-hand sides (residual capacities read from the index, demands from
+``conservation_rhs``) and ``dx``'s upper bound, and hands the backend that
+row system ready for HiGHS (:attr:`LinearProgram.rows`).  The LP's only
+output is its optimum ``dx``, so each split LP starts from the basis of the
+run's previous split LP with the same commodity count.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Optional, Tuple
+import time
+from typing import Dict, Hashable, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 from scipy import sparse
 
-from repro.flows.lp_backend import Commodity
+from repro.flows.lp_backend import Commodity, FlowProblem
 from repro.flows.solver.backends import HIGHS, LinearProgram
-from repro.flows.solver.incremental import SolverContext, build_flow_problem
+from repro.flows.solver.incremental import (
+    Signature,
+    StructureCache,
+    TopologyStructure,
+    current_scope,
+)
+from repro.flows.solver.stats import record_build
 from repro.flows.solver.tolerances import SPLIT_EPSILON
 from repro.network.demand import DemandGraph
+from repro.network.index import GraphIndex
 
 Node = Hashable
 
 
+class SplitProgram:
+    """The split LP of one ISP run, on the complete graph of ``index``.
+
+    The index's node and edge sets are read once, its residual capacities
+    at every split LP.
+    """
+
+    def __init__(self, index: GraphIndex) -> None:
+        self.index = index
+        self._signature: Optional[Signature] = None
+        self._structure: Optional[TopologyStructure] = None
+        #: The index edge of every capacity row.
+        self._edges = np.zeros(0, dtype=np.intp)
+        #: Per commodity count, read-only: the CSC ``indptr``, ``indices``
+        #: and ``data`` of the flow columns with six slots left for the
+        #: ``dx`` column, the costs and the column bounds.
+        self._systems: Dict[int, Tuple[np.ndarray, ...]] = {}
+        #: The basis of the last split LP per commodity count.
+        self._bases: Dict[int, object] = {}
+
+    def solve(self, commodities: List[Commodity], split: int, via: Node, bound: float) -> float:
+        """The most of ``commodities[split]`` that can go through ``via``,
+        at most ``bound``; the last two commodities are its two legs, with
+        zero demand.  0 when the LP has no optimum."""
+        structure = self._lookup()
+        if FlowProblem.find_infeasible(commodities, structure.node_index):
+            return 0.0
+        k = len(commodities)
+        program = self._program(structure, commodities, split, via, bound)
+        solution = HIGHS.solve_lp(program, basis=self._bases.get(k))
+        if not solution.success:
+            return 0.0
+        if solution.basis is not None:
+            self._bases[k] = solution.basis
+        return float(solution.x[-1])
+
+    def _lookup(self) -> TopologyStructure:
+        """The complete graph's structure, looked up in the open instance
+        scope: one structure hit or miss per split LP, as for every LP."""
+        if self._signature is None:
+            self._signature = (frozenset(self.index.nodes), frozenset(self.index.edges))
+        scope = current_scope()
+        cache = scope.structures if scope is not None else StructureCache()
+        structure = cache.lookup(self._signature, self._build)
+        if structure is not self._structure:
+            # The scope may hold it built from another graph of the same
+            # topology, in another order: its rows and columns rule.
+            self._structure = structure
+            self._signature = structure.signature
+            self._edges = np.array(
+                [self.index.edge_of(u, v) for u, v in structure.edges], dtype=np.intp
+            )
+            self._systems.clear()
+        return structure
+
+    def _build(self, signature: Signature) -> TopologyStructure:
+        if self._structure is not None:
+            return self._structure
+        return TopologyStructure(self.index.nodes, self.index.edges, signature)
+
+    def _system(self, structure: TopologyStructure, k: int) -> Tuple[np.ndarray, ...]:
+        system = self._systems.get(k)
+        if system is None:
+            flows = sparse.csc_array(sparse.vstack(structure.assembled(k)))
+            flows.sum_duplicates()
+            num_columns = flows.shape[1] + 1
+            costs = np.zeros(num_columns)
+            costs[-1] = -1.0  # maximise dx
+            system = (
+                np.append(flows.indptr, flows.nnz + 6).astype(flows.indptr.dtype),
+                np.append(flows.indices, np.zeros(6, flows.indices.dtype)),
+                np.append(flows.data, np.zeros(6)),
+                costs,
+                np.column_stack([np.zeros(num_columns), np.full(num_columns, np.inf)]),
+            )
+            for array in system:
+                array.flags.writeable = False
+            self._systems[k] = system
+        return system
+
+    def _program(
+        self,
+        structure: TopologyStructure,
+        commodities: List[Commodity],
+        split: int,
+        via: Node,
+        bound: float,
+    ) -> LinearProgram:
+        started = time.perf_counter()
+        k = len(commodities)
+        indptr, indices, data, costs, bounds = self._system(structure, k)
+        num_edges, num_nodes = len(structure.edges), len(structure.nodes)
+        source, target = commodities[split].source, commodities[split].target
+
+        def row(commodity: int, node: Node) -> int:
+            return num_edges + commodity * num_nodes + structure.node_index[node]
+
+        # dx's coefficients in the conservation rows of the three commodities:
+        # the split pair's net outflow is d_h - dx, each leg's is dx.
+        column = sorted(
+            [
+                (row(split, source), 1.0),
+                (row(split, target), -1.0),
+                (row(k - 2, source), -1.0),
+                (row(k - 2, via), 1.0),
+                (row(k - 1, via), -1.0),
+                (row(k - 1, target), 1.0),
+            ]
+        )
+        indices, data, bounds = indices.copy(), data.copy(), bounds.copy()
+        indices[-6:] = [entry for entry, _ in column]
+        data[-6:] = [value for _, value in column]
+        bounds[-1, 1] = bound
+        matrix = sparse.csc_array(
+            (data, indices, indptr), shape=(num_edges + k * num_nodes, len(costs))
+        )
+        b_ub = self.index.residual[self._edges]
+        b_eq = structure.conservation_rhs(commodities)
+        rows = (
+            matrix,
+            np.concatenate([np.full(num_edges, -np.inf), b_eq]),
+            np.concatenate([b_ub, b_eq]),
+        )
+        record_build(time.perf_counter() - started)
+        return LinearProgram(c=costs, bounds=bounds, rows=rows)
+
+
 def maximum_splittable_amount(
-    graph: nx.Graph,
+    program: SplitProgram,
     demand: DemandGraph,
     pair: Tuple[Node, Node],
     via: Node,
-    context: Optional[SolverContext] = None,
 ) -> float:
     """Maximum amount ``dx`` of ``pair``'s demand splittable through ``via``.
 
     Parameters
     ----------
-    graph:
-        The current working supply graph ``G^(n)`` (residual capacities on
-        the ``capacity`` edge attribute), *including* the elements already
-        listed for repair by ISP.
+    program:
+        The calling ISP run's split program: its index holds the complete
+        supply graph ``G^(n)`` with residual capacities, broken elements
+        included.
     demand:
         The current demand graph ``H^(n)``.
     pair:
         Endpoints ``(s_h, t_h)`` of the demand being split.
     via:
-        The split node ``v_BC``; must be present in ``graph`` and different
-        from both endpoints.
-    context:
-        Optional basis store of the calling ISP run: the LP starts from the
-        previous split basis of the same shape and leaves its own.
+        The split node ``v_BC``; must differ from both endpoints.
 
     Returns
     -------
@@ -72,7 +207,8 @@ def maximum_splittable_amount(
         return 0.0
     if via in (source, target):
         raise ValueError("the split node must differ from the demand endpoints")
-    if via not in graph or source not in graph or target not in graph:
+    position = program.index.position
+    if via not in position or source not in position or target not in position:
         return 0.0
 
     commodities = []
@@ -87,65 +223,7 @@ def maximum_splittable_amount(
         raise KeyError(f"no demand between {source!r} and {target!r}")
 
     # Two derived commodities with zero base demand; dx shifts flow onto them.
-    first_leg = len(commodities)
     commodities.append(Commodity(source=source, target=via, demand=0.0))
-    second_leg = len(commodities)
     commodities.append(Commodity(source=via, target=target, demand=0.0))
-
-    problem = build_flow_problem(graph, commodities)
-    if problem.infeasible_commodities:
-        return 0.0
-
-    num_flow = problem.num_flow_variables
-    num_vars = num_flow + 1  # flows + dx
-    dx_column = num_flow
-
-    a_ub, b_ub = problem.capacity_matrix()
-    a_ub = sparse.hstack([a_ub, sparse.csr_matrix((a_ub.shape[0], 1))]).tocsr()
-
-    a_eq, b_eq = problem.conservation_matrix()
-    # One extra sparse column carrying dx's coefficients in the conservation
-    # rows of the three affected commodities (cheaper than densifying a_eq).
-    num_nodes = len(problem.nodes)
-    node_row = {node: i for i, node in enumerate(problem.nodes)}
-
-    def row_of(commodity_index: int, node: Node) -> int:
-        return commodity_index * num_nodes + node_row[node]
-
-    dx_rows = [
-        # Original pair: net outflow at source must equal d_h - dx => +dx on LHS.
-        (row_of(split_index, source), 1.0),
-        (row_of(split_index, target), -1.0),
-        # First leg (source -> via): net outflow at source must equal dx.
-        (row_of(first_leg, source), -1.0),
-        (row_of(first_leg, via), 1.0),
-        # Second leg (via -> target): net outflow at via must equal dx.
-        (row_of(second_leg, via), -1.0),
-        (row_of(second_leg, target), 1.0),
-    ]
-    dx_column_matrix = sparse.csr_matrix(
-        (
-            [value for _, value in dx_rows],
-            ([row for row, _ in dx_rows], [0] * len(dx_rows)),
-        ),
-        shape=(a_eq.shape[0], 1),
-    )
-    a_eq = sparse.hstack([a_eq, dx_column_matrix]).tocsr()
-
-    objective = np.zeros(num_vars)
-    objective[dx_column] = -1.0  # maximise dx
-
-    bounds = np.column_stack([np.zeros(num_vars), np.full(num_vars, np.inf)])
-    bounds[dx_column, 1] = original
-
-    program = LinearProgram(
-        c=objective, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, bounds=bounds
-    )
-    basis = context.basis_for(problem) if context is not None else None
-    solution = HIGHS.solve_lp(program, basis=basis)
-    if not solution.success:
-        return 0.0
-    if context is not None:
-        context.remember(problem, solution.basis)
-    dx = float(solution.x[dx_column])
+    dx = program.solve(commodities, split_index, via, original)
     return dx if dx > SPLIT_EPSILON else 0.0

@@ -24,8 +24,10 @@ from repro.flows.solver.incremental import (
     IncrementalFlowProblem,
     StructureCache,
     TopologyStructure,
+    topology_signature,
 )
 from repro.network.demand import DemandGraph
+from repro.network.supply import canonical_edge
 from repro.topologies.bellcanada import bell_canada
 from repro.topologies.caida_like import caida_like
 from repro.topologies.grids import grid_topology
@@ -177,8 +179,17 @@ def assert_same_arrays(built, reference):
 
 
 def assert_assembled_like_scipy(graph):
-    """``assembled(k)`` for k = 1..8 equals ``sparse.hstack``/``sparse.block_diag``."""
-    structure = TopologyStructure(graph)
+    """The blocks equal a from-scratch :class:`FlowProblem`'s one-commodity
+    matrices, built from the same graph and from a :class:`GraphIndex`-style
+    node and edge list alike, and ``assembled(k)`` for k = 1..8 equals
+    ``sparse.hstack``/``sparse.block_diag``."""
+    structure = TopologyStructure(graph.nodes, graph.edges)
+    listed = TopologyStructure(list(graph.nodes), [canonical_edge(u, v) for u, v in graph.edges])
+    reference = FlowProblem(graph, [Commodity("absent-source", "absent-target", 0.0)])
+    for built in (structure, listed):
+        assert built.signature == topology_signature(graph)
+        assert_same_arrays(built.capacity_block, reference.capacity_matrix()[0])
+        assert_same_arrays(built.conservation_block, reference.conservation_matrix()[0])
     for k in range(1, 9):
         a_ub, a_eq = structure.assembled(k)
         assert_same_arrays(a_ub, sparse.hstack([structure.capacity_block] * k, format="csr"))
@@ -197,6 +208,15 @@ class TestAssembledSystems:
         graph = build().full_graph(use_residual=False)
         assert graph.number_of_nodes() == num_nodes
         assert_assembled_like_scipy(graph)
+
+    def test_a_self_loops_conservation_entries_cancel_as_in_flow_problem(self):
+        graph = grid_topology(2, 2, capacity=1.0).full_graph(use_residual=False)
+        graph.add_edge((0, 0), (0, 0), capacity=1.0)
+        reference = FlowProblem(graph, [Commodity("absent-source", "absent-target", 0.0)])
+        assert_same_arrays(
+            TopologyStructure(graph.nodes, graph.edges).conservation_block,
+            reference.conservation_matrix()[0],
+        )
 
     @given(
         st.integers(min_value=1, max_value=6),

@@ -332,6 +332,12 @@ class TestTopologyAndDemandKwargsValidation:
             with pytest.raises(ValueError, match=name):
                 DemandSpec("random", kwargs={name: 1})
 
+    @pytest.mark.parametrize("field", ["num_pairs", "flow_per_pair"])
+    def test_demand_kwargs_may_not_repeat_a_field(self, field):
+        # the kwarg would override the field, so two digests would name one instance
+        with pytest.raises(ValueError, match=f"{field} is a DemandSpec field"):
+            DemandSpec("random", num_pairs=4, kwargs={field: 2})
+
     def test_valid_kwargs_still_accepted(self):
         TopologySpec("grid", kwargs={"rows": 3, "cols": 3, "capacity": 5.0})
         TopologySpec("erdos-renyi", kwargs={"num_nodes": 12, "seed": 5})

@@ -85,6 +85,15 @@ class TestSweepTargets:
         supply, demand = build_instance(spec, 2, np.random.default_rng(1))
         assert len(demand) == 2
 
+    def test_demand_field_targets_replace_the_field(self):
+        spec = small_spec(
+            sweep=SweepAxis(parameter="flow", values=(1.0, 2.5), target="demand.flow_per_pair")
+        )
+        _, demand = build_instance(spec, 2.5, np.random.default_rng(1))
+        assert [pair.demand for pair in demand.pairs()] == [2.5]
+        # cache keys still carry the swept value where they always did
+        assert spec.cell_config(2.5, "SRT")["demand"]["kwargs"] == {"flow_per_pair": 2.5}
+
     def test_topology_target(self):
         spec = small_spec(
             sweep=SweepAxis(parameter="rows", values=(2, 4), target="topology.rows")

@@ -181,6 +181,15 @@ class TestValidation:
         assert match in str(excinfo.value) and "valid:" in str(excinfo.value)
         assert store.jobs() == []
 
+    def test_demand_kwargs_repeating_a_field_are_a_400(self, harness, store):
+        payload = grid_request().to_dict()
+        payload["demand"]["kwargs"] = {"num_pairs": 2}
+        with pytest.raises(ServiceError) as excinfo:
+            harness.client.solve(payload)
+        assert excinfo.value.status == 400
+        assert "num_pairs is a DemandSpec field" in str(excinfo.value)
+        assert store.jobs() == []
+
     @pytest.mark.parametrize(
         "algorithm_kwargs, match",
         [

@@ -31,14 +31,14 @@ from repro.flows.solver.backends import LinearProgram, MILProgram, ScipyHighsBac
 from repro.flows.solver.incremental import (
     DEFAULT_STRUCTURE_CACHE_SIZE,
     IncrementalFlowProblem,
-    SolverContext,
     build_flow_problem,
     instance_scope,
     topology_signature,
 )
 from repro.flows.solver.stats import solver_counts
-from repro.flows.splitting_lp import maximum_splittable_amount
+from repro.flows.splitting_lp import SplitProgram, maximum_splittable_amount
 from repro.network.demand import DemandGraph
+from repro.network.index import GraphIndex
 from repro.obs.trace import span
 from repro.topologies.grids import grid_topology
 
@@ -98,15 +98,29 @@ def bell_solves():
     return result, lps, milps
 
 
+def linear_blocks(program):
+    """``(A_ub, b_ub, A_eq, b_eq)`` of ``program``; a prebuilt row system
+    (ISP's split LP) is split back into its leading ``-inf <= row <= b_ub``
+    rows and its ``b_eq <= row <= b_eq`` rows."""
+    if program.rows is None:
+        return program.a_ub, program.b_ub, program.a_eq, program.b_eq
+    matrix, lower, upper = program.rows
+    num_ub = int(np.isneginf(lower).sum())
+    assert np.isneginf(lower[:num_ub]).all()
+    assert np.array_equal(lower[num_ub:], upper[num_ub:])
+    return matrix[:num_ub], upper[:num_ub], matrix[num_ub:], upper[num_ub:]
+
+
 def linprog_reference(program):
     """``(status, x, objective)`` of ``program`` through ``scipy.optimize.linprog``."""
     method = "highs-ipm" if program.method_hint == "interior-point" else "highs"
+    a_ub, b_ub, a_eq, b_eq = linear_blocks(program)
     result = linprog(
         c=program.c,
-        A_ub=program.a_ub,
-        b_ub=program.b_ub,
-        A_eq=program.a_eq,
-        b_eq=program.b_eq,
+        A_ub=a_ub,
+        b_ub=b_ub,
+        A_eq=a_eq,
+        b_eq=b_eq,
         bounds=program.bounds,
         method=method,
     )
@@ -344,26 +358,20 @@ class TestIncrementalProblem:
         assert len(scope.structures) == scope.structures.maxsize == DEFAULT_STRUCTURE_CACHE_SIZE
 
 
-class TestSolverContext:
-    def test_basis_is_returned_only_for_the_exact_key(self):
-        def problem(rows, num_commodities):
-            graph = grid_topology(rows, 3, capacity=10.0).full_graph(use_residual=False)
-            commodities = [
-                Commodity((0, 0), (rows - 1, 2), 5.0),
-                Commodity((0, 2), (rows - 1, 0), 3.0),
-                Commodity((1, 0), (1, 2), 2.0),
-            ][:num_commodities]
-            return build_flow_problem(graph, commodities)
-
-        basis = ScipyHighsBackend().solve_lp(LinearProgram(c=np.ones(1), bounds=(0, 1))).basis
-        assert basis is not None
-        context = SolverContext()
-        context.remember(problem(3, 2), basis)
-        assert context.basis_for(problem(3, 2)) is basis
-        assert context.basis_for(problem(3, 3)) is None  # commodity count
-        assert context.basis_for(problem(4, 2)) is None  # topology
-        context.remember(problem(3, 2), None)  # a failed solve keeps the old one
-        assert context.basis_for(problem(3, 2)) is basis
+class TestSplitBases:
+    def test_a_basis_is_kept_per_commodity_count(self):
+        supply, demand = broken_grid_instance()
+        program = SplitProgram(GraphIndex(supply))
+        more = demand.copy()
+        more.add((1, 0), (1, 2), 2.0)
+        with span("splits") as scope:
+            first = maximum_splittable_amount(program, demand, ((0, 0), (2, 2)), (1, 1))
+            assert scope.counts["warm_start_attempts"] == 0
+            again = maximum_splittable_amount(program, demand, ((0, 0), (2, 2)), (1, 1))
+            assert scope.counts["warm_start_attempts"] == scope.counts["warm_start_hits"] == 1
+            maximum_splittable_amount(program, more, ((0, 0), (2, 2)), (1, 1))
+            assert scope.counts["warm_start_attempts"] == 1  # one more commodity
+        assert first == again == 5.0
 
     def test_basis_of_another_shape_is_refused(self):
         def program(n):
@@ -381,9 +389,11 @@ class TestSolverContext:
     def test_split_lps_return_the_same_amounts_with_and_without_bases(self, monkeypatch):
         pairs = []
 
-        def both(graph, demand, pair, via, context=None):
-            warm = maximum_splittable_amount(graph, demand, pair, via, context=context)
-            pairs.append((warm, maximum_splittable_amount(graph, demand, pair, via)))
+        def both(program, demand, pair, via):
+            warm = maximum_splittable_amount(program, demand, pair, via)
+            # a fresh program holds no basis: a cold solve
+            cold = maximum_splittable_amount(SplitProgram(program.index), demand, pair, via)
+            pairs.append((warm, cold))
             return warm
 
         monkeypatch.setattr(isp_module, "maximum_splittable_amount", both)

@@ -3,32 +3,39 @@
 import pytest
 
 from repro.flows.demand_satisfaction import max_satisfiable_flow
-from repro.flows.splitting_lp import maximum_splittable_amount
+from repro.flows.splitting_lp import SplitProgram, maximum_splittable_amount
 from repro.network.demand import DemandGraph
+from repro.network.index import GraphIndex
+from repro.network.supply import SupplyGraph
+
+
+def split_program(supply):
+    """The split LP on the complete graph of ``supply``."""
+    return SplitProgram(GraphIndex(supply))
 
 
 class TestMaximumSplittableAmount:
     def test_full_split_on_intermediate_node(self, line_supply):
         demand = DemandGraph()
         demand.add("a", "e", 5.0)
-        graph = line_supply.full_graph()
-        dx = maximum_splittable_amount(graph, demand, ("a", "e"), "c")
+        program = split_program(line_supply)
+        dx = maximum_splittable_amount(program, demand, ("a", "e"), "c")
         assert dx == pytest.approx(5.0)
 
     def test_split_limited_by_capacity(self, diamond_supply):
         demand = DemandGraph()
         demand.add("s", "t", 12.0)
-        graph = diamond_supply.full_graph()
+        program = split_program(diamond_supply)
         # Node b sits on the capacity-4 branch: at most 4 units can go through it
         # while the instance stays routable.
-        dx = maximum_splittable_amount(graph, demand, ("s", "t"), "b")
+        dx = maximum_splittable_amount(program, demand, ("s", "t"), "b")
         assert dx == pytest.approx(4.0)
 
     def test_split_limited_by_demand(self, diamond_supply):
         demand = DemandGraph()
         demand.add("s", "t", 3.0)
-        graph = diamond_supply.full_graph()
-        dx = maximum_splittable_amount(graph, demand, ("s", "t"), "a")
+        program = split_program(diamond_supply)
+        dx = maximum_splittable_amount(program, demand, ("s", "t"), "a")
         assert dx == pytest.approx(3.0)
 
     def test_split_with_conflicting_demand(self, line_supply):
@@ -36,36 +43,38 @@ class TestMaximumSplittableAmount:
         demand = DemandGraph()
         demand.add("a", "e", 4.0)
         demand.add("b", "d", 6.0)
-        graph = line_supply.full_graph()
-        dx = maximum_splittable_amount(graph, demand, ("a", "e"), "c")
+        program = split_program(line_supply)
+        dx = maximum_splittable_amount(program, demand, ("a", "e"), "c")
         assert dx == pytest.approx(4.0)
 
-    def test_unreachable_via_gives_zero(self, line_supply):
+    def test_unreachable_via_gives_zero(self):
         demand = DemandGraph()
         demand.add("a", "e", 5.0)
-        graph = line_supply.full_graph()
-        graph.remove_node("c")
-        # c is gone from the graph: nothing can be split through it.
-        assert maximum_splittable_amount(graph, demand, ("a", "e"), "c") == 0.0
+        supply = SupplyGraph()
+        for u, v in (("a", "b"), ("d", "e")):
+            supply.add_edge(u, v, capacity=10.0)
+        program = split_program(supply)
+        # c is not in the graph: nothing can be split through it.
+        assert maximum_splittable_amount(program, demand, ("a", "e"), "c") == 0.0
 
     def test_via_equal_to_endpoint_rejected(self, line_supply):
         demand = DemandGraph()
         demand.add("a", "e", 5.0)
-        graph = line_supply.full_graph()
+        program = split_program(line_supply)
         with pytest.raises(ValueError):
-            maximum_splittable_amount(graph, demand, ("a", "e"), "a")
+            maximum_splittable_amount(program, demand, ("a", "e"), "a")
 
     def test_unknown_pair_gives_zero(self, line_supply):
         demand = DemandGraph()
         demand.add("a", "e", 5.0)
-        graph = line_supply.full_graph()
-        assert maximum_splittable_amount(graph, demand, ("a", "d"), "c") == 0.0
+        program = split_program(line_supply)
+        assert maximum_splittable_amount(program, demand, ("a", "d"), "c") == 0.0
 
     def test_zero_demand_gives_zero(self, line_supply):
         demand = DemandGraph()
         demand.add("a", "e", 5.0)
-        graph = line_supply.full_graph()
-        assert maximum_splittable_amount(graph, demand, ("b", "d"), "c") == 0.0
+        program = split_program(line_supply)
+        assert maximum_splittable_amount(program, demand, ("b", "d"), "c") == 0.0
 
 
 class TestMaxSatisfiableFlow:
