@@ -10,13 +10,15 @@ Usage::
 
 Both files are benchmark artefacts of the same ``kind``:
 
-* ``server-bench`` — a loadtest report, optionally carrying the
+* ``server-bench`` — a loadtest report carrying the
   ``overhead_benchmark`` section merged in by
-  ``benchmarks/test_server_throughput.py``.  Gated metrics are served
-  throughputs (higher is better).  The top-level ``paced_vs_direct_pct``
-  is deliberately *not* gated: it compares a paced campaign against
-  unconstrained capacity, so it tracks the traffic shape, not the serve
-  path — the honest overhead lives in ``overhead_benchmark``.
+  ``benchmarks/test_server_throughput.py``.  The one gated metric is that
+  section's ``served_solves_per_sec`` (higher is better): a warm fleet
+  serving a fixed request set as fast as it can, so it measures capacity.
+  The loadtest's own top-level numbers (``completed_rps``,
+  ``served_solves_per_sec``, ``paced_vs_direct_pct``) are deliberately
+  *not* gated: the loadtest is paced (CI replays 5 rps with ~88% dedup
+  hits), so they track the traffic shape, not the serve path.
 * ``opt-bench`` — the exact-solve speed artefact emitted by
   ``benchmarks/test_opt_speed.py``.  Gated metrics are the
   decomposed-vs-monolithic geometric-mean speedup and the proven-optimal
@@ -51,12 +53,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 #: Dotted paths of gated metrics per artefact kind; all higher-is-better.
 METRICS_BY_KIND: Dict[str, Tuple[str, ...]] = {
-    "server-bench": (
-        "completed_rps",
-        "served_solves_per_sec",
-        "overhead_benchmark.served_solves_per_sec",
-        "sharding_benchmark.sharded_solves_per_sec",
-    ),
+    "server-bench": ("overhead_benchmark.served_solves_per_sec",),
     "opt-bench": (
         "geomean_speedup",
         "seeded_geomean_speedup",

@@ -490,7 +490,7 @@ def _command_online(args: argparse.Namespace) -> int:
 
 def _command_serve(args: argparse.Namespace) -> int:
     from repro.server.daemon import ServerConfig, run_server
-    from repro.server.stores import StoreSchemaError
+    from repro.server.stores import REMOVED_LAYOUT_MESSAGE, StoreSchemaError
 
     if args.workers < 1:
         raise SystemExit("--workers must be at least 1")
@@ -498,8 +498,8 @@ def _command_serve(args: argparse.Namespace) -> int:
         raise SystemExit("--max-queue-depth must be at least 1")
     if args.claim_batch < 1:
         raise SystemExit("--claim-batch must be at least 1")
-    if args.shards is not None and args.shards < 1:
-        raise SystemExit("--shards must be at least 1")
+    if args.shards != 1:
+        raise SystemExit(f"--shards {args.shards}: {REMOVED_LAYOUT_MESSAGE}")
     if args.slow_request_threshold <= 0:
         raise SystemExit("--slow-request-threshold must be positive")
     config = ServerConfig(
@@ -511,7 +511,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         poll_interval=args.poll_interval,
         claim_batch=args.claim_batch,
         portfolio=args.portfolio,
-        shards=args.shards,
         log_level=args.log_level,
         log_format=args.log_format,
         slow_request_threshold=args.slow_request_threshold,
@@ -897,15 +896,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=4,
         help="jobs a worker claims per store round-trip",
     )
-    serve.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="job-store shard files (default: auto-detect an existing store's "
-        "layout, single file for a new one; 1 forces the classic single "
-        "file, N >= 2 turns --db into a directory of N consistent-hash "
-        "shards)",
-    )
+    # Only 1 is accepted: perfbench/served.py still passes --shards 1.
+    serve.add_argument("--shards", type=int, default=1, help=argparse.SUPPRESS)
     serve.add_argument(
         "--portfolio",
         action="store_true",

@@ -28,7 +28,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.flows.solver.tolerances import FLOW_TOLERANCE
-from repro.network.supply import canonical_edge
+from repro.network.supply import SELF_LOOP_ERROR, canonical_edge
 
 Node = Hashable
 Edge = Tuple[Node, Node]
@@ -58,7 +58,8 @@ class FlowProblem:
         Undirected graph whose edges carry a ``capacity`` attribute.  Only
         nodes present in this graph take part in the LP: a commodity whose
         endpoint is missing from the graph is structurally infeasible (see
-        :attr:`infeasible_commodities`).
+        :attr:`infeasible_commodities`).  A self-loop is a ``ValueError``:
+        both of its arcs would be one column.
     commodities:
         The demand flows to route simultaneously.
     """
@@ -72,6 +73,8 @@ class FlowProblem:
         self.nodes: List[Node] = list(graph.nodes)
         self._node_index: Dict[Node, int] = {node: i for i, node in enumerate(self.nodes)}
         self.edges: List[Edge] = [canonical_edge(u, v) for u, v in graph.edges]
+        if any(u == v for u, v in self.edges):
+            raise ValueError(SELF_LOOP_ERROR)
         self._edge_index: Dict[Edge, int] = {edge: i for i, edge in enumerate(self.edges)}
 
         #: Commodities whose endpoints are not both present in the graph.

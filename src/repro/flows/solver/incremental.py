@@ -51,7 +51,7 @@ from scipy import sparse
 
 from repro.flows.lp_backend import Commodity, FlowProblem
 from repro.flows.solver.stats import record_build, record_structure_lookup
-from repro.network.supply import canonical_edge
+from repro.network.supply import SELF_LOOP_ERROR, canonical_edge
 
 Node = Hashable
 Edge = Tuple[Node, Node]
@@ -102,7 +102,8 @@ class TopologyStructure:
         signature: Optional[Signature] = None,
     ) -> None:
         """Index ``nodes`` and ``edges`` (a graph's ``graph.nodes`` and
-        ``graph.edges``, in that graph's order) and build both blocks."""
+        ``graph.edges``, in that graph's order) and build both blocks.
+        A self-loop is a ``ValueError``, as in :class:`FlowProblem`."""
         self.nodes: List[Node] = list(nodes)
         self.node_index: Dict[Node, int] = {node: i for i, node in enumerate(self.nodes)}
         self.edges: List[Edge] = [canonical_edge(u, v) for u, v in edges]
@@ -136,13 +137,14 @@ class TopologyStructure:
         )
 
         # C: one row per node, +1 on outgoing arcs, -1 on incoming arcs.  Edge
-        # i leaves its tail on arc 2i and its head on arc 2i+1 (a self-loop's
-        # arcs are both 2i+1 in ``arc_index``, so its entries cancel to one
-        # explicit zero, as FlowProblem's do); COO-to-CSR sorts each row.
+        # i leaves its tail on arc 2i and its head on arc 2i+1; COO-to-CSR
+        # sorts each row.
         tail = np.array([self.node_index[u] for u, _ in self.edges], dtype=np.intp)
         head = np.array([self.node_index[v] for _, v in self.edges], dtype=np.intp)
-        backward = 2 * np.arange(num_edges) + 1
-        forward = np.where(tail == head, backward, backward - 1)
+        if np.any(tail == head):
+            raise ValueError(SELF_LOOP_ERROR)
+        forward = 2 * np.arange(num_edges)
+        backward = forward + 1
         self.conservation_block = sparse.csr_matrix(
             (
                 np.repeat([1.0, -1.0, 1.0, -1.0], num_edges),

@@ -26,6 +26,8 @@ Edge = Tuple[Node, Node]
 DEFAULT_CAPACITY = 1.0
 #: Default repair cost for both nodes and edges (the paper uses unit costs).
 DEFAULT_REPAIR_COST = 1.0
+#: Why an edge from a node to itself is refused, here and by the flow LPs.
+SELF_LOOP_ERROR = "self loops carry no flow and are not allowed"
 
 
 def canonical_edge(u: Node, v: Node) -> Edge:
@@ -127,7 +129,7 @@ class SupplyGraph:
         check_positive(capacity, "capacity")
         check_non_negative(repair_cost, "repair_cost")
         if u == v:
-            raise ValueError("self loops carry no flow and are not allowed")
+            raise ValueError(SELF_LOOP_ERROR)
         for endpoint in (u, v):
             if endpoint not in self._graph:
                 self.add_node(endpoint)

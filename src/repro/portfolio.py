@@ -14,7 +14,7 @@ runs every heuristic first and seeds the exact solves with their plans:
 2. **Stage 2 (exact)** is the rest of ``solve``: the seeded exact solves
    (see :func:`repro.flows.milp.solve_minimum_recovery`), after which the
    worker upgrades the stored envelope in place
-   (:meth:`~repro.server.stores.base.JobStoreBackend.upgrade_result`), now
+   (:meth:`~repro.server.stores.sqlite.JobStore.upgrade_result`), now
    annotated ``{"stage": "exact", "pending": [], "upgraded": True, ...}``.
 
 A stage-2 failure never takes back the stage-1 answer: the published

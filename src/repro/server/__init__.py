@@ -2,11 +2,9 @@
 
 The paper's algorithms become a long-running service in four pieces:
 
-* :mod:`repro.server.stores` — the durable job-store backends (WAL-mode
-  SQLite, schema-versioned) holding request envelopes keyed by
-  ``config_digest`` with states ``queued -> running -> done|failed``:
-  one file by default, a consistent-hash sharded fleet with
-  ``serve --shards N``;
+* :mod:`repro.server.stores` — the durable job store (one WAL-mode,
+  schema-versioned SQLite file) holding request envelopes keyed by
+  ``config_digest`` with states ``queued -> running -> done|failed``;
 * :mod:`repro.server.http` — the asyncio JSON front end (``/v1/solve``,
   ``/v1/assess``, ``/v1/batch``, ``/v1/jobs/{digest}``, ``/healthz``,
   ``/metrics``) with admission control;
@@ -26,30 +24,18 @@ traffic against one and writes the throughput/latency artefact
 from repro.server.client import ServiceClient, ServiceError
 from repro.server.daemon import ServerConfig, run_server
 from repro.server.loadtest import LoadtestReport, run_loadtest
-from repro.server.stores import (
-    JobRecord,
-    JobStore,
-    JobStoreBackend,
-    ShardedJobStore,
-    SQLiteJobStore,
-    StoreSchemaError,
-    open_store,
-)
+from repro.server.stores import JobRecord, JobStore, StoreSchemaError
 from repro.server.workers import WorkerFleet, worker_loop
 
 __all__ = [
     "JobRecord",
     "JobStore",
-    "JobStoreBackend",
     "LoadtestReport",
     "ServerConfig",
     "ServiceClient",
     "ServiceError",
-    "SQLiteJobStore",
-    "ShardedJobStore",
     "StoreSchemaError",
     "WorkerFleet",
-    "open_store",
     "run_loadtest",
     "run_server",
     "worker_loop",

@@ -29,7 +29,7 @@ from repro.server.http import (
     DEFAULT_SLOW_REQUEST_THRESHOLD,
     RecoveryServer,
 )
-from repro.server.stores import DEFAULT_MAX_ATTEMPTS, open_store
+from repro.server.stores import DEFAULT_MAX_ATTEMPTS, JobStore
 from repro.server.workers import DEFAULT_CLAIM_BATCH, DEFAULT_POLL_INTERVAL, WorkerFleet
 
 #: Default TCP port of the recovery daemon.
@@ -53,13 +53,6 @@ class ServerConfig:
     #: place when the exact solve lands).  Off by default: with it on, a
     #: "done" job's envelope may still change, which clients must opt into.
     portfolio: bool = False
-    #: Job-store shard count: ``None`` (the default) auto-detects the
-    #: layout of an existing ``db`` path (single file vs shard fleet) and
-    #: creates a classic single SQLite file when the path is new; 1 forces
-    #: the single file, N >= 2 turns ``db`` into a directory of N shard
-    #: files behind the consistent-hash coordinator (see
-    #: ``repro.server.stores.sharded``).
-    shards: Optional[int] = None
     #: Structured-log level and format for the daemon *and* its spawned
     #: workers (exported via env; see ``repro.obs.logging``).
     log_level: str = "info"
@@ -86,8 +79,7 @@ async def serve(config: ServerConfig, ready: Optional[asyncio.Event] = None) -> 
     configure_logging(level=config.log_level, log_format=config.log_format)
     log = get_logger(__name__)
 
-    store = open_store(config.db, shards=config.shards)
-    shards = getattr(store, "shards", 1)  # actual layout (auto-detected)
+    store = JobStore(config.db)
     orphans = store.requeue_orphans()
     if orphans:
         print(f"repro.server: requeued {orphans} orphaned running job(s)", file=sys.stderr)
@@ -100,7 +92,6 @@ async def serve(config: ServerConfig, ready: Optional[asyncio.Event] = None) -> 
         max_attempts=config.max_attempts,
         claim_batch=config.claim_batch,
         portfolio=config.portfolio,
-        shards=shards,
     )
     fleet.start()
 
@@ -119,7 +110,7 @@ async def serve(config: ServerConfig, ready: Optional[asyncio.Event] = None) -> 
         # structured log line below is the machine-friendly twin.
         print(
             f"repro.server listening on http://{config.host}:{front.port} "
-            f"(workers={config.workers}, shards={shards}, db={config.db})",
+            f"(workers={config.workers}, db={config.db})",
             file=sys.stderr,
             flush=True,
         )
@@ -129,7 +120,6 @@ async def serve(config: ServerConfig, ready: Optional[asyncio.Event] = None) -> 
                 "host": config.host,
                 "port": front.port,
                 "workers": config.workers,
-                "shards": shards,
                 "db": config.db,
             },
         )

@@ -11,7 +11,7 @@ endpoint                    behaviour
 ``POST /v1/batch``          submit ``{"requests": [...]}`` in one call
 ``GET /v1/jobs/{digest}``   job state + result envelope once ``done``
 ``GET /v1/trace/{digest}``  the job's cross-process span tree, merged by source
-``GET /healthz``            liveness + queue/worker snapshot + store layout
+``GET /healthz``            liveness + queue/worker snapshot
 ``GET /metrics``            Prometheus text format
 ==========================  =====================================================
 
@@ -54,7 +54,6 @@ than handing them to a thread pool, so handlers call the store directly.
 from __future__ import annotations
 
 import asyncio
-import inspect
 import json
 import time
 from collections import OrderedDict
@@ -136,17 +135,6 @@ class RecoveryServer:
         self.workers_alive = workers_alive or (lambda: 0)
         self.worker_ids = worker_ids
         self.on_enqueue = on_enqueue
-        # Whether the enqueue callback accepts a shard list (the fleet's
-        # notifier does; plain zero-arg callbacks from tests and external
-        # integrations do not).  Decided once so the submit path never pays
-        # for introspection.
-        self._enqueue_accepts_shards = False
-        if on_enqueue is not None:
-            try:
-                inspect.signature(on_enqueue).bind([0])
-                self._enqueue_accepts_shards = True
-            except (TypeError, ValueError):
-                pass
         self.max_queue_depth = int(max_queue_depth)
         self.max_body_bytes = int(max_body_bytes)
         self.expected_workers = expected_workers
@@ -424,22 +412,12 @@ class RecoveryServer:
             entry["bodies"][flavor] = body
         return body
 
-    def _notify_enqueue(self, digests: Sequence[str] = ()) -> None:
-        """Nudge the fleet about fresh queue work.
-
-        On a sharded store the nudge carries the owning shards of the
-        enqueued digests, so the fleet can wake the workers homed on them
-        instead of everyone; zero-arg callbacks (tests, external
-        integrations) and single-file stores get the plain broadcast.
-        """
+    def _notify_enqueue(self) -> None:
+        """Nudge the fleet about fresh queue work."""
         if self.on_enqueue is None:
             return
         try:
-            shard_of = getattr(self.store, "shard_of", None)
-            if self._enqueue_accepts_shards and digests and shard_of is not None:
-                self.on_enqueue(sorted({shard_of(digest) for digest in digests}))
-            else:
-                self.on_enqueue()
+            self.on_enqueue()
         except Exception as error:
             # a wakeup nudge must never fail a submission — but a broken
             # wakeup pipe should not be invisible either (workers fall back
@@ -555,7 +533,7 @@ class RecoveryServer:
         with span("http.enqueue", digest=digest):
             record, _ = self.store.submit(request, trace_id=current_trace_id())
         self._trace_persist.append(record.digest)
-        self._notify_enqueue((record.digest,))
+        self._notify_enqueue()
         return (
             202,
             {"job": record.to_dict(include_request=False), "deduplicated": False},
@@ -631,7 +609,7 @@ class RecoveryServer:
                 ):
                     submitted[record.digest] = record
             self._trace_persist.extend(submitted)
-            self._notify_enqueue(tuple(submitted))
+            self._notify_enqueue()
         jobs = []
         for kind, value in plan:
             if kind == "done":
@@ -715,7 +693,6 @@ class RecoveryServer:
             "workers_alive": alive,
             "workers_ready": ready,
             "max_queue_depth": self.max_queue_depth,
-            "store": self.store.layout_info(),
         }
 
     # ------------------------------------------------------------------ #
@@ -774,11 +751,6 @@ class RecoveryServer:
             "repro_store_schema_version",
             self.store.schema_version,
             "Schema version of the job store.",
-        )
-        gauge(
-            "repro_store_shards",
-            getattr(self.store, "shards", 1),
-            "Shard files behind the job store (1 = single file).",
         )
         gauge(
             "repro_envelope_cache_size",

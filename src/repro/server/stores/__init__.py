@@ -1,85 +1,33 @@
-"""Job-store backends and the one place that chooses between them.
+"""The job store: one SQLite file (:class:`JobStore`) and its contract.
 
-The rest of the server (``http``, ``workers``, ``daemon``) programs
-against :class:`~repro.server.stores.base.JobStoreBackend` and calls
-:func:`open_store` exactly once per process; whether the path holds one
-SQLite file or a sharded fleet is decided here and nowhere else.
+``base`` states the contract every part of the server relies on
+(``tests/unit/test_store_contract.py`` checks it); ``sqlite`` is the
+store.  The daemon, every worker and ``python -m repro.server.workers``
+open it directly with ``JobStore(path)``.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Optional, Union
-
 from repro.server.stores.base import (
     DEFAULT_MAX_ATTEMPTS,
-    JobStoreBackend,
     STATES,
     StoreSchemaError,
     canonical_request,
 )
-from repro.server.stores.sharded import (
-    ConsistentHashRing,
-    ShardedJobStore,
-    shard_count,
-)
 from repro.server.stores.sqlite import (
-    JobRecord,
+    REMOVED_LAYOUT_MESSAGE,
     SCHEMA_VERSION,
-    SQLiteJobStore,
+    JobRecord,
+    JobStore,
 )
-
-#: Historical name for the single-file backend (public since PR 5).
-JobStore = SQLiteJobStore
-
-
-def open_store(
-    path: Union[str, Path],
-    shards: Optional[int] = None,
-    busy_timeout: float = 10.0,
-) -> JobStoreBackend:
-    """Open the job store at ``path`` with the right backend.
-
-    ``shards`` semantics:
-
-    * ``None`` — auto-detect: attach to whatever layout already lives at
-      ``path`` (a shard manifest means the fleet, anything else the
-      single file).  This is what worker processes use, so they always
-      agree with the daemon that created the store.
-    * ``1`` — the classic single file (created if absent).
-    * ``>= 2`` — the sharded fleet (created if absent; must match the
-      manifest if one exists).
-    """
-    target = Path(path)
-    if shards is None:
-        pinned = shard_count(target)
-        shards = pinned if pinned is not None else 1
-    shards = int(shards)
-    if shards < 1:
-        raise ValueError("shards must be at least 1")
-    if shards == 1:
-        pinned = shard_count(target)
-        if pinned is not None:
-            raise StoreSchemaError(
-                f"shard store {target} is pinned to {pinned} shard(s); "
-                f"open it with shards={pinned} (or shards=None to auto-detect)"
-            )
-        return SQLiteJobStore(target, busy_timeout=busy_timeout)
-    return ShardedJobStore(target, shards=shards, busy_timeout=busy_timeout)
-
 
 __all__ = [
-    "ConsistentHashRing",
     "DEFAULT_MAX_ATTEMPTS",
     "JobRecord",
     "JobStore",
-    "JobStoreBackend",
+    "REMOVED_LAYOUT_MESSAGE",
     "SCHEMA_VERSION",
-    "SQLiteJobStore",
     "STATES",
-    "ShardedJobStore",
     "StoreSchemaError",
     "canonical_request",
-    "open_store",
-    "shard_count",
 ]

@@ -1,16 +1,13 @@
-"""The ``JobStore`` backend contract: what every store implementation owes.
+"""The job-store contract: what :class:`~repro.server.stores.sqlite.JobStore` owes.
 
-PR 5–7 grew the single-file SQLite store organically; the HTTP front end,
-the worker fleet and the portfolio racer all lean on its behaviour without
-naming it.  This module makes the contract explicit so a second backend
-(the sharded fleet in :mod:`repro.server.stores.sharded`) can honour the
-*same* invariants, and so the parametrized contract suite
-(``tests/unit/test_store_contract.py``) can hold every backend to them.
+The HTTP front end, the worker fleet and the portfolio racer all lean on
+the store's behaviour without naming it.  This module states that
+behaviour as a contract, and ``tests/unit/test_store_contract.py`` holds
+the store to it.
 
 Invariants (the contract)
 -------------------------
-Every backend — one SQLite file, N shard files, or anything future —
-must provide all of the following, **identically**:
+The store must provide all of the following:
 
 Identity & dedup
     A job *is* its :func:`~repro.api.requests.config_digest`.  Submitting
@@ -21,21 +18,20 @@ Identity & dedup
 
 Lifecycle
     ``queued → running → done | failed``.  ``done`` rows are terminal and
-    immutable except through :meth:`JobStoreBackend.upgrade_result`, which
-    replaces the envelope of a done row in place (the portfolio path) and
-    refreshes ``finished_at`` but never ``first_finished_at`` — the
-    latency histogram measures claim → *first* answer.
+    immutable except through ``upgrade_result``, which replaces the
+    envelope of a done row in place (the portfolio path) and refreshes
+    ``finished_at`` but never ``first_finished_at`` — the latency
+    histogram measures claim → *first* answer.
 
 Claims
-    :meth:`JobStoreBackend.claim_batch` hands each queued job to exactly
-    one of any number of racing claimers, oldest
-    ``(created_at, digest)`` first, and increments its attempt count.
-    A claim is atomic: there is no observable intermediate state.
+    ``claim_batch`` hands each queued job to exactly one of any number
+    of racing claimers, oldest ``(created_at, digest)`` first, and
+    increments its attempt count.  A claim is atomic: there is no
+    observable intermediate state.
 
 Claim-holder guard
-    :meth:`JobStoreBackend.complete` and :meth:`JobStoreBackend.fail`
-    only land while the row is ``running`` (and, when a worker id is
-    given, still assigned to that worker).  A worker that lost its claim
+    ``complete`` and ``fail`` only land while the row is ``running``
+    (and, when a worker id is given, still assigned to that worker).  A worker that lost its claim
     to a requeue can never overwrite the new holder's outcome.
 
 Poison budget
@@ -46,15 +42,14 @@ Poison budget
     exhausted its budget.
 
 Crash recovery
-    :meth:`JobStoreBackend.requeue_orphans` returns every ``running`` row
-    to the queue (attempt counts preserved) and records a breadcrumb of
-    the vanished worker in ``error`` so the poison sweep can report a
-    root cause.  Terminal rows are never touched.
+    ``requeue_orphans`` returns every ``running`` row to the queue
+    (attempt counts preserved) and records a breadcrumb of the vanished
+    worker in ``error`` so the poison sweep can report a root cause.  Terminal rows are never touched.
 
 Warm topology sidecar
     ``save_topology`` is write-once per digest; ``load_topologies``
     returns every stored payload not in the caller's exclusion set,
-    regardless of which handle (or shard) stored it.
+    regardless of which handle stored it.
 
 Worker beacons
     ``record_worker_stats`` upserts one counter snapshot per worker id;
@@ -70,27 +65,15 @@ Telemetry (schema v4)
     ``(digest, source)`` — upsert, not write-once: a retried execution
     replaces the stale tree — and ``load_spans`` returns every source's
     tree for a digest.  ``stage_latency_samples`` reports queue-wait,
-    serialize and end-to-end served latencies of done jobs;
-    ``layout_info`` describes the physical layout (backend kind, shard
-    count, per-shard queue depths) for ``/healthz``.
+    serialize and end-to-end served latencies of done jobs.
 
-Anything *not* in this contract — migration chains, shard layouts, SQL —
-is backend-private.
+Anything *not* in this contract — migration chains, SQL — is private to
+the store.
 """
 
 from __future__ import annotations
 
-from typing import (
-    Any,
-    Dict,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-    Union,
-    runtime_checkable,
-)
+from typing import Any, Dict, Union
 
 from repro.api.requests import (
     AssessmentRequest,
@@ -118,10 +101,10 @@ class StoreSchemaError(RuntimeError):
 def canonical_request(request: Union[Request, Dict[str, Any]]):
     """``(parsed, payload, digest)`` for a request object or raw payload.
 
-    Every backend canonicalises through the schema classes first, so two
+    The store canonicalises through the schema classes first, so two
     payloads describing the same instance (however the client ordered or
-    defaulted their fields) land on the same digest — the property that
-    makes routing by digest and dedup by digest the same decision.
+    defaulted their fields) land on the same digest, and dedup by digest
+    means dedup by instance.
     """
     if isinstance(request, (AssessmentRequest, RecoveryRequest)):
         parsed = request
@@ -131,104 +114,8 @@ def canonical_request(request: Union[Request, Dict[str, Any]]):
     return parsed, payload, config_digest(payload)
 
 
-@runtime_checkable
-class JobStoreBackend(Protocol):
-    """Structural type of a job-store backend (see the module docstring).
-
-    ``repro.server.http``, ``repro.server.workers`` and
-    ``repro.server.daemon`` program against this protocol only; which
-    concrete backend they get is decided once, by
-    :func:`repro.server.stores.open_store`.
-    """
-
-    # -- lifecycle ----------------------------------------------------- #
-    @property
-    def schema_version(self) -> int: ...
-
-    def close(self) -> None: ...
-
-    # -- submission (idempotent by digest) ----------------------------- #
-    def submit(
-        self,
-        request: Union[Request, Dict[str, Any]],
-        trace_id: Optional[str] = None,
-    ) -> Tuple[Any, bool]: ...
-
-    def submit_many(
-        self,
-        requests: Sequence[Union[Request, Dict[str, Any]]],
-        trace_id: Optional[str] = None,
-    ) -> List[Tuple[Any, bool]]: ...
-
-    # -- worker side --------------------------------------------------- #
-    def claim(
-        self, worker: str, max_attempts: int = DEFAULT_MAX_ATTEMPTS
-    ) -> Optional[Any]: ...
-
-    def claim_batch(
-        self, worker: str, limit: int = 1, max_attempts: int = DEFAULT_MAX_ATTEMPTS
-    ) -> List[Any]: ...
-
-    def complete(
-        self, digest: str, result: Dict[str, Any], worker: Optional[str] = None
-    ) -> bool: ...
-
-    def upgrade_result(
-        self, digest: str, result: Dict[str, Any], worker: Optional[str] = None
-    ) -> bool: ...
-
-    def fail(self, digest: str, error: str, worker: Optional[str] = None) -> bool: ...
-
-    def requeue_orphans(self) -> int: ...
-
-    # -- lookups and metrics ------------------------------------------- #
-    def get(self, digest: str) -> Optional[Any]: ...
-
-    def jobs(self, state: Optional[str] = None, limit: int = 1000) -> List[Any]: ...
-
-    def counts(self) -> Dict[str, int]: ...
-
-    def queue_depth(self) -> int: ...
-
-    def solve_latencies(self, limit: int = 2048) -> List[float]: ...
-
-    def solve_latency_samples(self, limit: int = 2048) -> List[Tuple[float, float]]: ...
-
-    def stage_latency_samples(self, limit: int = 2048) -> Dict[str, List[float]]: ...
-
-    def layout_info(self) -> Dict[str, Any]: ...
-
-    # -- trace-span sidecar -------------------------------------------- #
-    def save_spans(
-        self,
-        digest: str,
-        source: str,
-        payload: Dict[str, Any],
-        trace_id: Optional[str] = None,
-    ) -> None: ...
-
-    def load_spans(self, digest: str) -> Dict[str, Dict[str, Any]]: ...
-
-    # -- warm topology sidecar ----------------------------------------- #
-    def save_topology(self, digest: str, payload: bytes) -> bool: ...
-
-    def load_topologies(
-        self, exclude: Optional[Sequence[str]] = None
-    ) -> Dict[str, bytes]: ...
-
-    def topology_digests(self) -> List[str]: ...
-
-    # -- worker-reported counters -------------------------------------- #
-    def record_worker_stats(self, worker: str, counters: Dict[str, float]) -> None: ...
-
-    def worker_ids(self) -> List[str]: ...
-
-    def worker_stats_totals(self) -> Dict[str, float]: ...
-
-
 __all__ = [
     "DEFAULT_MAX_ATTEMPTS",
-    "JobStoreBackend",
     "Request",
     "STATES",
     "StoreSchemaError",

@@ -1,12 +1,11 @@
-"""The single-file SQLite job store: a durable queue + result cache.
+"""The job store: one SQLite file as a durable queue + result cache.
 
 One database file holds every job a daemon has ever accepted, which is what
 makes the service crash-safe: an accepted job survives daemon restarts,
 worker crashes and power loss, and a finished job's envelope is served from
 disk forever after (idempotent re-submission of the same request returns
-the stored row instead of recomputing).  This is the reference
-implementation of the :class:`~repro.server.stores.base.JobStoreBackend`
-contract; the sharded backend composes N of these.
+the stored row instead of recomputing).  :class:`JobStore` keeps the
+contract stated in :mod:`repro.server.stores.base`.
 
 Schema (version 4)
 ------------------
@@ -89,7 +88,7 @@ workers write.  Every mutating operation is a single atomic statement
 submissions), so any number of worker *processes* can share one database:
 two workers racing for the same queued job get it exactly once, and a
 worker killed mid-job (even ``kill -9``) leaves a ``running`` row that
-:meth:`SQLiteJobStore.requeue_orphans` returns to the queue on daemon
+:meth:`JobStore.requeue_orphans` returns to the queue on daemon
 startup.
 """
 
@@ -114,6 +113,13 @@ from repro.server.stores.base import (
 
 #: Bump when a column changes meaning; see the migration policy above.
 SCHEMA_VERSION = 4
+
+#: Why a directory is refused as a store path.
+REMOVED_LAYOUT_MESSAGE = (
+    "the sharded job store (a directory of shard files) was removed; "
+    "a job store is one SQLite file, and commit 5e2b833 is the last that "
+    "reads a sharded store"
+)
 
 _LOG = get_logger(__name__)
 
@@ -258,17 +264,22 @@ _MIGRATIONS: Dict[int, Tuple[str, ...]] = {
 }
 
 
-class SQLiteJobStore:
+class JobStore:
     """A process's handle on one shared job database file.
 
     Each process (HTTP front end, every worker) opens its own store; SQLite
     coordinates them through the database file.  The handle is cheap — one
     connection in autocommit mode with a busy timeout, so concurrent
-    writers queue behind each other instead of failing.
+    writers queue behind each other instead of failing.  A ``path`` that
+    is a directory raises :class:`StoreSchemaError`.
     """
 
     def __init__(self, path: Union[str, Path], busy_timeout: float = 10.0) -> None:
         self.path = Path(path)
+        if self.path.is_dir():
+            raise StoreSchemaError(
+                f"job store {self.path} is a directory: {REMOVED_LAYOUT_MESSAGE}"
+            )
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._conn = sqlite3.connect(
             self.path, timeout=busy_timeout, isolation_level=None, check_same_thread=False
@@ -323,7 +334,7 @@ class SQLiteJobStore:
     def close(self) -> None:
         self._conn.close()
 
-    def __enter__(self) -> "SQLiteJobStore":
+    def __enter__(self) -> "JobStore":
         return self
 
     def __exit__(self, *_: object) -> None:
@@ -508,51 +519,6 @@ class SQLiteJobStore:
         records = [_record(row) for row in rows]
         records.sort(key=lambda record: (record.created_at, record.digest))
         return records
-
-    # ------------------------------------------------------------------ #
-    # Coordinator plumbing (used by the sharded backend, not part of the
-    # JobStoreBackend contract)
-    # ------------------------------------------------------------------ #
-    def peek_queued(
-        self, limit: int, max_attempts: int = DEFAULT_MAX_ATTEMPTS
-    ) -> List[Tuple[str, float]]:
-        """``(digest, created_at)`` of the oldest claimable queued jobs.
-
-        A read-only preview — the rows stay queued.  The sharded
-        coordinator peeks every shard, merges globally by
-        ``(created_at, digest)`` and then claims the winners one by one
-        with :meth:`claim_digest`.
-        """
-        rows = self._conn.execute(
-            """
-            SELECT digest, created_at FROM jobs
-            WHERE state = 'queued' AND attempts < ?
-            ORDER BY created_at, digest LIMIT ?
-            """,
-            (int(max_attempts), int(limit)),
-        ).fetchall()
-        return [(row["digest"], float(row["created_at"])) for row in rows]
-
-    def claim_digest(
-        self, worker: str, digest: str, max_attempts: int = DEFAULT_MAX_ATTEMPTS
-    ) -> Optional[JobRecord]:
-        """Atomically claim one *specific* queued job, or None if lost.
-
-        The targeted twin of :meth:`claim_batch`: the single
-        ``UPDATE ... RETURNING`` keeps the exactly-once guarantee, so a
-        coordinator race (two handles claiming the same peeked digest)
-        resolves to one winner and one clean ``None``.
-        """
-        row = self._conn.execute(
-            """
-            UPDATE jobs
-            SET state = 'running', worker = ?, started_at = ?, attempts = attempts + 1
-            WHERE digest = ? AND state = 'queued' AND attempts < ?
-            RETURNING *
-            """,
-            (worker, time.time(), digest, int(max_attempts)),
-        ).fetchone()
-        return _record(row) if row is not None else None
 
     def _finish(self, digest: str, worker: Optional[str], assignments: str, values: Tuple) -> bool:
         """Terminal-state update, guarded so only the claim holder lands it.
@@ -752,14 +718,6 @@ class SQLiteJobStore:
             )
         return samples
 
-    def layout_info(self) -> Dict[str, Any]:
-        """The store's physical layout, for ``/healthz`` (operator view)."""
-        return {
-            "backend": "sqlite",
-            "shards": 1,
-            "shard_queue_depths": [self.queue_depth()],
-        }
-
     # ------------------------------------------------------------------ #
     # Trace-span sidecar (one JSON span tree per (digest, source))
     # ------------------------------------------------------------------ #
@@ -867,12 +825,9 @@ class SQLiteJobStore:
         return totals
 
 
-#: Historical name — PR 5..8 called the single-file store ``JobStore``.
-JobStore = SQLiteJobStore
-
 __all__ = [
     "JobRecord",
     "JobStore",
+    "REMOVED_LAYOUT_MESSAGE",
     "SCHEMA_VERSION",
-    "SQLiteJobStore",
 ]

@@ -14,7 +14,7 @@ Claims are atomic store operations (``UPDATE ... RETURNING``) taking up to
 share one database with no coordinator: a duplicate submission is a single
 row, and a single row is executed exactly once.  A worker crashing mid-batch
 leaves every claimed row ``running`` for
-:meth:`~repro.server.stores.base.JobStoreBackend.requeue_orphans` to recover.
+:meth:`~repro.server.stores.sqlite.JobStore.requeue_orphans` to recover.
 
 Idle workers do **not** poll-sleep: the daemon passes each fleet worker one
 end of a wakeup pipe and writes a byte on every enqueue, so an idle worker
@@ -53,7 +53,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.api.requests import AssessmentRequest, request_from_dict
 from repro.obs.logging import configure_from_env, get_logger, warn_rate_limited
 from repro.obs.trace import record_timed, span, trace_context
-from repro.server.stores import DEFAULT_MAX_ATTEMPTS, JobRecord, JobStore, open_store
+from repro.server.stores import DEFAULT_MAX_ATTEMPTS, JobRecord, JobStore
 
 _LOG = get_logger(__name__)
 
@@ -107,44 +107,18 @@ class WakeupReceiver:
 
 
 class WakeupNotifier:
-    """The daemon end: one byte per wakeup, never blocking the event loop.
-
-    Writers can be attached with a *home shard*: a shard-targeted
-    :meth:`notify` then nudges only the workers homed on the shards that
-    just received work, so on a sharded store an enqueue wakes the workers
-    most likely to claim it instead of stampeding the whole fleet.  Any
-    worker can still claim any job — targeting is purely a wakeup
-    optimisation, and an untargeted notify (or a target no writer is homed
-    on) falls back to waking everyone.
-    """
+    """The daemon end: one byte per wakeup, never blocking the event loop."""
 
     def __init__(self) -> None:
         self._writers: List[object] = []
-        self._shards: List[Optional[int]] = []
 
-    def attach(self, writer, shard: Optional[int] = None) -> None:
+    def attach(self, writer) -> None:
         os.set_blocking(writer.fileno(), False)
         self._writers.append(writer)
-        self._shards.append(shard)
 
-    def notify(self, shards: Optional[Sequence[int]] = None) -> None:
-        """Nudge workers; a full pipe means a wakeup is already pending.
-
-        ``shards=None`` wakes everyone.  A shard set wakes the writers
-        homed on those shards — unless none is, in which case everyone is
-        woken (never strand a job because of a targeting mismatch).
-        """
-        targets = self._writers
-        if shards is not None:
-            wanted = set(shards)
-            matched = [
-                writer
-                for writer, home in zip(self._writers, self._shards)
-                if home is not None and home in wanted
-            ]
-            if matched:
-                targets = matched
-        for writer in targets:
+    def notify(self) -> None:
+        """Nudge every worker; a full pipe means a wakeup is already pending."""
+        for writer in self._writers:
             try:
                 os.write(writer.fileno(), b"!")
             except (BlockingIOError, OSError):
@@ -157,7 +131,6 @@ class WakeupNotifier:
             except OSError:
                 pass
         self._writers.clear()
-        self._shards.clear()
 
 
 def _execute(service, record: JobRecord) -> Dict[str, object]:
@@ -303,10 +276,7 @@ def worker_loop(
     """
     from repro.api.service import RecoveryService  # deferred: workers import lazily
 
-    # Auto-detect the layout (single file vs sharded fleet) so a worker —
-    # fleet-spawned or externally attached — always agrees with the daemon
-    # that created the store.
-    store = open_store(db_path)
+    store = JobStore(db_path)
     service = RecoveryService()
     hold = float(os.environ.get(HOLD_ENV_VAR, "0") or "0")
     counters: Dict[str, float] = {
@@ -484,23 +454,17 @@ class WorkerFleet:
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         claim_batch: int = DEFAULT_CLAIM_BATCH,
         portfolio: bool = False,
-        shards: int = 1,
     ) -> None:
         if workers < 1:
             raise ValueError("a worker fleet needs at least one worker")
         if claim_batch < 1:
             raise ValueError("a fleet claim batch needs at least one job")
-        if shards < 1:
-            raise ValueError("a worker fleet needs at least one shard")
         self.db_path = str(db_path)
         self.workers = int(workers)
         self.poll_interval = float(poll_interval)
         self.max_attempts = int(max_attempts)
         self.claim_batch = int(claim_batch)
         self.portfolio = bool(portfolio)
-        #: Shard count of the store the fleet pulls from — only used to home
-        #: each worker on a shard for targeted wakeups (claims stay global).
-        self.shards = int(shards)
         # "spawn" keeps workers independent of the daemon's asyncio state
         # (forking a process with a live event loop inherits it wholesale).
         self._context = multiprocessing.get_context("spawn")
@@ -531,17 +495,13 @@ class WorkerFleet:
             )
             process.start()
             reader.close()  # the child owns the read end now
-            self._notifier.attach(writer, shard=index % self.shards)
+            self._notifier.attach(writer)
             self._processes.append(process)
             self._worker_ids.append(worker_id)
 
-    def notify(self, shards: Optional[Sequence[int]] = None) -> None:
-        """Wake idle workers: the daemon calls this on every enqueue.
-
-        ``shards`` (when the store is sharded) narrows the nudge to the
-        workers homed on the shards that just received work.
-        """
-        self._notifier.notify(shards)
+    def notify(self) -> None:
+        """Wake idle workers: the daemon calls this on every enqueue."""
+        self._notifier.notify()
 
     def alive(self) -> int:
         return sum(1 for process in self._processes if process.is_alive())

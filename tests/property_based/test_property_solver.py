@@ -209,14 +209,18 @@ class TestAssembledSystems:
         assert graph.number_of_nodes() == num_nodes
         assert_assembled_like_scipy(graph)
 
-    def test_a_self_loops_conservation_entries_cancel_as_in_flow_problem(self):
+    def test_a_self_loop_is_rejected_as_by_the_supply_graph(self):
         graph = grid_topology(2, 2, capacity=1.0).full_graph(use_residual=False)
         graph.add_edge((0, 0), (0, 0), capacity=1.0)
-        reference = FlowProblem(graph, [Commodity("absent-source", "absent-target", 0.0)])
-        assert_same_arrays(
-            TopologyStructure(graph.nodes, graph.edges).conservation_block,
-            reference.conservation_matrix()[0],
-        )
+        demand = DemandGraph()
+        demand.add((0, 0), (1, 1), 1.0)
+        message = "self loops carry no flow and are not allowed"
+        with pytest.raises(ValueError, match=message):
+            FlowProblem(graph, [Commodity((0, 0), (1, 1), 1.0)])
+        with pytest.raises(ValueError, match=message):
+            TopologyStructure(graph.nodes, graph.edges)
+        with pytest.raises(ValueError, match=message):
+            routability_test(graph, demand)
 
     @given(
         st.integers(min_value=1, max_value=6),

@@ -2,7 +2,14 @@
 
 import asyncio
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -15,8 +22,10 @@ from repro.api.requests import (
 from repro.cli import main
 from repro.server.client import ServiceClient
 from repro.server.daemon import ServerConfig, serve
-from repro.server.stores import JobStore
+from repro.server.stores import REMOVED_LAYOUT_MESSAGE, JobStore
 from repro.server.workers import worker_loop
+
+REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 def grid_request(seed: int = 1) -> RecoveryRequest:
@@ -58,32 +67,6 @@ class TestServeCoroutine:
             assert store.get(grid_request(seed=4).digest()).state in ("queued", "done")
 
 
-    def test_serve_adopts_an_existing_fleet_without_a_shards_flag(self, tmp_path, capsys):
-        """Restarting a sharded daemon with the default config auto-detects
-        the layout from the manifest instead of demanding ``--shards`` again."""
-        from repro.server.stores import ShardedJobStore
-
-        db = tmp_path / "fleet.db"
-        with ShardedJobStore(db, shards=3) as store:
-            store.submit(grid_request(seed=9))
-            assert store.claim("crashed-worker") is not None  # orphan it
-
-        config = ServerConfig(db=str(db), port=0, workers=1, poll_interval=0.05)
-
-        async def boot_and_cancel() -> None:
-            ready = asyncio.Event()
-            task = asyncio.ensure_future(serve(config, ready=ready))
-            await asyncio.wait_for(ready.wait(), timeout=30)
-            task.cancel()
-            with pytest.raises(asyncio.CancelledError):
-                await task
-
-        asyncio.run(boot_and_cancel())
-        stderr = capsys.readouterr().err
-        assert "shards=3" in stderr
-        assert "requeued 1 orphaned running job(s)" in stderr
-
-
 class TestServeValidation:
     def test_malformed_topology_cache_env_fails_before_any_worker_spawns(
         self, tmp_path, monkeypatch
@@ -107,18 +90,51 @@ class TestCliServe:
         with pytest.raises(SystemExit, match="--claim-batch"):
             main(["serve", "--db", str(tmp_path / "x.db"), "--claim-batch", "0"])
 
-    def test_serve_rejects_bad_shard_count(self, tmp_path):
-        with pytest.raises(SystemExit, match="--shards"):
-            main(["serve", "--db", str(tmp_path / "x.db"), "--shards", "0"])
+    @pytest.mark.parametrize("shards", ["0", "2", "4"])
+    def test_serve_refuses_every_shards_value_but_one(self, tmp_path, shards):
+        with pytest.raises(SystemExit, match="5e2b833") as refused:
+            main(["serve", "--db", str(tmp_path / "x.db"), "--shards", shards])
+        assert str(refused.value) == f"--shards {shards}: {REMOVED_LAYOUT_MESSAGE}"
 
-    def test_serve_rejects_a_shard_count_disagreeing_with_the_manifest(self, tmp_path):
-        from repro.server.stores import ShardedJobStore
+    def test_serve_refuses_a_store_directory(self, tmp_path):
+        store_dir = tmp_path / "fleet.db"
+        store_dir.mkdir()
+        with pytest.raises(SystemExit, match="5e2b833") as refused:
+            main(["serve", "--db", str(store_dir), "--port", "0"])
+        assert REMOVED_LAYOUT_MESSAGE in str(refused.value)
+        assert list(store_dir.iterdir()) == []
 
-        db = tmp_path / "fleet.db"
-        with ShardedJobStore(db, shards=4):
-            pass
-        with pytest.raises(SystemExit, match="pinned to 4"):
-            main(["serve", "--db", str(db), "--shards", "2", "--port", "0"])
+    def test_serve_accepts_one_shard_and_prints_the_readiness_line(self, tmp_path):
+        """``perfbench/served.py`` launches ``serve --shards 1 --port 0`` and
+        reads the port from this line, trailing space included."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [REPO_SRC, env.get("PYTHONPATH")]))
+        log = tmp_path / "serve.log"
+        readiness = re.compile(rb"repro\.server listening on http://[^:\s]+:(\d+) ")
+        with open(log, "wb") as sink:
+            daemon = subprocess.Popen(
+                [
+                    sys.executable, "-m", "repro.cli", "serve",
+                    "--db", str(tmp_path / "jobs.db"),
+                    "--port", "0", "--workers", "1", "--shards", "1",
+                ],
+                env=env,
+                stdout=subprocess.DEVNULL,
+                stderr=sink,
+            )
+        try:
+            deadline = time.monotonic() + 60
+            while not readiness.search(log.read_bytes()):
+                assert daemon.poll() is None, log.read_text()
+                assert time.monotonic() < deadline, "serve never printed its readiness line"
+                time.sleep(0.05)
+        finally:
+            daemon.send_signal(signal.SIGTERM)
+            try:
+                daemon.wait(timeout=60)
+            except subprocess.TimeoutExpired:
+                daemon.kill()
+                daemon.wait(timeout=5)
 
 
 class TestArrivalModels:

@@ -22,7 +22,7 @@ from repro.api.requests import (
 from repro.obs.trace import TRACE_HEADER, normalize_trace_id, render_trace
 from repro.server.client import ServiceClient, ServiceError
 from repro.server.http import RecoveryServer
-from repro.server.stores import JobStore, open_store
+from repro.server.stores import JobStore
 
 
 def grid_request(seed: int = 1) -> RecoveryRequest:
@@ -328,40 +328,6 @@ class TestRejectionDepthConsistency:
         assert wrapped.depth_calls == 1
 
 
-class TestShardedEnqueueNotifications:
-    @pytest.fixture()
-    def sharded(self, tmp_path):
-        with open_store(tmp_path / "fleet.db", shards=3) as handle:
-            yield handle
-
-    def test_notify_carries_the_owning_shards(self, sharded):
-        seen = []
-        server = RecoveryServer(sharded, on_enqueue=lambda shards=None: seen.append(shards))
-        status, _, _ = server._submit(grid_request(seed=1).to_dict(), RecoveryRequest)
-        assert status == 202
-        digest = grid_request(seed=1).digest()
-        assert seen == [[sharded.shard_of(digest)]]
-
-    def test_batch_notify_merges_shards_without_duplicates(self, sharded):
-        seen = []
-        server = RecoveryServer(sharded, on_enqueue=lambda shards=None: seen.append(shards))
-        requests = [grid_request(seed=index).to_dict() for index in range(6)]
-        status, _, _ = server._batch({"requests": requests})
-        assert status == 202
-        [shards] = seen  # one nudge for the whole burst
-        expected = sorted(
-            {sharded.shard_of(grid_request(seed=index).digest()) for index in range(6)}
-        )
-        assert shards == expected
-
-    def test_zero_arg_callbacks_still_work_on_a_sharded_store(self, sharded):
-        nudges = []
-        server = RecoveryServer(sharded, on_enqueue=lambda: nudges.append(1))
-        status, _, _ = server._submit(grid_request(seed=2).to_dict(), RecoveryRequest)
-        assert status == 202
-        assert nudges == [1]
-
-
 class TestObservation:
     def test_job_view_round_trips_the_request(self, harness):
         submitted = harness.client.solve(grid_request())
@@ -404,6 +370,52 @@ class TestObservation:
         assert "repro_solve_latency_seconds_count 1" in lines
         bucket_lines = [l for l in lines if "solve_latency_seconds_bucket" in l]
         assert bucket_lines[-1].startswith('repro_solve_latency_seconds_bucket{le="+Inf"}')
+
+    def test_metric_families_are_stable(self, harness):
+        """Dashboards key on these names and types; a change here breaks them."""
+        text = harness.client.metrics()
+        families = [line.split()[2:4] for line in text.splitlines() if line.startswith("# TYPE")]
+        assert families == [
+            ["repro_jobs_total", "gauge"],
+            ["repro_queue_depth", "gauge"],
+            ["repro_workers_alive", "gauge"],
+            ["repro_worker_utilization", "gauge"],
+            ["repro_uptime_seconds", "gauge"],
+            ["repro_store_schema_version", "gauge"],
+            ["repro_envelope_cache_size", "gauge"],
+            ["repro_http_requests_total", "counter"],
+            ["repro_submissions_total", "counter"],
+            ["repro_dedup_hits_total", "counter"],
+            ["repro_fast_path_hits_total", "counter"],
+            ["repro_http_connections_total", "counter"],
+            ["repro_keepalive_reuse_total", "counter"],
+            ["repro_envelope_cache_hits_total", "counter"],
+            ["repro_envelope_cache_misses_total", "counter"],
+            ["repro_slow_requests_total", "counter"],
+            ["repro_slow_request_threshold_seconds", "gauge"],
+            ["repro_solve_latency_seconds", "histogram"],
+            ["repro_queue_wait_seconds", "histogram"],
+            ["repro_serialize_seconds", "histogram"],
+            ["repro_served_latency_seconds", "histogram"],
+            ["repro_fleet_jobs_done_total", "counter"],
+            ["repro_fleet_jobs_failed_total", "counter"],
+            ["repro_fleet_busy_seconds_total", "counter"],
+            ["repro_claim_batches_total", "counter"],
+            ["repro_claim_batch_jobs_total", "counter"],
+            ["repro_warm_topology_loads_total", "counter"],
+            ["repro_warm_topology_saves_total", "counter"],
+            ["repro_topology_cache_hits_total", "counter"],
+            ["repro_topology_cache_misses_total", "counter"],
+            ["repro_solver_lp_solves_total", "counter"],
+            ["repro_solver_milp_solves_total", "counter"],
+            ["repro_solver_solve_seconds_total", "counter"],
+            ["repro_solver_incumbent_seeds_total", "counter"],
+            ["repro_portfolio_stage1_total", "counter"],
+            ["repro_portfolio_upgrades_total", "counter"],
+            ["repro_portfolio_proven_total", "counter"],
+            ["repro_portfolio_exact_total", "counter"],
+            ["repro_portfolio_proven_fraction", "gauge"],
+        ]
 
     def test_http_request_counter_labels_jobs_uniformly(self, harness):
         submitted = harness.client.solve(grid_request())
@@ -781,13 +793,18 @@ class TestTracing:
 
 
 class TestStageMetrics:
-    def test_healthz_reports_the_store_layout(self, harness):
+    def test_healthz_reports_queue_and_workers(self, harness):
         health = harness.client.healthz()
-        assert health["store"] == {
-            "backend": "sqlite",
-            "shards": 1,
-            "shard_queue_depths": [0],
+        assert set(health) == {
+            "status",
+            "uptime_seconds",
+            "queue_depth",
+            "jobs",
+            "workers_alive",
+            "workers_ready",
+            "max_queue_depth",
         }
+        assert health["queue_depth"] == 0
 
     def test_stage_histograms_appear_after_a_completed_job(self, harness, store):
         harness.client.solve(grid_request())

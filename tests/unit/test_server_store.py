@@ -55,6 +55,17 @@ class TestSchema:
         with JobStore(path) as again:
             assert again.schema_version == SCHEMA_VERSION
 
+    def test_a_directory_is_refused_naming_the_last_commit_that_reads_it(self, tmp_path):
+        """A directory of shard files was the removed sharded store's layout."""
+        path = tmp_path / "fleet.db"
+        path.mkdir()
+        (path / "shards.json").write_text('{"layout": "sharded", "shards": 2}')
+        JobStore(path / "shard-00.db").close()
+        before = sorted(entry.name for entry in path.iterdir())
+        with pytest.raises(StoreSchemaError, match="5e2b833"):
+            JobStore(path)
+        assert sorted(entry.name for entry in path.iterdir()) == before
+
 
 class TestSubmission:
     def test_submit_returns_queued_record(self, store):

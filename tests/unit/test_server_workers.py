@@ -1,6 +1,8 @@
 """Unit tests of the worker loop and the session cache-size environment knob."""
 
 import json
+import multiprocessing
+import os
 import threading
 import time
 
@@ -19,8 +21,8 @@ from repro.api.service import (
     TOPOLOGY_CACHE_ENV_VAR,
     default_topology_cache_size,
 )
-from repro.server.stores import JobStore
-from repro.server.workers import WorkerFleet, worker_loop
+from repro.server.stores import JobStore, StoreSchemaError
+from repro.server.workers import WakeupNotifier, WakeupReceiver, WorkerFleet, worker_loop
 
 
 def grid_request(seed: int = 1) -> RecoveryRequest:
@@ -149,6 +151,14 @@ class TestWorkerLoop:
         assert handled == 0
         assert time.perf_counter() - started < 5.0
 
+    def test_a_store_directory_is_refused_before_any_work(self, tmp_path):
+        """A directory was the removed sharded store's layout; it is not a store."""
+        fleet = tmp_path / "fleet.db"
+        fleet.mkdir()
+        with pytest.raises(StoreSchemaError, match="5e2b833"):
+            worker_loop(str(fleet), "w0", max_jobs=1)
+        assert list(fleet.iterdir()) == []
+
 
 class TestWorkerFleet:
     def test_fleet_validates_worker_count(self, tmp_path):
@@ -227,13 +237,9 @@ class TestEventDrivenDispatch:
         assert time.perf_counter() - started < 5.0
 
     def test_wakeup_channel_wakes_an_idle_worker(self, tmp_path):
-        import multiprocessing as mp
-
-        from repro.server.workers import WakeupNotifier, WakeupReceiver
-
         db = tmp_path / "jobs.db"
         JobStore(db).close()
-        reader, writer = mp.get_context("spawn").Pipe(duplex=False)
+        reader, writer = multiprocessing.get_context("spawn").Pipe(duplex=False)
         notifier = WakeupNotifier()
         notifier.attach(writer)
         stop = threading.Event()
@@ -282,6 +288,56 @@ class TestEventDrivenDispatch:
             assert store.counts()["done"] == 5
         assert totals["claim_batch_jobs"] == 5
         assert totals["claim_batches"] == 2  # 4 + 1, not 5 single claims
+
+
+class TestWakeupChannel:
+    """The enqueue nudge: one byte per ``notify``, broadcast to every worker."""
+
+    @pytest.fixture()
+    def channel(self):
+        """A notifier and a factory attaching one worker pipe per call."""
+        notifier = WakeupNotifier()
+        readers = []
+
+        def attach():
+            reader, writer = multiprocessing.get_context("spawn").Pipe(duplex=False)
+            notifier.attach(writer)
+            readers.append(reader)
+            return WakeupReceiver(reader), writer
+
+        yield notifier, attach
+        notifier.close()
+        for reader in readers:
+            reader.close()
+
+    def test_notify_wakes_every_attached_worker(self, channel):
+        notifier, attach = channel
+        receivers = [attach()[0] for _ in range(3)]
+        assert not any(receiver.wait(0) for receiver in receivers)
+        notifier.notify()
+        assert all(receiver.wait(0) for receiver in receivers)
+
+    def test_a_burst_of_nudges_is_one_wakeup(self, channel):
+        notifier, attach = channel
+        receiver, _ = attach()
+        for _ in range(5):
+            notifier.notify()
+        assert receiver.wait(0)
+        assert not receiver.wait(0)  # the burst was drained in one wait
+
+    def test_notify_neither_blocks_nor_raises_on_a_full_pipe(self, channel):
+        """A full pipe already holds a pending wakeup; the event loop must not stall."""
+        notifier, attach = channel
+        receiver, writer = attach()
+        with pytest.raises(BlockingIOError):
+            while True:
+                os.write(writer.fileno(), b"!" * 4096)
+        nudge = threading.Thread(target=notifier.notify, daemon=True)
+        nudge.start()
+        nudge.join(timeout=5)
+        assert not nudge.is_alive()
+        assert receiver.wait(0)
+        assert not receiver.wait(0)
 
 
 class TestWarmTopologySharing:

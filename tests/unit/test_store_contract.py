@@ -1,18 +1,26 @@
-"""The backend contract suite: every JobStore backend, one set of invariants.
+"""The store contract suite: the invariants ``http``/``workers``/``daemon`` rely on.
 
-Each test here runs once per backend (single-file SQLite and the sharded
-fleet) through the parametrized ``store`` fixture.  The suite *is* the
-contract documented in ``repro/server/stores/base.py`` — dedup, lifecycle,
-claim races, claim-holder guards, the poison budget, crash recovery, the
-warm-topology sidecar and worker beacons must behave identically whether
-there is one store file or eight, because ``http``/``workers``/``daemon``
-cannot know (and must not care) which backend they got.
+The suite *is* the contract documented in ``repro/server/stores/base.py``
+— dedup, lifecycle, claim races, claim-holder guards, the poison budget,
+crash recovery, the warm-topology sidecar and worker beacons — checked on
+:class:`~repro.server.stores.JobStore`.  Each test runs once per way the
+store's file is met in service (the parametrized ``store`` fixture):
 
-Backend-specific behaviour (schema migrations, shard manifests, SQL-level
-write skipping) lives in ``test_server_store.py`` and
-``test_store_sharded.py``.
+``fresh``
+    a new file behind one handle;
+``migrated``
+    a file created at schema version 1 and upgraded in place on open, as a
+    daemon upgraded over its old database finds it;
+``shared``
+    two handles on one file, successive calls alternating between them, as
+    the daemon's front end and its worker processes share the file — no
+    answer may depend on state one handle keeps to itself.
+
+Store internals (schema migrations, SQL-level write skipping) live in
+``test_server_store.py``.
 """
 
+import sqlite3
 import threading
 import time
 
@@ -25,13 +33,8 @@ from repro.api.requests import (
     RecoveryRequest,
     TopologySpec,
 )
-from repro.server.stores import (
-    DEFAULT_MAX_ATTEMPTS,
-    JobStoreBackend,
-    open_store,
-)
-
-BACKENDS = {"sqlite": 1, "sharded": 3}
+import repro.server
+from repro.server.stores import DEFAULT_MAX_ATTEMPTS, JobStore
 
 
 def grid_request(seed: int = 1, pairs: int = 1) -> RecoveryRequest:
@@ -53,9 +56,57 @@ def assess_request(seed: int = 1) -> AssessmentRequest:
     )
 
 
-@pytest.fixture(params=sorted(BACKENDS))
-def backend_name(request):
-    return request.param
+def create_v1_database(path) -> None:
+    """An empty store at schema version 1: ``jobs`` and ``worker_stats`` only."""
+    conn = sqlite3.connect(path)
+    conn.execute(
+        """
+        CREATE TABLE jobs (
+            digest      TEXT PRIMARY KEY,
+            kind        TEXT NOT NULL,
+            request     TEXT NOT NULL,
+            state       TEXT NOT NULL
+                        CHECK (state IN ('queued', 'running', 'done', 'failed')),
+            result      TEXT,
+            error       TEXT,
+            attempts    INTEGER NOT NULL DEFAULT 0,
+            worker      TEXT,
+            created_at  REAL NOT NULL,
+            started_at  REAL,
+            finished_at REAL
+        )
+        """
+    )
+    conn.execute("CREATE INDEX jobs_state_created ON jobs (state, created_at)")
+    conn.execute(
+        """
+        CREATE TABLE worker_stats (
+            worker     TEXT PRIMARY KEY,
+            updated_at REAL NOT NULL,
+            counters   TEXT NOT NULL
+        )
+        """
+    )
+    conn.execute("PRAGMA user_version=1")
+    conn.commit()
+    conn.close()
+
+
+class SharedFile:
+    """Two handles on one file; each attribute lookup takes the next handle."""
+
+    def __init__(self, path) -> None:
+        self._handles = (JobStore(path), JobStore(path))
+        self._lookups = 0
+
+    def __getattr__(self, name):
+        handle = self._handles[self._lookups % 2]
+        self._lookups += 1
+        return getattr(handle, name)
+
+    def close(self) -> None:
+        for handle in self._handles:
+            handle.close()
 
 
 @pytest.fixture()
@@ -63,15 +114,22 @@ def store_path(tmp_path):
     return tmp_path / "jobs.db"
 
 
-@pytest.fixture()
-def store(backend_name, store_path):
-    with open_store(store_path, shards=BACKENDS[backend_name]) as handle:
+@pytest.fixture(params=["fresh", "migrated", "shared"])
+def store(request, store_path):
+    if request.param == "migrated":
+        create_v1_database(store_path)
+    handle = SharedFile(store_path) if request.param == "shared" else JobStore(store_path)
+    try:
         yield handle
+    finally:
+        handle.close()
 
 
 class TestProtocol:
-    def test_backend_satisfies_the_protocol(self, store):
-        assert isinstance(store, JobStoreBackend)
+    def test_the_store_is_the_one_exported_job_store(self, store_path):
+        with JobStore(store_path) as store:
+            assert type(store) is repro.server.JobStore
+        assert JobStore.__name__ == "JobStore"
 
 
 class TestSubmission:
@@ -159,7 +217,7 @@ class TestClaims:
         barrier = threading.Barrier(3)
 
         def racer(name):
-            handle = open_store(store_path)  # own connection, like a worker
+            handle = JobStore(store_path)  # own connection, like a worker
             try:
                 barrier.wait()
                 got = []
@@ -408,7 +466,7 @@ class TestTopologySidecar:
         """Sidecar reads are fleet-wide regardless of which handle wrote."""
         for index in range(8):
             store.save_topology(f"digest-{index}", b"blob")
-        other = open_store(store_path)
+        other = JobStore(store_path)
         try:
             assert len(other.load_topologies()) == 8
         finally:
@@ -435,9 +493,9 @@ class TestTelemetry:
     """Schema-v4 telemetry surface: trace ids, span sidecar, stage samples.
 
     All of it is observability-only — it must never perturb digests or
-    result envelopes — but the *storage* behaviour is part of the backend
+    result envelopes — but the *storage* behaviour is part of the store
     contract: the HTTP layer stamps ids and the trace endpoint reads span
-    trees without knowing which backend it got.
+    trees through it.
     """
 
     def test_submit_stamps_the_creating_trace_id(self, store):
@@ -515,11 +573,3 @@ class TestTelemetry:
         stages = store.stage_latency_samples()
         assert set(stages) == {"queue_wait", "serialize", "served"}
         assert all(samples == [] for samples in stages.values())
-
-    def test_layout_info_names_the_backend(self, store, backend_name):
-        layout = store.layout_info()
-        assert layout["backend"] == backend_name
-        assert layout["shards"] == BACKENDS[backend_name]
-        assert len(layout["shard_queue_depths"]) == BACKENDS[backend_name]
-        store.submit(grid_request())
-        assert sum(store.layout_info()["shard_queue_depths"]) == 1
