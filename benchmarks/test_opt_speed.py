@@ -4,11 +4,12 @@ Figure-7-style instances (Erdős–Rényi, complete destruction, unit demands
 over high-capacity links — pure connectivity recovery) are solved three
 ways:
 
-* **monolithic** — the plain Eq. 1 model, byte-for-byte the
-  pre-acceleration path, no incumbent seed (the parity baseline);
-* **decomposed** — the decomposition attack (VUB-strengthened relaxation
-  certificate, combinatorial Benders, tightened fallback) without a
-  heuristic seed;
+* **monolithic** — :func:`~repro.flows.milp.solve_monolithic`, the plain
+  Eq. 1 model, byte-for-byte the pre-acceleration path, no incumbent seed
+  (the parity baseline);
+* **decomposed** — ``solve_minimum_recovery``, the decomposition attack
+  (VUB-strengthened relaxation certificate, combinatorial Benders,
+  tightened fallback) without a heuristic seed;
 * **seeded** — the decomposition attack seeded with an SRT incumbent, the
   path the API service and the portfolio racer actually take.  The SRT
   run itself is *included* in the measured time — the speedup is honest
@@ -42,7 +43,7 @@ from repro.api.requests import (
     TopologySpec,
 )
 from repro.api.service import RecoveryService
-from repro.flows.milp import solve_minimum_recovery
+from repro.flows.milp import build_minr_model, solve_minimum_recovery, solve_monolithic
 from repro.heuristics.srt import shortest_path_repair
 from repro.utils.jsonio import write_json
 
@@ -73,11 +74,9 @@ def _build_instance(num_nodes: int, edge_probability: float, seed: int):
     return supply, demand
 
 
-def _timed_solve(supply, demand, strategy, seed_plans=None):
+def _timed(solve):
     started = time.perf_counter()
-    solution = solve_minimum_recovery(
-        supply, demand, strategy=strategy, seed_plans=seed_plans
-    )
+    solution = solve()
     return solution, time.perf_counter() - started
 
 
@@ -100,13 +99,13 @@ def test_decomposed_opt_beats_monolithic_with_identical_objectives():
     for num_nodes, edge_probability, seed in instances:
         supply, demand = _build_instance(num_nodes, edge_probability, seed)
 
-        mono, mono_seconds = _timed_solve(supply, demand, "monolithic")
+        mono, mono_seconds = _timed(lambda: solve_monolithic(build_minr_model(supply, demand)))
 
-        dec, dec_seconds = _timed_solve(supply, demand, "decomposed")
+        dec, dec_seconds = _timed(lambda: solve_minimum_recovery(supply, demand))
 
         seeded_started = time.perf_counter()
         srt_plan = shortest_path_repair(supply.copy(), demand)
-        seeded, _ = _timed_solve(supply, demand, "decomposed", seed_plans=[srt_plan])
+        seeded = solve_minimum_recovery(supply, demand, seed_plans=[srt_plan])
         seeded_seconds = time.perf_counter() - seeded_started
 
         for solution in (mono, dec, seeded):

@@ -31,7 +31,6 @@ before.
 
 from __future__ import annotations
 
-import os
 import time
 from collections import OrderedDict
 from pathlib import Path
@@ -72,32 +71,6 @@ from repro.portfolio import split_algorithms
 #: Pristine topologies retained per service session.
 DEFAULT_TOPOLOGY_CACHE_SIZE = 8
 
-#: Environment override for the pristine-topology LRU capacity; long-lived
-#: deployments (server workers) size it without touching code.
-TOPOLOGY_CACHE_ENV_VAR = "REPRO_TOPOLOGY_CACHE"
-
-
-def default_topology_cache_size() -> int:
-    """The session default LRU capacity: ``$REPRO_TOPOLOGY_CACHE`` or 8.
-
-    A malformed or negative value raises — a deployment that *tried* to
-    size the cache deserves a loud failure, not a silent default.
-    """
-    raw = os.environ.get(TOPOLOGY_CACHE_ENV_VAR)
-    if raw is None:
-        return DEFAULT_TOPOLOGY_CACHE_SIZE
-    try:
-        size = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"${TOPOLOGY_CACHE_ENV_VAR} must be a non-negative integer, got {raw!r}"
-        ) from None
-    if size < 0:
-        raise ValueError(
-            f"${TOPOLOGY_CACHE_ENV_VAR} must be a non-negative integer, got {raw!r}"
-        )
-    return size
-
 Request = Union[AssessmentRequest, RecoveryRequest]
 
 
@@ -111,7 +84,7 @@ def run_algorithms(
 
     Heuristics run first, in the listed order, then the exact algorithms,
     seeded with every heuristic plan (a verified incumbent lets the
-    decomposed strategy prove optimality without a MILP; OPT listed alone
+    decomposition prove optimality without a MILP; OPT listed alone
     seeds itself with SRT).  All runs share one instance scope: constraint
     structures are built once per topology, and GRD-COM and GRD-NC
     enumerate the instance's candidate paths once.  Each run — the solve
@@ -152,25 +125,15 @@ def run_algorithms(
 class RecoveryService:
     """A session answering recovery and assessment requests.
 
-    Parameters
-    ----------
-    topology_cache_size:
-        How many pristine built topologies to retain.  ``None`` (the
-        default) reads ``$REPRO_TOPOLOGY_CACHE``, falling back to
-        :data:`DEFAULT_TOPOLOGY_CACHE_SIZE`; ``0`` disables the cache.
-        Only deterministic topologies (builders without a ``seed``
-        parameter, or with the seed pinned in the spec kwargs) are cached —
-        otherwise the build draws from the request's RNG stream and must be
-        repeated so the stream stays identical to the engine's.
+    The session keeps the last :data:`DEFAULT_TOPOLOGY_CACHE_SIZE` pristine
+    built topologies.  Only deterministic topologies (builders without a
+    ``seed`` parameter, or with the seed pinned in the spec kwargs) are
+    cached — otherwise the build draws from the request's RNG stream and
+    must be repeated so the stream stays identical to the engine's.
     """
 
-    def __init__(self, topology_cache_size: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         self._topologies: "OrderedDict[str, SupplyGraph]" = OrderedDict()
-        if topology_cache_size is None:
-            topology_cache_size = default_topology_cache_size()
-        if topology_cache_size < 0:
-            raise ValueError("topology_cache_size must be non-negative")
-        self._topology_cache_size = int(topology_cache_size)
         self.topology_cache_hits = 0
         self.topology_cache_misses = 0
 
@@ -195,34 +158,9 @@ class RecoveryService:
         self.topology_cache_misses += 1
         supply = spec.build(np.random.default_rng(0), {})  # rng unused: deterministic
         self._topologies[key] = supply
-        while len(self._topologies) > self._topology_cache_size:
+        if len(self._topologies) > DEFAULT_TOPOLOGY_CACHE_SIZE:
             self._topologies.popitem(last=False)
         return supply
-
-    def import_topologies(self, topologies: Dict[str, SupplyGraph]) -> int:
-        """Seed the pristine-topology LRU with pre-built graphs.
-
-        ``topologies`` maps ``config_digest(spec.to_dict())`` to the built
-        pristine :class:`SupplyGraph` — the shape the server's fleet-shared
-        warm cache stores.  Existing entries are kept (they are already the
-        deterministic build); entries beyond the LRU capacity evict oldest
-        first, exactly like organic builds.  Returns how many entries were
-        actually added.  Imports count as neither hits nor misses — they
-        are warm starts, accounted by the caller.
-        """
-        added = 0
-        for key, supply in topologies.items():
-            if key in self._topologies:
-                continue
-            self._topologies[key] = supply
-            added += 1
-        while len(self._topologies) > self._topology_cache_size:
-            self._topologies.popitem(last=False)
-        return added
-
-    def export_topologies(self) -> Dict[str, SupplyGraph]:
-        """A snapshot of the pristine-topology LRU (digest -> built graph)."""
-        return dict(self._topologies)
 
     def build_instance(self, request: Request):
         """Materialise ``request``'s instance: ``(supply, demand, report)``.
@@ -359,14 +297,12 @@ class RecoveryService:
             "topology_cache_hits": self.topology_cache_hits,
             "topology_cache_misses": self.topology_cache_misses,
             "topology_cache_size": len(self._topologies),
-            "topology_cache_capacity": self._topology_cache_size,
+            "topology_cache_capacity": DEFAULT_TOPOLOGY_CACHE_SIZE,
         }
 
 
 __all__ = [
     "DEFAULT_TOPOLOGY_CACHE_SIZE",
-    "TOPOLOGY_CACHE_ENV_VAR",
     "RecoveryService",
-    "default_topology_cache_size",
     "run_algorithms",
 ]

@@ -61,6 +61,10 @@ from repro.network.supply import SupplyGraph, canonical_edge
 Node = Hashable
 Pair = Tuple[Node, Node]
 
+#: ``split_amount_mode="auto"`` runs the paper's split LP on supply graphs
+#: of at most this many edges and the bottleneck approximation above it.
+LP_EDGE_THRESHOLD = 400
+
 
 @dataclass
 class ISPConfig:
@@ -83,9 +87,7 @@ class ISPConfig:
         * ``"bottleneck"`` — a fast approximation using the capacity of the
           covering paths through the split node;
         * ``"auto"`` — LP on small graphs, bottleneck on graphs with more
-          than ``lp_edge_threshold`` edges.
-    lp_edge_threshold:
-        Edge-count threshold for ``"auto"`` mode.
+          than :data:`LP_EDGE_THRESHOLD` edges.
     max_iterations:
         Hard cap on main-loop iterations; ``None`` derives a generous bound
         from the instance size.  If the cap is hit, the remaining demand is
@@ -97,7 +99,6 @@ class ISPConfig:
     metric: str = "dynamic"
     require_bubble: bool = True
     split_amount_mode: Literal["lp", "bottleneck", "auto"] = "auto"
-    lp_edge_threshold: int = 400
     max_iterations: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -130,7 +131,7 @@ class _ISPState:
         self.index = GraphIndex(self.supply)
         mode = config.split_amount_mode
         if mode == "auto":
-            mode = "lp" if len(self.index.edges) <= config.lp_edge_threshold else "bottleneck"
+            mode = "lp" if len(self.index.edges) <= LP_EDGE_THRESHOLD else "bottleneck"
         #: The split LP of this run on the complete graph of ``index``, or
         #: ``None`` when ``config.split_amount_mode`` resolves to
         #: ``"bottleneck"`` for this supply.  Its bases are never shared

@@ -24,11 +24,12 @@ Two accelerations sit on top of the plain model (see ``docs/solver.md``):
   upper bound, and its fallback answer.  It is not handed to HiGHS as a
   MIP start: that changed the returned solutions and was slower (see
   ``docs/solver.md``).
-* **Strategy dispatch** — ``solve_minimum_recovery`` routes through
-  :func:`repro.flows.decomposition.solve_decomposed` unless the caller's
-  explicit ``strategy="monolithic"`` pins the plain model.  The monolithic
-  path is byte-for-byte the pre-acceleration model, kept as the parity
-  baseline.
+* **Decomposition first** — ``solve_minimum_recovery`` runs
+  :func:`repro.flows.decomposition.solve_decomposed` and falls back to
+  :func:`solve_monolithic`, the plain Eq. 1 model, whenever the attack
+  declines.  ``solve_monolithic`` is byte-for-byte the pre-acceleration
+  model, and the exact reference the differential suites and the OPT
+  speed bench compare against.
 """
 
 from __future__ import annotations
@@ -53,21 +54,6 @@ from repro.obs.trace import count
 
 Node = Hashable
 Edge = Tuple[Node, Node]
-
-#: Valid strategies: the plain Eq. 1 model, the decomposition attack, or
-#: auto (decomposed with a monolithic fallback whenever the attack declines).
-OPT_STRATEGIES = ("monolithic", "decomposed", "auto")
-
-
-def resolve_opt_strategy(name: Optional[str] = None) -> str:
-    """Validate an explicit strategy name; ``None`` resolves to ``auto``."""
-    strategy = name or "auto"
-    if strategy not in OPT_STRATEGIES:
-        raise ValueError(
-            f"unknown OPT strategy {strategy!r}; valid: {', '.join(OPT_STRATEGIES)}"
-        )
-    return strategy
-
 
 @dataclass
 class MinRSolution:
@@ -141,7 +127,7 @@ def build_minr_model(
     demand: DemandGraph,
     commodities: Optional[Sequence[Commodity]] = None,
 ) -> MinRModel:
-    """Build the Eq. 1 constraint system once, for any solve strategy."""
+    """Build the Eq. 1 constraint system once, for any solve path."""
     if commodities is None:
         commodities = [
             Commodity(source=p.source, target=p.target, demand=p.demand)
@@ -351,73 +337,18 @@ def solution_from_result(
     )
 
 
-def solve_minimum_recovery(
-    supply: SupplyGraph,
-    demand: DemandGraph,
+def solve_monolithic(
+    model: MinRModel,
     time_limit: Optional[float] = None,
     mip_rel_gap: float = 0.0,
-    strategy: Optional[str] = None,
-    seed_plans: Optional[Sequence[RecoveryPlan]] = None,
 ) -> MinRSolution:
-    """Solve the MinR MILP for ``supply`` and ``demand``.
+    """Solve the plain Eq. 1 model in one HiGHS branch-and-cut.
 
-    Parameters
-    ----------
-    supply:
-        Supply graph with broken elements and repair costs.  Nominal
-        capacities are used (the optimum plans from scratch).
-    demand:
-        Demand graph to satisfy completely.
-    time_limit:
-        Optional wall-clock limit in seconds handed to HiGHS.
-    mip_rel_gap:
-        Relative optimality gap at which the solver may stop early.
-    strategy:
-        ``"monolithic"``, ``"decomposed"`` or ``"auto"`` (the default).
-    seed_plans:
-        Heuristic plans to mine for a feasible incumbent (cheapest verified
-        plan wins).  The incumbent gives the decomposition its upper bound;
-        it never changes the optimal objective.
-
-    Returns
-    -------
-    MinRSolution
-        ``status`` is ``"optimal"``, ``"feasible"`` (time limit hit with an
-        incumbent), ``"infeasible"`` or ``"error"``.
+    No decomposition and no incumbent: :func:`solve_minimum_recovery`
+    falls back to this when the decomposition attack declines, and the
+    differential suites and the OPT speed bench call it on
+    ``build_minr_model(supply, demand)`` as the exact reference.
     """
-    commodities = [
-        Commodity(source=p.source, target=p.target, demand=p.demand) for p in demand.pairs()
-    ]
-    chosen = resolve_opt_strategy(strategy)
-    if not commodities:
-        return MinRSolution(status="optimal", objective=0.0, bound=0.0, strategy=chosen)
-
-    model = build_minr_model(supply, demand, commodities)
-
-    incumbent: Optional[IncumbentStart] = None
-    if seed_plans:
-        ranked = sorted(
-            (plan for plan in seed_plans if plan is not None),
-            key=lambda plan: (plan.repair_cost(supply), plan.algorithm),
-        )
-        for plan in ranked:
-            incumbent = build_incumbent(model, plan)
-            if incumbent is not None:
-                break
-    if incumbent is not None:
-        count(incumbent_seeds=1)
-
-    if chosen in ("decomposed", "auto"):
-        solution = solve_decomposed(
-            model,
-            time_limit=time_limit,
-            mip_rel_gap=mip_rel_gap,
-            incumbent=incumbent,
-        )
-        if solution is not None:
-            return solution
-        # The attack declined (e.g. out of time, odd structure): fall back.
-
     program = MILProgram(
         c=model.objective,
         constraints=model.constraints,
@@ -434,17 +365,77 @@ def solve_minimum_recovery(
 
     if not result.feasible or result.x is None:
         status = result.status if result.status in ("infeasible", "error") else "error"
-        return MinRSolution(
-            status=status,
-            elapsed_seconds=elapsed,
-            strategy="monolithic",
-            seeded=incumbent is not None,
-        )
+        return MinRSolution(status=status, elapsed_seconds=elapsed)
 
-    solution = solution_from_result(
-        model, result, strategy="monolithic", seeded=incumbent is not None
-    )
+    solution = solution_from_result(model, result, strategy="monolithic", seeded=False)
     solution.elapsed_seconds = elapsed
+    return solution
+
+
+def solve_minimum_recovery(
+    supply: SupplyGraph,
+    demand: DemandGraph,
+    time_limit: Optional[float] = None,
+    mip_rel_gap: float = 0.0,
+    seed_plans: Optional[Sequence[RecoveryPlan]] = None,
+) -> MinRSolution:
+    """Solve the MinR MILP for ``supply`` and ``demand``.
+
+    Parameters
+    ----------
+    supply:
+        Supply graph with broken elements and repair costs.  Nominal
+        capacities are used (the optimum plans from scratch).
+    demand:
+        Demand graph to satisfy completely.
+    time_limit:
+        Optional wall-clock limit in seconds handed to HiGHS.
+    mip_rel_gap:
+        Relative optimality gap at which the solver may stop early.
+    seed_plans:
+        Heuristic plans to mine for a feasible incumbent (cheapest verified
+        plan wins).  The incumbent gives the decomposition its upper bound;
+        it never changes the optimal objective.
+
+    Returns
+    -------
+    MinRSolution
+        ``status`` is ``"optimal"``, ``"feasible"`` (time limit hit with an
+        incumbent), ``"infeasible"`` or ``"error"``.
+    """
+    commodities = [
+        Commodity(source=p.source, target=p.target, demand=p.demand) for p in demand.pairs()
+    ]
+    if not commodities:
+        # "auto" is the name this path reported when it was one of three
+        # strategies; an empty instance keeps it so its envelope is unchanged.
+        return MinRSolution(status="optimal", objective=0.0, bound=0.0, strategy="auto")
+
+    model = build_minr_model(supply, demand, commodities)
+
+    incumbent: Optional[IncumbentStart] = None
+    if seed_plans:
+        ranked = sorted(
+            (plan for plan in seed_plans if plan is not None),
+            key=lambda plan: (plan.repair_cost(supply), plan.algorithm),
+        )
+        for plan in ranked:
+            incumbent = build_incumbent(model, plan)
+            if incumbent is not None:
+                break
+    if incumbent is not None:
+        count(incumbent_seeds=1)
+
+    solution = solve_decomposed(
+        model,
+        time_limit=time_limit,
+        mip_rel_gap=mip_rel_gap,
+        incumbent=incumbent,
+    )
+    if solution is None:
+        # The attack declined (e.g. out of time, odd structure): fall back.
+        solution = solve_monolithic(model, time_limit=time_limit, mip_rel_gap=mip_rel_gap)
+        solution.seeded = incumbent is not None
     return solution
 
 

@@ -5,19 +5,15 @@ adapts the raw MILP solution to the common :class:`RecoveryPlan` interface
 used by the evaluation harness, and that wires heuristic incumbents into
 the solve: the request runner (``RecoveryService.solve``) passes the
 heuristic plans it already computed via ``seed_plans``; when none are
-supplied and the strategy allows decomposition, a quick SRT run self-seeds
-the solve so the bound certificate can prove the optimum without any MILP.
+supplied, a quick SRT run self-seeds the solve so the bound certificate
+can prove the optimum without any MILP.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.flows.milp import (
-    minr_solution_to_plan,
-    resolve_opt_strategy,
-    solve_minimum_recovery,
-)
+from repro.flows.milp import minr_solution_to_plan, solve_minimum_recovery
 from repro.network.demand import DemandGraph
 from repro.network.plan import RecoveryPlan
 from repro.network.supply import SupplyGraph
@@ -28,7 +24,6 @@ def optimal_recovery(
     demand: DemandGraph,
     time_limit: Optional[float] = None,
     mip_rel_gap: float = 0.0,
-    strategy: Optional[str] = None,
     seed_plans: Optional[Sequence[RecoveryPlan]] = None,
 ) -> RecoveryPlan:
     """Solve MinR exactly (or to the given gap / time limit) and return the plan.
@@ -43,9 +38,8 @@ def optimal_recovery(
     same request); seeding never changes the optimal objective — only how
     fast it is reached and proven.
     """
-    chosen = resolve_opt_strategy(strategy)
     seeds = list(seed_plans) if seed_plans else []
-    if not seeds and chosen in ("decomposed", "auto"):
+    if not seeds:
         # Self-seed with SRT: near-instant, and its plan frequently matches
         # the strengthened relaxation bound, closing the solve with one LP.
         from repro.heuristics.srt import shortest_path_repair
@@ -56,7 +50,6 @@ def optimal_recovery(
         demand,
         time_limit=time_limit,
         mip_rel_gap=mip_rel_gap,
-        strategy=chosen,
         seed_plans=seeds,
     )
     return minr_solution_to_plan(solution, algorithm="OPT")

@@ -12,7 +12,6 @@ import inspect
 from typing import Any, Dict, List, Mapping
 
 from repro.core.isp import ISPConfig, iterative_split_prune
-from repro.flows.milp import resolve_opt_strategy
 from repro.heuristics.all_repair import repair_all
 from repro.heuristics.base import RecoveryAlgorithm
 from repro.heuristics.greedy import greedy_commitment, greedy_no_commitment
@@ -70,10 +69,10 @@ def check_algorithm_kwargs(name: str, kwargs: Mapping[str, Any]) -> None:
     """Bind a request's options for algorithm ``name`` against its solver.
 
     ISP's options are the :class:`ISPConfig` fields, values included; the
-    other solvers' are their keyword parameters (and OPT's strategy value).
-    An unknown name raises ``KeyError``; an unknown, invalid or
-    runner-supplied option (the ``seed_plans`` an exact solve gets from the
-    heuristic runs) raises ``ValueError``.
+    other solvers' are their keyword parameters.  An unknown name raises
+    ``KeyError``; an unknown, invalid or runner-supplied option (the
+    ``seed_plans`` an exact solve gets from the heuristic runs) raises
+    ``ValueError``.
     """
     algorithm = get_algorithm(name)
     if "seed_plans" in kwargs:
@@ -85,8 +84,6 @@ def check_algorithm_kwargs(name: str, kwargs: Mapping[str, Any]) -> None:
             inspect.signature(algorithm.solver).bind(None, None, **kwargs)
     except TypeError as error:
         raise ValueError(f"invalid {algorithm.name} options: {error}") from None
-    if algorithm.solver is optimal_recovery:
-        resolve_opt_strategy(kwargs.get("strategy"))
 
 
 def register_algorithm(name: str, solver: Any, overwrite: bool = False) -> None:

@@ -23,7 +23,7 @@ Unconfigured (library/test) use stays quiet and cheap: loggers exist,
 ``caplog`` sees records, nothing is printed below WARNING.
 
 :func:`warn_rate_limited` is for failure modes that can fire in a tight
-loop (a dead wakeup pipe, a corrupt sidecar row): at most one record per
+loop (a dead wakeup pipe, a failed span write): at most one record per
 ``key`` per ``interval``, with a ``suppressed`` count on the next emitted
 record so bursts are visible without flooding.
 """

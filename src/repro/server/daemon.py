@@ -68,12 +68,6 @@ async def serve(config: ServerConfig, ready: Optional[asyncio.Event] = None) -> 
     ``ready`` (if given) is set once the HTTP socket is bound — in-process
     harnesses await it instead of parsing stderr.
     """
-    # Validate worker-side configuration *here*, before any process spawns:
-    # a malformed $REPRO_TOPOLOGY_CACHE would otherwise kill every worker at
-    # startup while the daemon kept serving a queue nobody drains.
-    from repro.api.service import default_topology_cache_size
-
-    default_topology_cache_size()
     # Configure logging before the fleet spawns: configure_logging exports
     # the level/format env vars the worker processes configure from.
     configure_logging(level=config.log_level, log_format=config.log_format)

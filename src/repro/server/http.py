@@ -852,16 +852,6 @@ class RecoveryServer:
                 "Jobs received through batched claims (jobs / batches = mean size).",
             ),
             (
-                "warm_topology_loads",
-                "repro_warm_topology_loads_total",
-                "Pristine topologies loaded from the shared warm sidecar.",
-            ),
-            (
-                "warm_topology_saves",
-                "repro_warm_topology_saves_total",
-                "Pristine topologies persisted to the shared warm sidecar.",
-            ),
-            (
                 "topology_cache_hits",
                 "repro_topology_cache_hits_total",
                 "Pristine-topology LRU hits across worker sessions.",

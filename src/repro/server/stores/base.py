@@ -46,11 +46,6 @@ Crash recovery
     (attempt counts preserved) and records a breadcrumb of the vanished
     worker in ``error`` so the poison sweep can report a root cause.  Terminal rows are never touched.
 
-Warm topology sidecar
-    ``save_topology`` is write-once per digest; ``load_topologies``
-    returns every stored payload not in the caller's exclusion set,
-    regardless of which handle stored it.
-
 Worker beacons
     ``record_worker_stats`` upserts one counter snapshot per worker id;
     ``worker_ids`` lists every worker that has reported (the readiness

@@ -7,9 +7,9 @@ disk forever after (idempotent re-submission of the same request returns
 the stored row instead of recomputing).  :class:`JobStore` keeps the
 contract stated in :mod:`repro.server.stores.base`.
 
-Schema (version 4)
+Schema (version 5)
 ------------------
-``PRAGMA user_version`` carries the schema version.  Four tables:
+``PRAGMA user_version`` carries the schema version.  Three tables:
 
 ``jobs``
     One row per accepted request, keyed by the library-wide
@@ -50,14 +50,6 @@ Schema (version 4)
     the daemon's ``/metrics`` can aggregate fleet-wide totals without
     talking to worker processes.
 
-``topology_cache`` (version 2)
-    The fleet-shared warm cache of *pristine* deterministic topologies:
-    one serialized :class:`~repro.network.supply.SupplyGraph` per topology
-    digest.  The first worker to build a topology persists it; every other
-    worker (and every later daemon run) loads it instead of paying the
-    build again.  Rows are write-once — a digest names exactly one
-    deterministic build, so the payload never changes.
-
 ``trace_spans`` (version 4)
     The cross-process span sidecar: one JSON span-tree payload per
     ``(digest, source)``, where ``source`` is ``frontend`` (written at
@@ -72,13 +64,15 @@ Migration policy
 Opening a database whose ``user_version`` is *newer* than this library
 raises :class:`StoreSchemaError` (never guess at a future format).  An
 *older* version is migrated in-place inside one transaction by the
-``_MIGRATIONS`` chain (version 2 adds ``topology_cache``; version 3 adds
-``jobs.first_finished_at``, backfilled from ``finished_at`` — the best
-available approximation for rows that predate the split; version 4 adds
+``_MIGRATIONS`` chain (version 3 adds ``jobs.first_finished_at``,
+backfilled from ``finished_at`` — the best available approximation for
+rows that predate the split; version 4 adds
 ``jobs.trace_id``/``jobs.serialize_seconds`` and the ``trace_spans``
-sidecar — pre-existing rows simply carry no telemetry).  Removing or
-renaming a column requires a new version — the store never alters the
-meaning of an existing column in place.
+sidecar — pre-existing rows simply carry no telemetry; version 5 drops the
+``topology_cache`` table that version 2 added, a fleet-shared copy of the
+pristine topologies each worker's service session caches anyway).
+Removing or renaming a column requires a new version — the store never
+alters the meaning of an existing column in place.
 
 Concurrency
 -----------
@@ -112,7 +106,7 @@ from repro.server.stores.base import (
 )
 
 #: Bump when a column changes meaning; see the migration policy above.
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 #: Why a directory is refused as a store path.
 REMOVED_LAYOUT_MESSAGE = (
@@ -224,14 +218,6 @@ CREATE TABLE IF NOT EXISTS worker_stats (
 )
 """
 
-_CREATE_TOPOLOGY_CACHE = """
-CREATE TABLE IF NOT EXISTS topology_cache (
-    digest     TEXT PRIMARY KEY,
-    payload    BLOB NOT NULL,
-    created_at REAL NOT NULL
-)
-"""
-
 _CREATE_TRACE_SPANS = """
 CREATE TABLE IF NOT EXISTS trace_spans (
     digest     TEXT NOT NULL,
@@ -246,7 +232,9 @@ CREATE TABLE IF NOT EXISTS trace_spans (
 #: version -> statements upgrading *to* that version (applied in order for
 #: every version above the database's).
 _MIGRATIONS: Dict[int, Tuple[str, ...]] = {
-    2: (_CREATE_TOPOLOGY_CACHE,),
+    # Version 2 created the topology sidecar that version 5 drops, so no
+    # store, fresh or migrated, ends up holding it.
+    2: (),
     3: (
         "ALTER TABLE jobs ADD COLUMN first_finished_at REAL",
         # Best available backfill: rows written before the split measured
@@ -261,6 +249,7 @@ _MIGRATIONS: Dict[int, Tuple[str, ...]] = {
         "ALTER TABLE jobs ADD COLUMN serialize_seconds REAL",
         _CREATE_TRACE_SPANS,
     ),
+    5: ("DROP TABLE IF EXISTS topology_cache",),
 }
 
 
@@ -306,7 +295,6 @@ class JobStore:
                 self._conn.execute(_CREATE_JOBS)
                 self._conn.execute(_CREATE_JOBS_STATE_INDEX)
                 self._conn.execute(_CREATE_WORKER_STATS)
-                self._conn.execute(_CREATE_TOPOLOGY_CACHE)
                 self._conn.execute(_CREATE_TRACE_SPANS)
             else:
                 for target in range(version + 1, SCHEMA_VERSION + 1):
@@ -730,9 +718,9 @@ class JobStore:
     ) -> None:
         """Upsert one source's span tree for ``digest``.
 
-        Upsert (not write-once like the topology sidecar): a retried
-        execution replaces the stale worker tree, and the newest spans are
-        the ones that describe the row a client can fetch.
+        Upsert, not write-once: a retried execution replaces the stale
+        worker tree, and the newest spans are the ones that describe the
+        row a client can fetch.
         """
         self._conn.execute(
             "INSERT INTO trace_spans (digest, source, trace_id, payload, created_at) "
@@ -753,41 +741,6 @@ class JobStore:
             except ValueError:
                 continue  # a corrupt sidecar row must never break the trace view
         return trees
-
-    # ------------------------------------------------------------------ #
-    # Fleet-shared warm topology cache (write-once by digest)
-    # ------------------------------------------------------------------ #
-    def save_topology(self, digest: str, payload: bytes) -> bool:
-        """Persist one serialized pristine topology; returns whether stored.
-
-        Write-once: a digest names exactly one deterministic build, so a
-        second worker racing to save the same topology is a no-op.
-        """
-        cursor = self._conn.execute(
-            "INSERT INTO topology_cache (digest, payload, created_at) VALUES (?, ?, ?) "
-            "ON CONFLICT (digest) DO NOTHING",
-            (digest, sqlite3.Binary(payload), time.time()),
-        )
-        return cursor.rowcount == 1
-
-    def load_topologies(self, exclude: Optional[Sequence[str]] = None) -> Dict[str, bytes]:
-        """Serialized pristine topologies by digest, skipping ``exclude``.
-
-        Workers call this at startup (and per claimed batch) to share warm
-        builds: the exclusion set keeps the refresh to rows the caller has
-        not loaded yet.
-        """
-        known = set(exclude or ())
-        payloads: Dict[str, bytes] = {}
-        for row in self._conn.execute("SELECT digest, payload FROM topology_cache"):
-            if row["digest"] not in known:
-                payloads[row["digest"]] = bytes(row["payload"])
-        return payloads
-
-    def topology_digests(self) -> List[str]:
-        """Digests currently present in the warm topology cache."""
-        rows = self._conn.execute("SELECT digest FROM topology_cache ORDER BY digest")
-        return [row["digest"] for row in rows.fetchall()]
 
     # ------------------------------------------------------------------ #
     # Worker-reported counters

@@ -19,10 +19,7 @@ leaves every claimed row ``running`` for
 Idle workers do **not** poll-sleep: the daemon passes each fleet worker one
 end of a wakeup pipe and writes a byte on every enqueue, so an idle worker
 wakes the moment work arrives (the idle timeout is only the fallback for
-externally attached workers and missed notifications).  Warm-up is shared:
-deterministic pristine topologies built by any worker are serialized into
-the store's ``topology_cache`` sidecar table, and every worker loads them
-at startup (and per claimed batch), so N workers pay one cold build, not N.
+externally attached workers and missed notifications).
 
 Shutdown is cooperative: SIGTERM (or :meth:`WorkerFleet.drain`) sets a flag
 the loop checks *between* batches — the idle wait uses the stop event's
@@ -43,7 +40,6 @@ from __future__ import annotations
 import argparse
 import multiprocessing
 import os
-import pickle
 import signal
 import sys
 import time
@@ -86,24 +82,34 @@ class WakeupReceiver:
 
     The daemon writes single bytes on enqueue; :meth:`wait` blocks on the
     pipe and drains whatever accumulated, collapsing a burst of
-    notifications into one wakeup.
+    notifications into one wakeup.  Once the daemon's end is closed the
+    pipe reads end-of-file for ever, so the receiver drops it (a nudge read
+    before the end-of-file still wakes this wait) and from then on waits on
+    ``stop`` instead, as a worker without a pipe does.
     """
 
-    def __init__(self, connection) -> None:
+    def __init__(self, connection, stop=None) -> None:
         self._connection = connection
+        self._stop = stop
 
     def wait(self, timeout: float) -> bool:
         """Wait up to ``timeout`` seconds; True if a notification arrived."""
-        try:
-            if not self._connection.poll(timeout):
-                return False
-            while self._connection.poll(0):
-                os.read(self._connection.fileno(), 4096)
-            return True
-        except (OSError, EOFError, BrokenPipeError):
-            # the notifier is gone (daemon died); fall back to polling pace
-            time.sleep(min(timeout, 0.05))
-            return False
+        if self._connection is not None:
+            woken = False
+            try:
+                if not self._connection.poll(timeout):
+                    return False
+                while self._connection.poll(0):
+                    if not os.read(self._connection.fileno(), 4096):
+                        raise EOFError("the wakeup notifier closed its end")
+                    woken = True
+                return True
+            except (OSError, EOFError):
+                self._connection = None  # the notifier is gone (daemon died)
+            if woken:
+                return True  # a nudge written before the close still counts
+        _pause(self._stop, timeout)
+        return False
 
 
 class WakeupNotifier:
@@ -181,67 +187,25 @@ def _solver_counters(envelope: Dict[str, object]) -> Dict[str, float]:
     return totals
 
 
-def _idle_wait(stop, wakeup, timeout: float) -> None:
-    """One idle interval: wakeup channel first, stop event second, sleep last.
+def _pause(stop, timeout: float) -> None:
+    """Sleep ``timeout`` seconds, ending early if ``stop`` is set meanwhile.
 
     Waiting on the stop event (rather than ``time.sleep``) means SIGTERM —
     which sets the event — ends the interval immediately instead of letting
     the worker finish its sleep.
     """
-    if wakeup is not None:
-        wakeup.wait(timeout)
-        return
     if stop is not None and callable(getattr(stop, "wait", None)):
         stop.wait(timeout)
-        return
-    time.sleep(timeout)
+    else:
+        time.sleep(timeout)
 
 
-def _refresh_warm_topologies(store: JobStore, service, known: set) -> int:
-    """Pull sidecar topologies this worker has not loaded yet; count loads."""
-    loaded = 0
-    for digest, payload in store.load_topologies(exclude=known).items():
-        known.add(digest)
-        try:
-            supply = pickle.loads(payload)
-        except Exception as error:
-            # a corrupt row must never take a worker down — but a sidecar
-            # that silently stops warming the fleet is a latent perf bug
-            warn_rate_limited(
-                _LOG,
-                "warm-sidecar-load",
-                "skipped a corrupt warm-topology sidecar row",
-                digest=digest,
-                error=f"{type(error).__name__}: {error}",
-            )
-            continue
-        loaded += service.import_topologies({digest: supply})
-    return loaded
-
-
-def _persist_warm_topologies(store: JobStore, service, known: set) -> int:
-    """Push this worker's newly built pristine topologies to the sidecar."""
-    saved = 0
-    for digest, supply in service.export_topologies().items():
-        if digest in known:
-            continue
-        known.add(digest)
-        try:
-            payload = pickle.dumps(supply, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception as error:
-            # an unpicklable graph stays worker-local; say so (once per
-            # interval) instead of letting the sidecar quietly stop growing
-            warn_rate_limited(
-                _LOG,
-                "warm-sidecar-save",
-                "could not serialize a warm topology; it stays worker-local",
-                digest=digest,
-                error=f"{type(error).__name__}: {error}",
-            )
-            continue
-        if store.save_topology(digest, payload):
-            saved += 1
-    return saved
+def _idle_wait(stop, wakeup, timeout: float) -> None:
+    """One idle interval: the wakeup channel if the worker has one, else ``stop``."""
+    if wakeup is not None:
+        wakeup.wait(timeout)
+    else:
+        _pause(stop, timeout)
 
 
 def worker_loop(
@@ -262,8 +226,8 @@ def worker_loop(
     tests); ``None`` runs until ``max_jobs`` (or forever).  ``wakeup``
     (fleet workers) replaces the idle poll with an event-driven wait on the
     daemon's enqueue notifications.  Counters — jobs done/failed, busy
-    seconds, claim batches and their sizes, warm topology loads/saves, the
-    session's topology-cache hits and misses, aggregated solver effort —
+    seconds, claim batches and their sizes, the session's topology-cache
+    hits and misses, aggregated solver effort —
     are written back to the store after every batch so the daemon's
     ``/metrics`` reflects the fleet live.
 
@@ -285,26 +249,14 @@ def worker_loop(
         "busy_seconds": 0.0,
         "claim_batches": 0.0,
         "claim_batch_jobs": 0.0,
-        "warm_topology_loads": 0.0,
-        "warm_topology_saves": 0.0,
         "portfolio_stage1": 0.0,
         "portfolio_upgrades": 0.0,
         "portfolio_proven": 0.0,
         "portfolio_exact": 0.0,
     }
-    warm_digests: set = set()
-    counters["warm_topology_loads"] += _refresh_warm_topologies(
-        store, service, warm_digests
-    )
     # The first snapshot doubles as the readiness beacon /healthz counts.
     store.record_worker_stats(worker_id, counters)
-    _LOG.info(
-        "worker ready",
-        extra={
-            "worker": worker_id,
-            "warm_topologies": int(counters["warm_topology_loads"]),
-        },
-    )
+    _LOG.info("worker ready", extra={"worker": worker_id})
     handled = 0
     try:
         while not (stop is not None and stop.is_set()):
@@ -321,11 +273,6 @@ def worker_loop(
                 continue
             counters["claim_batches"] += 1
             counters["claim_batch_jobs"] += len(batch)
-            warm_started = time.perf_counter()
-            counters["warm_topology_loads"] += _refresh_warm_topologies(
-                store, service, warm_digests
-            )
-            warm_seconds = time.perf_counter() - warm_started
             for record in batch:
                 if hold > 0:
                     time.sleep(hold)
@@ -333,14 +280,12 @@ def worker_loop(
                 failed = False
                 # The job's trace resumes here: the front end stamped the
                 # trace id on the row at submission, so the worker's spans
-                # join the same end-to-end trace.  The batch-wide claim and
-                # warm-load costs are charged to the first job of the batch
-                # (with the batch size attached), not duplicated onto all.
+                # join the same end-to-end trace.  The batch-wide claim cost
+                # is charged to the first job of the batch (with the batch
+                # size attached), not duplicated onto all.
                 with trace_context(record.trace_id) as trace:
                     if claim_seconds > 0:
                         record_timed("worker.claim", claim_seconds, jobs=len(batch))
-                    if warm_seconds > 0:
-                        record_timed("worker.warm_load", warm_seconds)
                     try:
                         with span(
                             "worker.execute",
@@ -397,10 +342,6 @@ def worker_loop(
                 else:
                     _LOG.info("job done", extra=log_fields)
                 claim_seconds = 0.0
-                warm_seconds = 0.0
-            counters["warm_topology_saves"] += _persist_warm_topologies(
-                store, service, warm_digests
-            )
             counters.update(
                 {key: float(value) for key, value in service.cache_info().items()}
             )
@@ -437,7 +378,7 @@ def _fleet_entry(
         poll_interval=poll_interval,
         max_attempts=max_attempts,
         stop=stop_event,
-        wakeup=WakeupReceiver(wakeup_connection),
+        wakeup=WakeupReceiver(wakeup_connection, stop_event),
         claim_batch=claim_batch,
         portfolio=portfolio,
     )

@@ -112,29 +112,44 @@ class TestDifferentialOptimal:
 
 @pytest.mark.parametrize("topology,disruption", INSTANCES)
 @pytest.mark.parametrize("seed", SEEDS)
-class TestStrategyDifferential:
+class TestDecompositionDifferential:
     """Decomposed-vs-monolithic parity on the same instance matrix.
 
-    The decomposition attack (and its ``auto`` dispatch) must return a
-    proven optimum with the exact objective of the monolithic Eq. 1 model
-    on every instance — acceleration is never allowed to change the answer
-    (see docs/solver.md).
+    ``solve_minimum_recovery`` (the decomposition attack with its fallback)
+    must return a proven optimum with the exact objective of the plain
+    Eq. 1 model, ``solve_monolithic``, on every instance — acceleration is
+    never allowed to change the answer (see docs/solver.md).
     """
 
-    def test_every_strategy_proves_the_same_objective(self, topology, disruption, seed):
-        from repro.flows.milp import solve_minimum_recovery
+    def test_decomposition_proves_the_monolithic_objective(self, topology, disruption, seed):
+        from repro.flows.milp import build_minr_model, solve_minimum_recovery, solve_monolithic
 
         supply, demand = _instance(topology, disruption, seed)
-        monolithic = solve_minimum_recovery(supply, demand, strategy="monolithic")
+        monolithic = solve_monolithic(build_minr_model(supply, demand))
         assert monolithic.status == "optimal"
-        for strategy in ("decomposed", "auto"):
-            accelerated = solve_minimum_recovery(supply, demand, strategy=strategy)
-            assert accelerated.status == "optimal", (
-                f"{strategy} failed to prove optimality on this instance"
-            )
-            assert accelerated.objective == pytest.approx(
-                monolithic.objective, abs=1e-9
-            ), (
-                f"{strategy} objective {accelerated.objective} != monolithic "
-                f"{monolithic.objective}"
-            )
+        accelerated = solve_minimum_recovery(supply, demand)
+        assert accelerated.status == "optimal", (
+            "the decomposition failed to prove optimality on this instance"
+        )
+        assert accelerated.objective == pytest.approx(monolithic.objective, abs=1e-9), (
+            f"decomposed objective {accelerated.objective} != monolithic "
+            f"{monolithic.objective}"
+        )
+
+    def test_seeded_decomposition_proves_the_monolithic_objective(
+        self, topology, disruption, seed
+    ):
+        """The served path: the heuristics' plans seed the incumbent (its
+        cost is the attack's upper bound), and the optimum proven under it
+        is still the plain model's."""
+        from repro.flows.milp import build_minr_model, solve_minimum_recovery, solve_monolithic
+
+        supply, demand = _instance(topology, disruption, seed)
+        seeds = [get_algorithm(name).solve(supply.copy(), demand) for name in ("ISP", "SRT")]
+        monolithic = solve_monolithic(build_minr_model(supply, demand))
+        seeded = solve_minimum_recovery(supply, demand, seed_plans=seeds)
+        assert monolithic.status == seeded.status == "optimal"
+        assert seeded.seeded is True
+        assert seeded.objective == pytest.approx(monolithic.objective, abs=1e-9), (
+            f"seeded objective {seeded.objective} != monolithic {monolithic.objective}"
+        )

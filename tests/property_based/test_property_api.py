@@ -20,7 +20,6 @@ from repro.api.results import (
     plan_from_payload,
     plan_payload,
 )
-from repro.flows.milp import OPT_STRATEGIES
 from repro.heuristics.registry import available_algorithms
 from repro.network.plan import RecoveryPlan
 
@@ -116,7 +115,7 @@ algorithm_lists = st.lists(
 # Algorithm kwargs are bound eagerly to the solver (ISP: the ISPConfig
 # fields), so each algorithm draws from its own option pool; values stay
 # arbitrary scalars except the choice-valued options (ISP's metric and
-# split_amount_mode, OPT's strategy).
+# split_amount_mode).
 _PATH_OPTIONS = {"max_paths_per_pair": scalars}
 _ALGORITHM_OPTIONS = {
     "ISP": {
@@ -124,13 +123,11 @@ _ALGORITHM_OPTIONS = {
         "metric": st.sampled_from(["dynamic", "hop"]),
         "require_bubble": scalars,
         "split_amount_mode": st.sampled_from(["lp", "bottleneck", "auto"]),
-        "lp_edge_threshold": scalars,
         "max_iterations": scalars,
     },
     "OPT": {
         "time_limit": scalars,
         "mip_rel_gap": scalars,
-        "strategy": st.sampled_from(OPT_STRATEGIES),
     },
     "SRT": _PATH_OPTIONS,
     "GRD-COM": _PATH_OPTIONS,

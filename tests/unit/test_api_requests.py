@@ -368,7 +368,12 @@ class TestAlgorithmSection:
             ({"OPT": {"seed_plans": [1]}}, "seed_plans"),
             ({"ISP": {"split_amount_mode": "banana"}}, "split_amount_mode"),
             ({"ISP": {"metric": "euclidean"}}, "metric"),
-            ({"OPT": {"strategy": "bogus"}}, "strategy"),
+            # OPT has one solve path and ISP's LP threshold is a constant:
+            # the retired options are unknown like any other
+            ({"OPT": {"strategy": "monolithic"}}, "strategy"),
+            ({"OPT": {"strategy": "decomposed"}}, "strategy"),
+            ({"OPT": {"strategy": "auto"}}, "strategy"),
+            ({"ISP": {"lp_edge_threshold": 400}}, "lp_edge_threshold"),
         ],
     )
     def test_invalid_options_rejected_at_construction(self, algorithm_kwargs, match):
@@ -392,7 +397,7 @@ class TestAlgorithmSection:
         request = grid_request(
             algorithm_kwargs={
                 "ISP": {"metric": "hop", "split_amount_mode": "lp", "max_iterations": 5},
-                "OPT": {"strategy": "monolithic", "time_limit": 10.0},
+                "OPT": {"time_limit": 10.0, "mip_rel_gap": 0.0},
                 "GRD-COM": {"max_paths_per_pair": 3},
             }
         )

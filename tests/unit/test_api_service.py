@@ -14,6 +14,7 @@ from repro.api import (
     RecoveryService,
     TopologySpec,
 )
+from repro.api.service import DEFAULT_TOPOLOGY_CACHE_SIZE
 
 
 def grid_request(**changes):
@@ -96,6 +97,16 @@ class TestRunOrder:
         assert [run.algorithm for run in result.results] == ["OPT", "ISP", "SRT"]
         assert result.run("OPT").plan["seeded"] is True
 
+    def test_a_lone_opt_self_seeds_and_names_its_solve_path(self, monkeypatch):
+        """OPT alone seeds itself with SRT inside the solver, so the runner
+        passes no plans; the payload still carries ``strategy``."""
+        calls = self.record_runs(monkeypatch)
+        plan = RecoveryService().solve(grid_request(algorithms=("OPT",))).run("OPT").plan
+        assert calls == [("OPT", 0)]
+        assert plan["status"] == "optimal"
+        assert plan["strategy"] == "decomposed"
+        assert plan["seeded"] is True
+
     def test_on_heuristics_sees_the_heuristic_envelope_before_the_exact_solve(
         self, monkeypatch
     ):
@@ -148,6 +159,35 @@ class TestSessionReuse:
         info = service.cache_info()
         assert info["topology_cache_misses"] == 1
         assert info["topology_cache_hits"] == 1
+        assert info["topology_cache_size"] == 1
+
+    def test_the_lru_keeps_the_newest_pristine_builds(self):
+        service = RecoveryService()
+        grids = [
+            grid_request(topology=TopologySpec("grid", kwargs={"rows": 3, "cols": cols}))
+            for cols in range(3, DEFAULT_TOPOLOGY_CACHE_SIZE + 4)
+        ]
+        for request in grids:  # one more distinct grid than the LRU holds
+            service.build_instance(request)
+        service.build_instance(grids[-1])  # the newest is still held ...
+        info = service.cache_info()
+        assert info["topology_cache_size"] == info["topology_cache_capacity"] == 8
+        assert (info["topology_cache_hits"], info["topology_cache_misses"]) == (1, 9)
+        service.build_instance(grids[0])  # ... and the oldest was evicted
+        assert service.cache_info()["topology_cache_misses"] == 10
+
+    @pytest.mark.parametrize("raw", ["0", "3", "banana"])
+    def test_the_retired_cache_size_variable_changes_nothing(self, monkeypatch, raw):
+        """``$REPRO_TOPOLOGY_CACHE`` once disabled ("0"), shrank ("3") or
+        refused ("banana") the LRU; a deployment still setting it gets the
+        one fixed-size cache."""
+        monkeypatch.setenv("REPRO_TOPOLOGY_CACHE", raw)
+        service = RecoveryService()
+        service.solve(grid_request(seed=3))
+        service.solve(grid_request(seed=4))
+        info = service.cache_info()
+        assert info["topology_cache_capacity"] == DEFAULT_TOPOLOGY_CACHE_SIZE
+        assert (info["topology_cache_hits"], info["topology_cache_misses"]) == (1, 1)
         assert info["topology_cache_size"] == 1
 
     def test_pinned_seed_topologies_are_cached(self):

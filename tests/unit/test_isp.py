@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.isp import ISPConfig, iterative_split_prune
+from repro.core.isp import LP_EDGE_THRESHOLD, ISPConfig, _ISPState, iterative_split_prune
 from repro.evaluation.metrics import evaluate_plan
 from repro.failures.complete import CompleteDestruction
 from repro.network.demand import DemandGraph
@@ -145,6 +145,23 @@ class TestConfig:
             ISPConfig(metric="euclidean")
         with pytest.raises(ValueError, match="split_amount_mode"):
             ISPConfig(split_amount_mode="banana")
+
+    @pytest.mark.parametrize(
+        "rows, cols, edges, runs_the_lp",
+        [(5, 45, 400, True), (6, 37, 401, False)],
+        ids=["at-threshold", "above-threshold"],
+    )
+    def test_auto_mode_switches_at_the_edge_threshold(self, rows, cols, edges, runs_the_lp):
+        """``"auto"`` keeps the paper's split LP up to ``LP_EDGE_THRESHOLD``
+        (400) supply edges and takes the bottleneck approximation above it."""
+        assert LP_EDGE_THRESHOLD == 400
+        supply = grid_topology(rows, cols)
+        assert supply.graph.number_of_edges() == edges
+        demand = DemandGraph()
+        demand.add((0, 0), (rows - 1, cols - 1), 1.0)
+        state = _ISPState(supply, demand, ISPConfig())
+        assert ISPConfig().split_amount_mode == "auto"
+        assert (state.split_program is not None) is runs_the_lp
 
 
 class TestPlanMetadata:

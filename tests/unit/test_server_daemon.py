@@ -66,15 +66,34 @@ class TestServeCoroutine:
             # but the orphan is never stuck in 'running' after shutdown
             assert store.get(grid_request(seed=4).digest()).state in ("queued", "done")
 
-
-class TestServeValidation:
-    def test_malformed_topology_cache_env_fails_before_any_worker_spawns(
+    def test_a_stale_topology_cache_variable_neither_stops_the_boot_nor_a_worker(
         self, tmp_path, monkeypatch
     ):
+        """``$REPRO_TOPOLOGY_CACHE`` is read by nothing: a value that once
+        failed the boot before any worker spawned now boots a daemon whose
+        worker (which inherits the variable) serves the queue."""
         monkeypatch.setenv("REPRO_TOPOLOGY_CACHE", "banana")
-        config = ServerConfig(db=str(tmp_path / "x.db"), port=0)
-        with pytest.raises(ValueError, match="REPRO_TOPOLOGY_CACHE"):
-            asyncio.run(serve(config))
+        db = tmp_path / "jobs.db"
+        with JobStore(db) as store:
+            store.submit(grid_request(seed=5))
+        digest = grid_request(seed=5).digest()
+        config = ServerConfig(db=str(db), port=0, workers=1, poll_interval=0.05)
+
+        async def boot_serve_and_cancel() -> str:
+            ready = asyncio.Event()
+            task = asyncio.ensure_future(serve(config, ready=ready))
+            await asyncio.wait_for(ready.wait(), timeout=30)
+            deadline = time.monotonic() + 30
+            with JobStore(db) as store:
+                while store.get(digest).state != "done" and time.monotonic() < deadline:
+                    await asyncio.sleep(0.05)
+                state = store.get(digest).state
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+            return state
+
+        assert asyncio.run(boot_serve_and_cancel()) == "done"
 
 
 class TestCliServe:

@@ -194,7 +194,9 @@ class TestValidation:
         "algorithm_kwargs, match",
         [
             ({"ISP": {"split_amount_mode": "banana"}}, "split_amount_mode"),
-            ({"OPT": {"strategy": "bogus"}}, "strategy"),
+            ({"OPT": {"strategy": "monolithic"}}, "strategy"),
+            ({"OPT": {"strategy": "auto"}}, "strategy"),
+            ({"ISP": {"lp_edge_threshold": 400}}, "lp_edge_threshold"),
         ],
     )
     def test_invalid_algorithm_option_is_a_400(self, harness, store, algorithm_kwargs, match):
@@ -402,8 +404,6 @@ class TestObservation:
             ["repro_fleet_busy_seconds_total", "counter"],
             ["repro_claim_batches_total", "counter"],
             ["repro_claim_batch_jobs_total", "counter"],
-            ["repro_warm_topology_loads_total", "counter"],
-            ["repro_warm_topology_saves_total", "counter"],
             ["repro_topology_cache_hits_total", "counter"],
             ["repro_topology_cache_misses_total", "counter"],
             ["repro_solver_lp_solves_total", "counter"],
@@ -637,8 +637,6 @@ class TestReadiness:
             "repro_envelope_cache_size",
             "repro_claim_batches_total",
             "repro_claim_batch_jobs_total",
-            "repro_warm_topology_loads_total",
-            "repro_warm_topology_saves_total",
         ):
             assert name in text
         assert "repro_fast_path_hits_total 1" in text

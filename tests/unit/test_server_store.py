@@ -5,6 +5,7 @@ import sqlite3
 import threading
 
 import pytest
+from test_store_contract import create_v1_database
 
 from repro.api.requests import (
     AssessmentRequest,
@@ -29,6 +30,32 @@ def grid_request(seed: int = 1, pairs: int = 1) -> RecoveryRequest:
         algorithms=("ISP",),
         seed=seed,
     )
+
+
+#: The tables of a schema-5 store, fresh or migrated.
+CURRENT_TABLES = {"jobs", "trace_spans", "worker_stats"}
+
+
+def tables(path):
+    """The table names in the SQLite file at ``path``."""
+    conn = sqlite3.connect(path)
+    try:
+        names = conn.execute("SELECT name FROM sqlite_master WHERE type = 'table'")
+        return {name for (name,) in names}
+    finally:
+        conn.close()
+
+
+def rows(path):
+    """Every row of the jobs, worker_stats and trace_spans tables, in key order."""
+    conn = sqlite3.connect(path)
+    try:
+        return {
+            table: conn.execute(f"SELECT * FROM {table} ORDER BY 1, 2").fetchall()
+            for table in sorted(CURRENT_TABLES)
+        }
+    finally:
+        conn.close()
 
 
 @pytest.fixture()
@@ -469,63 +496,16 @@ class TestSubmitMany:
         assert results[0][0].kind == "recovery"
 
 
-class TestTopologySidecar:
-    def test_save_and_load_round_trip(self, store):
-        assert store.save_topology("abc", b"blob-a")
-        assert store.save_topology("def", b"blob-b")
-        loaded = store.load_topologies()
-        assert loaded == {"abc": b"blob-a", "def": b"blob-b"}
-        assert store.topology_digests() == ["abc", "def"]
-
-    def test_rows_are_write_once(self, store):
-        assert store.save_topology("abc", b"first")
-        assert not store.save_topology("abc", b"second")
-        assert store.load_topologies()["abc"] == b"first"
-
-    def test_load_topologies_excludes_known_digests(self, store):
-        store.save_topology("abc", b"blob-a")
-        store.save_topology("def", b"blob-b")
-        assert store.load_topologies(exclude=["abc"]) == {"def": b"blob-b"}
-        assert store.load_topologies(exclude=["abc", "def"]) == {}
-
-
 class TestMigration:
     def _create_v1_database(self, path) -> None:
-        """A version-1 store as PR 5 shipped it: jobs + worker_stats only."""
+        """A version-1 store (the contract suite's ``migrated`` file)
+        holding one queued job."""
+        create_v1_database(path)
         conn = sqlite3.connect(path)
-        conn.execute(
-            """
-            CREATE TABLE jobs (
-                digest      TEXT PRIMARY KEY,
-                kind        TEXT NOT NULL,
-                request     TEXT NOT NULL,
-                state       TEXT NOT NULL
-                            CHECK (state IN ('queued', 'running', 'done', 'failed')),
-                result      TEXT,
-                error       TEXT,
-                attempts    INTEGER NOT NULL DEFAULT 0,
-                worker      TEXT,
-                created_at  REAL NOT NULL,
-                started_at  REAL,
-                finished_at REAL
-            )
-            """
-        )
-        conn.execute("CREATE INDEX jobs_state_created ON jobs (state, created_at)")
-        conn.execute(
-            """
-            CREATE TABLE worker_stats (
-                worker     TEXT PRIMARY KEY,
-                updated_at REAL NOT NULL,
-                counters   TEXT NOT NULL
-            )
-            """
-        )
         conn.execute(
             "INSERT INTO jobs (digest, kind, request, state, created_at) "
             "VALUES ('keepme', 'recovery', '{}', 'queued', 1.0)"
         )
-        conn.execute("PRAGMA user_version=1")
         conn.commit()
         conn.close()
 
@@ -534,11 +514,9 @@ class TestMigration:
         self._create_v1_database(path)
         with JobStore(path) as upgraded:
             assert upgraded.schema_version == SCHEMA_VERSION
-            # the new sidecar table exists and works ...
-            assert upgraded.save_topology("abc", b"blob")
-            assert upgraded.topology_digests() == ["abc"]
-            # ... and version-1 data survived the migration
+            # version-1 data survived the migration
             assert upgraded.get("keepme").state == "queued"
+        assert tables(path) == CURRENT_TABLES
 
     def _create_v2_database(self, path) -> None:
         """A version-2 store as PR 6 left it: v1 plus the topology sidecar."""
@@ -574,6 +552,7 @@ class TestMigration:
             assert done.first_finished_at == done.finished_at == 5.0
             assert upgraded.get("keepme").first_finished_at is None
             assert upgraded.solve_latencies() == [3.0]  # 5.0 - 2.0
+        assert tables(path) == CURRENT_TABLES  # the v2 sidecar went at v5
 
     def _create_v3_database(self, path) -> None:
         """A version-3 store as PR 7 left it: v2 plus first_finished_at."""
@@ -617,6 +596,99 @@ class TestMigration:
             assert created and record.trace_id == "t-fresh-000001"
             # v1/v2 survivors are still intact after two more migrations
             assert upgraded.get("keepme").state == "queued"
+        assert tables(path) == CURRENT_TABLES
+
+    def _create_v4_database(self, path) -> None:
+        """A version-4 store with rows in every table: done jobs with
+        envelopes, worker stats, span trees and the topology sidecar (two
+        stand-ins for pickled graphs)."""
+        self._create_v3_database(path)
+        conn = sqlite3.connect(path)
+        conn.execute("ALTER TABLE jobs ADD COLUMN trace_id TEXT")
+        conn.execute("ALTER TABLE jobs ADD COLUMN serialize_seconds REAL")
+        conn.execute(
+            """
+            CREATE TABLE trace_spans (
+                digest     TEXT NOT NULL,
+                source     TEXT NOT NULL,
+                trace_id   TEXT,
+                payload    TEXT NOT NULL,
+                created_at REAL NOT NULL,
+                PRIMARY KEY (digest, source)
+            )
+            """
+        )
+        envelope = {"kind": "recovery-result", "results": [{"algorithm": "ISP"}]}
+        conn.execute(
+            "INSERT INTO jobs (digest, kind, request, state, result, attempts, worker, "
+            "created_at, started_at, finished_at, first_finished_at, trace_id, "
+            "serialize_seconds) VALUES ('v4done', 'recovery', '{}', 'done', ?, 1, 'w2', "
+            "10.0, 11.0, 12.5, 12.0, 't-v4-done', 0.001)",
+            (json.dumps(envelope, sort_keys=True),),
+        )
+        conn.execute(
+            "INSERT INTO worker_stats (worker, updated_at, counters) VALUES (?, 13.0, ?)",
+            ("w2", json.dumps({"jobs_done": 2, "warm_topology_loads": 1,
+                               "topology_cache_hits": 4})),
+        )
+        for source in ("frontend", "worker"):
+            tree = {"trace_id": "t-v4-done", "pid": 7, "spans": [{"name": source}],
+                    "dropped_spans": 0}
+            conn.execute(
+                "INSERT INTO trace_spans (digest, source, trace_id, payload, created_at) "
+                "VALUES ('v4done', ?, 't-v4-done', ?, 12.0)",
+                (source, json.dumps(tree, sort_keys=True)),
+            )
+        for digest in ("grid-3x3", "ring-8"):
+            conn.execute(
+                "INSERT INTO topology_cache (digest, payload, created_at) VALUES (?, ?, 1.0)",
+                (digest, sqlite3.Binary(b"pickled-graph")),
+            )
+        conn.execute("PRAGMA user_version=4")
+        conn.commit()
+        conn.close()
+
+    def test_v4_database_drops_the_topology_sidecar_and_keeps_everything_else(
+        self, tmp_path
+    ):
+        """Migration to v5: the ``topology_cache`` table goes; every job,
+        envelope, worker-stats row and span tree reads back unchanged."""
+        path = tmp_path / "v4.db"
+        self._create_v4_database(path)
+        before = rows(path)
+        with JobStore(path) as upgraded:
+            assert upgraded.schema_version == SCHEMA_VERSION == 5
+            done = upgraded.get("v4done")
+            assert done.result == {"kind": "recovery-result", "results": [{"algorithm": "ISP"}]}
+            assert done.trace_id == "t-v4-done"
+            assert upgraded.get("olddone").state == "done"
+            assert upgraded.get("keepme").state == "queued"
+            assert upgraded.worker_ids() == ["w2"]
+            assert upgraded.worker_stats_totals()["topology_cache_hits"] == 4.0
+            assert set(upgraded.load_spans("v4done")) == {"frontend", "worker"}
+        assert tables(path) == CURRENT_TABLES
+        assert rows(path) == before
+
+    def test_fresh_and_migrated_v1_files_end_with_the_same_tables(self, tmp_path):
+        fresh, migrated = tmp_path / "fresh.db", tmp_path / "migrated.db"
+        JobStore(fresh).close()
+        create_v1_database(migrated)
+        JobStore(migrated).close()
+        assert tables(fresh) == tables(migrated) == CURRENT_TABLES
+
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    def test_a_migrated_file_reopens_unchanged(self, tmp_path, version):
+        """The chain runs once: a file upgraded from any older version
+        reopens at the current version with the same tables and rows."""
+        path = tmp_path / f"v{version}.db"
+        getattr(self, f"_create_v{version}_database")(path)
+        JobStore(path).close()
+        migrated = rows(path)
+        assert tables(path) == CURRENT_TABLES
+        with JobStore(path) as reopened:
+            assert reopened.schema_version == SCHEMA_VERSION
+        assert tables(path) == CURRENT_TABLES
+        assert rows(path) == migrated
 
 
 class TestPoisonSweepWrites:

@@ -1,8 +1,9 @@
-"""Unit tests of the worker loop and the session cache-size environment knob."""
+"""Unit tests of the worker loop, its wakeup channel and the worker fleet."""
 
 import json
 import multiprocessing
 import os
+import sqlite3
 import threading
 import time
 
@@ -14,12 +15,6 @@ from repro.api.requests import (
     DisruptionSpec,
     RecoveryRequest,
     TopologySpec,
-)
-from repro.api.service import (
-    DEFAULT_TOPOLOGY_CACHE_SIZE,
-    RecoveryService,
-    TOPOLOGY_CACHE_ENV_VAR,
-    default_topology_cache_size,
 )
 from repro.server.stores import JobStore, StoreSchemaError
 from repro.server.workers import WakeupNotifier, WakeupReceiver, WorkerFleet, worker_loop
@@ -185,40 +180,53 @@ class TestWorkerFleet:
         assert fleet.alive() == 0
 
 
-class TestTopologyCacheEnv:
-    def test_default_without_env(self, monkeypatch):
-        monkeypatch.delenv(TOPOLOGY_CACHE_ENV_VAR, raising=False)
-        assert default_topology_cache_size() == DEFAULT_TOPOLOGY_CACHE_SIZE
+class TestPristineTopologies:
+    """Each worker's in-process LRU is its one topology cache."""
 
-    def test_env_overrides_the_default(self, monkeypatch):
-        monkeypatch.setenv(TOPOLOGY_CACHE_ENV_VAR, "3")
-        assert default_topology_cache_size() == 3
-        service = RecoveryService()
-        assert service.cache_info()["topology_cache_capacity"] == 3
+    def test_each_worker_pays_its_own_cold_build(self, tmp_path):
+        db = tmp_path / "jobs.db"
+        with JobStore(db) as store:
+            store.submit(grid_request(seed=1))
+        worker_loop(str(db), "w0", max_jobs=1)
+        with JobStore(db) as store:
+            store.submit(grid_request(seed=2))  # the same grid, a new draw
+        worker_loop(str(db), "w1", max_jobs=1)
+        with JobStore(db) as store:
+            assert store.counts()["done"] == 2
+            totals = store.worker_stats_totals()
+        # no pristine build crosses between workers: w1 built the grid again
+        assert totals["topology_cache_misses"] == 2
+        assert totals.get("topology_cache_hits", 0) == 0
+        assert not [key for key in totals if key.startswith("warm_topology")]
 
-    def test_constructor_argument_beats_the_env(self, monkeypatch):
-        monkeypatch.setenv(TOPOLOGY_CACHE_ENV_VAR, "3")
-        service = RecoveryService(topology_cache_size=5)
-        assert service.cache_info()["topology_cache_capacity"] == 5
-
-    def test_zero_disables_caching_but_still_serves(self, monkeypatch):
-        monkeypatch.setenv(TOPOLOGY_CACHE_ENV_VAR, "0")
-        service = RecoveryService()
-        result = service.solve(grid_request(seed=1))
-        assert result.results[0].metrics["satisfied_pct"] == 100.0
-        info = service.cache_info()
-        assert info["topology_cache_size"] == 0
-        assert info["topology_cache_misses"] == 1
-
-    @pytest.mark.parametrize("raw", ["banana", "-2", "1.5"])
-    def test_malformed_env_values_fail_loudly(self, monkeypatch, raw):
-        monkeypatch.setenv(TOPOLOGY_CACHE_ENV_VAR, raw)
-        with pytest.raises(ValueError, match=TOPOLOGY_CACHE_ENV_VAR):
-            default_topology_cache_size()
-
-    def test_negative_constructor_argument_is_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            RecoveryService(topology_cache_size=-1)
+    def test_a_store_left_with_sidecar_rows_is_served(self, tmp_path):
+        """A file still at schema 4 carries the old ``topology_cache`` table
+        (here with an unreadable row); the worker's open drops it and serves."""
+        db = tmp_path / "jobs.db"
+        with JobStore(db) as store:
+            store.submit(grid_request(seed=1))
+        conn = sqlite3.connect(db)
+        conn.execute(
+            "CREATE TABLE topology_cache (digest TEXT PRIMARY KEY, "
+            "payload BLOB NOT NULL, created_at REAL NOT NULL)"
+        )
+        conn.execute(
+            "INSERT INTO topology_cache VALUES ('bogus', ?, 1.0)",
+            (sqlite3.Binary(b"not-a-pickle"),),
+        )
+        conn.execute("PRAGMA user_version=4")
+        conn.commit()
+        conn.close()
+        assert worker_loop(str(db), "w0", max_jobs=1) == 1
+        with JobStore(db) as store:
+            assert store.counts()["done"] == 1
+            assert store.worker_stats_totals()["topology_cache_misses"] == 1
+        conn = sqlite3.connect(db)
+        try:
+            names = conn.execute("SELECT name FROM sqlite_master WHERE type = 'table'")
+            assert "topology_cache" not in {name for (name,) in names}
+        finally:
+            conn.close()
 
 
 class TestEventDrivenDispatch:
@@ -339,36 +347,61 @@ class TestWakeupChannel:
         assert receiver.wait(0)
         assert not receiver.wait(0)
 
+    def test_a_closed_notifier_ends_every_wait(self, channel):
+        """At end-of-file the pipe polls readable for ever and reads ``b""``;
+        each wait must still return instead of draining it for ever."""
+        notifier, attach = channel
+        receiver, _ = attach()
+        notifier.close()
+        results = []
+        waiter = threading.Thread(
+            target=lambda: results.extend(receiver.wait(0.2) for _ in range(2)),
+            daemon=True,
+        )
+        waiter.start()
+        waiter.join(timeout=10)  # a hang guard: checks liveness, not timing
+        assert not waiter.is_alive(), "wait() spun on the closed pipe"
+        assert results == [False, False]
 
-class TestWarmTopologySharing:
-    def test_second_worker_starts_warm_from_the_sidecar(self, tmp_path):
-        db = tmp_path / "jobs.db"
-        with JobStore(db) as store:
-            store.submit(grid_request(seed=1))
-        worker_loop(str(db), "w0", max_jobs=1)
-        with JobStore(db) as store:
-            assert store.topology_digests()  # w0 persisted its pristine build
-            totals = store.worker_stats_totals()
-            assert totals["warm_topology_saves"] >= 1
-            assert totals["topology_cache_misses"] == 1
-            # a different seed, same grid topology: w1 must find it pre-built
-            store.submit(grid_request(seed=2))
-        worker_loop(str(db), "w1", max_jobs=1)
-        with JobStore(db) as store:
-            totals = store.worker_stats_totals()
-        assert totals["warm_topology_loads"] >= 1
-        assert totals["topology_cache_misses"] == 1  # w1 added no cold build
-        assert totals["topology_cache_hits"] >= 1
+    def test_a_closed_notifier_leaves_the_stop_event_in_charge(self, channel):
+        """Without its notifier a receiver waits on ``stop`` like a worker
+        without a pipe, so a set stop event ends even a 30 s wait."""
+        notifier, _ = channel
+        reader, writer = multiprocessing.get_context("spawn").Pipe(duplex=False)
+        notifier.attach(writer)
+        stop = threading.Event()
+        receiver = WakeupReceiver(reader, stop)
+        notifier.close()
+        stop.set()
+        waiter = threading.Thread(target=lambda: receiver.wait(30.0), daemon=True)
+        waiter.start()
+        waiter.join(timeout=10)  # a hang guard: checks liveness, not timing
+        assert not waiter.is_alive(), "the stop event did not end the wait"
+        reader.close()
 
-    def test_corrupt_sidecar_rows_are_ignored(self, tmp_path):
-        db = tmp_path / "jobs.db"
-        with JobStore(db) as store:
-            store.save_topology("bogus", b"not-a-pickle")
-            store.submit(grid_request(seed=1))
-        handled = worker_loop(str(db), "w0", max_jobs=1)
-        assert handled == 1
-        with JobStore(db) as store:
-            assert store.counts()["done"] == 1
+    def test_a_nudge_written_before_the_close_is_still_delivered(self, channel):
+        """The notifier may write and then close: the pending byte is a
+        wakeup, and only the wait after it falls back to ``stop`` (set here,
+        so no wait in this test blocks)."""
+        notifier, _ = channel
+        reader, writer = multiprocessing.get_context("spawn").Pipe(duplex=False)
+        notifier.attach(writer)
+        stop = threading.Event()
+        stop.set()
+        receiver = WakeupReceiver(reader, stop)
+        notifier.notify()
+        notifier.close()
+        results = []
+        waiter = threading.Thread(
+            target=lambda: results.extend(receiver.wait(30.0) for _ in range(2)),
+            daemon=True,
+        )
+        waiter.start()
+        waiter.join(timeout=10)  # a hang guard: checks liveness, not timing
+        assert not waiter.is_alive(), "wait() spun on the closed pipe"
+        # the nudge (then end-of-file); after it, no pipe: the stop event answers
+        assert results == [True, False]
+        reader.close()
 
 
 class TestFleetWakeup:

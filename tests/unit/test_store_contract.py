@@ -2,7 +2,7 @@
 
 The suite *is* the contract documented in ``repro/server/stores/base.py``
 — dedup, lifecycle, claim races, claim-holder guards, the poison budget,
-crash recovery, the warm-topology sidecar and worker beacons — checked on
+crash recovery and worker beacons — checked on
 :class:`~repro.server.stores.JobStore`.  Each test runs once per way the
 store's file is met in service (the parametrized ``store`` fixture):
 
@@ -448,29 +448,6 @@ class TestIntrospection:
         assert [stamp for stamp, _ in samples] == sorted(
             (stamp for stamp, _ in samples), reverse=True
         )
-
-
-class TestTopologySidecar:
-    def test_save_is_write_once_per_digest(self, store):
-        assert store.save_topology("abc", b"first")
-        assert not store.save_topology("abc", b"second")
-        assert store.load_topologies()["abc"] == b"first"
-
-    def test_load_excludes_known_digests(self, store):
-        store.save_topology("abc", b"blob-a")
-        store.save_topology("def", b"blob-b")
-        assert store.load_topologies(exclude=["abc"]) == {"def": b"blob-b"}
-        assert sorted(store.topology_digests()) == ["abc", "def"]
-
-    def test_every_handle_sees_every_saved_topology(self, store, store_path):
-        """Sidecar reads are fleet-wide regardless of which handle wrote."""
-        for index in range(8):
-            store.save_topology(f"digest-{index}", b"blob")
-        other = JobStore(store_path)
-        try:
-            assert len(other.load_topologies()) == 8
-        finally:
-            other.close()
 
 
 class TestWorkerBeacons:
