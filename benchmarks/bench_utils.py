@@ -1,7 +1,7 @@
 """Shared helpers for the benchmark harness.
 
 Every benchmark module regenerates one figure of the paper's evaluation
-section (see DESIGN.md for the per-experiment index).  By default the
+section (README, "Reproducing the paper's figures").  By default the
 benches run at *reduced scale* — fewer repetitions, coarser sweeps, smaller
 MILP time limits — so the whole harness finishes on a laptop in minutes.
 Set the environment variable ``REPRO_BENCH_SCALE=full`` to run the paper's
@@ -13,8 +13,9 @@ The benches both *print* the reproduced rows (the same series the paper's
 figures plot) and *assert* the qualitative claims, so a green benchmark run
 doubles as a reproduction check.  Each printed table is also compared with
 its tracked golden copy under ``results/``: every bench has a quick-scale
-table, and Figures 3-6 also a full-scale one (CI's ``full-scale-figures``
-job).  The sweep benches print their wall time (:func:`timed`).
+table, and Figures 3-6 and the two ablations also a full-scale one (CI's
+``full-scale-figures`` job).  The sweep benches print their wall time
+(:func:`timed`).
 """
 
 from __future__ import annotations
@@ -25,17 +26,11 @@ import os
 import re
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Sequence, TypeVar
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, TypeVar
 
-import numpy as np
-
-from repro.evaluation.demand_builder import far_apart_demand
-from repro.evaluation.metrics import PlanEvaluation, evaluate_plan
+from repro.api.requests import DemandSpec, DisruptionSpec, TopologySpec
+from repro.engine.spec import ExperimentSpec, SweepAxis
 from repro.evaluation.reporting import format_table
-from repro.failures.complete import CompleteDestruction
-from repro.flows.solver.incremental import instance_scope
-from repro.heuristics.base import RecoveryAlgorithm
-from repro.topologies.bellcanada import bell_canada
 
 #: Set REPRO_BENCH_SCALE=full to run the paper-scale parameters.
 FULL_SCALE = os.environ.get("REPRO_BENCH_SCALE", "quick").lower() == "full"
@@ -118,33 +113,24 @@ def print_timings(title: str, rows: Sequence[Dict[str, object]], columns: Sequen
     print(format_table(rows, columns=columns, title=title))
 
 
-def ablation_rows(
-    algorithms: Sequence[RecoveryAlgorithm], runs: int, seed: int
-) -> List[Dict[str, object]]:
-    """Average every algorithm over the same ``runs`` Bell-Canada instances.
+def ablation_spec(
+    algorithm: str, options: Mapping[str, Any], opt_time_limit: Optional[float] = None
+) -> ExperimentSpec:
+    """One ablation variant, ``algorithm`` bound to ``options``, as an engine spec.
 
-    Run ``k`` destroys Bell-Canada completely and draws 4 far-apart pairs of
-    10 units from the ``k``-th child of ``SeedSequence(seed).spawn(runs)``.
-    Each instance's runs share one instance scope, as in the request runner.
-    One row per algorithm, keyed by ``algorithm.name``.
+    Bell-Canada destroyed completely, 4 routable far-apart pairs of 10 units;
+    1 run at quick scale, 5 at full.  Instance seeds do not depend on the
+    algorithm, so variants swept with one seed run on the same instances.
     """
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
-    evaluations: Dict[str, List[PlanEvaluation]] = {a.name: [] for a in algorithms}
-    for child in np.random.SeedSequence(seed).spawn(runs):
-        supply = bell_canada()
-        CompleteDestruction().apply(supply)
-        demand = far_apart_demand(supply, 4, 10.0, seed=np.random.default_rng(child))
-        with instance_scope():
-            for algorithm in algorithms:
-                plan = algorithm.solve(supply, demand)
-                evaluations[algorithm.name].append(evaluate_plan(supply, demand, plan))
-    return [
-        {
-            "algorithm": name,
-            "total_repairs": float(np.mean([e.total_repairs for e in runs_of])),
-            "satisfied_pct": float(np.mean([e.satisfied_percentage for e in runs_of])),
-            "elapsed_seconds": float(np.mean([e.elapsed_seconds for e in runs_of])),
-        }
-        for name, runs_of in evaluations.items()
-    ]
+    return ExperimentSpec(
+        name="ablation-bell-canada",
+        figure="Ablation",
+        topology=TopologySpec("bell-canada"),
+        disruption=DisruptionSpec("complete"),
+        demand=DemandSpec("routable-far-apart", num_pairs=4, flow_per_pair=10.0),
+        sweep=SweepAxis(parameter="num_pairs", values=(4,), target="demand.num_pairs"),
+        algorithms=(algorithm,),
+        algorithm_kwargs={algorithm: dict(options)},
+        runs=5 if FULL_SCALE else 1,
+        opt_time_limit=opt_time_limit,
+    )

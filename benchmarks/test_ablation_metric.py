@@ -1,8 +1,8 @@
 """Ablation — the dynamic path metric of Section IV-D.
 
-DESIGN.md calls out the dynamic edge length (repair cost of still-broken
-elements divided by capacity, zeroed once an element is listed for repair) as
-the ingredient that concentrates ISP's routing decisions on already-repaired
+The paper's dynamic edge length (repair cost of still-broken elements
+divided by capacity, zeroed once an element is listed for repair) is the
+ingredient that concentrates ISP's routing decisions on already-repaired
 corridors.  This bench runs ISP with the paper's dynamic metric and with a
 plain hop metric on the same instances and reports the repair counts of both,
 so the contribution of the metric is measurable.
@@ -12,20 +12,26 @@ from __future__ import annotations
 
 import pytest
 
-from bench_utils import FULL_SCALE, ablation_rows, print_figure
-from repro.core.isp import ISPConfig
-from repro.heuristics.registry import get_algorithm
+from bench_utils import BENCH_CACHE, BENCH_JOBS, ablation_spec, print_figure, timed
+from repro.api.service import RecoveryService
+
+#: Row label -> (algorithm, its options).
+VARIANTS = {
+    "ISP(dynamic)": ("ISP", {"metric": "dynamic"}),
+    "ISP(hop)": ("ISP", {"metric": "hop"}),
+    "OPT": ("OPT", {}),
+}
 
 
+@timed
 def run_ablation():
-    algorithms = [
-        get_algorithm("ISP", config=ISPConfig(metric="dynamic")),
-        get_algorithm("ISP", config=ISPConfig(metric="hop")),
-        get_algorithm("OPT", time_limit=90.0),
-    ]
-    algorithms[0].name = "ISP(dynamic)"
-    algorithms[1].name = "ISP(hop)"
-    return ablation_rows(algorithms, runs=5 if FULL_SCALE else 1, seed=31)
+    rows = []
+    for label, (algorithm, options) in VARIANTS.items():
+        spec = ablation_spec(algorithm, options, opt_time_limit=90.0)
+        result = RecoveryService().sweep(spec, seed=31, jobs=BENCH_JOBS, cache_dir=BENCH_CACHE)
+        (row,) = result.rows
+        rows.append({**row, "algorithm": label})
+    return rows
 
 
 def test_ablation_dynamic_vs_hop_metric(benchmark):

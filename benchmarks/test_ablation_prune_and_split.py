@@ -1,6 +1,6 @@
 """Ablation — bubble-restricted pruning and the split-amount LP.
 
-Two design choices of ISP are ablated here, as listed in DESIGN.md:
+Two design choices of ISP are ablated here:
 
 * **Pruning safety** — the paper restricts pruning to *bubble* paths
   (Theorem 3) so a prune can never hurt another demand.  The ablation runs
@@ -15,23 +15,26 @@ from __future__ import annotations
 
 import pytest
 
-from bench_utils import FULL_SCALE, ablation_rows, print_figure
-from repro.core.isp import ISPConfig
-from repro.heuristics.registry import get_algorithm
+from bench_utils import BENCH_CACHE, BENCH_JOBS, ablation_spec, print_figure, timed
+from repro.api.service import RecoveryService
+
+#: Row label -> ISP options.
+VARIANTS = {
+    "ISP(paper)": {},
+    "ISP(no-bubble)": {"require_bubble": False},
+    "ISP(bottleneck-dx)": {"split_amount_mode": "bottleneck"},
+}
 
 
+@timed
 def run_ablation():
-    variants = {
-        "ISP(paper)": ISPConfig(),
-        "ISP(no-bubble)": ISPConfig(require_bubble=False),
-        "ISP(bottleneck-dx)": ISPConfig(split_amount_mode="bottleneck"),
-    }
-    algorithms = []
-    for name, config in variants.items():
-        algorithm = get_algorithm("ISP", config=config)
-        algorithm.name = name
-        algorithms.append(algorithm)
-    return ablation_rows(algorithms, runs=5 if FULL_SCALE else 1, seed=37)
+    rows = []
+    for label, options in VARIANTS.items():
+        spec = ablation_spec("ISP", options)
+        result = RecoveryService().sweep(spec, seed=37, jobs=BENCH_JOBS, cache_dir=BENCH_CACHE)
+        (row,) = result.rows
+        rows.append({**row, "algorithm": label})
+    return rows
 
 
 def test_ablation_prune_and_split_variants(benchmark):

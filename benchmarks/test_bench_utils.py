@@ -1,14 +1,16 @@
-"""Tests for the benchmark helpers: the golden-table check and the ablation loop."""
+"""Tests for the benchmark helpers: the golden-table check and the ablation specs."""
 
 from __future__ import annotations
 
 import pytest
 
+import numpy as np
+
 import bench_utils
-from bench_utils import ablation_rows, print_figure
+from bench_utils import ablation_spec, print_figure
+from repro.engine.spec import build_instance
+from repro.engine.tasks import expand_tasks
 from repro.evaluation.reporting import format_table
-from repro.heuristics.registry import get_algorithm
-from repro.topologies.bellcanada import bell_canada
 
 TITLE = "Demo — one table"
 COLUMNS = ["algorithm", "total_repairs", "elapsed_seconds"]
@@ -69,30 +71,18 @@ class TestPrintFigure:
         assert [path.name for path in results_dir.iterdir()] == ["demo-one-table.full.txt"]
 
 
-class TestAblationRows:
-    def test_one_row_per_algorithm_in_order(self):
-        supply = bell_canada()
-        elements = supply.number_of_nodes + supply.number_of_edges
-        result = ablation_rows([get_algorithm("SRT"), get_algorithm("ALL")], runs=1, seed=5)
-        assert [row["algorithm"] for row in result] == ["SRT", "ALL"]
-        assert list(result[0]) == ["algorithm", "total_repairs", "satisfied_pct", "elapsed_seconds"]
-        # Complete destruction: ALL repairs every node and edge.
-        assert result[1]["total_repairs"] == elements
-        assert result[0]["total_repairs"] <= elements
+class TestAblationSpec:
+    def test_variants_run_on_the_same_instances(self):
+        # The ablations compare variants swept one spec at a time: an
+        # instance's seed must not depend on the spec's algorithm.
+        def demands(spec):
+            instances = []
+            for task in expand_tasks(spec, seed=31):
+                rng = np.random.default_rng(task.seed_sequence())
+                _, demand = build_instance(spec, task.sweep_value, rng)
+                instances.append(demand.pairs())
+            return instances
 
-    def test_averages_over_runs(self):
-        supply = bell_canada()
-        elements = supply.number_of_nodes + supply.number_of_edges
-        (row,) = ablation_rows([get_algorithm("ALL")], runs=3, seed=5)
-        assert row["total_repairs"] == pytest.approx(elements)
-        assert row["satisfied_pct"] == pytest.approx(100.0)
-
-    def test_deterministic_with_seed(self):
-        a = ablation_rows([get_algorithm("SRT")], runs=2, seed=9)
-        b = ablation_rows([get_algorithm("SRT")], runs=2, seed=9)
-        assert a[0]["total_repairs"] == b[0]["total_repairs"]
-        assert a[0]["satisfied_pct"] == b[0]["satisfied_pct"]
-
-    def test_zero_runs_rejected(self):
-        with pytest.raises(ValueError):
-            ablation_rows([get_algorithm("ALL")], runs=0, seed=1)
+        hop = demands(ablation_spec("ISP", {"metric": "hop"}))
+        assert demands(ablation_spec("OPT", {}, opt_time_limit=90.0)) == hop
+        assert len(hop[0]) == 4

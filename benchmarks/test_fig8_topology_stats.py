@@ -2,8 +2,8 @@
 
 The paper shows the AS28717 router-level topology (825 nodes, 1018 edges) as
 a picture.  The reproduction substitutes a generated topology of identical
-size (see DESIGN.md); this bench reports its structural statistics so the
-substitution can be audited: size, sparsity, degree profile, connectivity.
+size; this bench reports its structural statistics so the substitution can
+be audited: size, sparsity, degree profile, connectivity.
 """
 
 from __future__ import annotations

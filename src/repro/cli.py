@@ -88,7 +88,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Dict, Optional, Sequence
 
@@ -411,7 +410,6 @@ def _command_online(args: argparse.Namespace) -> int:
 
     if args.jobs < 0:
         raise SystemExit("--jobs must be a positive integer, or 0 for one per CPU")
-    jobs = args.jobs or (os.cpu_count() or 1)
     topology, disruption, demand = _instance_sections(args)
     try:
         spec = OnlineScenarioSpec(
@@ -443,7 +441,7 @@ def _command_online(args: argparse.Namespace) -> int:
         campaign = run_campaign(
             spec,
             episodes=args.episodes,
-            jobs=jobs,
+            jobs=args.jobs,
             verify=args.verify,
             cache_dir=args.cache_dir,
             progress=progress if not args.quiet else None,

@@ -11,18 +11,19 @@ and completed MILP solves are never repeated.
 
 The format is deliberately flat and human-inspectable: one file per cell
 with the task description next to the metrics, so a cache directory doubles
-as a raw experiment log that can be grepped or post-processed.
+as a raw experiment log that can be grepped or post-processed.  Cells are
+written by :func:`repro.utils.jsonio.write_json`: atomically, and a value
+JSON cannot hold raises ``TypeError`` instead of landing as a string.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.engine.tasks import Task, TaskResult
+from repro.utils.jsonio import write_json
 
 
 class ResultCache:
@@ -66,17 +67,7 @@ class ResultCache:
                 },
                 "result": cell.to_payload(),
             }
-            fd, tmp_name = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    json.dump(payload, handle, indent=2, default=str)
-                os.replace(tmp_name, self._path(key))
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
+            write_json(payload, self._path(key))
 
     def __len__(self) -> int:
         return sum(1 for _ in self.directory.glob("*.json"))

@@ -1,15 +1,15 @@
-"""Execution layer: run instance tasks serially or across worker processes.
+"""Execution layer: the one loop that runs units serially or across worker processes.
 
-``jobs=1`` runs every instance in-process (no pool, no pickling — the
-graceful fallback and the easiest path to debug).  ``jobs>1`` fans the
-instances out to a :class:`~concurrent.futures.ProcessPoolExecutor`;
-because every instance derives its RNG from its own spawn key (see
-:mod:`repro.engine.tasks`), the results are identical to the serial path
-regardless of scheduling order.
+:func:`run_units` runs every unit — an engine instance task, an online
+episode — in-process (``jobs=1``: no pool, no pickling, the easiest path to
+debug) or in a :class:`~concurrent.futures.ProcessPoolExecutor`, and hands
+each result to its caller as soon as that unit finishes.  Every unit
+derives its RNG from its own spawn key (see :mod:`repro.engine.tasks`), so
+the results are identical to the serial path regardless of scheduling order.
 
-When a :class:`~repro.engine.cache.ResultCache` is given, cached instances
-are served from disk and fresh results are written back as soon as they
-complete, so an interrupted parallel sweep loses at most the instances that
+Callers persist each result as it arrives — :func:`run_tasks` to its
+:class:`~repro.engine.cache.ResultCache`, ``repro.online.run_campaign`` to
+its episode files — so an interrupted run loses at most the units that
 were in flight.
 """
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from typing import Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 from repro.engine.cache import ResultCache
 from repro.engine.tasks import Task, TaskResult, execute_task
@@ -35,6 +35,43 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
+def run_units(
+    function: Callable[[Any], Any],
+    units: Sequence[Any],
+    jobs: Optional[int],
+    finished: Callable[[int, Any], None],
+) -> None:
+    """Run ``function`` on every unit; call ``finished(index, result)`` as each one ends.
+
+    ``finished`` runs in this process.  After a failure, of a unit or of
+    ``finished``, running units still finish and reach ``finished``, queued
+    ones are cancelled, and the first error is re-raised.
+    """
+    jobs = resolve_jobs(jobs)
+    if jobs <= 1 or len(units) <= 1:
+        for index, unit in enumerate(units):
+            finished(index, function(unit))
+        return
+    with ProcessPoolExecutor(max_workers=min(jobs, len(units))) as pool:
+        futures = {pool.submit(function, unit): index for index, unit in enumerate(units)}
+        remaining = set(futures)
+        first_error: Optional[BaseException] = None
+        while remaining:
+            done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
+            for future in done:
+                if future.cancelled():
+                    continue
+                try:
+                    finished(futures[future], future.result())
+                except BaseException as error:  # noqa: BLE001 - re-raised below
+                    if first_error is None:
+                        first_error = error
+                        for queued in remaining:
+                            queued.cancel()
+        if first_error is not None:
+            raise first_error
+
+
 def run_tasks(
     tasks: Sequence[Task],
     jobs: int = 1,
@@ -42,7 +79,6 @@ def run_tasks(
     progress: Optional[ProgressCallback] = None,
 ) -> List[List[TaskResult]]:
     """Execute ``tasks`` and return each instance's cells, in task order."""
-    jobs = resolve_jobs(jobs)
     total = sum(len(task.spec.algorithms) for task in tasks)
     results: List[Optional[List[TaskResult]]] = [None] * len(tasks)
     pending: List[int] = []
@@ -63,37 +99,11 @@ def run_tasks(
         else:
             pending.append(index)
 
-    def finish(index: int, cells: List[TaskResult]) -> None:
+    def finish(position: int, cells: List[TaskResult]) -> None:
+        index = pending[position]
         if cache is not None:
             cache.put(tasks[index], cells)
         report(index, cells)
 
-    if jobs <= 1 or len(pending) <= 1:
-        for index in pending:
-            finish(index, execute_task(tasks[index]))
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
-            futures = {pool.submit(execute_task, tasks[index]): index for index in pending}
-            remaining = set(futures)
-            first_error: Optional[BaseException] = None
-            # Keep draining even after a failure: instances already running
-            # finish and reach the cache (so --resume recomputes only the
-            # failed and never-started ones); queued instances are cancelled.
-            while remaining:
-                done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                for future in done:
-                    if future.cancelled():
-                        continue
-                    try:
-                        cells = future.result()
-                    except BaseException as error:  # noqa: BLE001 - re-raised below
-                        if first_error is None:
-                            first_error = error
-                            for queued in remaining:
-                                queued.cancel()
-                        continue
-                    finish(futures[future], cells)
-            if first_error is not None:
-                raise first_error
-
+    run_units(execute_task, [tasks[index] for index in pending], jobs, finish)
     return [cells for cells in results if cells is not None]

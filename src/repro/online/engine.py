@@ -28,15 +28,15 @@ satisfied, regret is its total executed cost minus the clairvoyant cost
 themselves a feasible solution of the clairvoyant problem); otherwise the
 clairvoyant's satisfaction lead, in percentage points.
 
-:func:`run_campaign` fans seeded episodes through a process pool with
-digest-keyed on-disk caching, mirroring the batch engine's resumability.
+:func:`run_campaign` runs seeded episodes on the experiment engine's
+executor and writes each one to a digest-keyed cache file the moment it
+finishes, so an interrupted campaign resumes like an engine sweep.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -46,6 +46,7 @@ import numpy as np
 from repro.api.requests import SCHEMA_VERSION, config_digest, materialise_instance
 from repro.api.results import OnlineResult, evaluation_metrics, jsonify_plan, plan_payload
 from repro.api.requests import jsonify_value
+from repro.engine.executor import run_units
 from repro.engine.tasks import cell_seed_sequence, root_entropy
 from repro.evaluation.metrics import evaluate_plan
 from repro.extensions.assessment import assess_damage
@@ -398,7 +399,7 @@ def run_episode(
 
 
 # --------------------------------------------------------------------- #
-# Campaigns: many seeded episodes through the pool, cached by digest
+# Campaigns: many seeded episodes through the executor, cached by digest
 # --------------------------------------------------------------------- #
 @dataclass
 class OnlineCampaign:
@@ -524,12 +525,13 @@ def run_campaign(
 ) -> OnlineCampaign:
     """Run ``episodes`` seeded episodes of ``spec``; return the campaign.
 
-    ``jobs > 1`` fans episodes through a process pool; results are
-    identical to the serial path because both build envelopes from the
+    Episodes run on the engine's executor (``jobs`` as for sweeps); results
+    are identical to the serial path because both build envelopes from the
     worker's JSON payload.  ``cache_dir`` makes the campaign resumable:
-    each episode is stored under the digest of (spec, episode seed,
-    verify), so an interrupted campaign recomputes only what is missing
-    and extending a finished one only computes the new episodes.
+    each episode is written under the digest of (spec, episode seed,
+    verify) as soon as it finishes, so an interrupted campaign recomputes
+    only what is missing and extending a finished one only computes the
+    new episodes.  ``progress`` fires as each computed episode finishes.
     """
     started = time.perf_counter()
     seeds = episode_seeds(spec, episodes)
@@ -538,35 +540,28 @@ def run_campaign(
         cache.mkdir(parents=True, exist_ok=True)
 
     payloads: Dict[int, Dict[str, Any]] = {}
-    cached = 0
     pending: List[Tuple[int, int]] = []
     for index, seed in enumerate(seeds):
         if cache is not None:
             path = cache / f"{_episode_cache_key(spec, seed, verify)}.json"
             try:
                 payloads[index] = json.loads(path.read_text())
-                cached += 1
                 continue
             except (OSError, ValueError):
                 pass
         pending.append((index, seed))
+    cached = len(payloads)
 
-    spec_dict = spec.to_dict()
-    arguments = [(spec_dict, seed, verify) for _, seed in pending]
-    if len(arguments) > 1 and jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(int(jobs), len(arguments))) as pool:
-            fresh = list(pool.map(_episode_payload, arguments))
-    else:
-        fresh = [_episode_payload(argument) for argument in arguments]
-
-    done = 0
-    for (index, seed), payload in zip(pending, fresh):
-        payloads[index] = payload
+    def finished(position: int, payload: Dict[str, Any]) -> None:
+        index, seed = pending[position]
         if cache is not None:
             write_json(payload, cache / f"{_episode_cache_key(spec, seed, verify)}.json")
-        done += 1
+        payloads[index] = payload
         if progress is not None:
-            progress(cached + done, len(seeds))
+            progress(len(payloads), len(seeds))
+
+    spec_dict = spec.to_dict()
+    run_units(_episode_payload, [(spec_dict, seed, verify) for _, seed in pending], jobs, finished)
 
     return OnlineCampaign(
         spec=spec,

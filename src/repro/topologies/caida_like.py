@@ -14,8 +14,6 @@ algorithms:
   remain applicable,
 * a two-tier capacity assignment gives higher capacity to links adjacent to
   high-degree routers, mimicking backbone vs access links.
-
-The substitution is documented in DESIGN.md.
 """
 
 from __future__ import annotations

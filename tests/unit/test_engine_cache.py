@@ -102,6 +102,16 @@ class TestResultCache:
         assert len(cache) == 2
         assert len(list(cache.entries())) == 2
 
+    def test_a_value_json_cannot_hold_raises_and_leaves_no_file(self, tmp_path):
+        # No ``default=`` fallback: the value must not land as a quoted string.
+        cache = ResultCache(tmp_path)
+        task = expand_tasks(grid_spec(), seed=3)[0]
+        (cell, _) = execute_task(task)
+        cell.plan["metadata"] = {"stray": object()}
+        with pytest.raises(TypeError):
+            cache.put(task, [cell])
+        assert list(tmp_path.iterdir()) == []
+
     def test_entries_expose_task_description(self, tmp_path):
         cache = ResultCache(tmp_path)
         task = expand_tasks(grid_spec(), seed=3)[0]

@@ -152,6 +152,55 @@ class TestRunCampaign:
             episode.fingerprint() for episode in first.episodes
         ]
 
+    @staticmethod
+    def record_episodes(monkeypatch, events, failing_seed=None):
+        """Log every episode run into ``events``; the one with ``failing_seed`` raises."""
+        import repro.online.engine as engine
+
+        def recording(spec, episode_seed=None, verify=False):
+            events.append(("run", episode_seed))
+            if episode_seed == failing_seed:
+                raise RuntimeError("episode failed")
+            return run_episode(spec, episode_seed=episode_seed, verify=verify)
+
+        monkeypatch.setattr(engine, "run_episode", recording)
+
+    def test_a_failed_campaign_keeps_its_finished_episodes(self, tmp_path, monkeypatch):
+        spec = make_spec(epochs=1)
+        seeds = episode_seeds(spec, 3)
+        events = []
+        self.record_episodes(monkeypatch, events, failing_seed=seeds[2])
+        with pytest.raises(RuntimeError, match="episode failed"):
+            run_campaign(spec, episodes=3, cache_dir=tmp_path)
+        # The two episodes that finished before the failure are on disk ...
+        assert len(list(tmp_path.glob("*.json"))) == 2
+
+        # ... so the rerun serves them and computes only the third.
+        events.clear()
+        self.record_episodes(monkeypatch, events)
+        resumed = run_campaign(spec, episodes=3, cache_dir=tmp_path)
+        assert resumed.cached_episodes == 2
+        assert events == [("run", seeds[2])]
+        assert len(list(tmp_path.glob("*.json"))) == 3
+        assert [episode.episode_seed for episode in resumed.episodes] == seeds
+
+    def test_progress_fires_as_each_episode_finishes(self, monkeypatch):
+        spec = make_spec(epochs=1)
+        seeds = episode_seeds(spec, 3)
+        events = []
+        self.record_episodes(monkeypatch, events)
+        run_campaign(
+            spec, episodes=3, progress=lambda done, total: events.append(("done", done, total))
+        )
+        assert events == [
+            ("run", seeds[0]),
+            ("done", 1, 3),
+            ("run", seeds[1]),
+            ("done", 2, 3),
+            ("run", seeds[2]),
+            ("done", 3, 3),
+        ]
+
     def test_campaign_envelope_and_rows(self):
         campaign = run_campaign(make_spec(epochs=2), episodes=2, verify=True)
         payload = campaign.to_dict()
