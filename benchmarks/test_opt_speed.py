@@ -8,12 +8,13 @@ ways:
   Eq. 1 model, byte-for-byte the pre-acceleration path, no incumbent seed
   (the parity baseline);
 * **decomposed** — ``solve_minimum_recovery``, the decomposition attack
-  (VUB-strengthened relaxation certificate, combinatorial Benders,
-  tightened fallback) without a heuristic seed;
+  (VUB-strengthened joint relaxation, then the tightened MILP) without a
+  heuristic seed;
 * **seeded** — the decomposition attack seeded with an SRT incumbent, the
-  path the API service and the portfolio racer actually take.  The SRT
-  run itself is *included* in the measured time — the speedup is honest
-  end-to-end.
+  path the API service and the portfolio racer actually take: the
+  incumbent caps the tightened MILP's objective and is proven optimal
+  without a MILP when it meets the relaxation bound.  The SRT run itself
+  is *included* in the measured time — the speedup is honest end-to-end.
 
 Every path must return ``status == "optimal"`` with the identical
 objective — the acceleration is only allowed to change *how fast* the
@@ -162,8 +163,8 @@ def test_decomposed_opt_beats_monolithic_with_identical_objectives():
         }
     )
 
-    # Every accelerated solve proved optimality (the certificate/Benders
-    # paths never return an unproven incumbent on these sizes).
+    # Every accelerated solve proved optimality: no time limit is set, so
+    # the tightened MILP never stops at an unproven incumbent.
     assert proven == solves
     # The acceleration must actually accelerate.  The committed
     # BENCH_opt.json trajectory records the real margin (>= 2x geomean);

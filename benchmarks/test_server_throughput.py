@@ -34,7 +34,9 @@ is wider than the budget.
 Set ``$REPRO_BENCH_RECORD`` to a ``BENCH_server.json`` path to merge an
 ``overhead_benchmark`` (and ``tracing_benchmark``) section into that
 artefact — CI uses this to feed the tracked trajectory checked by
-``scripts/benchmark_regression_check.py``.
+``scripts/benchmark_regression_check.py``, which gates the section's
+``served_vs_direct`` (served solves/s over direct solves/s, both medians of
+the same rounds) and records the absolute solves/s ungated.
 """
 
 from __future__ import annotations
@@ -181,6 +183,9 @@ def _record_trajectory(rows) -> None:
         "paths": {row["path"]: dict(row) for row in rows},
         "served_solves_per_sec": rows[1]["solves_per_sec"],
         "direct_solves_per_sec": rows[0]["solves_per_sec"],
+        # the gated number: both paths ran on the same machine in the same
+        # rounds, so the ratio travels across runners where solves/s do not
+        "served_vs_direct": round(rows[1]["solves_per_sec"] / rows[0]["solves_per_sec"], 3),
         "overhead_pct": rows[1]["overhead_pct"],
     }
     write_json(payload, path)

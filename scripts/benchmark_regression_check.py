@@ -13,12 +13,16 @@ Both files are benchmark artefacts of the same ``kind``:
 * ``server-bench`` — a loadtest report carrying the
   ``overhead_benchmark`` section merged in by
   ``benchmarks/test_server_throughput.py``.  The one gated metric is that
-  section's ``served_solves_per_sec`` (higher is better): a warm fleet
-  serving a fixed request set as fast as it can, so it measures capacity.
-  The loadtest's own top-level numbers (``completed_rps``,
-  ``served_solves_per_sec``, ``paced_vs_direct_pct``) are deliberately
-  *not* gated: the loadtest is paced (CI replays 5 rps with ~88% dedup
-  hits), so they track the traffic shape, not the serve path.
+  section's ``served_vs_direct`` (higher is better): a warm fleet serving a
+  fixed request set as fast as it can, divided by the direct batch path
+  solving the same requests in the same alternating rounds, so it measures
+  the serve path's capacity relative to the machine it ran on.  The
+  section's absolute ``served_solves_per_sec`` and
+  ``direct_solves_per_sec`` are recorded, not gated: they move with the
+  machine's speed from run to run.  The loadtest's own top-level numbers
+  (``completed_rps``, ``served_solves_per_sec``, ``paced_vs_direct_pct``)
+  are not gated either: the loadtest is paced (CI replays 5 rps with ~88%
+  dedup hits), so they track the traffic shape, not the serve path.
 * ``opt-bench`` — the exact-solve speed artefact emitted by
   ``benchmarks/test_opt_speed.py``.  Gated metrics are the
   decomposed-vs-monolithic geometric-mean speedup and the proven-optimal
@@ -53,7 +57,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 #: Dotted paths of gated metrics per artefact kind; all higher-is-better.
 METRICS_BY_KIND: Dict[str, Tuple[str, ...]] = {
-    "server-bench": ("overhead_benchmark.served_solves_per_sec",),
+    "server-bench": ("overhead_benchmark.served_vs_direct",),
     "opt-bench": (
         "geomean_speedup",
         "seeded_geomean_speedup",

@@ -47,6 +47,33 @@ def evaluation_metrics(evaluation: PlanEvaluation) -> Dict[str, float]:
     }
 
 
+def _flag(value: Any) -> Optional[bool]:
+    """A flag field is written only when it is true."""
+    return True if value else None
+
+
+#: The optional OPT fields of a plan payload, in payload order, each with the
+#: converter its value passes through.  A field is written when its value is
+#: not ``None`` and converts to something other than ``None``.
+PLAN_METADATA = (
+    ("status", str),
+    ("bound", float),
+    ("mip_gap", float),
+    ("strategy", str),
+    ("seeded", _flag),
+)
+
+
+def _plan_metadata(source: Mapping[str, Any]) -> Dict[str, Any]:
+    """The :data:`PLAN_METADATA` fields set in ``source``, converted."""
+    converted = {
+        key: convert(source[key])
+        for key, convert in PLAN_METADATA
+        if source.get(key) is not None
+    }
+    return {key: value for key, value in converted.items() if value is not None}
+
+
 def plan_payload(plan: RecoveryPlan) -> Dict[str, Any]:
     """The serialisable repair plan: what to rebuild, in canonical order.
 
@@ -67,18 +94,7 @@ def plan_payload(plan: RecoveryPlan) -> Dict[str, Any]:
         ),
         "iterations": int(plan.iterations),
     }
-    status = plan.metadata.get("status")
-    if status is not None:
-        payload["status"] = str(status)
-    for key in ("bound", "mip_gap"):
-        value = plan.metadata.get(key)
-        if value is not None:
-            payload[key] = float(value)
-    strategy = plan.metadata.get("strategy")
-    if strategy is not None:
-        payload["strategy"] = str(strategy)
-    if plan.metadata.get("seeded"):
-        payload["seeded"] = True
+    payload.update(_plan_metadata(plan.metadata))
     return payload
 
 
@@ -94,15 +110,7 @@ def normalise_plan_payload(payload: Optional[Mapping[str, Any]]) -> Dict[str, An
         ],
         "iterations": int(payload.get("iterations", 0)),
     }
-    if payload.get("status") is not None:
-        normalised["status"] = str(payload["status"])
-    for key in ("bound", "mip_gap"):
-        if payload.get(key) is not None:
-            normalised[key] = float(payload[key])
-    if payload.get("strategy") is not None:
-        normalised["strategy"] = str(payload["strategy"])
-    if payload.get("seeded"):
-        normalised["seeded"] = True
+    normalised.update(_plan_metadata(payload))
     return normalised
 
 
@@ -115,9 +123,7 @@ def plan_from_payload(payload: Mapping[str, Any], algorithm: str = "") -> Recove
     for u, v in normalised.get("repaired_edges", []):
         plan.add_edge_repair(u, v)
     plan.iterations = normalised.get("iterations", 0)
-    for key in ("status", "bound", "mip_gap", "strategy", "seeded"):
-        if key in normalised:
-            plan.metadata[key] = normalised[key]
+    plan.metadata.update(_plan_metadata(normalised))
     return plan
 
 
@@ -179,15 +185,7 @@ def jsonify_plan(payload: Mapping[str, Any]) -> Dict[str, Any]:
         "repaired_edges": [jsonify_value(list(edge)) for edge in payload.get("repaired_edges", [])],
         "iterations": int(payload.get("iterations", 0)),
     }
-    if payload.get("status") is not None:
-        jsonified["status"] = str(payload["status"])
-    for key in ("bound", "mip_gap"):
-        if payload.get(key) is not None:
-            jsonified[key] = float(payload[key])
-    if payload.get("strategy") is not None:
-        jsonified["strategy"] = str(payload["strategy"])
-    if payload.get("seeded"):
-        jsonified["seeded"] = True
+    jsonified.update(_plan_metadata(payload))
     return jsonified
 
 

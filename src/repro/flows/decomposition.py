@@ -5,59 +5,44 @@ Two different "decompositions" live here:
 * :func:`decompose_flows` — the classic flow decomposition theorem, turning
   per-arc LP flows into explicit path assignments for recovery plans.
 * The **exact-solve acceleration layer** (everything else): instead of
-  handing the monolithic MILP of Eq. 1 to the solver, exploit its block
-  structure the way exact OR methods do.
+  handing the monolithic MILP of Eq. 1 to the solver as it is, bound it
+  first and tighten it with what the bound proves.
 
-The acceleration layer attacks the model in stages, cheapest first:
+The acceleration layer takes three steps:
 
-1. **Per-commodity block relaxations.**  The constraint system is ``k``
-   commodities sharing capacity; dropping all but one commodity (and its
-   disaggregated variable-upper-bound rows, see below) yields a small LP
-   whose optimum is a valid lower bound on MinR.  The blocks come straight
-   from the :class:`~repro.flows.solver.incremental.StructureCache`.
-2. **The strengthened joint relaxation.**  The LP relaxation of Eq. 1 is
+1. **The strengthened joint relaxation.**  The LP relaxation of Eq. 1 is
    nearly useless when capacities dwarf demands (``delta = d/c`` is
    fractional-feasible), so it is tightened with disaggregated VUB cuts
    ``f^h_ij + f^h_ji <= min(c_ij, d_h) * delta_ij``: every cycle-free
    feasible flow satisfies them, and removing cycles never changes the
    repair vector or the objective, so the strengthened optimum is still a
    valid lower bound — usually a *tight* one under unit repair costs.
-3. **A bound certificate.**  With integral repair costs the bound rounds up
+   When the bound is zero, a routable unrepaired network is the optimum.
+2. **A bound certificate.**  With integral repair costs the bound rounds up
    to an integer; when a verified heuristic incumbent already matches it,
    the incumbent is *proven optimal* with zero MILP solves.
-4. **Combinatorial Benders.**  For small damage sets, search repair
-   vectors directly: a master MILP over the broken-element binaries (with
-   valid inequalities relating edge and node repairs), and a routability-LP
-   subproblem per candidate.  Non-routable candidates generate feasibility
-   cuts — connectivity *frontier* cuts when a commodity is disconnected,
-   monotone no-good cuts otherwise (routability is monotone in the repair
-   set, so excluding a set excludes all its subsets).
-5. **The tightened monolithic model.**  When Benders is not attractive the
-   full MILP is solved, but strengthened with the VUB rows, the proven
-   bound window ``lb <= cost <= ub`` (the heuristic incumbent's cost is
-   ``ub``) and cost-free fixings of the non-broken binaries; the incumbent
-   is the answer if that solve stops without one.
+3. **The tightened monolithic model.**  Otherwise the full MILP is solved,
+   strengthened with the VUB rows, the proven bound window
+   ``lb <= cost <= ub`` (the heuristic incumbent's cost is ``ub``) and
+   cost-free fixings of the non-broken binaries; the incumbent is the
+   answer if that solve stops without one.
 
-Bounds and learned cuts live for one :func:`solve_decomposed` call: a
-re-solve of the same scenario repeats the same stages and reports the same
-counts.
+The bound lives for one :func:`solve_decomposed` call: a re-solve of the
+same scenario repeats the same steps and reports the same counts.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 from scipy import sparse
 
 from repro.flows.routability import routability_test
 from repro.flows.solver.backends import HIGHS, LinearProgram, MILProgram
-from repro.flows.solver.stats import record_benders
-from repro.flows.solver.tolerances import BINARY_THRESHOLD, FLOW_TOLERANCE
+from repro.flows.solver.tolerances import FLOW_TOLERANCE
 
 Node = Hashable
 Arc = Tuple[Node, Node]
@@ -65,15 +50,6 @@ Path = Tuple[Node, ...]
 
 #: Flows below this value are treated as numerical noise.
 FLOW_EPSILON = 1e-6
-
-#: A broken element: ``("node", n)`` or ``("edge", (u, v))`` (canonical).
-Element = Tuple[str, Union[Node, Tuple[Node, Node]]]
-
-#: Damage sets up to this size go through the combinatorial Benders search.
-BENDERS_MAX_ELEMENTS = 12
-
-#: Master/subproblem rounds before Benders gives up and falls back.
-BENDERS_MAX_ITERATIONS = 60
 
 
 def decompose_flows(
@@ -154,7 +130,7 @@ def total_decomposed_flow(decomposition: List[Tuple[Path, float]]) -> float:
 
 
 # --------------------------------------------------------------------------- #
-# Strengthened relaxations: disaggregated VUB rows and block bounds
+# The strengthened joint relaxation: disaggregated VUB rows
 # --------------------------------------------------------------------------- #
 def vub_rows(model) -> Tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
     """Disaggregated variable-upper-bound rows over the full variable layout.
@@ -277,72 +253,6 @@ def relaxation_bound(model) -> Tuple[str, Optional[float]]:
     return "error", None
 
 
-def commodity_block_bound(model, index: int) -> Optional[float]:
-    """Lower bound from commodity ``index``'s single-block relaxation.
-
-    Any feasible repair vector must route each commodity *alone*, so the
-    min-cost relaxation of one commodity block (its conservation rows, its
-    VUB rows, the degree rows) bounds the joint optimum from below.  The
-    block matrices are the cached single-commodity blocks — no assembly of
-    the joint system is needed.  Returns ``None`` when the block LP fails
-    (the caller just skips the bound).
-    """
-    structure = model.problem.structure
-    commodity = model.commodities[index]
-    num_arcs = structure.num_arcs
-    num_vars = num_arcs + model.num_edges + model.num_nodes
-    # Column layout: [commodity flows | edge deltas | node deltas].
-    objective = np.concatenate([np.zeros(num_arcs), model.objective[model.num_flow:]])
-
-    demand = float(commodity.demand)
-    vub_flow = structure.capacity_block  # one row per edge, 1s on its arcs
-    vub_delta_data = [
-        -min(float(model.capacity_rhs[i]), demand) for i in range(model.num_edges)
-    ]
-    vub = sparse.hstack(
-        [
-            vub_flow,
-            sparse.diags(vub_delta_data, format="csr"),
-            sparse.csr_matrix((model.num_edges, model.num_nodes)),
-        ],
-        format="csr",
-    )
-    degree = sparse.hstack(
-        [sparse.csr_matrix((model.num_nodes, num_arcs)), model.degree_block],
-        format="csr",
-    )
-    conservation = sparse.hstack(
-        [
-            structure.conservation_block,
-            sparse.csr_matrix((model.num_nodes, model.num_edges + model.num_nodes)),
-        ],
-        format="csr",
-    )
-    rhs = np.zeros(model.num_nodes)
-    source_row = structure.node_index.get(commodity.source)
-    target_row = structure.node_index.get(commodity.target)
-    if source_row is None or target_row is None:
-        return None
-    rhs[source_row] = demand
-    rhs[target_row] = -demand
-
-    lower_full, upper_full = fixed_delta_bounds(model)
-    lower = np.concatenate([np.zeros(num_arcs), lower_full[model.num_flow:]])
-    upper = np.concatenate([np.full(num_arcs, np.inf), upper_full[model.num_flow:]])
-    program = LinearProgram(
-        c=objective,
-        a_ub=sparse.vstack([vub, degree], format="csr"),
-        b_ub=np.zeros(model.num_edges + model.num_nodes),
-        a_eq=conservation,
-        b_eq=rhs,
-        bounds=np.column_stack([lower, upper]),
-    )
-    solution = HIGHS.solve_lp(program)
-    if not solution.success:
-        return None
-    return float(solution.objective)
-
-
 def integral_bound(model, bound: float) -> float:
     """Round ``bound`` up to the next integer when every repair cost is.
 
@@ -357,236 +267,6 @@ def integral_bound(model, bound: float) -> float:
 
 
 # --------------------------------------------------------------------------- #
-# Combinatorial Benders on the repair binaries
-# --------------------------------------------------------------------------- #
-@dataclass
-class BendersOutcome:
-    """Result of the combinatorial Benders search."""
-
-    status: str  #: ``"optimal"``, ``"incumbent"``, ``"infeasible"`` or ``"gave_up"``
-    repaired_nodes: Set[Node] = field(default_factory=set)
-    repaired_edges: Set[Tuple[Node, Node]] = field(default_factory=set)
-    objective: Optional[float] = None
-    bound: Optional[float] = None
-    flows: List[Dict[Arc, float]] = field(default_factory=list)
-    iterations: int = 0
-
-
-def _element_cost(model, element: Element) -> float:
-    kind, value = element
-    if kind == "node":
-        return model.supply.node_repair_cost(value)
-    return model.supply.edge_repair_cost(*value)
-
-
-def _frontier_cuts(
-    model,
-    graph: nx.Graph,
-    candidate_nodes: Set[Node],
-) -> List[frozenset]:
-    """Connectivity cuts for commodities disconnected under a candidate.
-
-    For a commodity whose endpoints fall in different components of the
-    candidate working graph, any routable repair set must open at least one
-    broken element on the frontier of the source component: a broken edge
-    crossing the boundary, or a broken node just outside it reachable over
-    a non-broken edge.  ``sum_{b in frontier} x_b >= 1`` is therefore valid
-    for every feasible repair vector, not just supersets of the candidate.
-    """
-    supply = model.supply
-    cuts: List[frozenset] = []
-    seen_components: List[Set[Node]] = []
-    for commodity in model.commodities:
-        source, target = commodity.source, commodity.target
-        if source not in graph or target not in graph:
-            continue  # master valid inequalities force broken endpoints
-        if nx.has_path(graph, source, target):
-            continue
-        component = nx.node_connected_component(graph, source)
-        if any(component == c for c in seen_components):
-            continue
-        seen_components.append(component)
-        frontier: Set[Element] = set()
-        for u, v in supply.broken_edges:
-            if (u in component) != (v in component):
-                frontier.add(("edge", (u, v)))
-        for node in supply.broken_nodes:
-            if node in component or node in candidate_nodes:
-                continue
-            for neighbor in supply.neighbors(node):
-                if neighbor in component and not supply.is_broken_edge(node, neighbor):
-                    frontier.add(("node", node))
-                    break
-        if frontier:
-            cuts.append(frozenset(frontier))
-    return cuts
-
-
-def benders_search(
-    model,
-    upper_bound: Optional[float],
-    lower_bound: float,
-    deadline: Optional[float],
-) -> BendersOutcome:
-    """Search repair vectors directly via master MILP + routability cuts.
-
-    The master minimises repair cost over the broken-element binaries under
-    valid inequalities only, so its optimum never exceeds the true optimum;
-    the first master candidate whose repaired working graph routes the full
-    demand is therefore *globally* optimal.  Returns ``status="gave_up"``
-    when the iteration cap or deadline is hit (the caller falls back to the
-    tightened monolithic model).
-    """
-    supply = model.supply
-    demand = model.demand
-    elements: List[Element] = sorted(
-        [("node", node) for node in supply.broken_nodes]
-        + [("edge", edge) for edge in supply.broken_edges],
-        key=repr,
-    )
-    index = {element: i for i, element in enumerate(elements)}
-    n = len(elements)
-    costs = np.array([_element_cost(model, element) for element in elements])
-
-    lower = np.zeros(n)
-    upper = np.ones(n)
-    # Broken commodity endpoints must be repaired: the source emits flow, so
-    # some incident edge is used, which forces the node on through 1(c).
-    for commodity in model.commodities:
-        for endpoint in (commodity.source, commodity.target):
-            column = index.get(("node", endpoint))
-            if column is not None:
-                lower[column] = 1.0
-
-    rows: List[Tuple[sparse.spmatrix, np.ndarray, np.ndarray]] = []
-    # delta_edge <= delta_node for broken edges with broken endpoints: any
-    # feasible MILP solution with the edge on has the endpoint on (1(c)).
-    pair_rows: List[Tuple[int, int]] = []
-    for element in elements:
-        if element[0] != "edge":
-            continue
-        u, v = element[1]
-        for endpoint in (u, v):
-            node_col = index.get(("node", endpoint))
-            if node_col is not None:
-                pair_rows.append((index[element], node_col))
-    if pair_rows:
-        matrix = sparse.lil_matrix((len(pair_rows), n))
-        for row, (edge_col, node_col) in enumerate(pair_rows):
-            matrix[row, edge_col] = 1.0
-            matrix[row, node_col] = -1.0
-        rows.append(
-            (matrix.tocsr(), np.full(len(pair_rows), -np.inf), np.zeros(len(pair_rows)))
-        )
-    # The proven bound window: lb <= c^T x (<= ub).
-    window_ub = float(upper_bound) + FLOW_TOLERANCE if upper_bound is not None else np.inf
-    rows.append(
-        (
-            sparse.csr_matrix(costs.reshape(1, -1)),
-            np.array([lower_bound - FLOW_TOLERANCE]),
-            np.array([window_ub]),
-        )
-    )
-
-    def cut_row(cut: frozenset) -> Optional[Tuple[sparse.spmatrix, np.ndarray, np.ndarray]]:
-        columns = [index[element] for element in cut if element in index]
-        if not columns:
-            return None
-        matrix = sparse.lil_matrix((1, n))
-        for column in columns:
-            matrix[0, column] = 1.0
-        return matrix.tocsr(), np.array([1.0]), np.array([np.inf])
-
-    cuts: List[frozenset] = []
-    iterations = 0
-    for _ in range(BENDERS_MAX_ITERATIONS):
-        if deadline is not None and time.perf_counter() >= deadline:
-            break
-        iterations += 1
-        program = MILProgram(
-            c=costs,
-            constraints=list(rows),
-            integrality=np.ones(n),
-            lb=lower,
-            ub=upper,
-        )
-        master = HIGHS.solve_milp(program)
-        if master.status == "infeasible":
-            record_benders(iterations=iterations, cuts=len(cuts))
-            if upper_bound is not None:
-                # The incumbent satisfies every master row, so an infeasible
-                # master can only mean numerical fuzz — treat it as proof.
-                return BendersOutcome(
-                    status="incumbent",
-                    objective=upper_bound,
-                    bound=upper_bound,
-                    iterations=iterations,
-                )
-            return BendersOutcome(status="infeasible", iterations=iterations)
-        if not master.feasible or master.x is None:
-            break
-        candidate_cost = float(master.objective)
-        if upper_bound is not None and candidate_cost >= upper_bound - FLOW_TOLERANCE:
-            # No repair vector beats the incumbent: it is optimal.
-            record_benders(iterations=iterations, cuts=len(cuts))
-            return BendersOutcome(
-                status="incumbent",
-                objective=upper_bound,
-                bound=candidate_cost if upper_bound is None else upper_bound,
-                iterations=iterations,
-            )
-        selected = [
-            element
-            for element in elements
-            if master.x[index[element]] > BINARY_THRESHOLD
-        ]
-        candidate_nodes = {value for kind, value in selected if kind == "node"}
-        candidate_edges = {value for kind, value in selected if kind == "edge"}
-        graph = supply.working_graph(
-            extra_nodes=candidate_nodes,
-            extra_edges=candidate_edges,
-            use_residual=False,
-        )
-        verdict = routability_test(graph, demand, want_flows=True)
-        if verdict.routable:
-            record_benders(iterations=iterations, cuts=len(cuts))
-            objective = supply.repair_cost_of(candidate_nodes, candidate_edges)
-            return BendersOutcome(
-                status="optimal",
-                repaired_nodes=candidate_nodes,
-                repaired_edges=candidate_edges,
-                objective=float(objective),
-                bound=float(objective),
-                flows=verdict.flows,
-                iterations=iterations,
-            )
-        # Feasibility cuts.  The no-good cut is always separating (routability
-        # is monotone in the repair set, so the candidate and all its subsets
-        # are excluded); frontier cuts add strength when disconnection is the
-        # cause.
-        no_good = frozenset(
-            element for element in elements if element not in set(selected)
-        )
-        added = _frontier_cuts(model, graph, candidate_nodes)
-        if no_good:
-            added.append(no_good)
-        progressed = False
-        for cut in added:
-            if cut in cuts:
-                continue
-            row = cut_row(cut)
-            if row is None:
-                continue
-            rows.append(row)
-            cuts.append(cut)
-            progressed = True
-        if not progressed:
-            break  # cannot separate the candidate: give up, don't spin
-    record_benders(iterations=iterations, cuts=len(cuts))
-    return BendersOutcome(status="gave_up", iterations=iterations)
-
-
-# --------------------------------------------------------------------------- #
 # The decomposed driver
 # --------------------------------------------------------------------------- #
 def solve_decomposed(
@@ -595,7 +275,7 @@ def solve_decomposed(
     mip_rel_gap: float = 0.0,
     incumbent=None,
 ):
-    """Drive the staged decomposition attack on a built MinR model.
+    """Bound, certify, then solve the tightened MILP of a built MinR model.
 
     Returns a :class:`~repro.flows.milp.MinRSolution` or ``None`` when the
     attack declines the instance (the caller falls back to the monolithic
@@ -633,23 +313,13 @@ def solve_decomposed(
             return gap <= mip_rel_gap
         return False
 
-    # Stage 1: lower bounds — per-commodity blocks, then the strengthened
-    # joint relaxation (skipped when a cheaper bound already proves the
-    # incumbent).
-    lower_bound = 0.0
-    for index in range(len(model.commodities)):
-        bound = commodity_block_bound(model, index)
-        if bound is not None:
-            lower_bound = max(lower_bound, bound)
-    if not certificate_met(integral_bound(model, lower_bound)):
-        status, joint = relaxation_bound(model)
-        if status == "infeasible":
-            return infeasible()
-        if joint is not None:
-            lower_bound = max(lower_bound, joint)
-    lb_int = integral_bound(model, lower_bound)
+    # Step 1: the lower bound of the strengthened joint relaxation.
+    status, joint = relaxation_bound(model)
+    if status == "infeasible":
+        return infeasible()
+    lb_int = integral_bound(model, max(0.0, joint or 0.0))
 
-    # Stage 2: a zero-cost optimum — nothing needs repairing at all.
+    # A zero-cost optimum: nothing needs repairing at all.
     if lb_int <= FLOW_TOLERANCE:
         verdict = routability_test(
             supply.working_graph(use_residual=False),
@@ -669,37 +339,12 @@ def solve_decomposed(
                 )
             )
 
-    # Stage 3: the bound certificate — the heuristic incumbent matches the
+    # Step 2: the bound certificate — the heuristic incumbent matches the
     # proven lower bound, so it is optimal without any MILP solve.
     if certificate_met(lb_int):
         return finish(_milp.incumbent_solution(model, incumbent, bound=lb_int))
 
-    # Stage 4: combinatorial Benders for small damage sets.
-    damage = len(supply.broken_nodes) + len(supply.broken_edges)
-    if damage <= BENDERS_MAX_ELEMENTS:
-        outcome = benders_search(model, upper, lb_int, deadline)
-        if outcome.status == "infeasible":
-            return infeasible()
-        if outcome.status == "incumbent":
-            return finish(
-                _milp.incumbent_solution(model, incumbent, bound=outcome.bound)
-            )
-        if outcome.status == "optimal":
-            solution = _milp.MinRSolution(
-                status="optimal",
-                objective=outcome.objective,
-                repaired_nodes=set(outcome.repaired_nodes),
-                repaired_edges=set(outcome.repaired_edges),
-                flows=outcome.flows,
-                commodities=list(model.commodities),
-                bound=outcome.bound,
-                strategy="decomposed",
-                seeded=incumbent is not None,
-            )
-            return finish(solution)
-        # "gave_up": fall through to the tightened monolithic model.
-
-    # Stage 5: the tightened monolithic model — VUB rows, the proven bound
+    # Step 3: the tightened monolithic model — VUB rows, the proven bound
     # window and cost-free fixings, with the incumbent as the fallback.
     remaining = None
     if deadline is not None:
@@ -764,14 +409,9 @@ __all__ = [
     "FLOW_EPSILON",
     "decompose_flows",
     "total_decomposed_flow",
-    "BENDERS_MAX_ELEMENTS",
-    "BENDERS_MAX_ITERATIONS",
     "vub_rows",
     "fixed_delta_bounds",
     "relaxation_bound",
-    "commodity_block_bound",
     "integral_bound",
-    "BendersOutcome",
-    "benders_search",
     "solve_decomposed",
 ]

@@ -25,11 +25,12 @@ Two accelerations sit on top of the plain model (see ``docs/solver.md``):
   MIP start: that changed the returned solutions and was slower (see
   ``docs/solver.md``).
 * **Decomposition first** — ``solve_minimum_recovery`` runs
-  :func:`repro.flows.decomposition.solve_decomposed` and falls back to
-  :func:`solve_monolithic`, the plain Eq. 1 model, whenever the attack
-  declines.  ``solve_monolithic`` is byte-for-byte the pre-acceleration
-  model, and the exact reference the differential suites and the OPT
-  speed bench compare against.
+  :func:`repro.flows.decomposition.solve_decomposed` (a strengthened
+  relaxation bound, a bound certificate for the incumbent, then the
+  tightened MILP) and falls back to :func:`solve_monolithic`, the plain
+  Eq. 1 model, whenever the attack declines.  ``solve_monolithic`` is
+  byte-for-byte the pre-acceleration model, and the exact reference the
+  differential suites and the OPT speed bench compare against.
 """
 
 from __future__ import annotations
@@ -105,10 +106,7 @@ class MinRModel:
     integrality: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    eta_max: int
     capacity_rhs: np.ndarray
-    #: Constraint 1(c) over the delta columns only (used by block bounds).
-    degree_block: sparse.csr_matrix
 
 
 @dataclass
@@ -175,9 +173,8 @@ def build_minr_model(
         for neighbor in graph.neighbors(node):
             deg_delta[row, edge_column[canonical_edge(node, neighbor)] - num_flow] = 1.0
         deg_delta[row, node_column[node] - num_flow] = -float(eta_max)
-    degree_block = deg_delta.tocsr()
     deg_full = sparse.hstack(
-        [sparse.csr_matrix((num_nodes, num_flow)), degree_block]
+        [sparse.csr_matrix((num_nodes, num_flow)), deg_delta.tocsr()]
     ).tocsr()
     constraints.append(
         (deg_full, np.full(num_nodes, -np.inf), np.zeros(num_nodes))
@@ -215,9 +212,7 @@ def build_minr_model(
         integrality=integrality,
         lower=lower,
         upper=upper,
-        eta_max=eta_max,
         capacity_rhs=np.asarray(cap_rhs, dtype=float),
-        degree_block=degree_block,
     )
 
 

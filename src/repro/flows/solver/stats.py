@@ -10,8 +10,8 @@ and threads run through ``contextvars.copy_context().run`` included:
 off its ``service.run`` span with :func:`solver_counts`, and ``repro.cli
 sweep`` reports them per cell.
 
-When a trace is active (a worker executing a job), the build, solve and
-Benders reports also land completed ``solver.*`` leaves on the trace via
+When a trace is active (a worker executing a job), the build and solve
+reports also land completed ``solver.*`` leaves on the trace via
 :func:`repro.obs.trace.record_timed`, so the substrate shows up in
 ``GET /v1/trace/{digest}`` without the backends knowing traces exist.
 
@@ -35,9 +35,6 @@ The counts, in the order of a run's ``solver`` dict (:data:`SOLVER_COUNTS`):
 ``incumbent_seeds``
     How often a MILP solve was seeded with a heuristic incumbent (repair
     vector + routed flows offered as a feasible start).
-``benders_iterations`` / ``benders_cuts``
-    Master-subproblem rounds of the combinatorial Benders loop and the
-    total number of feasibility cuts it added.
 
 Nothing the substrate reuses outlives one instance scope
 (:func:`repro.flows.solver.incremental.instance_scope`), so every count
@@ -60,8 +57,6 @@ SOLVER_COUNTS = (
     "structure_hits",
     "structure_misses",
     "incumbent_seeds",
-    "benders_iterations",
-    "benders_cuts",
 )
 
 
@@ -103,15 +98,8 @@ def record_structure_lookup(hit: bool) -> None:
     count(**{"structure_hits" if hit else "structure_misses": 1})
 
 
-def record_benders(iterations: int = 0, cuts: int = 0) -> None:
-    """Report combinatorial Benders effort (master rounds and cuts added)."""
-    count(benders_iterations=iterations, benders_cuts=cuts)
-    record_timed("solver.benders", 0.0, iterations=iterations, cuts=cuts)
-
-
 __all__ = [
     "SOLVER_COUNTS",
-    "record_benders",
     "record_build",
     "record_solve",
     "record_structure_lookup",

@@ -183,9 +183,6 @@ class SupplyGraph:
     def has_edge(self, u: Node, v: Node) -> bool:
         return self._graph.has_edge(u, v)
 
-    def neighbors(self, node: Node) -> List[Node]:
-        return list(self._graph.neighbors(node))
-
     def degree(self, node: Node) -> int:
         return int(self._graph.degree(node))
 

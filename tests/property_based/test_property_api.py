@@ -212,6 +212,16 @@ def recovery_plans(draw):
         if u != v:
             plan.add_edge_repair(u, v)
     plan.iterations = draw(st.integers(min_value=0, max_value=100))
+    # OPT's optional plan metadata, each field present or absent
+    for key, values in (
+        ("status", st.sampled_from(["optimal", "feasible", "infeasible", "error"])),
+        ("bound", st.floats(min_value=0, max_value=1e6, allow_nan=False, width=32)),
+        ("mip_gap", st.floats(min_value=0, max_value=1, allow_nan=False, width=32)),
+        ("strategy", st.sampled_from(["decomposed", "monolithic", "auto"])),
+        ("seeded", st.booleans()),
+    ):
+        if draw(st.booleans()):
+            plan.metadata[key] = draw(values)
     return plan
 
 
@@ -271,3 +281,7 @@ def test_plan_payload_reconstruction_preserves_repairs(plan):
     assert set(rebuilt.repaired_nodes) == set(plan.repaired_nodes)
     assert set(rebuilt.repaired_edges) == set(plan.repaired_edges)
     assert rebuilt.iterations == plan.iterations
+    # every OPT field set on the plan survives; ``seeded`` is written only when true
+    assert rebuilt.metadata == {
+        key: value for key, value in plan.metadata.items() if value is not False
+    }

@@ -18,12 +18,17 @@ def _artefact(tmp_path, name: str, payload: dict) -> str:
     return str(path)
 
 
-def _baseline(served: float = 25.0, **overrides) -> dict:
-    """A server artefact: paced loadtest numbers plus the overhead section."""
+def _baseline(ratio: float = 1.25, served: float = 25.0, **overrides) -> dict:
+    """A server artefact: paced loadtest numbers plus the overhead section,
+    whose gated ``served_vs_direct`` is ``ratio``."""
     payload = {
         "completed_rps": 1.0,
         "served_solves_per_sec": 2.0,
-        "overhead_benchmark": {"served_solves_per_sec": served},
+        "overhead_benchmark": {
+            "served_solves_per_sec": served,
+            "direct_solves_per_sec": served / ratio,
+            "served_vs_direct": ratio,
+        },
     }
     payload.update(overrides)
     return payload
@@ -31,7 +36,7 @@ def _baseline(served: float = 25.0, **overrides) -> dict:
 
 class TestLookup:
     def test_dotted_paths_resolve_nested_metrics(self):
-        assert check.lookup(_baseline(), "overhead_benchmark.served_solves_per_sec") == 25.0
+        assert check.lookup(_baseline(), "overhead_benchmark.served_vs_direct") == 1.25
         assert check.lookup(_baseline(), "completed_rps") == 1.0
 
     def test_missing_and_non_numeric_values_are_none(self):
@@ -49,21 +54,33 @@ class TestVerdicts:
 
     def test_improvement_passes(self, tmp_path):
         baseline = _artefact(tmp_path, "base.json", _baseline())
-        current = _artefact(tmp_path, "curr.json", _baseline(served=50.0))
+        current = _artefact(tmp_path, "curr.json", _baseline(ratio=2.5))
         assert check.main(["--baseline", baseline, "--current", current]) == 0
 
     def test_drop_within_tolerance_passes(self, tmp_path):
-        baseline = _artefact(tmp_path, "base.json", _baseline(served=10.0))
-        current = _artefact(tmp_path, "curr.json", _baseline(served=8.5))
+        baseline = _artefact(tmp_path, "base.json", _baseline(ratio=1.0))
+        current = _artefact(tmp_path, "curr.json", _baseline(ratio=0.85))
         assert check.main(["--baseline", baseline, "--current", current]) == 0
 
     def test_regression_beyond_tolerance_fails(self, tmp_path, capsys):
-        baseline = _artefact(tmp_path, "base.json", _baseline(served=10.0))
-        current = _artefact(tmp_path, "curr.json", _baseline(served=7.0))
+        baseline = _artefact(tmp_path, "base.json", _baseline(ratio=1.0))
+        current = _artefact(tmp_path, "curr.json", _baseline(ratio=0.7))
         assert check.main(["--baseline", baseline, "--current", current]) == 1
         out = capsys.readouterr().out
         assert "REGRESSION" in out
-        assert "overhead_benchmark.served_solves_per_sec" in out
+        assert "overhead_benchmark.served_vs_direct" in out
+
+    def test_absolute_served_throughput_is_not_gated(self, tmp_path, capsys):
+        """A slower machine serves fewer solves/s at the same served/direct
+        ratio; a slower serve path lowers the ratio whatever the machine."""
+        baseline = _artefact(tmp_path, "base.json", _baseline(ratio=1.2, served=60.0))
+        slower_machine = _artefact(tmp_path, "slow.json", _baseline(ratio=1.2, served=30.0))
+        slower_path = _artefact(tmp_path, "path.json", _baseline(ratio=0.6, served=60.0))
+        assert check.main(["--baseline", baseline, "--current", slower_machine]) == 0
+        out = capsys.readouterr().out
+        assert "served_solves_per_sec" not in out
+        assert "PASS: 1 metric(s)" in out
+        assert check.main(["--baseline", baseline, "--current", slower_path]) == 1
 
     def test_paced_loadtest_numbers_are_not_gated(self, tmp_path, capsys):
         """The loadtest's own rates follow its pacing and dedup, not capacity."""
@@ -79,8 +96,8 @@ class TestVerdicts:
         assert "PASS: 1 metric(s)" in out
 
     def test_tolerance_flag_widens_the_floor(self, tmp_path):
-        baseline = _artefact(tmp_path, "base.json", _baseline(served=10.0))
-        current = _artefact(tmp_path, "curr.json", _baseline(served=6.0))
+        baseline = _artefact(tmp_path, "base.json", _baseline(ratio=1.0))
+        current = _artefact(tmp_path, "curr.json", _baseline(ratio=0.6))
         args = ["--baseline", baseline, "--current", current]
         assert check.main(args) == 1
         assert check.main(args + ["--tolerance", "0.5"]) == 0
@@ -90,7 +107,7 @@ class TestVerdicts:
         current = _artefact(tmp_path, "curr.json", {"completed_rps": 1.0})
         assert check.main(["--baseline", baseline, "--current", current]) == 2
         out = capsys.readouterr().out
-        assert "[skip] overhead_benchmark.served_solves_per_sec" in out
+        assert "[skip] overhead_benchmark.served_vs_direct" in out
         assert "nothing gated" in out
 
 

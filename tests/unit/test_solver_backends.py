@@ -167,7 +167,7 @@ class TestReferencePath:
 
     def test_every_lp_of_a_bell_request_matches_linprog(self, bell_solves):
         _, lps, _ = bell_solves
-        assert len(lps) > 50
+        assert len(lps) == 47
         assert any(program.method_hint == "interior-point" for program, _ in lps)
         for program, solution in lps:
             assert_bit_identical(outcome(solution), linprog_reference(program))
@@ -465,8 +465,6 @@ class TestSolverStats:
             "structure_hits",
             "structure_misses",
             "incumbent_seeds",
-            "benders_iterations",
-            "benders_cuts",
         ]
         assert all(isinstance(value, float) for value in solver_counts(scope).values())
 
