@@ -8,6 +8,16 @@ The paper defines this amount ``dx`` as the optimum of an LP: maximise
 obtained by replacing ``d_h`` with ``d_h - dx`` and adding the two derived
 demands ``(s_h, v_BC)`` and ``(v_BC, t_h)`` of value ``dx``.
 
+Most splits need no LP.  Before it looks anything up or calls HiGHS, a
+split asks :func:`~repro.network.index.max_flow_verdict` whether the
+instance at ``dx = d_h`` routes in turn on the index's residual
+capacities: the two legs at ``d_h`` first, then every pair at what it
+keeps (the split pair keeps nothing).  Those flows together are an
+integral feasible point of the LP with ``dx`` at its upper bound, so
+``d_h`` is the optimum, and the split returns it with no structure lookup,
+no build and no basis update.  A split whose instance does not route that
+way, or whose capacities or demands are not exact integers, solves the LP.
+
 The LP runs on the complete supply graph, whose topology never changes
 within an ISP run, so a run keeps one :class:`SplitProgram` on its
 :class:`~repro.network.index.GraphIndex`.  At the run's first split LP the
@@ -42,7 +52,7 @@ from repro.flows.solver.incremental import (
 from repro.flows.solver.stats import record_build
 from repro.flows.solver.tolerances import SPLIT_EPSILON
 from repro.network.demand import DemandGraph
-from repro.network.index import GraphIndex
+from repro.network.index import GraphIndex, max_flow_verdict
 
 Node = Hashable
 
@@ -70,7 +80,10 @@ class SplitProgram:
     def solve(self, commodities: List[Commodity], split: int, via: Node, bound: float) -> float:
         """The most of ``commodities[split]`` that can go through ``via``,
         at most ``bound``; the last two commodities are its two legs, with
-        zero demand.  0 when the LP has no optimum."""
+        zero demand.  ``bound`` when the instance at ``dx = bound`` routes
+        in turn, else the LP's optimum, or 0 when the LP has none."""
+        if self._routes_in_full(commodities, split, via, bound):
+            return bound
         structure = self._lookup()
         if FlowProblem.find_infeasible(commodities, structure.node_index):
             return 0.0
@@ -82,6 +95,28 @@ class SplitProgram:
         if solution.basis is not None:
             self._bases[k] = solution.basis
         return float(solution.x[-1])
+
+    def _routes_in_full(
+        self, commodities: List[Commodity], split: int, via: Node, bound: float
+    ) -> bool:
+        """Whether the instance at ``dx = bound`` routes in turn on the
+        index's residual capacities: the two legs at ``bound`` first, then
+        every pair at what it keeps (the split pair its demand less
+        ``bound``, which is 0 when ``bound`` is its demand).
+
+        Such a routing is a feasible point of the LP with ``dx`` at its
+        upper bound, so ``bound`` is the LP's optimum."""
+        source, target = commodities[split].source, commodities[split].target
+        pairs = [(source, via, bound), (via, target, bound)] + [
+            (c.source, c.target, c.demand - bound if i == split else c.demand)
+            for i, c in enumerate(commodities[:-2])
+        ]
+        position = self.index.position
+        try:
+            indexed = [(position[u], position[v], amount) for u, v, amount in pairs]
+        except KeyError:  # an endpoint off the graph: the LP path returns 0
+            return False
+        return max_flow_verdict(self.index.arcs, self.index.residual, indexed) is True
 
     def _lookup(self) -> TopologyStructure:
         """The complete graph's structure, looked up in the open instance

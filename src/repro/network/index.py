@@ -38,7 +38,12 @@ The module also serves the max-flow helpers on plain networkx graphs,
 :func:`max_flow_value` and :func:`max_flow_over_path_set` through the same
 kernel, :func:`bottleneck_capacity`, and :func:`max_flow_verdict`, which
 decides multi-commodity routability by integer max-flows where they
-settle it.
+settle it.  The verdict's max-flows are a pure-Python
+shortest-augmenting-path max-flow over an :class:`ArcLayout`'s arcs
+(:func:`_route`), capped at each demand: on graphs of a few dozen nodes
+its breadth-first searches cost less than building csgraph matrices and
+calling :func:`~scipy.sparse.csgraph.maximum_flow`.  The demand builder
+and ISP's split LP (:mod:`repro.flows.splitting_lp`) share it.
 """
 
 from __future__ import annotations
@@ -100,7 +105,8 @@ class ArcLayout:
     """Both arcs of every undirected edge, in CSR order.
 
     Masked csgraph matrices are sliced from this layout instead of being
-    converted from coordinates, which keeps the per-call overhead small.
+    converted from coordinates, which keeps the per-call overhead small;
+    :func:`_route` walks the same arcs as Python lists (:meth:`out_arcs`).
     """
 
     def __init__(self, num_nodes: int, tail: np.ndarray, head: np.ndarray) -> None:
@@ -113,6 +119,7 @@ class ArcLayout:
         self.row = rows[order]
         self.col = cols[order]
         self.edge = np.concatenate([np.arange(len(tail))] * 2)[order]
+        self._out: Optional[List[List[Tuple[int, int, int]]]] = None
 
     def matrix(self, edge_values: np.ndarray) -> sparse.csr_matrix:
         """Symmetric matrix with ``edge_values[e]`` on both arcs of every
@@ -137,28 +144,64 @@ class ArcLayout:
         """Max-flow value for int32 edge ``capacity`` on csgraph."""
         return float(csgraph.maximum_flow(self.matrix(capacity), source, target).flow_value)
 
-    def route(
-        self, capacity: np.ndarray, source: int, target: int, amount: int
-    ) -> Tuple[int, np.ndarray]:
-        """A max-flow from ``source`` to ``target`` capped at ``amount`` units,
-        on int32 edge ``capacity``: ``(value, flow carried by every edge)``.
+    def out_arcs(self) -> List[List[Tuple[int, int, int]]]:
+        """``(neighbour, edge, sign)`` of every arc leaving each node, in CSR
+        order; ``sign`` is 1 on the ``tail -> head`` arc and -1 on the other."""
+        if self._out is None:
+            forward = (self.row == self.tail[self.edge]).tolist()
+            self._out = [[] for _ in range(self.size)]
+            for u, v, edge, ahead in zip(
+                self.row.tolist(), self.col.tolist(), self.edge.tolist(), forward
+            ):
+                self._out[u].append((v, edge, 1 if ahead else -1))
+        return self._out
 
-        The cap is an extra node whose one arc, of capacity ``amount``,
-        feeds ``source``; csgraph's flow is antisymmetric, so an edge
-        carries the absolute value of its ``tail -> head`` entry.
-        """
-        matrix = self.matrix(capacity)
-        capped = sparse.csr_matrix(
-            (
-                np.append(matrix.data, np.int32(amount)),
-                np.append(matrix.indices, source),
-                np.append(matrix.indptr, matrix.indptr[-1] + 1),
-            ),
-            shape=(self.size + 1, self.size + 1),
-        )
-        result = csgraph.maximum_flow(capped, self.size, target)
-        carried = np.abs(np.asarray(result.flow[self.tail, self.head]).ravel())
-        return int(result.flow_value), carried.astype(np.int32)
+
+def _route(
+    out: List[List[Tuple[int, int, int]]],
+    residual: List[int],
+    source: int,
+    target: int,
+    amount: int,
+) -> bool:
+    """Whether ``amount`` units go from ``source`` to ``target`` on the
+    integral edge ``residual`` capacities; if so, the edges they use are
+    taken off ``residual``.
+
+    A max-flow by shortest augmenting paths (breadth-first search over the
+    arcs of ``out``) that stops at ``amount`` units.  ``flow`` holds the
+    net ``tail -> head`` flow of every edge it uses, so an arc's spare
+    capacity is ``residual[edge] - sign * flow``, and a routed edge loses
+    ``|flow|``: what one commodity's row of the LP's capacity constraint
+    charges it.
+    """
+    flow: Dict[int, int] = {}
+    routed = 0
+    while routed < amount:
+        reached: Dict[int, Tuple[int, int, int]] = {source: (source, -1, 0)}
+        queue = [source]
+        for node in queue:
+            for neighbour, edge, sign in out[node]:
+                if neighbour not in reached and residual[edge] > sign * flow.get(edge, 0):
+                    reached[neighbour] = (node, edge, sign)
+                    queue.append(neighbour)
+            if target in reached:
+                break
+        else:
+            return False
+        path = []
+        node = target
+        while node != source:
+            node, edge, sign = reached[node]
+            path.append((edge, sign))
+        push = min(residual[edge] - sign * flow.get(edge, 0) for edge, sign in path)
+        push = min(push, amount - routed)
+        for edge, sign in path:
+            flow[edge] = flow.get(edge, 0) + sign * push
+        routed += push
+    for edge, carried in flow.items():
+        residual[edge] -= abs(carried)
+    return True
 
 
 def max_flow_verdict(
@@ -170,29 +213,28 @@ def max_flow_verdict(
     node indices — can be routed together on edge ``capacity``, when
     integer max-flows decide it, else ``None``.
 
-    ``True`` when they route one after another, each on the capacity the
-    ones before it left and capped at its demand, since those flows
-    together are a feasible routing.  ``False`` when one commodity's
-    max-flow alone is below its demand.  ``None`` when neither holds, or
-    when a capacity or demand is not an exact integer or their total is
-    beyond the int32 guard of :func:`_int32_capacities`.
+    Both tests run on :func:`_route`.  ``True`` when the commodities route
+    one after another, each on the capacity the ones before it left and
+    capped at its demand, since those flows together are a feasible
+    routing.  ``False`` when one commodity alone cannot route its demand
+    on the whole capacity (its max-flow is below it).  ``None`` when
+    neither holds, or when a capacity or demand is not an exact integer or
+    their total is beyond the int32 guard of :func:`_int32_capacities`.
     """
     demands = np.array([demand for _, _, demand in commodities], dtype=float)
     exact = _int32_capacities(np.concatenate([capacity, demands]))
     if exact is None:
         return None
-    intact, amounts = exact[: len(capacity)], exact[len(capacity):].tolist()
-    residual = intact.copy()
+    intact, amounts = exact[: len(capacity)].tolist(), exact[len(capacity):].tolist()
+    out, residual = arcs.out_arcs(), list(intact)
     for short, ((source, target, _), amount) in enumerate(zip(commodities, amounts)):
-        routed, carried = arcs.route(residual, source, target, amount)
-        if routed < amount:
+        if not _route(out, residual, source, target, amount):
             break
-        residual -= carried
     else:
         return True
     # the commodities before ``short`` were routed, so each fits alone
     for (source, target, _), amount in zip(commodities[short:], amounts[short:]):
-        if arcs.max_flow(intact, source, target) < amount:
+        if not _route(out, list(intact), source, target, amount):
             return False
     return None
 
@@ -505,7 +547,8 @@ class GraphIndex:
         )
         self.listed_node = np.zeros(len(self.nodes), dtype=bool)
         self.listed_edge = np.zeros(len(self.edges), dtype=bool)
-        self._arcs = ArcLayout(len(self.nodes), self.tail, self.head)
+        #: Both arcs of every edge: csgraph matrices and the router's arcs.
+        self.arcs = ArcLayout(len(self.nodes), self.tail, self.head)
         #: Component labels of the complete graph (its structure never changes).
         self._labels: Optional[np.ndarray] = None
         #: Component labels of the working edges (-1 on nodes that do not
@@ -572,7 +615,7 @@ class GraphIndex:
         if u not in self.position or v not in self.position:
             return False
         if self._labels is None:
-            self._labels = self._arcs.labels(np.ones(len(self.edges), dtype=bool))
+            self._labels = self.arcs.labels(np.ones(len(self.edges), dtype=bool))
         return self._labels[self.position[u]] == self._labels[self.position[v]]
 
     def working_path(self, u: Node, v: Node) -> bool:
@@ -580,7 +623,7 @@ class GraphIndex:
         (residuals aside; labels are cached until the next repair)."""
         if self._working_labels is None:
             nodes = self.working_nodes()
-            labels = self._arcs.labels(self.working_edges(nodes))
+            labels = self.arcs.labels(self.working_edges(nodes))
             self._working_labels = np.where(nodes, labels, -1)
         i, j = self.position.get(u), self.position.get(v)
         if i is None or j is None or self._working_labels[i] < 0:
@@ -640,7 +683,7 @@ class GraphIndex:
         if exact is None:
             graph = self.working_graph() if working else self.to_networkx()
             return _networkx_flow(graph, source, target)
-        return self._arcs.max_flow(exact, s, t)
+        return self.arcs.max_flow(exact, s, t)
 
     # ------------------------------------------------------------------ #
     # Centrality
@@ -691,7 +734,7 @@ class GraphIndex:
         """Whether a working path with positive residual capacity joins the
         two nodes (labels are cached until the next mutation)."""
         if self._spare_labels is None:
-            self._spare_labels = self._arcs.labels(self.working_edges() & (self.residual > 0))
+            self._spare_labels = self.arcs.labels(self.working_edges() & (self.residual > 0))
         labels = self._spare_labels
         return labels[self.position[source]] == labels[self.position[target]]
 
@@ -710,7 +753,7 @@ class GraphIndex:
         nodes = self.working_nodes()
         edges = self.working_edges(nodes)
         stripped = edges & (self.tail != s) & (self.tail != t) & (self.head != s) & (self.head != t)
-        labels = self._arcs.labels(stripped)
+        labels = self.arcs.labels(stripped)
         others = [
             self.position[node]
             for node in endpoints
@@ -722,7 +765,7 @@ class GraphIndex:
             inside &= ~np.isin(labels, labels[others_array[nodes[others_array]]])
         inside[s] = inside[t] = True
         spare = edges & inside[self.tail] & inside[self.head] & (self.residual > 0)
-        reach = self._arcs.labels(spare)
+        reach = self.arcs.labels(spare)
         if reach[s] != reach[t]:
             return None
         region = {source, target}

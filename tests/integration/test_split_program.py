@@ -1,15 +1,18 @@
-"""ISP's split program hands HiGHS the arrays of a from-scratch build.
+"""ISP's split program returns the ``dx`` of a from-scratch build.
 
-:class:`~repro.flows.splitting_lp.SplitProgram` keeps each split LP's row
-system ready for HiGHS and writes only the ``dx`` column, the right-hand
-sides and ``dx``'s bound per split.  Here every split LP of ISP runs on the
-quick Figure 4-6 Bell Canada instances and on hypothesis grids is rebuilt
-from scratch: a :class:`~repro.flows.lp_backend.FlowProblem` on the
-index's complete graph (:meth:`GraphIndex.to_networkx`), the ``dx`` column
-from coordinates and the backend's generic row system (``vstack`` and CSC
-conversion).  Costs, column bounds, row bounds and the CSC arrays must be
-equal, dtypes included, so HiGHS sees the same model and returns the same
-``dx``.
+:class:`~repro.flows.splitting_lp.SplitProgram` settles a split without an
+LP when the split instance at ``dx = d_h`` routes in turn; otherwise it
+keeps the LP's row system ready for HiGHS and writes only the ``dx``
+column, the right-hand sides and ``dx``'s bound per split.  Here every
+split of ISP runs on the quick Figure 4-6 Bell Canada instances and on
+hypothesis grids is rebuilt from scratch: a
+:class:`~repro.flows.lp_backend.FlowProblem` on the index's complete graph
+(:meth:`GraphIndex.to_networkx`), the ``dx`` column from coordinates and
+the backend's generic row system (``vstack`` and CSC conversion).  For a
+split that reaches HiGHS, costs, column bounds, row bounds and the CSC
+arrays must be equal, dtypes included, so HiGHS sees the same model and
+returns the same ``dx``.  For a settled split, the from-scratch LP must
+return the ``dx`` the program returned.
 """
 
 from __future__ import annotations
@@ -105,17 +108,19 @@ def highs_arrays(program: LinearProgram):
 
 @pytest.fixture
 def compared(monkeypatch):
-    """Check every split LP ISP solves against its reference.  Returns a
-    namespace whose ``amounts`` lists the compared LPs' results; setting
-    its ``layout`` builds the references on that graph."""
-    checked = SimpleNamespace(amounts=[], layout=None)
+    """Check every split ISP makes against its reference.  Returns a
+    namespace whose ``amounts`` lists the compared splits' results, split
+    into ``solved`` (the split LP reached HiGHS) and ``settled`` (it did
+    not); setting its ``layout`` builds the references on that graph.
+
+    A solved split must hand HiGHS the reference's arrays.  A settled one
+    must return what the reference LP solved from scratch returns."""
+    checked = SimpleNamespace(amounts=[], solved=[], settled=[], layout=None)
     split = isp_module.maximum_splittable_amount
     solve_lp = ScipyHighsBackend.solve_lp
 
     def checking_split(program, demand, pair, via):
-        reference = highs_arrays(
-            reference_program(program.index, demand, pair, via, checked.layout)
-        )
+        reference = reference_program(program.index, demand, pair, via, checked.layout)
         sent = []
 
         def recording(self, lp, basis=None):
@@ -127,11 +132,18 @@ def compared(monkeypatch):
             amount = split(program, demand, pair, via)
         finally:
             monkeypatch.setattr(ScipyHighsBackend, "solve_lp", solve_lp)
-        (lp,) = sent
-        for name, ours in highs_arrays(lp).items():
-            theirs = reference[name]
-            assert ours.dtype == theirs.dtype, name
-            assert np.array_equal(ours, theirs), name
+        if sent:
+            (lp,) = sent
+            theirs = highs_arrays(reference)
+            for name, ours in highs_arrays(lp).items():
+                assert ours.dtype == theirs[name].dtype, name
+                assert np.array_equal(ours, theirs[name]), name
+            checked.solved.append(amount)
+        else:
+            solution = ScipyHighsBackend().solve_lp(reference)
+            assert solution.success
+            assert float(solution.x[-1]) == amount
+            checked.settled.append(amount)
         checked.amounts.append(amount)
         return amount
 
@@ -175,6 +187,8 @@ def test_bell_canada_split_lps_match_the_reference(compared, bell_instances, cac
             iterative_split_prune(supply, demand, ISPConfig(split_amount_mode="lp"))
     assert len(compared.amounts) > 100
     assert any(amount > 0 for amount in compared.amounts)
+    # both kinds occur: most splits route in full, the rest reach HiGHS
+    assert (len(compared.settled), len(compared.solved)) == (246, 11)
 
 
 @st.composite

@@ -8,17 +8,28 @@ import itertools
 
 import hypothesis.strategies as st
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.api.service import RecoveryService
 from repro.core.isp import ISPConfig, _ISPState, iterative_split_prune
 from repro.core.prune import find_prunable_routing
-from repro.evaluation.demand_builder import _eligible_far_pairs, routable_far_apart_demand
+from repro.evaluation.demand_builder import (
+    _eligible_far_pairs,
+    _intact_verdict,
+    routable_far_apart_demand,
+)
 from repro.failures.complete import CompleteDestruction
-from repro.flows.routability import routability_test
+from repro.flows.routability import is_routable, routability_test
 from repro.network.demand import DemandGraph
-from repro.network.index import CAPACITY_EPSILON, GraphIndex, max_flow_value
+from repro.network.index import (
+    CAPACITY_EPSILON,
+    GraphIndex,
+    _route,
+    max_flow_value,
+    max_flow_verdict,
+)
 from repro.network.paths import dynamic_edge_length, shortest_path_cover
 from repro.network.supply import SupplyGraph, canonical_edge
 from repro.topologies.bellcanada import bell_canada
@@ -179,6 +190,43 @@ class TestMaxFlow:
             )
 
         check()
+
+
+class TestRouter:
+    """The integral router behind :func:`max_flow_verdict`."""
+
+    @given(supplies(), st.integers(min_value=1, max_value=80), st.data())
+    @SETTINGS
+    def test_one_pair_routes_in_full_exactly_when_its_max_flow_allows(self, supply, amount, data):
+        index = GraphIndex(supply)
+        source, target = data.draw(
+            st.sampled_from(list(itertools.permutations(range(len(index.nodes)), 2)))
+        )
+        capacity = index.capacity.astype(np.int32)
+        fits = index.arcs.max_flow(capacity, source, target) >= amount
+        residual = capacity.tolist()
+        assert _route(index.arcs.out_arcs(), residual, source, target, amount) is fits
+        assert max_flow_verdict(index.arcs, index.capacity, [(source, target, amount)]) is fits
+        taken = capacity - np.array(residual)
+        if fits:
+            # no edge gives up less than nothing or more than it had, and
+            # the edges at the source give up at least what leaves it
+            assert taken.min() >= 0 and min(residual) >= 0
+            at_source = (index.tail == source) | (index.head == source)
+            assert taken[at_source].sum() >= amount
+        else:
+            assert not taken.any()
+
+    @given(supplies(), st.data())
+    @SETTINGS
+    def test_a_verdict_agrees_with_the_routability_lp(self, supply, data):
+        pairs = list(itertools.combinations(supply.nodes, 2))
+        demand = DemandGraph()
+        for u, v in data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=4, unique=True)):
+            demand.add(u, v, float(data.draw(st.integers(min_value=1, max_value=40))))
+        verdict = _intact_verdict(supply)(demand)
+        if verdict is not None:
+            assert verdict == is_routable(supply.full_graph(use_residual=False), demand)
 
 
 class TestPathCover:

@@ -42,9 +42,9 @@ from repro.network.index import GraphIndex
 from repro.obs.trace import span
 from repro.topologies.grids import grid_topology
 
-def broken_grid_instance():
+def broken_grid_instance(capacity=10.0):
     """3x3 grid, complete destruction, two hand-checkable demands."""
-    supply = grid_topology(3, 3, capacity=10.0)
+    supply = grid_topology(3, 3, capacity=capacity)
     CompleteDestruction().apply(supply)
     demand = DemandGraph()
     demand.add((0, 0), (2, 2), 5.0)
@@ -53,14 +53,22 @@ def broken_grid_instance():
 
 
 #: One Bell Canada request (complete destruction, 4 far-apart pairs of 10
-#: units) with the six paper algorithms plus Figure 3's MCB/MCW: ISP splits
-#: with bases, OPT solves one MILP and MCW runs the interior-point solver.
+#: units) with the six paper algorithms plus Figure 3's MCB/MCW: ISP's
+#: splits all route in full (no split LP), OPT solves one MILP and MCW runs
+#: the interior-point solver.
 BELL_REQUEST = RecoveryRequest(
     topology=TopologySpec("bell-canada"),
     disruption=DisruptionSpec("complete"),
     demand=DemandSpec("routable-far-apart", num_pairs=4, flow_per_pair=10.0),
     algorithms=("ISP", "OPT", "SRT", "GRD-COM", "GRD-NC", "ALL", "MCB", "MCW"),
     seed=1,
+)
+
+#: ``BELL_REQUEST`` with 10.5 units per pair: a non-integral demand is
+#: beyond the integral router, so every split LP reaches HiGHS.
+FRACTIONAL_BELL_REQUEST = dataclasses.replace(
+    BELL_REQUEST,
+    demand=DemandSpec("routable-far-apart", num_pairs=4, flow_per_pair=10.5),
 )
 
 
@@ -167,7 +175,7 @@ class TestReferencePath:
 
     def test_every_lp_of_a_bell_request_matches_linprog(self, bell_solves):
         _, lps, _ = bell_solves
-        assert len(lps) == 47
+        assert len(lps) == 24
         assert any(program.method_hint == "interior-point" for program, _ in lps)
         for program, solution in lps:
             assert_bit_identical(outcome(solution), linprog_reference(program))
@@ -359,8 +367,12 @@ class TestIncrementalProblem:
 
 
 class TestSplitBases:
+    """A split whose instance routes in full sends no LP.  The basis tests
+    use a non-integral capacity or demand, which the router leaves to
+    HiGHS, so their split LPs all reach it."""
+
     def test_a_basis_is_kept_per_commodity_count(self):
-        supply, demand = broken_grid_instance()
+        supply, demand = broken_grid_instance(capacity=10.5)
         program = SplitProgram(GraphIndex(supply))
         more = demand.copy()
         more.add((1, 0), (1, 2), 2.0)
@@ -372,6 +384,17 @@ class TestSplitBases:
             maximum_splittable_amount(program, more, ((0, 0), (2, 2)), (1, 1))
             assert scope.counts["warm_start_attempts"] == 1  # one more commodity
         assert first == again == 5.0
+
+    def test_a_split_that_routes_in_full_sends_no_lp(self):
+        # the integral grid routes both legs at 5 and the other pair at 3,
+        # so dx = 5 without an LP, a structure lookup or a basis
+        supply, demand = broken_grid_instance()
+        with span("settled") as scope:
+            amount = maximum_splittable_amount(
+                SplitProgram(GraphIndex(supply)), demand, ((0, 0), (2, 2)), (1, 1)
+            )
+        assert amount == 5.0
+        assert not scope.counts
 
     def test_basis_of_another_shape_is_refused(self):
         def program(n):
@@ -398,13 +421,15 @@ class TestSplitBases:
 
         monkeypatch.setattr(isp_module, "maximum_splittable_amount", both)
         with span("solve") as scope:
-            RecoveryService().solve(dataclasses.replace(BELL_REQUEST, algorithms=("ISP",)))
+            RecoveryService().solve(
+                dataclasses.replace(FRACTIONAL_BELL_REQUEST, algorithms=("ISP",))
+            )
         assert scope.counts["warm_start_hits"] > 0
         warm, cold = zip(*pairs)
         assert list(warm) == list(cold)
 
-    def test_only_isp_starts_from_bases(self, bell_solves):
-        result, _, _ = bell_solves
+    def test_only_isp_starts_from_bases(self):
+        result = RecoveryService().solve(FRACTIONAL_BELL_REQUEST)
         for run in result.results:
             hits, attempts = run.solver["warm_start_hits"], run.solver["warm_start_attempts"]
             if run.algorithm == "ISP":
