@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple
 
 import numpy as np
-from scipy.sparse import csgraph
 
 from repro.network.demand import DemandGraph
 from repro.network.index import ArcLayout, max_flow_verdict
@@ -27,56 +26,118 @@ Pair = Tuple[Node, Node]
 #: Eligible pairs as ``(nodes, first, second)``: pair ``k`` is
 #: ``(nodes[first[k]], nodes[second[k]])``.
 EligiblePairs = Tuple[List[Node], np.ndarray, np.ndarray]
+#: The nodes of a supply graph, their positions, and both arcs of its edges.
+EdgeEnds = Tuple[List[Node], Dict[Node, int], ArcLayout]
 
 
-def _edge_ends(supply: SupplyGraph) -> Tuple[List[Node], Dict[Node, int], np.ndarray, np.ndarray]:
-    """The nodes of ``supply.graph``, their positions, and the ``tail`` and
-    ``head`` position arrays of its edges in ``graph.edges`` order."""
+def _edge_ends(supply: SupplyGraph) -> EdgeEnds:
+    """The nodes of ``supply.graph``, their positions, and the
+    :class:`~repro.network.index.ArcLayout` of its edges in ``graph.edges``
+    order."""
     nodes = list(supply.graph)
     position = {node: i for i, node in enumerate(nodes)}
     ends = np.array([(position[u], position[v]) for u, v in supply.graph.edges], dtype=np.int32)
     tail, head = ends.reshape(-1, 2).T
-    return nodes, position, tail, head
+    return nodes, position, ArcLayout(len(nodes), tail, head)
 
 
-def _eligible_far_pairs(supply: SupplyGraph, min_fraction_of_diameter: float) -> EligiblePairs:
+def _bits(words: np.ndarray, width: int) -> np.ndarray:
+    """Bit ``j`` of each row of uint64 ``words`` (word ``j // 64``, bit
+    ``j % 64``) as column ``j`` of a 0/1 uint8 array ``width`` wide."""
+    octets = words.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(octets, axis=1, count=width, bitorder="little")
+
+
+def _hop_table(
+    size: int, row: np.ndarray, col: np.ndarray, dtype: np.dtype
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Hop counts between the ``size`` nodes of the undirected arcs
+    ``row -> col`` (sorted by ``row``), and each node's first reachable
+    node, which names its component.
+
+    One breadth-first search from every node at once: row ``v`` of
+    ``reached`` holds, one bit per source, the sources within the current
+    level of ``v``.  A level ORs the frontier rows of each node's
+    neighbours and keeps the bits not reached before.  The hop count of a
+    newly reached bit is the level, written in binary into one bitset per
+    binary digit (``planes``), so the ``size x size`` table is unpacked
+    once per digit rather than once per level.  Hops between nodes of
+    different components read 0.
+    """
+    sources = np.arange(size)
+    reached = np.zeros((size, (size + 63) // 64), dtype=np.uint64)
+    reached[sources, sources // 64] = np.uint64(1) << (sources % 64).astype(np.uint64)
+    starts = np.flatnonzero(np.diff(row, prepend=-1))  # first arc of each row
+    rows = row[starts]
+    frontier, planes, level = reached.copy(), [], 0
+    while len(starts):
+        level += 1
+        new = np.zeros_like(reached)
+        new[rows] = np.bitwise_or.reduceat(frontier[col], starts, axis=0)
+        new &= ~reached
+        if not new.any():
+            break
+        reached |= new
+        while level >> len(planes):
+            planes.append(np.zeros_like(reached))
+        for digit, plane in enumerate(planes):
+            if level >> digit & 1:
+                plane |= new
+        frontier = new
+    hops = np.zeros((size, size), dtype=dtype)
+    for digit, plane in enumerate(planes):
+        hops |= _bits(plane, size).astype(dtype) << digit
+    return hops, _bits(reached, size).argmax(axis=1)
+
+
+def _eligible_far_pairs(
+    supply: SupplyGraph, min_fraction_of_diameter: float, ends: Optional[EdgeEnds] = None
+) -> EligiblePairs:
     """Node pairs whose hop distance is >= the given fraction of the diameter.
 
     Only the largest connected component is considered (the first one in
     node order on ties).  Pairs come in ``itertools.combinations`` order
-    over its nodes sorted by ``repr``.  The hop table is one
-    :func:`scipy.sparse.csgraph.shortest_path` call over the graph without
-    its leaves, the degree-one nodes hanging off a node of higher degree:
-    no shortest path passes through a leaf, and a leaf is one hop further
-    from everything than its neighbour.
+    over its nodes sorted by ``repr``.  ``ends`` are ``supply``'s
+    :func:`_edge_ends`, when the caller has them.
+
+    The hop table (:func:`_hop_table`) covers the graph without its
+    leaves, the degree-one nodes hanging off a node of higher degree: no
+    shortest path passes through a leaf, and a leaf is one hop further
+    from everything than its neighbour.  Hops, leaf offsets and the
+    diameter are integers of a dtype that holds any hop count of the
+    graph, so the threshold test is exact.
     """
-    nodes, _, tail, head = _edge_ends(supply)
-    degree = np.bincount(np.concatenate([tail, head]), minlength=len(nodes))
+    nodes, _, arcs = _edge_ends(supply) if ends is None else ends
+    degree = np.bincount(arcs.row, minlength=len(nodes))
     neighbour = np.arange(len(nodes))  # a leaf's only neighbour
-    neighbour[tail], neighbour[head] = head, tail
+    neighbour[arcs.row] = arcs.col
     leaf = (degree == 1) & (degree[neighbour] > 1)
     slot = np.cumsum(~leaf) - 1  # position of a core node among the core nodes
-    inner = ~leaf[tail] & ~leaf[head]
-    core_arcs = ArcLayout(len(nodes) - int(leaf.sum()), slot[tail[inner]], slot[head[inner]])
-    hops = csgraph.shortest_path(
-        core_arcs.matrix(np.ones(int(inner.sum()))), unweighted=True, directed=True
+    inner = ~leaf[arcs.row] & ~leaf[arcs.col]
+    dtype = np.min_scalar_type(len(nodes))
+    hops, first_reached = _hop_table(
+        len(nodes) - int(leaf.sum()), slot[arcs.row[inner]], slot[arcs.col[inner]], dtype
     )
     anchor = slot[np.where(leaf, neighbour, np.arange(len(nodes)))]
     # a component is named by its first core node; the first node of a
     # largest component names the one kept
-    labels = np.isfinite(hops).argmax(axis=1)[anchor]
+    labels = first_reached[anchor]
     largest = labels[np.argmax(np.bincount(labels)[labels])]
     members = np.array(
         sorted(np.flatnonzero(labels == largest).tolist(), key=lambda i: repr(nodes[i])),
         dtype=np.int64,
     )
-    offset = leaf[members].astype(float)
+    offset = leaf[members].astype(dtype)
     anchor = anchor[members]
-    distance = hops[np.ix_(anchor, anchor)] + offset[:, None] + offset[None, :]
-    np.fill_diagonal(distance, 0.0)
-    far = distance >= min_fraction_of_diameter * distance.max()
-    # row-major order of the upper triangle is itertools.combinations order
-    first, second = np.nonzero(np.triu(far, k=1))
+    distance = hops[anchor][:, anchor]
+    distance += offset[:, None]
+    distance += offset
+    np.fill_diagonal(distance, 0)
+    far = distance >= min_fraction_of_diameter * int(distance.max())
+    for row in range(len(members)):
+        far[row, : row + 1] = False
+    # row-major order above the diagonal is itertools.combinations order
+    first, second = np.divmod(np.flatnonzero(far), len(members))
     return [nodes[i] for i in members], first, second
 
 
@@ -164,11 +225,13 @@ def far_apart_demand(
     return _draw_far_apart(eligible, num_pairs, flow_per_pair, ensure_rng(seed), distinct_endpoints)
 
 
-def _intact_verdict(supply: SupplyGraph) -> Callable[[DemandGraph], Optional[bool]]:
+def _intact_verdict(
+    supply: SupplyGraph, ends: Optional[EdgeEnds] = None
+) -> Callable[[DemandGraph], Optional[bool]]:
     """:func:`~repro.network.index.max_flow_verdict` of a demand on the
-    nominal capacities of every edge of ``supply``, broken or not."""
-    nodes, position, tail, head = _edge_ends(supply)
-    arcs = ArcLayout(len(nodes), tail, head)
+    nominal capacities of every edge of ``supply``, broken or not.
+    ``ends`` are ``supply``'s :func:`_edge_ends`, when the caller has them."""
+    _, position, arcs = _edge_ends(supply) if ends is None else ends
     capacity = np.array([value for _, _, value in supply.graph.edges(data="capacity")], float)
 
     def verdict(demand: DemandGraph) -> Optional[bool]:
@@ -209,8 +272,9 @@ def routable_far_apart_demand(
 
     _check_request(num_pairs, flow_per_pair)
     rng = ensure_rng(seed)
-    eligible = _eligible_far_pairs(supply, min_fraction_of_diameter)
-    verdict = _intact_verdict(supply)
+    ends = _edge_ends(supply)
+    eligible = _eligible_far_pairs(supply, min_fraction_of_diameter, ends)
+    verdict = _intact_verdict(supply, ends)
     full_graph = None
     demand: Optional[DemandGraph] = None
     for _ in range(max(1, attempts)):

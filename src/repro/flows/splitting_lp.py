@@ -9,7 +9,7 @@ obtained by replacing ``d_h`` with ``d_h - dx`` and adding the two derived
 demands ``(s_h, v_BC)`` and ``(v_BC, t_h)`` of value ``dx``.
 
 Most splits need no LP.  Before it looks anything up or calls HiGHS, a
-split asks :func:`~repro.network.index.max_flow_verdict` whether the
+split asks :func:`~repro.network.index.routes_in_turn` whether the
 instance at ``dx = d_h`` routes in turn on the index's residual
 capacities: the two legs at ``d_h`` first, then every pair at what it
 keeps (the split pair keeps nothing).  Those flows together are an
@@ -52,7 +52,7 @@ from repro.flows.solver.incremental import (
 from repro.flows.solver.stats import record_build
 from repro.flows.solver.tolerances import SPLIT_EPSILON
 from repro.network.demand import DemandGraph
-from repro.network.index import GraphIndex, max_flow_verdict
+from repro.network.index import GraphIndex, routes_in_turn
 
 Node = Hashable
 
@@ -116,7 +116,7 @@ class SplitProgram:
             indexed = [(position[u], position[v], amount) for u, v, amount in pairs]
         except KeyError:  # an endpoint off the graph: the LP path returns 0
             return False
-        return max_flow_verdict(self.index.arcs, self.index.residual, indexed) is True
+        return routes_in_turn(self.index.arcs, self.index.residual, indexed)
 
     def _lookup(self) -> TopologyStructure:
         """The complete graph's structure, looked up in the open instance

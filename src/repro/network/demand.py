@@ -17,6 +17,7 @@ sum of their flows, and aggregation keeps the instance small.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
@@ -82,6 +83,8 @@ class DemandGraph:
     def add(self, u: Node, v: Node, demand: float) -> None:
         """Add ``demand`` units between ``u`` and ``v`` (aggregating duplicates)."""
         check_positive(demand, "demand")
+        if not math.isfinite(demand):
+            raise ValueError(f"demand must be finite, got {demand!r}")
         if u == v:
             raise ValueError("a demand pair must connect two distinct nodes")
         key = canonical_pair(u, v)

@@ -43,7 +43,8 @@ shortest-augmenting-path max-flow over an :class:`ArcLayout`'s arcs
 (:func:`_route`), capped at each demand: on graphs of a few dozen nodes
 its breadth-first searches cost less than building csgraph matrices and
 calling :func:`~scipy.sparse.csgraph.maximum_flow`.  The demand builder
-and ISP's split LP (:mod:`repro.flows.splitting_lp`) share it.
+asks the verdict; ISP's split LP (:mod:`repro.flows.splitting_lp`) asks
+only its first test, :func:`routes_in_turn`.
 """
 
 from __future__ import annotations
@@ -204,6 +205,49 @@ def _route(
     return True
 
 
+def _route_in_turn(
+    arcs: ArcLayout,
+    capacity: np.ndarray,
+    commodities: Sequence[Tuple[int, int, float]],
+) -> Optional[Tuple[int, List[int], List[int]]]:
+    """Route ``commodities`` one after another on edge ``capacity`` with
+    :func:`_route`, each on what the ones before it left and capped at its
+    demand, up to the first that does not route.
+
+    Returns how many routed, with the capacities and demands as ints, or
+    ``None`` when a capacity or demand is not an exact integer or their
+    total is beyond the int32 guard of :func:`_int32_capacities`.
+    """
+    demands = np.array([demand for _, _, demand in commodities], dtype=float)
+    exact = _int32_capacities(np.concatenate([capacity, demands]))
+    if exact is None:
+        return None
+    intact, amounts = exact[: len(capacity)].tolist(), exact[len(capacity):].tolist()
+    out, residual = arcs.out_arcs(), list(intact)
+    for routed, ((source, target, _), amount) in enumerate(zip(commodities, amounts)):
+        if not _route(out, residual, source, target, amount):
+            return routed, intact, amounts
+    return len(commodities), intact, amounts
+
+
+def routes_in_turn(
+    arcs: ArcLayout,
+    capacity: np.ndarray,
+    commodities: Sequence[Tuple[int, int, float]],
+) -> bool:
+    """Whether ``commodities`` — ``(source, target, demand)`` with distinct
+    node indices — route one after another on edge ``capacity``, each on
+    the capacity the ones before it left and capped at its demand.
+
+    Those flows together are a feasible routing, so ``True`` proves the
+    commodities routable together.  ``False`` proves nothing: a commodity
+    did not route in turn, or a capacity or demand is not an exact integer
+    or their total is beyond the int32 guard of :func:`_int32_capacities`.
+    """
+    turn = _route_in_turn(arcs, capacity, commodities)
+    return turn is not None and turn[0] == len(commodities)
+
+
 def max_flow_verdict(
     arcs: ArcLayout,
     capacity: np.ndarray,
@@ -214,25 +258,20 @@ def max_flow_verdict(
     integer max-flows decide it, else ``None``.
 
     Both tests run on :func:`_route`.  ``True`` when the commodities route
-    one after another, each on the capacity the ones before it left and
-    capped at its demand, since those flows together are a feasible
-    routing.  ``False`` when one commodity alone cannot route its demand
-    on the whole capacity (its max-flow is below it).  ``None`` when
-    neither holds, or when a capacity or demand is not an exact integer or
-    their total is beyond the int32 guard of :func:`_int32_capacities`.
+    in turn (:func:`routes_in_turn`).  ``False`` when one commodity alone
+    cannot route its demand on the whole capacity (its max-flow is below
+    it).  ``None`` when neither holds, or when a capacity or demand is not
+    an exact integer or their total is beyond the int32 guard of
+    :func:`_int32_capacities`.
     """
-    demands = np.array([demand for _, _, demand in commodities], dtype=float)
-    exact = _int32_capacities(np.concatenate([capacity, demands]))
-    if exact is None:
+    turn = _route_in_turn(arcs, capacity, commodities)
+    if turn is None:
         return None
-    intact, amounts = exact[: len(capacity)].tolist(), exact[len(capacity):].tolist()
-    out, residual = arcs.out_arcs(), list(intact)
-    for short, ((source, target, _), amount) in enumerate(zip(commodities, amounts)):
-        if not _route(out, residual, source, target, amount):
-            break
-    else:
+    short, intact, amounts = turn
+    if short == len(commodities):
         return True
     # the commodities before ``short`` were routed, so each fits alone
+    out = arcs.out_arcs()
     for (source, target, _), amount in zip(commodities[short:], amounts[short:]):
         if not _route(out, list(intact), source, target, amount):
             return False
@@ -782,5 +821,6 @@ __all__ = [
     "max_flow_value",
     "max_flow_verdict",
     "path_cover",
+    "routes_in_turn",
     "simple_paths",
 ]

@@ -16,17 +16,17 @@ def require(condition: bool, message: str) -> None:
 
 
 def check_positive(value: float, name: str) -> float:
-    """Validate that ``value`` is strictly positive and return it."""
+    """Validate that ``value`` is strictly positive (NaN is not) and return it."""
     _check_numeric(value, name)
-    if value <= 0:
+    if not value > 0:
         raise ValueError(f"{name} must be strictly positive, got {value!r}")
     return float(value)
 
 
 def check_non_negative(value: float, name: str) -> float:
-    """Validate that ``value`` is non-negative and return it."""
+    """Validate that ``value`` is non-negative (NaN is not) and return it."""
     _check_numeric(value, name)
-    if value < 0:
+    if not value >= 0:
         raise ValueError(f"{name} must be non-negative, got {value!r}")
     return float(value)
 

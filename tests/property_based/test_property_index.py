@@ -451,10 +451,54 @@ class TestISPWorkingGraph:
         assert "graph" in checks and "pre-check" in checks
 
 
+def path_with_pendants():
+    """A 130-node path with a leaf hanging off every third node."""
+    graph = nx.path_graph(130)
+    graph.add_edges_from((node, 1000 + node) for node in range(0, 130, 3))
+    return graph
+
+
+def equal_components():
+    """Two 70-node components; the one added first sorts last by ``repr``."""
+    graph = nx.cycle_graph(range(100, 170))
+    graph.add_edges_from(nx.path_graph(70).edges)
+    return graph
+
+
+def mostly_isolated():
+    """70 nodes: a triangle, one edge and 65 isolated nodes."""
+    graph = nx.empty_graph(70)
+    graph.add_edges_from([(3, 9), (9, 20), (20, 3), (40, 41)])
+    return graph
+
+
+#: Graphs whose hop table spans more than one 64-bit word.
+PAST_ONE_WORD = {
+    **{f"cycle-{n}": (lambda n=n: nx.cycle_graph(n)) for n in (64, 65, 128, 129)},
+    "path-130-with-pendants": path_with_pendants,
+    "two-equal-components": equal_components,
+    "mostly-isolated-70": mostly_isolated,
+    "star-100": lambda: nx.star_graph(100),
+}
+
+
 class TestFarApartPairs:
     @given(supplies(max_nodes=12), st.sampled_from((0.0, 0.5, 0.7, 1.0)))
     @SETTINGS
     def test_eligible_arrays_equal_all_pairs_bfs(self, supply, fraction):
+        self.check(supply, fraction)
+
+    @pytest.mark.parametrize("fraction", (0.0, 0.5, 0.7, 1.0))
+    @pytest.mark.parametrize("graph", PAST_ONE_WORD.values(), ids=PAST_ONE_WORD.keys())
+    def test_past_one_word(self, graph, fraction):
+        self.check(SupplyGraph(graph()), fraction)
+
+    @pytest.mark.parametrize("seed", (1, 2))
+    def test_caida_like_maps(self, seed):
+        self.check(caida_like(825, 1018, seed=seed), 0.5)
+
+    @staticmethod
+    def check(supply, fraction):
         nodes, first, second = _eligible_far_pairs(supply, fraction)
         pairs = [(nodes[i], nodes[j]) for i, j in zip(first, second)]
         assert pairs == reference_far_pairs(supply, fraction)

@@ -72,6 +72,12 @@ class TestSolve:
         )
         assert result.run("ISP").metrics["satisfied_pct"] == pytest.approx(100.0)
 
+    @pytest.mark.parametrize("flow_per_pair", [float("nan"), float("inf")])
+    def test_a_non_finite_flow_per_pair_is_rejected(self, flow_per_pair):
+        demand = DemandSpec("routable-far-apart", num_pairs=1, flow_per_pair=flow_per_pair)
+        with pytest.raises(ValueError):
+            RecoveryService().solve(grid_request(demand=demand, algorithms=("ISP",)))
+
 
 class TestRunOrder:
     """Heuristics run first and seed the exact solve; envelopes keep the request's order."""

@@ -38,6 +38,13 @@ class TestAddAndAggregate:
         with pytest.raises(ValueError):
             demand.add("a", "b", 0.0)
 
+    @pytest.mark.parametrize("amount", [float("nan"), float("inf")])
+    def test_non_finite_demand_rejected(self, amount):
+        demand = DemandGraph()
+        with pytest.raises(ValueError):
+            demand.add("a", "b", amount)
+        assert len(demand) == 0
+
     def test_self_pair_rejected(self):
         demand = DemandGraph()
         with pytest.raises(ValueError):

@@ -55,6 +55,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             supply.add_edge("a", "b", capacity=0.0)
 
+    def test_nan_capacity_rejected(self):
+        supply = SupplyGraph()
+        with pytest.raises(ValueError):
+            supply.add_edge("a", "b", capacity=float("nan"))
+        assert supply.number_of_edges == 0
+
     def test_negative_repair_cost_rejected(self):
         supply = SupplyGraph()
         with pytest.raises(ValueError):

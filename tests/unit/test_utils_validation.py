@@ -34,6 +34,10 @@ class TestCheckPositive:
         with pytest.raises(ValueError):
             check_positive(-1, "x")
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="strictly positive"):
+            check_positive(float("nan"), "x")
+
     def test_rejects_bool(self):
         with pytest.raises(TypeError):
             check_positive(True, "x")
@@ -53,6 +57,10 @@ class TestCheckNonNegative:
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="non-negative"):
             check_non_negative(-0.1, "x")
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            check_non_negative(float("nan"), "x")
 
 
 class TestCheckProbability:
